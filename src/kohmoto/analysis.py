@@ -4,7 +4,6 @@ certificate, Lebesgue-measure experiments, and the butterfly dataset.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -497,11 +496,10 @@ def butterfly(
     backend: str = "certified",
     include_defects: bool = True,
     tol=Fraction(1, 10**6),
-    threads: int = 0,
 ) -> ButterflyDataset:
     """Band (and optionally defect-point) data for every reduced rational
-    with denominator <= Q, ordered by (q, p); rows are independent and the
-    output does not depend on the thread count."""
+    with denominator <= Q, ordered by (q, p); rows are independent, and a
+    row that fails keeps its error instead of aborting the dataset."""
     if Q < 1:
         raise PreconditionError("Q must be >= 1")
     if backend not in ("certified", "fast"):
@@ -516,10 +514,5 @@ def butterfly(
         if _math.gcd(p, q) == 1
     ]
     rationals = sorted(set(rationals), key=lambda r: (r.denominator, r.numerator))
-    work = lambda r: _butterfly_row(r, V, backend, include_defects, tol)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, rationals))
-    else:
-        rows = [work(r) for r in rationals]
+    rows = [_butterfly_row(r, V, backend, include_defects, tol) for r in rationals]
     return ButterflyDataset(Q, V, backend, include_defects, tuple(rows))

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis, spectra, tree, words
-from .errors import KohmotoError, PreconditionError, PrecisionError, UnsupportedRegimeError
+from .errors import KohmotoError, PreconditionError
 from .farey import (
     FareyPoint,
     as_fraction,
@@ -46,9 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp, fmt_default="text"):
         sp.add_argument("--format", choices=["text", "json", "csv", "svg"], default=fmt_default)
         sp.add_argument("--out", "-o", default=None, help="output path (default stdout)")
-        sp.add_argument(
-            "--threads", type=int, default=0, help="worker threads (0 = auto; never affects bytes)"
-        )
 
     farey = sub.add_parser("farey", help="Farey arithmetic and the Farey metric")
     fsub = farey.add_subparsers(dest="subcommand", required=True)
@@ -158,9 +155,7 @@ def canonical_invocation(args: argparse.Namespace) -> str:
     parts = ["kohmoto", args.command]
     if getattr(args, "subcommand", None):
         parts.append(args.subcommand)
-    # threads never changes results, so it stays out of the canonical line
-    # and identical artifacts stay byte-identical across thread counts
-    skip = {"command", "subcommand", "out", "threads"}
+    skip = {"command", "subcommand", "out"}
     for key in sorted(vars(args)):
         if key in skip:
             continue
@@ -343,7 +338,6 @@ def _run(args: argparse.Namespace) -> None:
             backend="fast" if args.fast else "certified",
             include_defects=not args.no_defects,
             tol=_parse_tol(args.tol),
-            threads=args.threads,
         )
         if fmt == "svg":
             payload = ds.to_svg()
@@ -377,18 +371,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _run(args)
         return 0
-    except UnsupportedRegimeError as exc:
+    except (KohmotoError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except PrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (PreconditionError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KohmotoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -6,13 +6,11 @@ precision/certification failures exit 3, unsupported regimes exit 4.
 
 
 class KohmotoError(Exception):
-    pass
+    exit_code = 2
 
 
 class PreconditionError(KohmotoError):
     """Input violates a documented precondition."""
-
-    exit_code = 2
 
 
 class DegeneracyError(PreconditionError):

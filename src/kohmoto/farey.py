@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import PreconditionError
+from .errors import PreconditionError, PrecisionError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -112,14 +112,10 @@ def cf_forms(r) -> tuple[tuple[int, ...], tuple[int, ...]]:
         digits.append(a)
         num, den = den, num
     short = tuple(digits)
-    assert short[-1] >= 2 and cf_eval(short) == r
+    if short[-1] < 2 or cf_eval(short) != r:
+        raise PrecisionError(f"continued fraction {short} does not expand {r}")
     long = short[:-1] + (short[-1] - 1, 1)
     return short, long
-
-
-def cf_digit_count(r) -> int:
-    """Index n of the short form [0, a0, a1, ..., a_{n-1}, a_n + 1]."""
-    return len(cf_forms(r)[0]) - 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DegeneracyError, PreconditionError
+from .errors import DegeneracyError, PreconditionError, PrecisionError
 
 IntPoly = list[int]
 
@@ -62,10 +62,6 @@ def _eval_homogeneous(p: Sequence[int], num: int, den: int) -> int:
 def sign_at(p: Sequence[int], x: Fraction) -> int:
     v = _eval_homogeneous(p, x.numerator, x.denominator)
     return (v > 0) - (v < 0)
-
-
-def eval_fraction(p: Sequence[int], x: Fraction) -> Fraction:
-    return Fraction(_eval_homogeneous(p, x.numerator, x.denominator), x.denominator ** degree(p))
 
 
 def _pseudo_rem_signed(a: IntPoly, b: IntPoly) -> tuple[IntPoly, int]:
@@ -132,16 +128,6 @@ def variations_at(chain: Sequence[IntPoly], x: Fraction) -> int:
     return _variations([sign_at(q, x) for q in chain])
 
 
-def variations_at_infinity(chain: Sequence[IntPoly], positive: bool) -> int:
-    signs = []
-    for q in chain:
-        s = (q[-1] > 0) - (q[-1] < 0)
-        if not positive and degree(q) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
 def count_roots(chain: Sequence[IntPoly], lo: Fraction, hi: Fraction) -> int:
     """Number of roots in (lo, hi); endpoints must not be roots."""
     return variations_at(chain, lo) - variations_at(chain, hi)
@@ -194,7 +180,6 @@ class RootEnclosure:
 def isolate_roots(
     p: Sequence[int],
     guide: Optional[Sequence[float]] = None,
-    chain: Optional[list[IntPoly]] = None,
     window: Optional[tuple[Fraction, Fraction]] = None,
 ) -> list[RootEnclosure]:
     """All real roots of a square-free integer polynomial as disjoint
@@ -204,8 +189,7 @@ def isolate_roots(
     p = primitive(p)
     if degree(p) == 0:
         return []
-    if chain is None:
-        chain = sturm_chain(p)
+    chain = sturm_chain(p)
     vcache: dict[Fraction, int] = {}
 
     def vat(x: Fraction) -> int:
@@ -273,7 +257,8 @@ def isolate_roots(
         if kr:
             stack.append((m, b, kr))
     roots.sort(key=lambda r: (r.lo, r.hi))
-    assert len(roots) == total
+    if len(roots) != total:
+        raise PrecisionError(f"isolated {len(roots)} roots, Sturm count is {total}")
     return roots
 
 

@@ -145,11 +145,6 @@ class EnclosedSet:
             raise PrecisionError("set enclosure too coarse (no certified member)")
         return best
 
-    def _boundary_values(self) -> list[Fraction]:
-        vals = [v for lo, hi in self.inner for v in (lo, hi)]
-        vals += [v for lo, hi in self.spots for v in (lo, hi)]
-        return sorted(set(vals))
-
     def hausdorff(self, other: "EnclosedSet") -> tuple[Fraction, Fraction]:
         """Certified enclosure of the Hausdorff distance."""
         if not self.outer or not other.outer:

@@ -10,7 +10,7 @@ nested escaping bands of continued-fraction approximants.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -22,19 +22,6 @@ from .farey import as_fraction, cf_forms, check_rotation, format_rational
 from .polyring import RP, ring_elements
 from .rootfind import RootEnclosure, compare_roots, isolate_roots, separate
 from .words import Configuration, period_word, sk_words
-
-_MEMO_LOCK = threading.Lock()
-_WORD_TRACE_MEMO: dict = {}
-_CF_TRACE_MEMO: dict = {}
-_SPECTRUM_MEMO: dict = {}
-
-
-def clear_memos() -> None:
-    with _MEMO_LOCK:
-        _WORD_TRACE_MEMO.clear()
-        _CF_TRACE_MEMO.clear()
-        _SPECTRUM_MEMO.clear()
-
 
 # ---------------------------------------------------------------------------
 # Transfer-matrix traces
@@ -55,10 +42,6 @@ def trace_poly(word: str, V) -> RP:
     if set(word) - {"0", "1"}:
         raise PreconditionError(f"word {word!r} is not over {{0,1}}")
     V = as_fraction(V)
-    key = (word, V)
-    with _MEMO_LOCK:
-        if key in _WORD_TRACE_MEMO:
-            return _WORD_TRACE_MEMO[key]
     E, Vc, const = ring_elements(V)
     m = _site_matrix(word[0], E, Vc, const)
     for letter in word[1:]:
@@ -69,11 +52,8 @@ def trace_poly(word: str, V) -> RP:
         ]
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if det != const(1):
-        raise AssertionError("transfer product determinant is not 1")
-    t = m[0][0] + m[1][1]
-    with _MEMO_LOCK:
-        _WORD_TRACE_MEMO[key] = t
-    return t
+        raise PrecisionError("transfer product determinant is not 1")
+    return m[0][0] + m[1][1]
 
 
 def _power_trace(A, B, C, e: int, const):
@@ -111,14 +91,7 @@ def trace_poly_cf(digits, V) -> RP:
     V = as_fraction(V)
     if digits == (0,):
         return RP.const(2)
-    key = (digits, V)
-    with _MEMO_LOCK:
-        if key in _CF_TRACE_MEMO:
-            return _CF_TRACE_MEMO[key]
-    t = trace_triples(digits, V)[-1][1]
-    with _MEMO_LOCK:
-        _CF_TRACE_MEMO[key] = t
-    return t
+    return trace_triples(digits, V)[-1][1]
 
 
 def extension_traces(digits, V) -> Iterator[tuple[int, RP]]:
@@ -156,14 +129,6 @@ class Spectrum:
     bands: tuple
     points: tuple
     tol: Fraction
-
-    def band_intervals(self, outer: bool = True) -> list[tuple[Fraction, Fraction]]:
-        if outer:
-            return [(lo.lo, hi.hi) for lo, hi in self.bands]
-        return [(lo.hi, hi.lo) for lo, hi in self.bands]
-
-    def point_intervals(self) -> list[tuple[Fraction, Fraction]]:
-        return [(lo, hi) for lo, hi in self.points]
 
     def to_json_obj(self) -> dict:
         return {
@@ -226,28 +191,24 @@ def floquet_zeros(word: str, V) -> list[float]:
     return [float(x) for x in np.linalg.eigvalsh(m)]
 
 
-def spectrum_from_trace(t: RP, tol, word: Optional[str] = None, V=None) -> Spectrum:
+def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     """Band decomposition {|t| <= 2} of a degree-q trace polynomial: exactly
     q certified-disjoint closed bands, edges enclosed to width <= tol.  The
-    generating word and coupling, when supplied, seed the isolation with
-    eigenvalue estimates (certified by Sturm counts either way)."""
+    generating word and coupling seed the isolation with eigenvalue
+    estimates, which Sturm counts then certify."""
     tol = _check_tol(tol)
     q = t.degree()
     if q < 1:
         raise PreconditionError("trace polynomial must have positive degree")
     if t.num[-1] != t.den:
-        raise AssertionError("trace polynomial must be monic")
-    guide_upper = guide_lower = None
-    if word is not None and V is not None:
-        if len(word) != q:
-            raise PreconditionError("word length must match the trace degree")
-        guide_upper = floquet_edges(word, V, anti=False)
-        guide_lower = floquet_edges(word, V, anti=True)
+        raise PrecisionError("trace polynomial must be monic")
+    if len(word) != q:
+        raise PreconditionError("word length must match the trace degree")
     try:
         upper = (t - 2).int_poly()
         lower = (t + 2).int_poly()
-        roots_upper = isolate_roots(upper, guide=guide_upper)
-        roots_lower = isolate_roots(lower, guide=guide_lower)
+        roots_upper = isolate_roots(upper, guide=floquet_edges(word, V, anti=False))
+        roots_lower = isolate_roots(lower, guide=floquet_edges(word, V, anti=True))
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"degenerate band structure (touching bands, e.g. coupling 0): {exc}"
@@ -265,29 +226,24 @@ def spectrum_from_trace(t: RP, tol, word: Optional[str] = None, V=None) -> Spect
         lo, hi = edges[i], edges[i + 1]
         mid = (lo.hi + hi.lo) / 2
         if abs(t.eval(mid)) > 2:
-            raise AssertionError("band midpoint escaped the trace window")
+            raise PrecisionError("band midpoint escaped the trace window")
         bands.append((lo, hi))
     return Spectrum(tuple(bands), (), tol)
 
 
+@functools.lru_cache(maxsize=128)
 def spectrum_periodic(r, V, tol) -> Spectrum:
     """Certified spectrum of the periodic operator at rational rotation r:
     exactly q disjoint closed bands."""
     r = check_rotation(as_fraction(r))
     V = as_fraction(V)
     tol = _check_tol(tol)
-    key = (r, V, tol)
-    with _MEMO_LOCK:
-        if key in _SPECTRUM_MEMO:
-            return _SPECTRUM_MEMO[key]
     t = trace_poly_cf(cf_forms(r)[0], V)
     spec = spectrum_from_trace(t, tol, word=period_word(r), V=V)
     if len(spec.bands) != r.denominator:
         raise DegeneracyError(
             f"expected {r.denominator} bands at {format_rational(r)}, got {len(spec.bands)}"
         )
-    with _MEMO_LOCK:
-        _SPECTRUM_MEMO[key] = spec
     return spec
 
 
@@ -332,6 +288,25 @@ def _band_relation(band, base_bands) -> str:
     return "outside"
 
 
+def _split_escaping(approx: Spectrum, base: Spectrum):
+    """Split approximant bands into those certified inside the base
+    spectrum and the escaping rest, with each escaping band's relation;
+    exactly one band per base band must escape."""
+    inside, escaping, rels = [], [], []
+    for band in approx.bands:
+        rel = _band_relation(band, base.bands)
+        if rel == "inside":
+            inside.append(band)
+        else:
+            escaping.append(band)
+            rels.append(rel)
+    if len(escaping) != len(base.bands):
+        raise PrecisionError(
+            f"expected {len(base.bands)} escaping bands, found {len(escaping)}"
+        )
+    return inside, escaping, rels
+
+
 def band_classify(r, k: int, V, tol, form: str = "short"):
     """Split the bands of the k-th continued-fraction approximant into those
     certified inside the base spectrum (type A) and those certified not
@@ -352,18 +327,7 @@ def band_classify(r, k: int, V, tol, form: str = "short"):
         if kk == k:
             approx = spectrum_from_trace(t, tol, word=sk_words(digits + (k,))[-1], V=V)
             break
-    type_a, type_b, rels = [], [], []
-    for band in approx.bands:
-        rel = _band_relation(band, base.bands)
-        if rel == "inside":
-            type_a.append(band)
-        else:
-            type_b.append(band)
-            rels.append(rel)
-    if len(type_b) != r.denominator:
-        raise AssertionError(
-            f"expected {r.denominator} escaping bands, found {len(type_b)}"
-        )
+    type_a, type_b, rels = _split_escaping(approx, base)
     k0_reached = all(rel == "outside" for rel in rels)
     return type_a, type_b, k0_reached
 
@@ -387,6 +351,7 @@ def approach_digits(r, side: str) -> tuple[int, ...]:
     return short if (side == "plus") == (n % 2 == 0) else long
 
 
+@functools.lru_cache(maxsize=128)
 def defect_spectrum(r, side: str, V, tol, kcap: int = 64) -> Spectrum:
     """Spectrum of the one-sided limit operator: the periodic bands plus
     exactly q isolated eigenvalues, one in each bounded spectral gap and one
@@ -397,12 +362,7 @@ def defect_spectrum(r, side: str, V, tol, kcap: int = 64) -> Spectrum:
     tol = _check_tol(tol)
     if V == 0:
         raise PreconditionError("defect spectra require a non-zero coupling")
-    key = (r, side, V, tol, kcap)
-    with _MEMO_LOCK:
-        if key in _SPECTRUM_MEMO:
-            return _SPECTRUM_MEMO[key]
     digits = approach_digits(r, side)
-    q = r.denominator
     base = spectrum_periodic(r, V, tol)
     root_tol = tol / 4
     best_k, widths = None, []
@@ -415,14 +375,7 @@ def defect_spectrum(r, side: str, V, tol, kcap: int = 64) -> Spectrum:
         approx = spectrum_from_trace(
             t, root_tol, word=sk_words(digits + (k,))[-1], V=V
         )
-        type_b, rels = [], []
-        for band in approx.bands:
-            rel = _band_relation(band, base.bands)
-            if rel != "inside":
-                type_b.append(band)
-                rels.append(rel)
-        if len(type_b) != q:
-            raise AssertionError(f"expected {q} escaping bands, found {len(type_b)}")
+        _, type_b, rels = _split_escaping(approx, base)
         widths = [b.hi - a.lo for a, b in type_b]
         if all(w <= tol for w in widths) and all(rel == "outside" for rel in rels):
             best_k = k
@@ -438,10 +391,7 @@ def defect_spectrum(r, side: str, V, tol, kcap: int = 64) -> Spectrum:
         )
     points = tuple((a.lo, b.hi) for a, b in type_b)
     _check_point_placement(base, points, above=(side == "plus") == (V > 0))
-    spec = Spectrum(base.bands, points, tol)
-    with _MEMO_LOCK:
-        _SPECTRUM_MEMO[key] = spec
-    return spec
+    return Spectrum(base.bands, points, tol)
 
 
 def _check_point_placement(base: Spectrum, points, above: bool) -> None:
@@ -451,16 +401,30 @@ def _check_point_placement(base: Spectrum, points, above: bool) -> None:
     (conjugation by (-1)^n sends H(V) to -H(-V))."""
     bands = base.bands
     q = len(bands)
-    assert len(points) == q
+    if len(points) != q:
+        raise PrecisionError(f"expected {q} defect points, found {len(points)}")
     for j, (plo, phi) in enumerate(points):
         if above:
-            assert plo > bands[j][1].hi, "defect point is not above its band"
-            if j + 1 < q:
-                assert phi < bands[j + 1][0].lo, "defect point escaped its gap"
+            beside = plo > bands[j][1].hi
+            in_gap = j + 1 == q or phi < bands[j + 1][0].lo
         else:
-            assert phi < bands[j][0].lo, "defect point is not below its band"
-            if j >= 1:
-                assert plo > bands[j - 1][1].hi, "defect point escaped its gap"
+            beside = phi < bands[j][0].lo
+            in_gap = j == 0 or plo > bands[j - 1][1].hi
+        if not beside:
+            where = "above" if above else "below"
+            raise PrecisionError(f"defect point is not {where} its band")
+        if not in_gap:
+            raise PrecisionError("defect point escaped its gap")
+
+
+# The bench tracer rebinds the module attributes to plain wrappers, so the
+# caches are captured here, at import time.
+_CACHES = (spectrum_periodic, defect_spectrum)
+
+
+def clear_memos() -> None:
+    for cached in _CACHES:
+        cached.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import PreconditionError
+from .errors import PreconditionError, PrecisionError
 from .farey import (
     QuadraticIrrational,
     as_fraction,
@@ -128,7 +128,8 @@ def period_word(r) -> str:
     r = check_rotation(as_fraction(r))
     short, _ = cf_forms(r)
     word = sk_words(short)[-1]
-    assert len(word) == r.denominator
+    if len(word) != r.denominator:
+        raise PrecisionError(f"period word has length {len(word)}, wanted {r.denominator}")
     return word
 
 

@@ -130,7 +130,7 @@ def test_butterfly_certified_small():
 
 def test_butterfly_fast_deterministic_and_schema():
     ds1 = butterfly(8, V5, "fast", True)
-    ds2 = butterfly(8, V5, "fast", True, threads=4)
+    ds2 = butterfly(8, V5, "fast", True)
     assert ds1.to_csv() == ds2.to_csv()
     assert ds1.to_svg() == ds2.to_svg()
     lines = ds1.to_csv().splitlines()

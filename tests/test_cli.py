@@ -72,6 +72,7 @@ def test_exit_codes():
     run("spectrum", "defects", "--r", "7/9", "--side", "plus", "--V", "5",
         "--tol", "1e-40", "--kmax", "1", expect=3)
     run("spectrum", "bands", "--r", "1/2", "--V", "0", expect=2)
+    run("butterfly", "--Q", "2", "--V", "5", "--fast", "--threads", "2", expect=2)
     # unknown flags are rejected by the parser
     env = dict(os.environ, COLUMNS="80")
     proc = subprocess.run(
@@ -121,13 +122,6 @@ def test_butterfly_svg_golden(tmp_path):
     run("butterfly", "--Q", "25", "--V", "5", "--fast", "--format", "svg",
         "-o", str(target))
     assert target.read_bytes() == (DATA / "butterfly_q25_v5.svg").read_bytes()
-
-
-def test_butterfly_threads_do_not_change_bytes(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run("butterfly", "--Q", "6", "--V", "5", "--fast", "-o", str(a))
-    run("butterfly", "--Q", "6", "--V", "5", "--fast", "--threads", "3", "-o", str(b))
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_analyze_measures_json():

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -390,6 +394,43 @@ def test_memo_tables_under_concurrency():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(work, range(16)))
     assert all(r == results[0] for r in results)
+
+
+def test_clear_memos_empties_bounded_caches(monkeypatch):
+    from kohmoto import spectra
+
+    caches = (spectrum_periodic, defect_spectrum)
+    defect_spectrum(F(1, 2), "plus", V5, TOL6)
+    assert all(c.cache_info().currsize > 0 for c in caches)
+    assert all(c.cache_info().maxsize is not None for c in caches)
+    spectra.clear_memos()
+    assert all(c.cache_info().currsize == 0 for c in caches)
+    # a tracer may rebind the module attribute to a plain wrapper
+    defect_spectrum(F(1, 2), "plus", V5, TOL6)
+    monkeypatch.setattr(spectra, "spectrum_periodic", lambda *a: spectrum_periodic(*a))
+    spectra.clear_memos()
+    assert all(c.cache_info().currsize == 0 for c in caches)
+
+
+def test_point_placement_check_survives_python_O():
+    code = (
+        "from fractions import Fraction as F\n"
+        "from kohmoto.errors import PrecisionError\n"
+        "from kohmoto.spectra import _check_point_placement, spectrum_periodic\n"
+        "base = spectrum_periodic(F(0), 5, F(1, 10**6))\n"
+        "try:\n"
+        "    _check_point_placement(base, [(F(0), F(0))], above=True)\n"
+        "except PrecisionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "defect point is not above its band\n")
 
 
 def test_json_serialization_schema():
