@@ -513,6 +513,5 @@ def butterfly(
         for p in range(0, q + 1)
         if _math.gcd(p, q) == 1
     ]
-    rationals = sorted(set(rationals), key=lambda r: (r.denominator, r.numerator))
     rows = [_butterfly_row(r, V, backend, include_defects, tol) for r in rationals]
     return ButterflyDataset(Q, V, backend, include_defects, tuple(rows))

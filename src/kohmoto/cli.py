@@ -213,7 +213,7 @@ def _run(args: argparse.Namespace) -> None:
     if cmd == "farey":
         if subcmd == "dist":
             d = farey_distance(FareyPoint.parse(args.x), FareyPoint.parse(args.y))
-            payload = format_rational(d) if fmt != "json" else format_rational(d)
+            payload = format_rational(d)
         elif subcmd == "neighbors":
             lo, hi = farey_neighbors(_parse_rational(args.r), args.m)
             pair = [None if v is None else format_rational(v) for v in (lo, hi)]

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .rootfind import _eval_homogeneous
+
 
 def _strip(c: list) -> list:
     while len(c) > 1 and not c[-1]:
@@ -121,10 +123,8 @@ class RP:
 
     def eval(self, x) -> Fraction:
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.num):
-            acc = acc * x + c
-        return acc / self.den
+        acc = _eval_homogeneous(self.num, x.numerator, x.denominator)
+        return Fraction(acc, self.den * x.denominator ** self.degree())
 
     def int_poly(self) -> list[int]:
         """Integer polynomial with the same roots (positive rescale)."""

@@ -1,8 +1,11 @@
 """Certified real-root isolation and refinement for integer polynomials.
 
-Sturm chains over exact integers are the certificate for every root count;
-floating-point root estimates may seed candidate intervals but every
-interval is verified by a Sturm count before use.
+A Sturm chain over exact integers gives the number of roots in a window.
+Floating-point root estimates place each root in one cell of a dyadic grid,
+and exact sign changes across as many disjoint cells as the Sturm count
+certify one root per cell; when the estimates do not yield such cells,
+bisection on Sturm counts isolates the roots instead.  Floating point only
+proposes cells: every certificate is an exact integer sign or count.
 """
 
 from __future__ import annotations
@@ -161,9 +164,9 @@ class RootEnclosure:
 
     def refined(self, max_width: Fraction) -> "RootEnclosure":
         lo, hi = self.lo, self.hi
-        if lo == hi:
+        if hi - lo <= max_width:
             return self
-        p = list(self.poly)
+        p = self.poly
         s_lo = sign_at(p, lo)
         while hi - lo > max_width:
             m = (lo + hi) / 2
@@ -177,19 +180,115 @@ class RootEnclosure:
         return RootEnclosure(self.poly, lo, hi)
 
 
+def _largest_dyadic_at_most(x: Fraction) -> Fraction:
+    """The largest power of two that is <= x, for x > 0."""
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    h = Fraction(2) ** e
+    if h > x:
+        h /= 2
+    return h
+
+
 def isolate_roots(
     p: Sequence[int],
     guide: Optional[Sequence[float]] = None,
     window: Optional[tuple[Fraction, Fraction]] = None,
+    width: Optional[Fraction] = None,
 ) -> list[RootEnclosure]:
-    """All real roots of a square-free integer polynomial as disjoint
-    isolating intervals, sorted.  Floating guesses may propose the cut
-    points; Sturm counts certify every interval.  An optional window
-    restricts the search to an open interval with non-root endpoints."""
+    """All real roots of a square-free integer polynomial as isolating
+    intervals, sorted, that meet at most in a shared endpoint which is not
+    a root.  An optional window restricts the search to an open interval
+    with non-root endpoints.
+
+    One Sturm chain gives the number of roots in the window.  Floating
+    guesses (one per root) then place each root in a cell of a dyadic
+    grid whose spacing is at most width and at most a third of the
+    smallest gap between guesses; a sign change across each of as many
+    disjoint cells as there are roots certifies them all.  When the
+    guesses do not yield such cells, Sturm bisection over the window
+    isolates the roots instead."""
     p = primitive(p)
     if degree(p) == 0:
         return []
     chain = sturm_chain(p)
+    if window is None:
+        bound = Fraction(cauchy_bound(p))
+        lo_all, hi_all = -bound, bound
+        # every real root lies inside the Cauchy bound, so count at infinity
+        lead = [1 if q[-1] > 0 else -1 for q in chain]
+        at_minus = [-s if degree(q) % 2 else s for s, q in zip(lead, chain)]
+        total = _variations(at_minus) - _variations(lead)
+    else:
+        lo_all, hi_all = window
+        if sign_at(p, lo_all) == 0 or sign_at(p, hi_all) == 0:
+            raise PreconditionError("window endpoints must not be roots")
+        total = variations_at(chain, lo_all) - variations_at(chain, hi_all)
+    if total == 0:
+        return []
+    poly = tuple(p)
+    roots = None
+    if guide is not None and len(guide) == total:
+        roots = _grid_cells(poly, guide, lo_all, hi_all, width)
+    if roots is None:
+        roots = _sturm_bisection(poly, chain, lo_all, hi_all)
+    if len(roots) != total:
+        raise PrecisionError(f"isolated {len(roots)} roots, Sturm count is {total}")
+    return roots
+
+
+def _grid_cells(
+    poly: tuple[int, ...],
+    guide: Sequence[float],
+    lo_all: Fraction,
+    hi_all: Fraction,
+    width: Optional[Fraction],
+) -> Optional[list[RootEnclosure]]:
+    """One sign-change cell of a dyadic grid per guess, sorted, or None
+    when the cells do not certify one root each.  A grid point where the
+    polynomial vanishes is returned as the exact enclosure [x, x]."""
+    if not all(math.isfinite(g) for g in guide):
+        return None
+    approx = sorted(Fraction(g) for g in guide)
+    caps = [b - a for a, b in zip(approx, approx[1:])]
+    if any(c == 0 for c in caps):
+        return None
+    caps = [c / 3 for c in caps] + [hi_all - lo_all]
+    if width is not None:
+        caps.append(width)
+    h = _largest_dyadic_at_most(min(caps))
+    signs: dict[int, int] = {}
+
+    def sign(k: int) -> int:
+        if k not in signs:
+            signs[k] = sign_at(poly, k * h)
+        return signs[k]
+
+    def cell(k: int) -> Optional[RootEnclosure]:
+        for j in (k, k + 1):
+            if sign(j) == 0:
+                return RootEnclosure(poly, j * h, j * h)
+        if sign(k) != sign(k + 1):
+            return RootEnclosure(poly, k * h, (k + 1) * h)
+        return None
+
+    roots = []
+    for g in approx:
+        k = math.floor(g / h)
+        enc = cell(k) or cell(k - 1 if g - k * h < (k + 1) * h - g else k + 1)
+        if enc is None or enc.lo < lo_all or enc.hi > hi_all:
+            return None
+        roots.append(enc)
+    roots.sort(key=lambda r: (r.lo, r.hi))
+    if any(a.hi >= b.lo for a, b in zip(roots, roots[1:])):
+        return None
+    return roots
+
+
+def _sturm_bisection(
+    poly: tuple[int, ...], chain: Sequence[IntPoly], lo_all: Fraction, hi_all: Fraction
+) -> list[RootEnclosure]:
+    """Isolating intervals for the roots in (lo_all, hi_all) by bisection
+    on Sturm counts, sorted."""
     vcache: dict[Fraction, int] = {}
 
     def vat(x: Fraction) -> int:
@@ -197,68 +296,37 @@ def isolate_roots(
             vcache[x] = variations_at(chain, x)
         return vcache[x]
 
-    if window is None:
-        bound = Fraction(cauchy_bound(p))
-        lo_all, hi_all = -bound, bound
-    else:
-        lo_all, hi_all = window
-        if sign_at(p, lo_all) == 0 or sign_at(p, hi_all) == 0:
-            raise PreconditionError("window endpoints must not be roots")
-    total = vat(lo_all) - vat(hi_all)
     roots: list[RootEnclosure] = []
-    if total == 0:
-        return roots
-
-    cuts = [lo_all, hi_all]
-    if guide:
-        approx = sorted(set(guide))
-        for x, y in zip(approx, approx[1:]):
-            cut = Fraction((x + y) / 2).limit_denominator(1 << 40)
-            if lo_all < cut < hi_all and sign_at(p, cut) != 0:
-                cuts.append(cut)
-    cuts = sorted(set(cuts))
-
-    stack = []
-    for a, b in zip(cuts, cuts[1:]):
-        k = vat(a) - vat(b)
-        if k > 0:
-            stack.append((a, b, k))
+    stack = [(lo_all, hi_all, vat(lo_all) - vat(hi_all))]
     while stack:
         a, b, k = stack.pop()
+        if k == 0:
+            continue
         if k == 1:
-            roots.append(RootEnclosure(tuple(p), a, b))
+            roots.append(RootEnclosure(poly, a, b))
             continue
         m = (a + b) / 2
-        if sign_at(p, m) == 0:
-            roots.append(RootEnclosure(tuple(p), m, m))
+        if sign_at(poly, m) == 0:
+            roots.append(RootEnclosure(poly, m, m))
             eps = (b - a) / 4
             while True:
                 left, right = m - eps, m + eps
                 if (
                     left > a
                     and right < b
-                    and sign_at(p, left) != 0
-                    and sign_at(p, right) != 0
+                    and sign_at(poly, left) != 0
+                    and sign_at(poly, right) != 0
                     and vat(left) - vat(right) == 1
                 ):
                     break
                 eps /= 2
-            kl = vat(a) - vat(left)
-            kr = vat(right) - vat(b)
-            if kl:
-                stack.append((a, left, kl))
-            if kr:
-                stack.append((right, b, kr))
+            stack.append((a, left, vat(a) - vat(left)))
+            stack.append((right, b, vat(right) - vat(b)))
             continue
         kl = vat(a) - vat(m)
-        kr = k - kl
-        if kl:
-            stack.append((a, m, kl))
-        if kr:
-            stack.append((m, b, kr))
+        stack.append((a, m, kl))
+        stack.append((m, b, k - kl))
     roots.sort(key=lambda r: (r.lo, r.hi))
-    if len(roots) != total:
-        raise PrecisionError(f"isolated {len(roots)} roots, Sturm count is {total}")
     return roots
 
 
@@ -308,6 +376,8 @@ def compare_roots(a: RootEnclosure, b: RootEnclosure) -> int:
     """Exact order of two algebraic numbers given by enclosures, detecting
     equality through the gcd of the defining polynomials."""
     a_, b_ = a, b
+    g = poly_gcd(list(a.poly), list(b.poly))
+    gchain = sturm_chain(g) if degree(g) > 0 else None
     for _ in range(256):
         if a_.hi < b_.lo:
             return -1
@@ -315,19 +385,23 @@ def compare_roots(a: RootEnclosure, b: RootEnclosure) -> int:
             return 1
         if a_.is_exact() and b_.is_exact() and a_.lo == b_.lo:
             return 0
-        g = poly_gcd(list(a_.poly), list(b_.poly))
-        if degree(g) > 0:
-            gchain = sturm_chain(g)
+        if gchain is not None:
             lo = min(a_.lo, b_.lo)
             hi = max(a_.hi, b_.hi)
-            lo_pt = lo - Fraction(1, 1 << 10)
-            hi_pt = hi + Fraction(1, 1 << 10)
+            # the padded window shrinks with the enclosures, so it comes to
+            # exclude every other root of g
+            pad = (hi - lo) / (1 << 10)
+            lo_pt, hi_pt = lo - pad, hi + pad
+            while sign_at(g, lo_pt) == 0:
+                lo_pt -= pad
+            while sign_at(g, hi_pt) == 0:
+                hi_pt += pad
             whole = count_roots(gchain, lo_pt, hi_pt)
             in_a = _count_roots_closed(g, gchain, a_)
             in_b = _count_roots_closed(g, gchain, b_)
             if whole == 1 and in_a == 1 and in_b == 1:
                 return 0
-        shrink = min(a_.width, b_.width) / 4 or Fraction(1, 1 << 30)
+        shrink = min(w for w in (a_.width, b_.width) if w) / 4
         a_ = a_.refined(shrink)
         b_ = b_.refined(shrink)
     raise PreconditionError("root comparison did not converge")

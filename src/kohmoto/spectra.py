@@ -2,8 +2,12 @@
 mechanical-word potentials.
 
 The spectrum of a q-periodic operator is the preimage of [-2,2] under the
-trace of the transfer-matrix cocycle over one period; its q bands are
-isolated with Sturm counts over exact integers and refined by bisection.
+trace of the transfer-matrix cocycle over one period.  Its 2q band edges,
+the roots of t - 2 and t + 2, are certified in cells of a dyadic grid placed
+by floating eigenvalue estimates: exact sign changes across as many cells as
+a Sturm count over exact integers finds.  Bisection only splits the two
+edges of a band narrower than a cell, or isolates the edges when the
+estimates do not certify.
 One-sided limit spectra add exactly q isolated eigenvalues, enclosed by the
 nested escaping bands of continued-fraction approximants.
 """
@@ -194,8 +198,9 @@ def floquet_zeros(word: str, V) -> list[float]:
 def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     """Band decomposition {|t| <= 2} of a degree-q trace polynomial: exactly
     q certified-disjoint closed bands, edges enclosed to width <= tol.  The
-    generating word and coupling seed the isolation with eigenvalue
-    estimates, which Sturm counts then certify."""
+    generating word and coupling give eigenvalue estimates that place each
+    edge in a grid cell at most tol wide; exact signs and a Sturm count
+    certify the cells."""
     tol = _check_tol(tol)
     q = t.degree()
     if q < 1:
@@ -207,8 +212,12 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     try:
         upper = (t - 2).int_poly()
         lower = (t + 2).int_poly()
-        roots_upper = isolate_roots(upper, guide=floquet_edges(word, V, anti=False))
-        roots_lower = isolate_roots(lower, guide=floquet_edges(word, V, anti=True))
+        roots_upper = isolate_roots(
+            upper, guide=floquet_edges(word, V, anti=False), width=tol
+        )
+        roots_lower = isolate_roots(
+            lower, guide=floquet_edges(word, V, anti=True), width=tol
+        )
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"degenerate band structure (touching bands, e.g. coupling 0): {exc}"
@@ -218,9 +227,9 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
             f"expected {q} simple edges per side, found "
             f"{len(roots_upper)}/{len(roots_lower)}"
         )
-    edges = separate(roots_upper + roots_lower)
-    edges = [e.refined(tol) for e in edges]
-    edges = separate(edges)
+    # refining keeps each edge inside its enclosure, so the edges stay
+    # disjoint and in order
+    edges = [e.refined(tol) for e in separate(roots_upper + roots_lower)]
     bands = []
     for i in range(0, 2 * q, 2):
         lo, hi = edges[i], edges[i + 1]

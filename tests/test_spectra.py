@@ -199,6 +199,30 @@ def test_band_count_sampled():
                 assert h1.hi < l2.lo
 
 
+def test_band_edges_certify_without_fallback(monkeypatch):
+    # a silent Sturm-bisection fallback would only slow runs down
+    from kohmoto import rootfind, spectra
+
+    def no_fallback(*args):
+        raise AssertionError("grid cells did not certify")
+
+    monkeypatch.setattr(rootfind, "_sturm_bisection", no_fallback)
+    spectra.clear_memos()
+    try:
+        for V in (F(1, 2), F(2), F(5)):
+            for q in range(1, 21):
+                for p in range(q + 1):
+                    if math.gcd(p, q) == 1:
+                        assert len(spectrum_periodic(F(p, q), V, TOL6).bands) == q
+    finally:
+        spectra.clear_memos()
+
+
+def test_edges_of_one_spectrum_share_two_polynomials():
+    spec = spectrum_periodic(F(21, 34), V5, TOL9)
+    assert len({id(enc.poly) for band in spec.bands for enc in band}) == 2
+
+
 def test_membership_examples():
     assert membership(F(0), F(0), V5)
     assert not membership(F(3), F(0), V5)
