@@ -20,6 +20,7 @@ from .farey import (
 )
 from .sets import EnclosedSet
 from .spectra import (
+    MAX_K,
     Spectrum,
     approach_digits,
     defect_spectrum,
@@ -158,8 +159,8 @@ def optimality_certificate(r, side: str, V, Kmax: int, tol) -> OptimalityReport:
             "the optimality certificate requires coupling V > 4 "
             "(the overlap families must be disjoint)"
         )
-    if Kmax < 4:
-        raise PreconditionError("Kmax must be >= 4")
+    if not 4 <= Kmax <= MAX_K:
+        raise PreconditionError(f"Kmax must be between 4 and {MAX_K}")
     q = r.denominator
     digits = approach_digits(r, side)
     base_spec = spectrum_periodic(r, V, tol)
@@ -285,8 +286,8 @@ def measure_experiments(r, V, Kmax: int, tol=Fraction(1, 10**9), form: str = "sh
     V = as_fraction(V)
     if V == 0:
         raise PreconditionError("measure experiments need a non-zero coupling")
-    if Kmax < 0:
-        raise PreconditionError("Kmax must be >= 0")
+    if not 0 <= Kmax <= MAX_K:
+        raise PreconditionError(f"Kmax must be between 0 and {MAX_K}")
     from .farey import cf_forms
 
     digits = cf_forms(r)[0 if form == "short" else 1]

@@ -5,16 +5,35 @@ an outer union certified to contain it, and "spots" (tiny intervals each
 containing exactly one isolated member whose exact position is unknown).
 Intersections, Lebesgue measure and the Hausdorff metric come out as
 certified rational enclosures.
+
+`directed_hausdorff` is the one distance routine; both ends of the
+`EnclosedSet.hausdorff` enclosure come from it.  For the directed distance
+from the true set A to the true set B, with w(B) the largest spot
+half-width of B (0 without spots):
+
+- upper: directed_hausdorff(A.outer, B.inner + spot midpoints of B) + w(B),
+  since A lies in A.outer and each spot's member lies within w(B) of the
+  spot's midpoint;
+- lower: the largest of directed_hausdorff(A.inner, B.outer) and, for each
+  spot of A, the distance from its midpoint to B.outer minus its own
+  half-width, since A holds A.inner and each spot's member, and B lies in
+  B.outer.
+
+Each end takes the larger value of the two directions.  The w(B) slack
+lets the upper end use one sweep against the spot midpoints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import PreconditionError, PrecisionError
 
 Interval = tuple[Fraction, Fraction]
+_start = itemgetter(0)
 
 
 def normalize(intervals) -> tuple[Interval, ...]:
@@ -49,33 +68,37 @@ def measure(intervals) -> Fraction:
     return sum((hi - lo for lo, hi in intervals), Fraction(0))
 
 
-def _dist_to_intervals(x: Fraction, intervals) -> Fraction:
-    best = None
-    for lo, hi in intervals:
-        d = max(Fraction(0), lo - x, x - hi)
-        if best is None or d < best:
-            best = d
-        if d == 0:
-            break
-    return best
-
-
-def _interval_gap(a: Interval, b: Interval) -> Fraction:
-    return max(Fraction(0), b[0] - a[1], a[0] - b[1])
-
-
 def directed_hausdorff(a, b) -> Fraction:
-    """sup over the union a of the distance to the union b, exactly."""
+    """sup over the union a of the distance to the union b, exactly.
+
+    Both are sorted disjoint unions, as `normalize` returns them.  On each
+    interval of a the distance to b peaks at an endpoint or at the midpoint
+    of a gap of b.  Bisection finds the intervals of b next to each
+    candidate, so the cost is O((n + m) log m) and nothing is built per call."""
     if not a:
         return Fraction(0)
     if not b:
         raise PreconditionError("directed distance to an empty set")
-    candidates = [x for lo, hi in a for x in (lo, hi)]
-    for (_, hi1), (lo2, _) in zip(b, b[1:]):
-        m = (hi1 + lo2) / 2
-        if any(lo <= m <= hi for lo, hi in a):
-            candidates.append(m)
-    return max(_dist_to_intervals(x, b) for x in candidates)
+
+    def dist(x: Fraction, i: int) -> Fraction:
+        # b[i] is the first interval of b starting after x
+        if i == 0:
+            return b[0][0] - x
+        d = max(Fraction(0), x - b[i - 1][1])
+        return d if i == len(b) else min(d, b[i][0] - x)
+
+    best = Fraction(0)
+    for lo, hi in a:
+        i = bisect_right(b, lo, key=_start)
+        j = bisect_right(b, hi, key=_start)
+        best = max(best, dist(lo, i), dist(hi, j))
+        # gap g lies between b[g] and b[g + 1]; every gap midpoint in
+        # [lo, hi] lies in one of the gaps i - 1 to j - 1
+        for g in range(max(i - 1, 0), min(j, len(b) - 1)):
+            mid = (b[g][1] + b[g + 1][0]) / 2
+            if lo <= mid <= hi:
+                best = max(best, mid - b[g][1])
+    return best
 
 
 def hausdorff_exact(a, b) -> Fraction:
@@ -131,26 +154,21 @@ class EnclosedSet:
         bound (each holds a single point of the true set)."""
         return measure(self.inner), measure(self.outer)
 
-    def _upper_distance(self, x: Fraction) -> Fraction:
-        """Certified upper bound on dist(x, true set): distance to the
-        certified inner union, or to the farthest end of a spot."""
-        best = None
-        if self.inner:
-            best = _dist_to_intervals(x, self.inner)
-        for lo, hi in self.spots:
-            far = max(abs(x - lo), abs(x - hi))
-            if best is None or far < best:
-                best = far
-        if best is None:
-            raise PrecisionError("set enclosure too coarse (no certified member)")
-        return best
-
     def hausdorff(self, other: "EnclosedSet") -> tuple[Fraction, Fraction]:
         """Certified enclosure of the Hausdorff distance."""
         if not self.outer or not other.outer:
             raise PreconditionError("Hausdorff distance needs non-empty sets")
-        hi = max(_directed_upper(self, other), _directed_upper(other, self))
-        lo = max(_directed_lower(self, other), _directed_lower(other, self))
+        hi = lo = Fraction(0)
+        for a, b in ((self, other), (other, self)):
+            members = normalize(b.inner + tuple(((s + t) / 2,) * 2 for s, t in b.spots))
+            if not members:
+                raise PrecisionError("set enclosure too coarse (no certified member)")
+            slack = max(((t - s) / 2 for s, t in b.spots), default=Fraction(0))
+            hi = max(hi, directed_hausdorff(a.outer, members) + slack)
+            lo = max(lo, directed_hausdorff(a.inner, b.outer))
+            for s, t in a.spots:
+                centre = ((s + t) / 2,) * 2
+                lo = max(lo, directed_hausdorff((centre,), b.outer) - (t - s) / 2)
         return min(lo, hi), hi
 
     def certainly_disjoint_triple(self, b: "EnclosedSet", c: "EnclosedSet") -> bool:
@@ -164,51 +182,6 @@ class EnclosedSet:
         return intersect(body, hull) == body
 
 
-def _directed_upper(a: EnclosedSet, b: EnclosedSet) -> Fraction:
-    """Upper bound for sup over the true set a of dist(., true set b).
-
-    The bound function is a minimum of piecewise-linear unit-slope pieces
-    anchored at boundary values of b's objects, so its local maxima sit at
-    crossings between pieces of nearby objects; endpoint-combination
-    midpoints of neighboring objects form a covering candidate set."""
-    spotset = set(b.spots)
-    objects = sorted(b.inner + b.spots)
-    candidates = [x for lo, hi in a.outer for x in (lo, hi)]
-    mids = []
-    for i, u in enumerate(objects):
-        # crossings pair an increasing piece of a left object with a
-        # decreasing piece of a right one; interval-distance pieces anchor
-        # only at the facing endpoints, spot far-end pieces at both
-        left_anchors = u if u in spotset else (u[1],)
-        for w in objects[i + 1 : i + 3]:  # two neighbors is already generous
-            right_anchors = w if w in spotset else (w[0],)
-            for p in left_anchors:
-                for q in right_anchors:
-                    mids.append((p + q) / 2)
-    for m in mids:
-        if any(lo <= m <= hi for lo, hi in a.outer):
-            candidates.append(m)
-    return max(b._upper_distance(x) for x in candidates)
-
-
-def _directed_lower(a: EnclosedSet, b: EnclosedSet) -> Fraction:
-    """Lower bound for sup over the true set a of dist(., true set b):
-    evaluate at certified members of a against the outer hull of b."""
-    best = Fraction(0)
-    if a.inner:
-        candidates = [x for lo, hi in a.inner for x in (lo, hi)]
-        for (_, hi1), (lo2, _) in zip(b.outer, b.outer[1:]):
-            m = (hi1 + lo2) / 2
-            if any(lo <= m <= hi for lo, hi in a.inner):
-                candidates.append(m)
-        best = max(_dist_to_intervals(x, b.outer) for x in candidates)
-    for spot in a.spots:
-        d = min(_interval_gap(spot, j) for j in b.outer)
-        if d > best:
-            best = d
-    return best
-
-
 def hausdorff_spectra(s1, s2) -> tuple[Fraction, Fraction]:
     return EnclosedSet.from_spectrum(s1).hausdorff(EnclosedSet.from_spectrum(s2))
 
@@ -216,10 +189,4 @@ def hausdorff_spectra(s1, s2) -> tuple[Fraction, Fraction]:
 def lebesgue(spec) -> tuple[Fraction, Fraction]:
     """Total band length of a spectrum as a certified enclosure (isolated
     points contribute nothing)."""
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for b_lo, b_hi in spec.bands:
-        hi += b_hi.hi - b_lo.lo
-        if b_lo.hi <= b_hi.lo:
-            lo += b_hi.lo - b_lo.hi
-    return lo, hi
+    return EnclosedSet.from_spectrum(replace(spec, points=())).measure()

@@ -360,8 +360,13 @@ def approach_digits(r, side: str) -> tuple[int, ...]:
     return short if (side == "plus") == (n % 2 == 0) else long
 
 
+# Cap on the approximant index k of the defect and certificate loops: the
+# approximant trace degree grows with k.
+MAX_K = 64
+
+
 @functools.lru_cache(maxsize=128)
-def defect_spectrum(r, side: str, V, tol, kcap: int = 64) -> Spectrum:
+def defect_spectrum(r, side: str, V, tol, kcap: int = MAX_K) -> Spectrum:
     """Spectrum of the one-sided limit operator: the periodic bands plus
     exactly q isolated eigenvalues, one in each bounded spectral gap and one
     in an unbounded gap (above the bands for the upper limit, below for the
@@ -371,6 +376,8 @@ def defect_spectrum(r, side: str, V, tol, kcap: int = 64) -> Spectrum:
     tol = _check_tol(tol)
     if V == 0:
         raise PreconditionError("defect spectra require a non-zero coupling")
+    if kcap > MAX_K:
+        raise PreconditionError(f"kmax must be <= {MAX_K}")
     digits = approach_digits(r, side)
     base = spectrum_periodic(r, V, tol)
     root_tol = tol / 4

@@ -184,8 +184,14 @@ def boundary_distance(gamma: BoundaryPath, eta: BoundaryPath) -> Fraction:
     raise PreconditionError("paths agree on their materialized prefixes; extend the depth")
 
 
+MAX_LISTING_DEPTH = 16
+
+
 def level_listing(depth: int) -> list[dict]:
-    """Breadth-first listing of the tree to a depth, for the CLI."""
+    """Breadth-first listing of the tree to a depth, for the CLI; the
+    listing has about 2^(depth + 1) rows, so the depth is capped."""
+    if depth > MAX_LISTING_DEPTH:
+        raise PreconditionError(f"listing depth must be <= {MAX_LISTING_DEPTH}")
     rows = []
     frontier = [TreeNode.root()]
     for _ in range(depth + 1):

@@ -73,6 +73,11 @@ def test_exit_codes():
         "--tol", "1e-40", "--kmax", "1", expect=3)
     run("spectrum", "bands", "--r", "1/2", "--V", "0", expect=2)
     run("butterfly", "--Q", "2", "--V", "5", "--fast", "--threads", "2", expect=2)
+    # inputs that can blow up time or memory are capped
+    run("tree", "show", "--depth", "17", expect=2)
+    run("spectrum", "defects", "--r", "2/3", "--side", "plus", "--V", "5", "--kmax", "65", expect=2)
+    run("analyze", "optimality", "--r", "2/3", "--side", "minus", "--V", "5", "--kmax", "65", expect=2)
+    run("analyze", "measures", "--r", "0", "--V", "5", "--kmax", "65", expect=2)
     # unknown flags are rejected by the parser
     env = dict(os.environ, COLUMNS="80")
     proc = subprocess.run(

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kohmoto.errors import PreconditionError
 from kohmoto.sets import (
     EnclosedSet,
+    directed_hausdorff,
     hausdorff_exact,
     hausdorff_spectra,
     intersect,
@@ -31,6 +35,24 @@ def test_hausdorff_hand_examples():
     assert hausdorff_exact(a, a) == 0
     with pytest.raises(PreconditionError):
         hausdorff_exact([], [(F(0), F(1))])
+    left = ((F(0), F(1)), (F(2), F(3)))
+    right = ((F(10), F(11)), (F(20), F(21)))
+    # a entirely left, then entirely right, of b
+    assert directed_hausdorff(left, right) == 10
+    assert directed_hausdorff(right, left) == 18
+    assert hausdorff_exact(left, right) == 18
+    # one interval of a covers three gap midpoints of b; the widest gap is
+    # the middle one, so neither end of the bisected range holds the peak
+    b = ((F(0), F(1)), (F(3), F(4)), (F(10), F(11)), (F(12), F(13)))
+    assert directed_hausdorff(((F(-1, 2), F(27, 2)),), b) == 3
+    assert directed_hausdorff(((F(3, 2), F(23, 2)),), b) == 3
+    assert directed_hausdorff(((F(2), F(2)), (F(23, 2), F(13))), b) == 1
+    # a gap midpoint exactly at an endpoint of a
+    b = ((F(0), F(1)), (F(5), F(6)))
+    assert directed_hausdorff(((F(3), F(4)),), b) == 2
+    assert directed_hausdorff(((F(2), F(3)),), b) == 2
+    assert directed_hausdorff(((F(3), F(3)),), b) == 2
+    assert directed_hausdorff(((F(-1), F(0)), (F(3), F(3))), b) == 2
 
 
 def test_hausdorff_grid_oracle_with_spots():
@@ -81,6 +103,11 @@ def test_enclosure_widens_with_sloppy_spots():
     lo, hi = a.hausdorff(b)
     assert lo <= 1 <= hi
     assert hi - lo <= F(1, 500)
+    # each spot's lower bound gives up only its own half-width, not the
+    # widest spot's: the narrow far spot pins the lower end exactly
+    narrow = (F(10), F(10) + F(1, 10**6))
+    b = EnclosedSet(((F(0), F(1)),), ((F(0), F(1)), spot, narrow), (spot, narrow))
+    assert a.hausdorff(b) == (9, 9 + F(1, 10**6))
 
 
 def test_intersection_measure_enclosure():
@@ -110,3 +137,66 @@ def test_covers_at_resolution():
     small = EnclosedSet.from_intervals([(F(1), F(2)), (F(5), F(6))])
     assert big.covers_at_resolution(small)
     assert not small.covers_at_resolution(big)
+
+
+# --- enclosures against sampled true sets (property tests) ------------------
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+fractions_of_unit = st.builds(F, st.integers(0, 8), st.just(8))
+
+
+def brute_directed(a, b):
+    """sup over a of the distance to b, from every endpoint of a and every
+    gap midpoint of b that a contains, each against every interval of b."""
+    xs = [x for lo, hi in a for x in (lo, hi)]
+    for (_, hi1), (lo2, _) in zip(b, b[1:]):
+        m = (hi1 + lo2) / 2
+        xs += [m for lo, hi in a if lo <= m <= hi]
+    return max(min(max(F(0), lo - x, x - hi) for lo, hi in b) for x in xs)
+
+
+unions = st.lists(st.tuples(rationals, rationals), min_size=1, max_size=6).map(
+    lambda xs: normalize((min(x, y), max(x, y)) for x, y in xs)
+)
+
+
+@PROPERTY
+@given(unions, unions)
+def test_directed_hausdorff_matches_brute_force(a, b):
+    assert directed_hausdorff(a, b) == brute_directed(a, b)
+
+
+@st.composite
+def enclosed_with_truth(draw):
+    """An EnclosedSet from spectrum-like data, and one true set inside it:
+    each band's ends lie in their enclosures, each spot holds one point."""
+    bands, spots, truth = [], [], []
+    for _ in range(draw(st.integers(0, 3))):
+        v0, v1, v2, v3 = sorted(draw(st.lists(rationals, min_size=4, max_size=4)))
+        # the ends' enclosures either leave a certified inner part or overlap
+        lo, hi = ((v0, v1), (v2, v3)) if draw(st.booleans()) else ((v0, v2), (v1, v3))
+        x = lo[0] + (lo[1] - lo[0]) * draw(fractions_of_unit)
+        y_lo = max(x, hi[0])
+        y = y_lo + (hi[1] - y_lo) * draw(fractions_of_unit)
+        bands.append((SimpleNamespace(lo=lo[0], hi=lo[1]), SimpleNamespace(lo=hi[0], hi=hi[1])))
+        truth.append((x, y))
+    for _ in range(draw(st.integers(0, 3))):
+        s = draw(rationals)
+        w = F(draw(st.integers(1, 9)), 50)
+        x = s + w * draw(fractions_of_unit)
+        spots.append((s, s + w))
+        truth.append((x, x))
+    es = EnclosedSet.from_spectrum(SimpleNamespace(bands=bands, points=spots))
+    assume(es.inner or es.spots)
+    return es, truth
+
+
+@PROPERTY
+@given(enclosed_with_truth(), enclosed_with_truth())
+def test_hausdorff_enclosure_holds_sampled_true_sets(a, b):
+    (ea, true_a), (eb, true_b) = a, b
+    lo, hi = ea.hausdorff(eb)
+    assert 0 <= lo <= hausdorff_exact(true_a, true_b) <= hi
+    assert (lo, hi) == eb.hausdorff(ea)
