@@ -491,6 +491,12 @@ def _fast_defects(r: Fraction, side: str, V: Fraction, base_edges, k_fast: int =
     return tuple((_fmt_fast(z - FAST_SLOP), _fmt_fast(z + FAST_SLOP)) for z in pts)
 
 
+# Caps on Q by backend, from measured cost at V = 5 on a 2-core machine: the
+# fast backend takes 39 s at Q = 60 and 133 s at Q = 80, the certified one
+# 37 s at Q = 16 (rows grow like Q^2, and each costs more with q).
+MAX_Q = {"fast": 64, "certified": 16}
+
+
 def butterfly(
     Q: int,
     V,
@@ -505,6 +511,8 @@ def butterfly(
         raise PreconditionError("Q must be >= 1")
     if backend not in ("certified", "fast"):
         raise PreconditionError("backend must be certified or fast")
+    if Q > MAX_Q[backend]:
+        raise PreconditionError(f"Q must be <= {MAX_Q[backend]} with the {backend} backend")
     V = as_fraction(V)
     import math as _math
 

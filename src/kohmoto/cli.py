@@ -251,6 +251,7 @@ def _run(args: argparse.Namespace) -> None:
             cfg = words.defect_config(_parse_rational(args.r), args.side)
             payload = cfg.render()
         elif subcmd == "show":
+            words.check_window(args.lo, args.hi)
             cfg = words.limit_configuration(FareyPoint.parse(args.point))
             if isinstance(cfg, words.Configuration):
                 payload = _window_text(cfg, args.lo, args.hi)
@@ -263,6 +264,7 @@ def _run(args: argparse.Namespace) -> None:
             if fmt == "text":
                 payload = " ".join(payload)
         else:  # complexity
+            words.check_subword_length(args.n)
             cfg = words.limit_configuration(FareyPoint.parse(args.point))
             counts = {n: words.complexity(cfg, n) for n in range(1, args.n + 1)}
             if fmt == "json":

@@ -33,6 +33,17 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def common_denominator(values) -> int:
+    """Least common multiple of the denominators of some rationals: every
+    value times it is an integer, so exact loops can run on numerators."""
+    return math.lcm(*{x.denominator for x in values})
+
+
+def numerator_over(x: Fraction, d: int) -> int:
+    """x * d, for a multiple d of the denominator of x."""
+    return x.numerator * (d // x.denominator)
+
+
 def check_rotation(r: Fraction) -> Fraction:
     if not (ZERO <= r <= ONE):
         raise PreconditionError(f"rotation number {format_rational(r)} outside [0,1]")

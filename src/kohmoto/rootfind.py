@@ -6,6 +6,12 @@ and exact sign changes across as many disjoint cells as the Sturm count
 certify one root per cell; when the estimates do not yield such cells,
 bisection on Sturm counts isolates the roots instead.  Floating point only
 proposes cells: every certificate is an exact integer sign or count.
+
+Enclosure ends are Fractions to callers.  Inside the hot loops (grid
+cells, bisection in `RootEnclosure.refined`, the sort and overlap tests of
+`separate`) they are integer numerators over one common denominator, and a
+Fraction is built only for a result.  Every exact sign is `sign_at(p, num,
+den)`.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegeneracyError, PreconditionError, PrecisionError
+from .farey import numerator_over
 
 IntPoly = list[int]
 
@@ -62,9 +69,14 @@ def _eval_homogeneous(p: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
-def sign_at(p: Sequence[int], x: Fraction) -> int:
-    v = _eval_homogeneous(p, x.numerator, x.denominator)
+def sign_at(p: Sequence[int], num: int, den: int) -> int:
+    """Sign of p(num/den) for den > 0; every exact sign goes through here."""
+    v = _eval_homogeneous(p, num, den)
     return (v > 0) - (v < 0)
+
+
+def _sign(p: Sequence[int], x: Fraction) -> int:
+    return sign_at(p, x.numerator, x.denominator)
 
 
 def _pseudo_rem_signed(a: IntPoly, b: IntPoly) -> tuple[IntPoly, int]:
@@ -128,7 +140,8 @@ def _variations(signs: Sequence[int]) -> int:
 
 
 def variations_at(chain: Sequence[IntPoly], x: Fraction) -> int:
-    return _variations([sign_at(q, x) for q in chain])
+    num, den = x.numerator, x.denominator
+    return _variations([sign_at(q, num, den) for q in chain])
 
 
 def count_roots(chain: Sequence[IntPoly], lo: Fraction, hi: Fraction) -> int:
@@ -162,31 +175,41 @@ class RootEnclosure:
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
+    def numerators(self) -> tuple[int, int, int]:
+        """(lo * d, hi * d, d) for the least common denominator d of the ends."""
+        d = math.lcm(self.lo.denominator, self.hi.denominator)
+        return numerator_over(self.lo, d), numerator_over(self.hi, d), d
+
     def refined(self, max_width: Fraction) -> "RootEnclosure":
-        lo, hi = self.lo, self.hi
-        if hi - lo <= max_width:
+        """The same root enclosed at most max_width wide, by bisection on
+        integer numerators over a doubling denominator."""
+        lo, hi, d = self.numerators()
+        wn, wd = max_width.numerator, max_width.denominator
+        if (hi - lo) * wd <= wn * d:
             return self
         p = self.poly
-        s_lo = sign_at(p, lo)
-        while hi - lo > max_width:
-            m = (lo + hi) / 2
-            s_m = sign_at(p, m)
+        s_lo = sign_at(p, lo, d)
+        while (hi - lo) * wd > wn * d:
+            m = lo + hi
+            lo, hi, d = 2 * lo, 2 * hi, 2 * d
+            s_m = sign_at(p, m, d)
             if s_m == 0:
-                return RootEnclosure(self.poly, m, m)
+                x = Fraction(m, d)
+                return RootEnclosure(p, x, x)
             if s_m == s_lo:
                 lo = m
             else:
                 hi = m
-        return RootEnclosure(self.poly, lo, hi)
+        return RootEnclosure(p, Fraction(lo, d), Fraction(hi, d))
 
 
-def _largest_dyadic_at_most(x: Fraction) -> Fraction:
-    """The largest power of two that is <= x, for x > 0."""
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    h = Fraction(2) ** e
-    if h > x:
-        h /= 2
-    return h
+def _dyadic_exponent(x: Fraction) -> int:
+    """The largest e with 2^e <= x, for x > 0."""
+    n, d = x.numerator, x.denominator
+    e = n.bit_length() - d.bit_length()
+    if (d << e if e >= 0 else d) > (n if e >= 0 else n << -e):
+        e -= 1
+    return e
 
 
 def isolate_roots(
@@ -220,7 +243,7 @@ def isolate_roots(
         total = _variations(at_minus) - _variations(lead)
     else:
         lo_all, hi_all = window
-        if sign_at(p, lo_all) == 0 or sign_at(p, hi_all) == 0:
+        if any(_sign(p, x) == 0 for x in window):
             raise PreconditionError("window endpoints must not be roots")
         total = variations_at(chain, lo_all) - variations_at(chain, hi_all)
     if total == 0:
@@ -245,43 +268,58 @@ def _grid_cells(
 ) -> Optional[list[RootEnclosure]]:
     """One sign-change cell of a dyadic grid per guess, sorted, or None
     when the cells do not certify one root each.  A grid point where the
-    polynomial vanishes is returned as the exact enclosure [x, x]."""
+    polynomial vanishes is returned as the exact enclosure [x, x].
+
+    Grid point k is k * hn / hd, and the guesses are exact integers over
+    one power-of-two denominator, so cells are found by integer division
+    and only the accepted cells become Fractions."""
     if not all(math.isfinite(g) for g in guide):
         return None
-    approx = sorted(Fraction(g) for g in guide)
-    caps = [b - a for a, b in zip(approx, approx[1:])]
-    if any(c == 0 for c in caps):
+    ratios = [g.as_integer_ratio() for g in sorted(guide)]
+    den = max(d for _, d in ratios)
+    xs = [n * (den // d) for n, d in ratios]
+    gaps = [b - a for a, b in zip(xs, xs[1:])]
+    if 0 in gaps:
         return None
-    caps = [c / 3 for c in caps] + [hi_all - lo_all]
+    caps = [hi_all - lo_all]
+    if gaps:
+        caps.append(Fraction(min(gaps), 3 * den))
     if width is not None:
         caps.append(width)
-    h = _largest_dyadic_at_most(min(caps))
+    e = _dyadic_exponent(min(caps))
+    hn, hd = (1 << e, 1) if e >= 0 else (1, 1 << -e)
+    # the grid points inside the window are kmin..kmax
+    kmin = -((-lo_all.numerator * hd) // (lo_all.denominator * hn))
+    kmax = (hi_all.numerator * hd) // (hi_all.denominator * hn)
     signs: dict[int, int] = {}
 
     def sign(k: int) -> int:
         if k not in signs:
-            signs[k] = sign_at(poly, k * h)
+            signs[k] = sign_at(poly, k * hn, hd)
         return signs[k]
 
-    def cell(k: int) -> Optional[RootEnclosure]:
+    def cell(k: int) -> Optional[tuple[int, int]]:
         for j in (k, k + 1):
             if sign(j) == 0:
-                return RootEnclosure(poly, j * h, j * h)
+                return j, j
         if sign(k) != sign(k + 1):
-            return RootEnclosure(poly, k * h, (k + 1) * h)
+            return k, k + 1
         return None
 
-    roots = []
-    for g in approx:
-        k = math.floor(g / h)
-        enc = cell(k) or cell(k - 1 if g - k * h < (k + 1) * h - g else k + 1)
-        if enc is None or enc.lo < lo_all or enc.hi > hi_all:
+    cells = []
+    step = den * hn  # a guess x/den lies in cell k = floor(x / step * hd)
+    for x in xs:
+        k = (x * hd) // step
+        # on a tie the guess sits on the cell midpoint and the cell above wins
+        near = k - 1 if 2 * x * hd < (2 * k + 1) * step else k + 1
+        c = cell(k) or cell(near)
+        if c is None or c[0] < kmin or c[1] > kmax:
             return None
-        roots.append(enc)
-    roots.sort(key=lambda r: (r.lo, r.hi))
-    if any(a.hi >= b.lo for a, b in zip(roots, roots[1:])):
+        cells.append(c)
+    cells.sort()
+    if any(a[1] >= b[0] for a, b in zip(cells, cells[1:])):
         return None
-    return roots
+    return [RootEnclosure(poly, Fraction(a * hn, hd), Fraction(b * hn, hd)) for a, b in cells]
 
 
 def _sturm_bisection(
@@ -306,7 +344,7 @@ def _sturm_bisection(
             roots.append(RootEnclosure(poly, a, b))
             continue
         m = (a + b) / 2
-        if sign_at(poly, m) == 0:
+        if _sign(poly, m) == 0:
             roots.append(RootEnclosure(poly, m, m))
             eps = (b - a) / 4
             while True:
@@ -314,8 +352,8 @@ def _sturm_bisection(
                 if (
                     left > a
                     and right < b
-                    and sign_at(poly, left) != 0
-                    and sign_at(poly, right) != 0
+                    and _sign(poly, left) != 0
+                    and _sign(poly, right) != 0
                     and vat(left) - vat(right) == 1
                 ):
                     break
@@ -330,27 +368,47 @@ def _sturm_bisection(
     return roots
 
 
+def _sorted_ends(
+    encs: list[RootEnclosure], ends: list[tuple[int, int, int]], by_mid: bool
+) -> tuple[list[RootEnclosure], list[tuple[int, int, int]]]:
+    """Enclosures and their numerators, sorted by (midpoint, lo) or by
+    (lo, hi); the sort keys are integers over one common denominator."""
+    d = math.lcm(*{den for _, _, den in ends})
+
+    def key(i: int) -> tuple[int, int]:
+        lo, hi, den = ends[i]
+        s = d // den
+        return ((lo + hi) * s, lo * s) if by_mid else (lo * s, hi * s)
+
+    order = sorted(range(len(encs)), key=key)
+    return [encs[i] for i in order], [ends[i] for i in order]
+
+
 def separate(enclosures: list[RootEnclosure]) -> list[RootEnclosure]:
     """Refine a family of enclosures of pairwise distinct roots until the
-    intervals are pairwise disjoint, and return them sorted."""
+    intervals are pairwise disjoint, and return them sorted.  Overlap and
+    width tests cross-multiply integer numerators."""
     out = list(enclosures)
+    ends = [r.numerators() for r in out]
     for _ in range(4096):
-        out.sort(key=lambda r: (r.lo + r.hi, r.lo))
+        out, ends = _sorted_ends(out, ends, by_mid=True)
         changed = False
         for i in range(len(out) - 1):
-            a, b = out[i], out[i + 1]
-            if a.hi >= b.lo and not (a.is_exact() and b.is_exact()):
-                width = (a.width + b.width) / 4 or Fraction(1, 1 << 30)
-                out[i] = a.refined(width)
-                out[i + 1] = b.refined(width)
+            (alo, ahi, ad), (blo, bhi, bd) = ends[i], ends[i + 1]
+            if ahi * bd >= blo * ad and not (alo == ahi and blo == bhi):
+                # a quarter of the summed widths, positive as one is not exact
+                width = Fraction((ahi - alo) * bd + (bhi - blo) * ad, 4 * ad * bd)
+                for j in (i, i + 1):
+                    out[j] = out[j].refined(width)
+                    ends[j] = out[j].numerators()
                 changed = True
         if not changed:
             break
     else:
         raise DegeneracyError("two roots could not be separated (equal roots?)")
-    out.sort(key=lambda r: (r.lo, r.hi))
-    for a, b in zip(out, out[1:]):
-        if a.hi >= b.lo:
+    out, ends = _sorted_ends(out, ends, by_mid=False)
+    for (_, ahi, ad), (blo, _, bd) in zip(ends, ends[1:]):
+        if ahi * bd >= blo * ad:
             raise DegeneracyError("two roots could not be separated (equal roots?)")
     return out
 
@@ -392,9 +450,9 @@ def compare_roots(a: RootEnclosure, b: RootEnclosure) -> int:
             # exclude every other root of g
             pad = (hi - lo) / (1 << 10)
             lo_pt, hi_pt = lo - pad, hi + pad
-            while sign_at(g, lo_pt) == 0:
+            while _sign(g, lo_pt) == 0:
                 lo_pt -= pad
-            while sign_at(g, hi_pt) == 0:
+            while _sign(g, hi_pt) == 0:
                 hi_pt += pad
             whole = count_roots(gchain, lo_pt, hi_pt)
             in_a = _count_roots_closed(g, gchain, a_)
@@ -409,12 +467,12 @@ def compare_roots(a: RootEnclosure, b: RootEnclosure) -> int:
 
 def _count_roots_closed(g: IntPoly, gchain, enc: RootEnclosure) -> int:
     if enc.is_exact():
-        return 1 if sign_at(g, enc.lo) == 0 else 0
+        return 1 if _sign(g, enc.lo) == 0 else 0
     lo, hi = enc.lo, enc.hi
     pad = (hi - lo) / (1 << 10)
     lo_pt, hi_pt = lo - pad, hi + pad
-    while sign_at(g, lo_pt) == 0:
+    while _sign(g, lo_pt) == 0:
         lo_pt -= pad
-    while sign_at(g, hi_pt) == 0:
+    while _sign(g, hi_pt) == 0:
         hi_pt += pad
     return count_roots(gchain, lo_pt, hi_pt)

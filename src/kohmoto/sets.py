@@ -21,6 +21,11 @@ half-width of B (0 without spots):
 
 Each end takes the larger value of the two directions.  The w(B) slack
 lets the upper end use one sweep against the spot midpoints.
+
+Endpoints are Fractions to callers.  The computations run on integers: the
+endpoints times four times the least common multiple of their denominators,
+so spot centres and gap midpoints stay integers.  Each result becomes a
+Fraction once; `normalize` and `intersect` return the given endpoints.
 """
 
 from __future__ import annotations
@@ -31,32 +36,63 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import PreconditionError, PrecisionError
+from .farey import common_denominator, numerator_over
 
 Interval = tuple[Fraction, Fraction]
 _start = itemgetter(0)
 
 
-def normalize(intervals) -> tuple[Interval, ...]:
-    """Sort and merge closed intervals (degenerate ones allowed)."""
-    xs = sorted((lo, hi) for lo, hi in intervals if lo <= hi)
-    out: list[Interval] = []
-    for lo, hi in xs:
+def _scale(*unions) -> int:
+    """Four times the least common multiple of the endpoint denominators:
+    endpoints times it are integers divisible by 4, so their midpoints and
+    the midpoints of those stay integers."""
+    return 4 * common_denominator(x for u in unions for iv in u for x in iv)
+
+
+def _ints(intervals, d: int) -> list[tuple[int, int]]:
+    """The intervals' endpoints times d, as integers."""
+    return [(numerator_over(lo, d), numerator_over(hi, d)) for lo, hi in intervals]
+
+
+def _ends(d: int, *unions) -> dict[int, Fraction]:
+    """The given endpoints, keyed by their integers over d."""
+    return {numerator_over(x, d): x for u in unions for iv in u for x in iv}
+
+
+def _merge(xs) -> list[tuple[int, int]]:
+    """Sort and merge integer intervals, dropping empty ones (lo > hi)."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in sorted(xs):
+        if lo > hi:
+            continue
         if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
         else:
             out.append((lo, hi))
-    return tuple(out)
+    return out
+
+
+def normalize(intervals) -> tuple[Interval, ...]:
+    """Sort and merge closed intervals (degenerate ones allowed).  The
+    result reuses the given endpoints."""
+    xs = list(intervals)
+    d = _scale(xs)
+    back = _ends(d, xs)
+    return tuple((back[lo], back[hi]) for lo, hi in _merge(_ints(xs, d)))
 
 
 def intersect(a, b) -> tuple[Interval, ...]:
+    """Intersection of two sorted disjoint unions; the result reuses the
+    given endpoints."""
+    d = _scale(a, b)
+    a, b, back = _ints(a, d), _ints(b, d), _ends(d, a, b)
     out = []
     i = j = 0
-    a, b = list(a), list(b)
     while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
+        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
         if lo <= hi:
-            out.append((lo, hi))
+            out.append((back[lo], back[hi]))
         if a[i][1] < b[j][1]:
             i += 1
         else:
@@ -65,7 +101,34 @@ def intersect(a, b) -> tuple[Interval, ...]:
 
 
 def measure(intervals) -> Fraction:
-    return sum((hi - lo for lo, hi in intervals), Fraction(0))
+    intervals = list(intervals)
+    d = _scale(intervals)
+    return Fraction(sum(hi - lo for lo, hi in _ints(intervals, d)), d)
+
+
+def _directed(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> int:
+    """`directed_hausdorff` on integer endpoints whose gap midpoints in b
+    are integers."""
+
+    def dist(x: int, i: int) -> int:
+        # b[i] is the first interval of b starting after x
+        if i == 0:
+            return b[0][0] - x
+        d = max(0, x - b[i - 1][1])
+        return d if i == len(b) else min(d, b[i][0] - x)
+
+    best = 0
+    for lo, hi in a:
+        i = bisect_right(b, lo, key=_start)
+        j = bisect_right(b, hi, key=_start)
+        best = max(best, dist(lo, i), dist(hi, j))
+        # gap g lies between b[g] and b[g + 1]; every gap midpoint in
+        # [lo, hi] lies in one of the gaps i - 1 to j - 1
+        for g in range(max(i - 1, 0), min(j, len(b) - 1)):
+            mid = (b[g][1] + b[g + 1][0]) // 2
+            if lo <= mid <= hi:
+                best = max(best, mid - b[g][1])
+    return best
 
 
 def directed_hausdorff(a, b) -> Fraction:
@@ -74,39 +137,24 @@ def directed_hausdorff(a, b) -> Fraction:
     Both are sorted disjoint unions, as `normalize` returns them.  On each
     interval of a the distance to b peaks at an endpoint or at the midpoint
     of a gap of b.  Bisection finds the intervals of b next to each
-    candidate, so the cost is O((n + m) log m) and nothing is built per call."""
+    candidate, so the cost is O((n + m) log m) and nothing is built per
+    candidate."""
     if not a:
         return Fraction(0)
     if not b:
         raise PreconditionError("directed distance to an empty set")
-
-    def dist(x: Fraction, i: int) -> Fraction:
-        # b[i] is the first interval of b starting after x
-        if i == 0:
-            return b[0][0] - x
-        d = max(Fraction(0), x - b[i - 1][1])
-        return d if i == len(b) else min(d, b[i][0] - x)
-
-    best = Fraction(0)
-    for lo, hi in a:
-        i = bisect_right(b, lo, key=_start)
-        j = bisect_right(b, hi, key=_start)
-        best = max(best, dist(lo, i), dist(hi, j))
-        # gap g lies between b[g] and b[g + 1]; every gap midpoint in
-        # [lo, hi] lies in one of the gaps i - 1 to j - 1
-        for g in range(max(i - 1, 0), min(j, len(b) - 1)):
-            mid = (b[g][1] + b[g + 1][0]) / 2
-            if lo <= mid <= hi:
-                best = max(best, mid - b[g][1])
-    return best
+    d = _scale(a, b)
+    return Fraction(_directed(_ints(a, d), _ints(b, d)), d)
 
 
 def hausdorff_exact(a, b) -> Fraction:
     """Hausdorff distance of two non-empty unions of closed intervals."""
-    a, b = normalize(a), normalize(b)
+    a, b = list(a), list(b)
+    d = _scale(a, b)
+    a, b = _merge(_ints(a, d)), _merge(_ints(b, d))
     if not a or not b:
         raise PreconditionError("Hausdorff distance needs non-empty sets")
-    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
+    return Fraction(max(_directed(a, b), _directed(b, a)), d)
 
 
 @dataclass(frozen=True)
@@ -129,11 +177,6 @@ class EnclosedSet:
             spots.append((lo, hi))
         return EnclosedSet(normalize(inner), normalize(outer), tuple(sorted(spots)))
 
-    @staticmethod
-    def from_intervals(intervals) -> "EnclosedSet":
-        xs = normalize(intervals)
-        return EnclosedSet(xs, xs)
-
     def intersection(self, other: "EnclosedSet") -> "EnclosedSet":
         if self.spots or other.spots:
             raise PreconditionError("set intersection is only defined for band data")
@@ -142,44 +185,33 @@ class EnclosedSet:
             normalize(intersect(self.outer, other.outer)),
         )
 
-    def union(self, other: "EnclosedSet") -> "EnclosedSet":
-        return EnclosedSet(
-            normalize(self.inner + other.inner),
-            normalize(self.outer + other.outer),
-            tuple(sorted(self.spots + other.spots)),
-        )
-
     def measure(self) -> tuple[Fraction, Fraction]:
         """Lebesgue measure enclosure; spots contribute only to the upper
         bound (each holds a single point of the true set)."""
         return measure(self.inner), measure(self.outer)
 
     def hausdorff(self, other: "EnclosedSet") -> tuple[Fraction, Fraction]:
-        """Certified enclosure of the Hausdorff distance."""
+        """Certified enclosure of the Hausdorff distance, computed on
+        integer endpoints over one common denominator of both sets."""
         if not self.outer or not other.outer:
             raise PreconditionError("Hausdorff distance needs non-empty sets")
-        hi = lo = Fraction(0)
-        for a, b in ((self, other), (other, self)):
-            members = normalize(b.inner + tuple(((s + t) / 2,) * 2 for s, t in b.spots))
+        parts = (self.inner, self.outer, self.spots, other.inner, other.outer, other.spots)
+        d = _scale(*parts)
+        mine = [_ints(part, d) for part in parts[:3]]
+        theirs = [_ints(part, d) for part in parts[3:]]
+        hi = lo = 0
+        for a, b in ((mine, theirs), (theirs, mine)):
+            (a_inner, a_outer, a_spots), (b_inner, b_outer, b_spots) = a, b
+            members = _merge(b_inner + [((s + t) // 2,) * 2 for s, t in b_spots])
             if not members:
                 raise PrecisionError("set enclosure too coarse (no certified member)")
-            slack = max(((t - s) / 2 for s, t in b.spots), default=Fraction(0))
-            hi = max(hi, directed_hausdorff(a.outer, members) + slack)
-            lo = max(lo, directed_hausdorff(a.inner, b.outer))
-            for s, t in a.spots:
-                centre = ((s + t) / 2,) * 2
-                lo = max(lo, directed_hausdorff((centre,), b.outer) - (t - s) / 2)
-        return min(lo, hi), hi
-
-    def certainly_disjoint_triple(self, b: "EnclosedSet", c: "EnclosedSet") -> bool:
-        return not intersect(intersect(self.outer, b.outer), c.outer)
-
-    def covers_at_resolution(self, other: "EnclosedSet") -> bool:
-        """Containment check at enclosure resolution: the certified inner
-        part of other lies inside the outer hull of self."""
-        body = normalize(other.inner + other.spots)
-        hull = normalize(self.outer)
-        return intersect(body, hull) == body
+            slack = max(((t - s) // 2 for s, t in b_spots), default=0)
+            hi = max(hi, _directed(a_outer, members) + slack)
+            lo = max(lo, _directed(a_inner, b_outer))
+            for s, t in a_spots:
+                centre = ((s + t) // 2,) * 2
+                lo = max(lo, _directed([centre], b_outer) - (t - s) // 2)
+        return Fraction(min(lo, hi), d), Fraction(hi, d)
 
 
 def hausdorff_spectra(s1, s2) -> tuple[Fraction, Fraction]:

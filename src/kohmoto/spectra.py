@@ -17,12 +17,19 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DegeneracyError, PreconditionError, PrecisionError
-from .farey import as_fraction, cf_forms, check_rotation, format_rational
+from .farey import (
+    as_fraction,
+    cf_forms,
+    check_rotation,
+    common_denominator,
+    format_rational,
+    numerator_over,
+)
 from .polyring import RP, ring_elements
 from .rootfind import RootEnclosure, compare_roots, isolate_roots, separate
 from .words import Configuration, period_word, sk_words
@@ -266,26 +273,35 @@ def membership(E, r, V) -> bool:
 # Band classification and defect spectra
 
 
-def _cheap_cmp(a: RootEnclosure, b: RootEnclosure) -> Optional[int]:
-    if a.hi < b.lo:
+# A band edge in the band relations: (lo, hi, enclosure), with the ends of
+# the enclosure as integer numerators over a denominator shared by all
+# edges compared.
+Edge = tuple[int, int, RootEnclosure]
+
+
+def _edges(bands, d: int) -> list[tuple[Edge, Edge]]:
+    return [
+        tuple((numerator_over(e.lo, d), numerator_over(e.hi, d), e) for e in band)
+        for band in bands
+    ]
+
+
+def _cmp(a: Edge, b: Edge) -> int:
+    if a[1] < b[0]:
         return -1
-    if b.hi < a.lo:
+    if b[1] < a[0]:
         return 1
-    return None
+    return compare_roots(a[2], b[2])
 
 
-def _cmp(a: RootEnclosure, b: RootEnclosure) -> int:
-    return _cheap_cmp(a, b) or compare_roots(a, b)
-
-
-def _band_relation(band, base_bands) -> str:
+def _band_relation(band: tuple[Edge, Edge], base_bands) -> str:
     """Exact relation of a band to a sorted disjoint band family: "inside"
     (contained in one member), "outside" (disjoint from all), "partial"."""
     a, b = band
     for c, d in base_bands:
-        if b.hi < c.lo:  # strictly below this and every later band
+        if b[1] < c[0]:  # strictly below this and every later band
             return "outside"
-        if a.lo > d.hi:  # strictly above this band
+        if a[0] > d[1]:  # strictly above this band
             continue
         if _cmp(b, c) < 0:
             return "outside"
@@ -301,9 +317,13 @@ def _split_escaping(approx: Spectrum, base: Spectrum):
     """Split approximant bands into those certified inside the base
     spectrum and the escaping rest, with each escaping band's relation;
     exactly one band per base band must escape."""
+    d = common_denominator(
+        x for spec in (approx, base) for band in spec.bands for e in band for x in (e.lo, e.hi)
+    )
+    base_edges = _edges(base.bands, d)
     inside, escaping, rels = [], [], []
-    for band in approx.bands:
-        rel = _band_relation(band, base.bands)
+    for band, edges in zip(approx.bands, _edges(approx.bands, d)):
+        rel = _band_relation(edges, base_edges)
         if rel == "inside":
             inside.append(band)
         else:
@@ -415,17 +435,20 @@ def _check_point_placement(base: Spectrum, points, above: bool) -> None:
     above each band (the last one above the spectrum) and lower limits
     mirror this below each band; negative coupling reflects the picture
     (conjugation by (-1)^n sends H(V) to -H(-V))."""
-    bands = base.bands
-    q = len(bands)
+    q = len(base.bands)
     if len(points) != q:
         raise PrecisionError(f"expected {q} defect points, found {len(points)}")
+    ends = [(lo.lo, hi.hi) for lo, hi in base.bands]
+    d = common_denominator(x for iv in ends + list(points) for x in iv)
+    ends = [(numerator_over(lo, d), numerator_over(hi, d)) for lo, hi in ends]
     for j, (plo, phi) in enumerate(points):
+        plo, phi = numerator_over(plo, d), numerator_over(phi, d)
         if above:
-            beside = plo > bands[j][1].hi
-            in_gap = j + 1 == q or phi < bands[j + 1][0].lo
+            beside = plo > ends[j][1]
+            in_gap = j + 1 == q or phi < ends[j + 1][0]
         else:
-            beside = phi < bands[j][0].lo
-            in_gap = j == 0 or plo > bands[j - 1][1].hi
+            beside = phi < ends[j][0]
+            in_gap = j == 0 or plo > ends[j - 1][1]
         if not beside:
             where = "above" if above else "below"
             raise PrecisionError(f"defect point is not {where} its band")

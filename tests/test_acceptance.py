@@ -38,6 +38,8 @@ from kohmoto.words import (
 )
 from kohmoto.farey import QuadraticIrrational
 
+from set_helpers import certainly_disjoint_triple
+
 V5 = F(5)
 
 
@@ -310,7 +312,7 @@ def test_criterion_11_measure_identities():
                 spectrum_from_trace(t, F(1, 10**12), word=sk_words(digits + (k,))[-1], V=V5)
             )
         for k in range(1, 7):
-            if not base.certainly_disjoint_triple(specs[k], specs[k + 1]):
+            if not certainly_disjoint_triple(base, specs[k], specs[k + 1]):
                 ok = False
     report(11, ok, "defect measures equal band measures; triple overlaps empty", t0)
 

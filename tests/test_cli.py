@@ -78,6 +78,11 @@ def test_exit_codes():
     run("spectrum", "defects", "--r", "2/3", "--side", "plus", "--V", "5", "--kmax", "65", expect=2)
     run("analyze", "optimality", "--r", "2/3", "--side", "minus", "--V", "5", "--kmax", "65", expect=2)
     run("analyze", "measures", "--r", "0", "--V", "5", "--kmax", "65", expect=2)
+    run("butterfly", "--Q", "65", "--V", "5", "--fast", expect=2)
+    run("butterfly", "--Q", "17", "--V", "5", expect=2)
+    run("word", "show", "2/3+", "--lo", "0", "--hi", "100000", expect=2)
+    run("word", "dict", "2/3", "--n", "257", expect=2)
+    run("word", "complexity", "0+", "--n", "257", expect=2)
     # unknown flags are rejected by the parser
     env = dict(os.environ, COLUMNS="80")
     proc = subprocess.run(

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -155,9 +156,9 @@ def test_poly_gcd():
 
 def test_sign_at():
     p = [-2, 0, 1]
-    assert sign_at(p, F(0)) == -1
-    assert sign_at(p, F(2)) == 1
-    assert sign_at(p, F(141421356, 100000000)) == -1
+    assert sign_at(p, 0, 1) == -1
+    assert sign_at(p, 2, 1) == 1
+    assert sign_at(p, 141421356, 100000000) == -1
 
 
 # --- polynomial rings ---------------------------------------------------------
@@ -205,6 +206,10 @@ widths = st.sampled_from([F(1, 2**10), F(1, 2**20), F(1, 10**6), F(1, 10**9)])
 noise = st.floats(-1e-12, 1e-12)
 
 
+def sign(p, x):
+    return sign_at(p, x.numerator, x.denominator)
+
+
 def check_certified(p, roots, encs):
     """One enclosure per root, sorted with disjoint interiors, each holding
     its root and, by a Sturm count, no other."""
@@ -213,9 +218,9 @@ def check_certified(p, roots, encs):
     for enc, root in zip(encs, sorted(roots)):
         assert enc.lo <= root <= enc.hi
         if enc.is_exact():
-            assert sign_at(p, enc.lo) == 0
+            assert sign(p, enc.lo) == 0
         else:
-            assert sign_at(p, enc.lo) * sign_at(p, enc.hi) == -1
+            assert sign(p, enc.lo) * sign(p, enc.hi) == -1
             assert count_roots(chain, enc.lo, enc.hi) == 1
     for a, b in zip(encs, encs[1:]):
         assert a.hi <= b.lo
@@ -282,3 +287,169 @@ def test_root_on_a_grid_point_is_exact(roots, k, data):
     encs = isolate_roots(p, guide=guide, width=width)
     check_certified(p, roots, encs)
     assert any(enc.is_exact() and enc.lo == on_grid for enc in encs)
+
+
+# --- integer loops against plain-Fraction references (property tests) --------
+# Each reference is the Fraction form of the rule the integer loop runs; both
+# must return the same enclosures after the same exact signs at the same points.
+
+
+def recording_sign_at(seen):
+    def wrapped(p, num, den):
+        seen.append(F(num, den))
+        return sign_at(p, num, den)
+
+    return mock.patch.object(rootfind, "sign_at", wrapped)
+
+
+def refined_ref(enc, max_width, seen):
+    lo, hi = enc.lo, enc.hi
+    if hi - lo <= max_width:
+        return enc
+
+    def s(x):
+        seen.append(x)
+        return sign(enc.poly, x)
+
+    s_lo = s(lo)
+    while hi - lo > max_width:
+        m = (lo + hi) / 2
+        s_m = s(m)
+        if s_m == 0:
+            return RootEnclosure(enc.poly, m, m)
+        if s_m == s_lo:
+            lo = m
+        else:
+            hi = m
+    return RootEnclosure(enc.poly, lo, hi)
+
+
+def separate_ref(encs, seen):
+    out = list(encs)
+    while True:
+        out.sort(key=lambda r: (r.lo + r.hi, r.lo))
+        changed = False
+        for i in range(len(out) - 1):
+            a, b = out[i], out[i + 1]
+            if a.hi >= b.lo and not (a.is_exact() and b.is_exact()):
+                width = (a.width + b.width) / 4
+                out[i] = refined_ref(a, width, seen)
+                out[i + 1] = refined_ref(b, width, seen)
+                changed = True
+        if not changed:
+            return sorted(out, key=lambda r: (r.lo, r.hi))
+
+
+def grid_cells_ref(poly, guide, lo_all, hi_all, width, seen):
+    approx = sorted(F(g) for g in guide)
+    caps = [b - a for a, b in zip(approx, approx[1:])]
+    if any(c == 0 for c in caps):
+        return None
+    m = min([c / 3 for c in caps] + [hi_all - lo_all, width])
+    h = F(2) ** (m.numerator.bit_length() - m.denominator.bit_length())
+    if h > m:
+        h /= 2
+    signs = {}
+
+    def s(k):
+        if k not in signs:
+            seen.append(k * h)
+            signs[k] = sign(poly, k * h)
+        return signs[k]
+
+    def cell(k):
+        for j in (k, k + 1):
+            if s(j) == 0:
+                return RootEnclosure(poly, j * h, j * h)
+        if s(k) != s(k + 1):
+            return RootEnclosure(poly, k * h, (k + 1) * h)
+        return None
+
+    roots = []
+    for g in approx:
+        k = math.floor(g / h)
+        enc = cell(k) or cell(k - 1 if g - k * h < (k + 1) * h - g else k + 1)
+        if enc is None or enc.lo < lo_all or enc.hi > hi_all:
+            return None
+        roots.append(enc)
+    roots.sort(key=lambda r: (r.lo, r.hi))
+    if any(a.hi >= b.lo for a, b in zip(roots, roots[1:])):
+        return None
+    return roots
+
+
+def ends(encs):
+    return None if encs is None else [(e.lo, e.hi) for e in encs]
+
+
+# shares of the distance to a neighbouring root, with dyadic and non-dyadic
+# denominators
+shares = st.builds(
+    lambda n, d: F(n % d or 1, d),
+    st.integers(1, 2000),
+    st.sampled_from([2, 3, 7, 10, 16, 1000, 1024]),
+)
+all_widths = st.sampled_from([F(1, 3), F(1, 2**10), F(1, 10**6), F(1, 2**30), F(1, 10**12)])
+
+
+@st.composite
+def isolating_enclosures(draw):
+    """Enclosures of every root of a polynomial with rational roots, each
+    reaching a share of the way to the neighbouring roots (so neighbours
+    may overlap), some exact."""
+    roots = sorted(draw(rational_roots))
+    p = tuple(poly_from_roots(roots))
+    encs = []
+    for i, r in enumerate(roots):
+        if draw(st.integers(0, 5)) == 0:
+            encs.append(RootEnclosure(p, r, r))
+            continue
+        left = r - roots[i - 1] if i else F(1)
+        right = roots[i + 1] - r if i + 1 < len(roots) else F(1)
+        encs.append(RootEnclosure(p, r - left * draw(shares), r + right * draw(shares)))
+    return draw(st.permutations(encs))
+
+
+@PROPERTY
+@given(isolating_enclosures(), all_widths, st.integers(0, 6))
+def test_integer_refined_matches_fraction_bisection(encs, width, halvings):
+    for enc in encs:
+        # a width the bisection hits exactly tests where it stops
+        for w in (width, enc.width / 2**halvings):
+            seen, want = [], []
+            with recording_sign_at(seen):
+                got = enc.refined(w)
+            assert ends([got]) == ends([refined_ref(enc, w, want)])
+            assert seen == want
+
+
+@PROPERTY
+@given(isolating_enclosures())
+def test_integer_separate_matches_fraction_separate(encs):
+    seen, want = [], []
+    with recording_sign_at(seen):
+        got = separate(encs)
+    assert ends(got) == ends(separate_ref(encs, want))
+    assert seen == want
+
+
+@PROPERTY
+@given(rational_roots, st.data())
+def test_grid_tie_break_matches_fraction_rule(roots, data):
+    # roots lie >= 1/900 apart, so the grid spacing is the width, and each
+    # guess sits on the midpoint of the root's cell or of a cell next to it
+    # (or one ULP off it)
+    width = F(1, 2**20)
+    p = tuple(poly_from_roots(roots))
+    bound = F(rootfind.cauchy_bound(p))
+    guide = []
+    for r in roots:
+        k = math.floor(r / width) + data.draw(st.sampled_from([-1, 0, 1]))
+        g = float((k + F(1, 2)) * width)
+        nudge = data.draw(st.sampled_from([0, -np.inf, np.inf]))
+        guide.append(float(np.nextafter(g, nudge)) if nudge else g)
+    seen, want = [], []
+    with recording_sign_at(seen):
+        got = rootfind._grid_cells(p, guide, -bound, bound, width)
+    assert ends(got) == ends(grid_cells_ref(p, guide, -bound, bound, width, want))
+    assert seen == want

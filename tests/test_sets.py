@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -18,6 +19,8 @@ from kohmoto.sets import (
     normalize,
 )
 from kohmoto.spectra import defect_spectrum, spectrum_periodic
+
+from set_helpers import covers_at_resolution, from_intervals
 
 
 def test_normalize_and_intersect():
@@ -82,9 +85,14 @@ def test_hausdorff_grid_oracle_with_spots():
                 out.append(hi)
             return out
 
-        pa, pb = pts(a), pts(b)
-        da = max(min(abs(x - y) for y in pb) for x in pa)
-        db = max(min(abs(x - y) for y in pa) for x in pb)
+        def nearest(x, ys):
+            # ys is sorted, so the nearest point is one of x's two neighbours
+            i = bisect_left(ys, x)
+            return min(abs(x - y) for y in ys[max(i - 1, 0) : i + 1])
+
+        pa, pb = sorted(pts(a)), sorted(pts(b))
+        da = max(nearest(x, pb) for x in pa)
+        db = max(nearest(x, pa) for x in pb)
         return max(da, db)
 
     for _ in range(40):
@@ -97,7 +105,7 @@ def test_hausdorff_grid_oracle_with_spots():
 
 def test_enclosure_widens_with_sloppy_spots():
     # an uncertain isolated point must still give a two-sided bound
-    a = EnclosedSet.from_intervals([(F(0), F(1))])
+    a = from_intervals([(F(0), F(1))])
     spot = (F(2), F(2) + F(1, 1000))
     b = EnclosedSet(((F(0), F(1)),), ((F(0), F(1)), spot), (spot,))
     lo, hi = a.hausdorff(b)
@@ -133,10 +141,10 @@ def test_spectra_level_helpers():
 
 
 def test_covers_at_resolution():
-    big = EnclosedSet.from_intervals([(F(0), F(10))])
-    small = EnclosedSet.from_intervals([(F(1), F(2)), (F(5), F(6))])
-    assert big.covers_at_resolution(small)
-    assert not small.covers_at_resolution(big)
+    big = from_intervals([(F(0), F(10))])
+    small = from_intervals([(F(1), F(2)), (F(5), F(6))])
+    assert covers_at_resolution(big, small)
+    assert not covers_at_resolution(small, big)
 
 
 # --- enclosures against sampled true sets (property tests) ------------------
@@ -200,3 +208,38 @@ def test_hausdorff_enclosure_holds_sampled_true_sets(a, b):
     lo, hi = ea.hausdorff(eb)
     assert 0 <= lo <= hausdorff_exact(true_a, true_b) <= hi
     assert (lo, hi) == eb.hausdorff(ea)
+
+
+def merge_ref(intervals):
+    out = []
+    for lo, hi in sorted(iv for iv in intervals if iv[0] <= iv[1]):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def hausdorff_ref(x, y):
+    """The formulas of `EnclosedSet.hausdorff` in Fractions, with the
+    brute-force directed distance."""
+
+    def directed(a, b):
+        return brute_directed(a, b) if a else F(0)
+
+    hi = lo = F(0)
+    for a, b in ((x, y), (y, x)):
+        members = merge_ref(list(b.inner) + [((s + t) / 2,) * 2 for s, t in b.spots])
+        slack = max(((t - s) / 2 for s, t in b.spots), default=F(0))
+        hi = max(hi, directed(a.outer, members) + slack)
+        lo = max(lo, directed(a.inner, b.outer))
+        for s, t in a.spots:
+            lo = max(lo, directed([((s + t) / 2,) * 2], b.outer) - (t - s) / 2)
+    return min(lo, hi), hi
+
+
+@PROPERTY
+@given(enclosed_with_truth(), enclosed_with_truth())
+def test_integer_hausdorff_matches_fraction_formulas(a, b):
+    (ea, _), (eb, _) = a, b
+    assert ea.hausdorff(eb) == hausdorff_ref(ea, eb)

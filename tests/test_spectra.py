@@ -29,6 +29,8 @@ from kohmoto.spectra import (
 )
 from kohmoto.words import Configuration, defect_config, period_word, sk_words
 
+from set_helpers import certainly_disjoint_triple, covers_at_resolution, union
+
 V5 = F(5)
 TOL9 = F(1, 10**9)
 TOL6 = F(1, 10**6)
@@ -369,8 +371,8 @@ def test_inclusion_and_at_most_k():
             specs[k] = spectrum_from_trace(t, TOL6, word=sk_words(digits + (k,))[-1], V=V5)
         for k in range(1, 7):
             small = EnclosedSet.from_spectrum(specs[k + 1])
-            cover = base.union(EnclosedSet.from_spectrum(specs[k]))
-            assert cover.covers_at_resolution(small)
+            cover = union(base, EnclosedSet.from_spectrum(specs[k]))
+            assert covers_at_resolution(cover, small)
         for k in range(1, 8):
             approx = specs[k]
             for c, d in base.outer:
@@ -393,7 +395,7 @@ def test_triple_disjointness_large_coupling():
                 spectrum_from_trace(t, F(1, 10**12), word=sk_words(digits + (k,))[-1], V=V5)
             )
         for k in range(1, 7):
-            assert base.certainly_disjoint_triple(specs[k], specs[k + 1])
+            assert certainly_disjoint_triple(base, specs[k], specs[k + 1])
 
 
 def test_measure_equality_defect_vs_periodic():
