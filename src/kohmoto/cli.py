@@ -258,6 +258,7 @@ def _run(args: argparse.Namespace) -> None:
             else:
                 payload = words.mechanical_word(cfg, args.lo, args.hi)
         elif subcmd == "dict":
+            words.check_subword_length(args.n)
             cfg = words.limit_configuration(FareyPoint.parse(args.point))
             slice_ = words.dictionary(cfg, args.n)
             payload = sorted(slice_.words)

@@ -33,15 +33,17 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def common_denominator(values) -> int:
-    """Least common multiple of the denominators of some rationals: every
-    value times it is an integer, so exact loops can run on numerators."""
-    return math.lcm(*{x.denominator for x in values})
-
-
-def numerator_over(x: Fraction, d: int) -> int:
-    """x * d, for a multiple d of the denominator of x."""
-    return x.numerator * (d // x.denominator)
+def over_common_denominator(pairs, factor: int = 1) -> tuple[list[tuple[int, int]], int]:
+    """Pairs of rationals as integer pairs over one common denominator:
+    ([(a * d, b * d), ...], d) with d the least common multiple of their
+    denominators times factor.  Exact loops run on these integers and
+    build a Fraction only for a result."""
+    pairs = list(pairs)
+    d = factor * math.lcm(*{x.denominator for pair in pairs for x in pair})
+    return [
+        (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
+        for a, b in pairs
+    ], d
 
 
 def check_rotation(r: Fraction) -> Fraction:

@@ -9,9 +9,9 @@ proposes cells: every certificate is an exact integer sign or count.
 
 Enclosure ends are Fractions to callers.  Inside the hot loops (grid
 cells, bisection in `RootEnclosure.refined`, the sort and overlap tests of
-`separate`) they are integer numerators over one common denominator, and a
-Fraction is built only for a result.  Every exact sign is `sign_at(p, num,
-den)`.
+`separate`) they are integer numerators over one common denominator
+(`farey.over_common_denominator`), and a Fraction is built only for a
+result.  Every exact sign is `sign_at(p, num, den)`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegeneracyError, PreconditionError, PrecisionError
-from .farey import numerator_over
+from .farey import over_common_denominator
 
 IntPoly = list[int]
 
@@ -175,15 +175,10 @@ class RootEnclosure:
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
-    def numerators(self) -> tuple[int, int, int]:
-        """(lo * d, hi * d, d) for the least common denominator d of the ends."""
-        d = math.lcm(self.lo.denominator, self.hi.denominator)
-        return numerator_over(self.lo, d), numerator_over(self.hi, d), d
-
     def refined(self, max_width: Fraction) -> "RootEnclosure":
         """The same root enclosed at most max_width wide, by bisection on
         integer numerators over a doubling denominator."""
-        lo, hi, d = self.numerators()
+        [(lo, hi)], d = over_common_denominator([(self.lo, self.hi)])
         wn, wd = max_width.numerator, max_width.denominator
         if (hi - lo) * wd <= wn * d:
             return self
@@ -368,49 +363,40 @@ def _sturm_bisection(
     return roots
 
 
-def _sorted_ends(
-    encs: list[RootEnclosure], ends: list[tuple[int, int, int]], by_mid: bool
-) -> tuple[list[RootEnclosure], list[tuple[int, int, int]]]:
-    """Enclosures and their numerators, sorted by (midpoint, lo) or by
-    (lo, hi); the sort keys are integers over one common denominator."""
-    d = math.lcm(*{den for _, _, den in ends})
-
-    def key(i: int) -> tuple[int, int]:
-        lo, hi, den = ends[i]
-        s = d // den
-        return ((lo + hi) * s, lo * s) if by_mid else (lo * s, hi * s)
-
-    order = sorted(range(len(encs)), key=key)
-    return [encs[i] for i in order], [ends[i] for i in order]
-
-
 def separate(enclosures: list[RootEnclosure]) -> list[RootEnclosure]:
     """Refine a family of enclosures of pairwise distinct roots until the
-    intervals are pairwise disjoint, and return them sorted.  Overlap and
-    width tests cross-multiply integer numerators."""
+    intervals are pairwise disjoint, and return them sorted.
+
+    Each pass sorts by (midpoint, lo) and tests overlaps and widths on
+    integer numerators over one common denominator; a pair whose first
+    enclosure the pass has just refined is put over its own denominator."""
     out = list(enclosures)
-    ends = [r.numerators() for r in out]
     for _ in range(4096):
-        out, ends = _sorted_ends(out, ends, by_mid=True)
-        changed = False
+        ends, d = over_common_denominator((r.lo, r.hi) for r in out)
+        order = sorted(range(len(out)), key=lambda i: (ends[i][0] + ends[i][1], ends[i][0]))
+        out = [out[i] for i in order]
+        ends = [ends[i] for i in order]
+        changed = stale = False
         for i in range(len(out) - 1):
-            (alo, ahi, ad), (blo, bhi, bd) = ends[i], ends[i + 1]
-            if ahi * bd >= blo * ad and not (alo == ahi and blo == bhi):
+            pair, e = ends[i : i + 2], d
+            if stale:
+                pair, e = over_common_denominator((r.lo, r.hi) for r in out[i : i + 2])
+            (alo, ahi), (blo, bhi) = pair
+            stale = ahi >= blo and not (alo == ahi and blo == bhi)
+            if stale:
                 # a quarter of the summed widths, positive as one is not exact
-                width = Fraction((ahi - alo) * bd + (bhi - blo) * ad, 4 * ad * bd)
-                for j in (i, i + 1):
-                    out[j] = out[j].refined(width)
-                    ends[j] = out[j].numerators()
+                width = Fraction(ahi - alo + bhi - blo, 4 * e)
+                out[i], out[i + 1] = out[i].refined(width), out[i + 1].refined(width)
                 changed = True
         if not changed:
             break
     else:
         raise DegeneracyError("two roots could not be separated (equal roots?)")
-    out, ends = _sorted_ends(out, ends, by_mid=False)
-    for (_, ahi, ad), (blo, _, bd) in zip(ends, ends[1:]):
-        if ahi * bd >= blo * ad:
-            raise DegeneracyError("two roots could not be separated (equal roots?)")
-    return out
+    ends, _ = over_common_denominator((r.lo, r.hi) for r in out)
+    order = sorted(range(len(out)), key=ends.__getitem__)
+    if any(ends[i][1] >= ends[j][0] for i, j in zip(order, order[1:])):
+        raise DegeneracyError("two roots could not be separated (equal roots?)")
+    return [out[i] for i in order]
 
 
 def poly_gcd(a: Sequence[int], b: Sequence[int]) -> IntPoly:

@@ -22,77 +22,50 @@ half-width of B (0 without spots):
 Each end takes the larger value of the two directions.  The w(B) slack
 lets the upper end use one sweep against the spot midpoints.
 
-Endpoints are Fractions to callers.  The computations run on integers: the
-endpoints times four times the least common multiple of their denominators,
-so spot centres and gap midpoints stay integers.  Each result becomes a
-Fraction once; `normalize` and `intersect` return the given endpoints.
+Endpoints are Fractions to callers.  The distance sweeps and `measure` run
+on integers: the endpoints over four times the least common multiple of
+their denominators, so spot centres and gap midpoints stay integers.  Each
+result becomes a Fraction once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter
 
 from .errors import PreconditionError, PrecisionError
-from .farey import common_denominator, numerator_over
+from .farey import over_common_denominator
 
 Interval = tuple[Fraction, Fraction]
 _start = itemgetter(0)
 
 
-def _scale(*unions) -> int:
-    """Four times the least common multiple of the endpoint denominators:
-    endpoints times it are integers divisible by 4, so their midpoints and
-    the midpoints of those stay integers."""
-    return 4 * common_denominator(x for u in unions for iv in u for x in iv)
-
-
-def _ints(intervals, d: int) -> list[tuple[int, int]]:
-    """The intervals' endpoints times d, as integers."""
-    return [(numerator_over(lo, d), numerator_over(hi, d)) for lo, hi in intervals]
-
-
-def _ends(d: int, *unions) -> dict[int, Fraction]:
-    """The given endpoints, keyed by their integers over d."""
-    return {numerator_over(x, d): x for u in unions for iv in u for x in iv}
-
-
-def _merge(xs) -> list[tuple[int, int]]:
-    """Sort and merge integer intervals, dropping empty ones (lo > hi)."""
-    out: list[tuple[int, int]] = []
-    for lo, hi in sorted(xs):
-        if lo > hi:
-            continue
+def normalize(intervals) -> tuple[Interval, ...]:
+    """Sort and merge closed intervals (degenerate ones allowed); the ends
+    may be Fractions or integers."""
+    xs = sorted((lo, hi) for lo, hi in intervals if lo <= hi)
+    out: list[Interval] = []
+    for lo, hi in xs:
         if out and lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
         else:
             out.append((lo, hi))
-    return out
-
-
-def normalize(intervals) -> tuple[Interval, ...]:
-    """Sort and merge closed intervals (degenerate ones allowed).  The
-    result reuses the given endpoints."""
-    xs = list(intervals)
-    d = _scale(xs)
-    back = _ends(d, xs)
-    return tuple((back[lo], back[hi]) for lo, hi in _merge(_ints(xs, d)))
+    return tuple(out)
 
 
 def intersect(a, b) -> tuple[Interval, ...]:
-    """Intersection of two sorted disjoint unions; the result reuses the
-    given endpoints."""
-    d = _scale(a, b)
-    a, b, back = _ints(a, d), _ints(b, d), _ends(d, a, b)
     out = []
     i = j = 0
+    a, b = list(a), list(b)
     while i < len(a) and j < len(b):
-        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+        lo = max(a[i][0], b[j][0])
+        hi = min(a[i][1], b[j][1])
         if lo <= hi:
-            out.append((back[lo], back[hi]))
+            out.append((lo, hi))
         if a[i][1] < b[j][1]:
             i += 1
         else:
@@ -101,12 +74,11 @@ def intersect(a, b) -> tuple[Interval, ...]:
 
 
 def measure(intervals) -> Fraction:
-    intervals = list(intervals)
-    d = _scale(intervals)
-    return Fraction(sum(hi - lo for lo, hi in _ints(intervals, d)), d)
+    ends, d = over_common_denominator(intervals)
+    return Fraction(sum(hi - lo for lo, hi in ends), d)
 
 
-def _directed(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> int:
+def _directed(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> int:
     """`directed_hausdorff` on integer endpoints whose gap midpoints in b
     are integers."""
 
@@ -143,18 +115,16 @@ def directed_hausdorff(a, b) -> Fraction:
         return Fraction(0)
     if not b:
         raise PreconditionError("directed distance to an empty set")
-    d = _scale(a, b)
-    return Fraction(_directed(_ints(a, d), _ints(b, d)), d)
+    ends, d = over_common_denominator([*a, *b], 4)
+    return Fraction(_directed(ends[: len(a)], ends[len(a) :]), d)
 
 
 def hausdorff_exact(a, b) -> Fraction:
     """Hausdorff distance of two non-empty unions of closed intervals."""
-    a, b = list(a), list(b)
-    d = _scale(a, b)
-    a, b = _merge(_ints(a, d)), _merge(_ints(b, d))
+    a, b = normalize(a), normalize(b)
     if not a or not b:
         raise PreconditionError("Hausdorff distance needs non-empty sets")
-    return Fraction(max(_directed(a, b), _directed(b, a)), d)
+    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
 @dataclass(frozen=True)
@@ -196,13 +166,14 @@ class EnclosedSet:
         if not self.outer or not other.outer:
             raise PreconditionError("Hausdorff distance needs non-empty sets")
         parts = (self.inner, self.outer, self.spots, other.inner, other.outer, other.spots)
-        d = _scale(*parts)
-        mine = [_ints(part, d) for part in parts[:3]]
-        theirs = [_ints(part, d) for part in parts[3:]]
+        ends, d = over_common_denominator((iv for part in parts for iv in part), 4)
+        cuts = list(accumulate((len(part) for part in parts), initial=0))
+        split = [ends[i:j] for i, j in zip(cuts, cuts[1:])]
+        mine, theirs = split[:3], split[3:]
         hi = lo = 0
         for a, b in ((mine, theirs), (theirs, mine)):
             (a_inner, a_outer, a_spots), (b_inner, b_outer, b_spots) = a, b
-            members = _merge(b_inner + [((s + t) // 2,) * 2 for s, t in b_spots])
+            members = normalize(b_inner + [((s + t) // 2,) * 2 for s, t in b_spots])
             if not members:
                 raise PrecisionError("set enclosure too coarse (no certified member)")
             slack = max(((t - s) // 2 for s, t in b_spots), default=0)

@@ -22,14 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DegeneracyError, PreconditionError, PrecisionError
-from .farey import (
-    as_fraction,
-    cf_forms,
-    check_rotation,
-    common_denominator,
-    format_rational,
-    numerator_over,
-)
+from .farey import as_fraction, cf_forms, check_rotation, format_rational, over_common_denominator
 from .polyring import RP, ring_elements
 from .rootfind import RootEnclosure, compare_roots, isolate_roots, separate
 from .words import Configuration, period_word, sk_words
@@ -279,13 +272,6 @@ def membership(E, r, V) -> bool:
 Edge = tuple[int, int, RootEnclosure]
 
 
-def _edges(bands, d: int) -> list[tuple[Edge, Edge]]:
-    return [
-        tuple((numerator_over(e.lo, d), numerator_over(e.hi, d), e) for e in band)
-        for band in bands
-    ]
-
-
 def _cmp(a: Edge, b: Edge) -> int:
     if a[1] < b[0]:
         return -1
@@ -317,13 +303,14 @@ def _split_escaping(approx: Spectrum, base: Spectrum):
     """Split approximant bands into those certified inside the base
     spectrum and the escaping rest, with each escaping band's relation;
     exactly one band per base band must escape."""
-    d = common_denominator(
-        x for spec in (approx, base) for band in spec.bands for e in band for x in (e.lo, e.hi)
-    )
-    base_edges = _edges(base.bands, d)
+    encs = [e for spec in (approx, base) for band in spec.bands for e in band]
+    ends, _ = over_common_denominator((e.lo, e.hi) for e in encs)
+    edges = [(lo, hi, e) for (lo, hi), e in zip(ends, encs)]
+    pairs = list(zip(edges[::2], edges[1::2]))
+    base_edges = pairs[len(approx.bands) :]
     inside, escaping, rels = [], [], []
-    for band, edges in zip(approx.bands, _edges(approx.bands, d)):
-        rel = _band_relation(edges, base_edges)
+    for band, band_edges in zip(approx.bands, pairs):
+        rel = _band_relation(band_edges, base_edges)
         if rel == "inside":
             inside.append(band)
         else:
@@ -435,20 +422,17 @@ def _check_point_placement(base: Spectrum, points, above: bool) -> None:
     above each band (the last one above the spectrum) and lower limits
     mirror this below each band; negative coupling reflects the picture
     (conjugation by (-1)^n sends H(V) to -H(-V))."""
-    q = len(base.bands)
+    bands = base.bands
+    q = len(bands)
     if len(points) != q:
         raise PrecisionError(f"expected {q} defect points, found {len(points)}")
-    ends = [(lo.lo, hi.hi) for lo, hi in base.bands]
-    d = common_denominator(x for iv in ends + list(points) for x in iv)
-    ends = [(numerator_over(lo, d), numerator_over(hi, d)) for lo, hi in ends]
     for j, (plo, phi) in enumerate(points):
-        plo, phi = numerator_over(plo, d), numerator_over(phi, d)
         if above:
-            beside = plo > ends[j][1]
-            in_gap = j + 1 == q or phi < ends[j + 1][0]
+            beside = plo > bands[j][1].hi
+            in_gap = j + 1 == q or phi < bands[j + 1][0].lo
         else:
-            beside = phi < ends[j][0]
-            in_gap = j == 0 or plo > ends[j - 1][1]
+            beside = phi < bands[j][0].lo
+            in_gap = j == 0 or plo > bands[j - 1][1].hi
         if not beside:
             where = "above" if above else "below"
             raise PrecisionError(f"defect point is not {where} its band")

@@ -212,8 +212,6 @@ def check_window(lo: int, hi: int) -> None:
 
 
 def check_subword_length(n: int) -> None:
-    if n < 1:
-        raise PreconditionError("subword length must be >= 1")
     if n > MAX_SUBWORD_LENGTH:
         raise PreconditionError(f"subword length must be <= {MAX_SUBWORD_LENGTH}")
 
@@ -221,7 +219,8 @@ def check_subword_length(n: int) -> None:
 def dictionary(c, n: int) -> DictionarySlice:
     """Exact set of length-n subwords of the two-sided configuration (or of
     the Sturmian system of an irrational rotation)."""
-    check_subword_length(n)
+    if n < 1:
+        raise PreconditionError("subword length must be >= 1")
     if isinstance(c, QuadraticIrrational):
         return DictionarySlice(n, _slice_sturmian(c, n))
     if not isinstance(c, Configuration):
