@@ -4,6 +4,8 @@ certificate, Lebesgue-measure experiments, and the butterfly dataset.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -367,11 +369,14 @@ class ButterflyDataset:
         }
 
     def to_svg(self, width: int = 800, height: int = 600) -> str:
-        vals = []
-        for row in self.rows:
-            for lo, hi in row.bands + row.defects_plus + row.defects_minus:
-                vals.append(_parse_value(lo))
-                vals.append(_parse_value(hi))
+        parsed = [
+            tuple(
+                [(_parse_value(lo), _parse_value(hi)) for lo, hi in part]
+                for part in (row.bands, row.defects_plus, row.defects_minus)
+            )
+            for row in self.rows
+        ]
+        vals = [x for parts in parsed for part in parts for pair in part for x in pair]
         if not vals:
             vals = [0.0, 1.0]
         e_lo, e_hi = min(vals), max(vals)
@@ -389,17 +394,17 @@ class ButterflyDataset:
             f'viewBox="0 0 {width} {height}">',
             f'<rect width="{width}" height="{height}" fill="white"/>',
         ]
-        for row in self.rows:
+        for row, (bands, plus, minus) in zip(self.rows, parsed):
             y = sy(row.p / row.q)
-            for lo, hi in row.bands:
-                x1, x2 = sx(_parse_value(lo)), sx(_parse_value(hi))
+            for lo, hi in bands:
+                x1, x2 = sx(lo), sx(hi)
                 out.append(
                     f'<line x1="{x1:.2f}" y1="{y:.2f}" x2="{x2:.2f}" y2="{y:.2f}" '
                     f'stroke="black" stroke-width="1.2"/>'
                 )
-            for kind, color in (("defects_plus", "#cc0000"), ("defects_minus", "#0044cc")):
-                for lo, hi in getattr(row, kind):
-                    x = sx((_parse_value(lo) + _parse_value(hi)) / 2)
+            for points, color in ((plus, "#cc0000"), (minus, "#0044cc")):
+                for lo, hi in points:
+                    x = sx((lo + hi) / 2)
                     out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.2" fill="{color}"/>')
         out.append("</svg>")
         return "\n".join(out) + "\n"
@@ -411,15 +416,13 @@ def _parse_value(s: str) -> float:
     return float(Fraction(s))
 
 
-def _fmt_exact(x: Fraction) -> str:
-    return format_rational(x)
-
-
 def _fmt_fast(x: float) -> str:
     return f"~{x:.12e}"
 
 
 FAST_SLOP = 2.0**-40
+# approximant index of the fast backend's defect words
+FAST_K = 6
 
 
 def _fast_band_edges(word: str, V) -> list[float]:
@@ -428,71 +431,114 @@ def _fast_band_edges(word: str, V) -> list[float]:
     )
 
 
-def _butterfly_row(r: Fraction, V: Fraction, backend: str, include_defects: bool, tol) -> ButterflyRow:
-    q, p = r.denominator, r.numerator
-    errors = []
+@dataclass(frozen=True)
+class _RowValues:
+    """One butterfly row before formatting: band and defect-point intervals
+    as numbers (exact enclosure ends, or float edges and trace zeros for
+    the fast backend), and the message of each part that failed."""
+
+    bands: tuple
+    plus: tuple
+    minus: tuple
+    errors: dict
+
+    def mirrored(self, v: float) -> "_RowValues":
+        """The row of 1 - r from the row of r: sigma(1 - r) = V - sigma(r),
+        and the plus points of 1 - r are V minus the minus points of r."""
+
+        def flip(intervals) -> tuple:
+            return tuple((v - hi, v - lo) for lo, hi in reversed(intervals))
+
+        swap = {"defect_plus": "defect_minus", "defect_minus": "defect_plus"}
+        errors = {swap.get(part, part): msg for part, msg in self.errors.items()}
+        return _RowValues(flip(self.bands), flip(self.minus), flip(self.plus), errors)
+
+    def formatted(self, r: Fraction, fmt) -> ButterflyRow:
+        def strs(intervals) -> tuple:
+            return tuple(fmt(lo, hi) for lo, hi in intervals)
+
+        error = "; ".join(
+            f"{part}: {self.errors[part]}"
+            for part in ("bands", "defect_plus", "defect_minus")
+            if part in self.errors
+        )
+        return ButterflyRow(
+            r.denominator, r.numerator, strs(self.bands), strs(self.plus),
+            strs(self.minus), error=error or None,
+        )
+
+
+_FORMATS = {
+    "certified": lambda lo, hi: (format_rational(lo), format_rational(hi)),
+    "fast": lambda lo, hi: (_fmt_fast(lo - FAST_SLOP), _fmt_fast(hi + FAST_SLOP)),
+}
+
+
+def _butterfly_row(r: Fraction, V: Fraction, backend: str, include_defects: bool, tol) -> _RowValues:
+    q = r.denominator
+    errors = {}
     bands = plus = minus = ()
     try:
         if backend == "certified":
             spec = spectrum_periodic(r, V, tol)
-            bands = tuple(
-                (_fmt_exact(lo.lo), _fmt_exact(hi.hi)) for lo, hi in spec.bands
-            )
+            bands = tuple((lo.lo, hi.hi) for lo, hi in spec.bands)
         else:
             edges = _fast_band_edges(period_word(r), V)
             if len(edges) != 2 * q:
                 raise PrecisionError(
                     f"fast backend found {len(edges)} edges, wanted {2 * q}"
                 )
-            bands = tuple(
-                (_fmt_fast(edges[i] - FAST_SLOP), _fmt_fast(edges[i + 1] + FAST_SLOP))
-                for i in range(0, 2 * q, 2)
-            )
+            bands = tuple(zip(edges[::2], edges[1::2]))
     except Exception as exc:  # per-row capture keeps the dataset total
-        errors.append(f"bands: {type(exc).__name__}: {exc}")
+        errors["bands"] = f"{type(exc).__name__}: {exc}"
     if include_defects and bands:
         for side in ("plus", "minus"):
             if (side == "plus" and r == 1) or (side == "minus" and r == 0):
                 continue
             try:
                 if backend == "certified":
-                    spec = defect_spectrum(r, side, V, tol)
-                    pts = tuple(
-                        (_fmt_exact(lo), _fmt_exact(hi)) for lo, hi in spec.points
-                    )
+                    pts = defect_spectrum(r, side, V, tol).points
                 else:
-                    pts = _fast_defects(r, side, V, edges)
+                    pts = tuple((z, z) for z in _fast_defects(r, side, V, bands))
                 if side == "plus":
                     plus = pts
                 else:
                     minus = pts
             except Exception as exc:
-                errors.append(f"defect_{side}: {type(exc).__name__}: {exc}")
-    return ButterflyRow(q, p, bands, plus, minus, error="; ".join(errors) or None)
+                errors[f"defect_{side}"] = f"{type(exc).__name__}: {exc}"
+    return _RowValues(bands, plus, minus, errors)
 
 
-def _fast_defects(r: Fraction, side: str, V: Fraction, base_edges, k_fast: int = 6) -> tuple:
+def _outside_bands(zeros, bands) -> list[float]:
+    """The zeros outside every band widened by 1e-9 on each side.  The ends
+    of sorted bands are sorted, so a zero lies in some widened band iff it
+    lies in the last one that starts at or below it."""
+    starts = [lo - 1e-9 for lo, _ in bands]
+    out = []
+    for z in zeros:
+        i = bisect.bisect_right(starts, z) - 1
+        if i < 0 or z > bands[i][1] + 1e-9:
+            out.append(z)
+    return out
+
+
+def _fast_defects(r: Fraction, side: str, V: Fraction, base_bands) -> list[float]:
     # The trace crosses zero exactly once inside every band, so the zeros of
     # the approximant trace (quarter-phase Bloch eigenvalues) mark its bands
     # far more robustly in floating point than near-degenerate edge pairs;
     # a zero outside every base band marks an escaping band.
     digits = approach_digits(r, side)
-    word = sk_words(digits + (k_fast,))[-1]
-    zeros = floquet_zeros(word, V)
-    base_bands = [
-        (base_edges[i] - 1e-9, base_edges[i + 1] + 1e-9)
-        for i in range(0, len(base_edges), 2)
-    ]
-    pts = [z for z in zeros if not any(lo <= z <= hi for lo, hi in base_bands)]
+    zeros = floquet_zeros(sk_words(digits + (FAST_K,))[-1], V)
+    pts = _outside_bands(zeros, base_bands)
     if len(pts) != r.denominator:
         raise PrecisionError(
             f"fast backend found {len(pts)} defect points, wanted {r.denominator}"
         )
-    return tuple((_fmt_fast(z - FAST_SLOP), _fmt_fast(z + FAST_SLOP)) for z in pts)
+    return pts
 
 
 # Caps on Q by backend, from measured cost at V = 5 on a 2-core machine: the
-# fast backend takes 39 s at Q = 60 and 133 s at Q = 80, the certified one
+# fast backend takes 8-9 s at Q = 60 and 11 s at Q = 64, the certified one
 # 37 s at Q = 16 (rows grow like Q^2, and each costs more with q).
 MAX_Q = {"fast": 64, "certified": 16}
 
@@ -505,8 +551,13 @@ def butterfly(
     tol=Fraction(1, 10**6),
 ) -> ButterflyDataset:
     """Band (and optionally defect-point) data for every reduced rational
-    with denominator <= Q, ordered by (q, p); rows are independent, and a
-    row that fails keeps its error instead of aborting the dataset."""
+    with denominator <= Q, ordered by (q, p); a row that fails keeps its
+    error instead of aborting the dataset.  Certified rows are computed
+    independently.  The fast backend computes the rows p/q <= 1/2 and 1/1,
+    and takes the row of 1 - p/q for 0 < p/q < 1/2 from that of p/q in
+    floats, by the mirror symmetry sigma(1 - r) = V - sigma(r); 1/1 is
+    computed directly because the fast approximant words of 0+ and 1- are
+    not mirror images."""
     if Q < 1:
         raise PreconditionError("Q must be >= 1")
     if backend not in ("certified", "fast"):
@@ -514,13 +565,21 @@ def butterfly(
     if Q > MAX_Q[backend]:
         raise PreconditionError(f"Q must be <= {MAX_Q[backend]} with the {backend} backend")
     V = as_fraction(V)
-    import math as _math
-
     rationals = [
         Fraction(p, q)
         for q in range(1, Q + 1)
         for p in range(0, q + 1)
-        if _math.gcd(p, q) == 1
+        if math.gcd(p, q) == 1
     ]
-    rows = [_butterfly_row(r, V, backend, include_defects, tol) for r in rationals]
+    fmt = _FORMATS[backend]
+    lower = {}  # fast rows of 0 < r < 1/2, until their mirror row is due
+    rows = []
+    for r in rationals:
+        if 1 - r in lower:
+            values = lower.pop(1 - r).mirrored(float(V))
+        else:
+            values = _butterfly_row(r, V, backend, include_defects, tol)
+            if backend == "fast" and 0 < 2 * r < 1:
+                lower[r] = values
+        rows.append(values.formatted(r, fmt))
     return ButterflyDataset(Q, V, backend, include_defects, tuple(rows))

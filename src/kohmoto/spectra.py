@@ -181,17 +181,49 @@ def floquet_edges(word: str, V, anti: bool) -> list[float]:
 
 def floquet_zeros(word: str, V) -> list[float]:
     """Floating estimates of the trace zeros (one per band): eigenvalues of
-    the quarter-phase Bloch matrix."""
-    q = len(word)
+    the quarter-phase Bloch matrix of the cyclic word.
+
+    The flux pi/2 is spread as e^{i pi/(2n)} over the n links of the ring,
+    so the matrix H commutes with R o conjugation, where R is the
+    reflection of the ring that maps the cyclic word onto itself.  In the
+    basis e_i (sites fixed by R), (e_i + e_Ri)/sqrt2 and i(e_i - e_Ri)/sqrt2
+    (pairs of sites swapped by R) H is real symmetric; its O(n) nonzeros
+    are summed directly.  Every Christoffel word is a rotation of its
+    reversal; a word that is not raises PreconditionError."""
+    n = len(word)
+    shift = (word + word).find(word[::-1])
+    if shift < 0:
+        raise PreconditionError(f"word {word!r} is not a rotation of its reversal")
     v = float(as_fraction(V))
-    m = np.zeros((q, q), dtype=complex)
-    for i, ch in enumerate(word):
-        m[i, i] = v * int(ch)
-    for i in range(q - 1):
-        m[i, i + 1] = m[i + 1, i] = 1.0
-    if q > 1:
-        m[0, q - 1] += 1j
-        m[q - 1, 0] += -1j
+    sites = np.arange(n)
+    mirror = (shift - 1 - sites) % n  # word[mirror[i]] == word[i]
+    fixed = sites[mirror == sites]
+    reps = sites[sites < mirror]
+    nf, npairs = len(fixed), len(reps)
+    # each site lies on at most two basis vectors: (column, amplitude) slots
+    col = np.zeros((n, 2), dtype=int)
+    amp = np.zeros((n, 2), dtype=complex)
+    col[fixed, 0], amp[fixed, 0] = np.arange(nf), 1.0
+    plus = nf + np.arange(npairs)
+    h = np.sqrt(0.5)
+    for site, phase in ((reps, 1j), (mirror[reps], -1j)):
+        col[site, 0], amp[site, 0] = plus, h
+        col[site, 1], amp[site, 1] = plus + npairs, phase * h
+    # nonzeros of H: diagonal, links i -> i+1 and their adjoints
+    nxt = (sites + 1) % n
+    rows = np.concatenate([sites, nxt, sites])
+    cols = np.concatenate([sites, sites, nxt])
+    hop = np.exp(0.5j * np.pi / n) if n else 0.0
+    vals = np.concatenate([
+        v * np.array([int(ch) for ch in word], dtype=float),
+        np.full(n, hop),
+        np.full(n, np.conj(hop)),
+    ])
+    # M[a, b] sums conj(U[i, a]) H[i, j] U[j, b] over the nonzeros H[i, j];
+    # the imaginary parts cancel
+    a = col[rows][:, :, None] * n + col[cols][:, None, :]
+    w = amp[rows].conj()[:, :, None] * vals[:, None, None] * amp[cols][:, None, :]
+    m = np.bincount(a.ravel(), weights=w.real.ravel(), minlength=n * n).reshape(n, n)
     return [float(x) for x in np.linalg.eigvalsh(m)]
 
 

@@ -1,9 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kohmoto.analysis import (
+    _FORMATS,
+    _butterfly_row,
+    _outside_bands,
     butterfly,
     lipschitz_sweep,
     measure_experiments,
@@ -154,6 +163,55 @@ def test_butterfly_fast_matches_certified_bands():
         for (flo, fhi), (clo, chi) in zip(row.bands, spec.bands):
             assert abs(float(flo[1:]) - float(clo.mid)) < 1e-6
             assert abs(float(fhi[1:]) - float(chi.mid)) < 1e-6
+
+
+# at V = 8 the fast backend drops defect points of 1/12+ and so of 11/12-
+@pytest.mark.parametrize("V, failed", [(V5, 0), (F(2), 0), (F(1, 2), 0), (F(8), 1)])
+def test_butterfly_fast_mirrored_rows_match_direct_rows(V, failed):
+    ds = butterfly(12, V, "fast", True)
+    mirrored = [row for row in ds.rows if 2 * row.p > row.q > 2]
+    assert len(mirrored) == 22
+    assert sum(row.error is not None for row in mirrored) == failed
+    for row in mirrored:
+        r = F(row.p, row.q)
+        direct = _butterfly_row(r, V, "fast", True, None).formatted(r, _FORMATS["fast"])
+        assert row.error == direct.error
+        for kind in ("bands", "defects_plus", "defects_minus"):
+            got, want = getattr(row, kind), getattr(direct, kind)
+            assert len(got) == len(want)
+            for pair, pair_want in zip(got, want):
+                for s, t in zip(pair, pair_want):
+                    assert abs(float(s[1:]) - float(t[1:])) <= 2e-12
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(0, 4e-9), min_size=2, max_size=12),
+    st.lists(st.floats(-5e-9, 5e-8), max_size=30),
+)
+def test_band_filter_matches_scan_of_every_band(steps, zeros):
+    # sorted edges whose gaps and widths straddle the 2e-9 total widening
+    edges = [sum(steps[: i + 1]) for i in range(len(steps) - len(steps) % 2)]
+    bands = list(zip(edges[::2], edges[1::2]))
+    want = [z for z in zeros if not any(lo - 1e-9 <= z <= hi + 1e-9 for lo, hi in bands)]
+    assert _outside_bands(zeros, bands) == want
+
+
+def test_fast_butterfly_does_not_import_scipy():
+    code = (
+        "import sys\n"
+        "from kohmoto.analysis import butterfly\n"
+        "butterfly(8, 5, 'fast')\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_butterfly_guards():

@@ -7,19 +7,23 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from kohmoto.analysis import FAST_K
 from kohmoto.errors import DegeneracyError, PreconditionError
 from kohmoto.farey import cf_forms
 from kohmoto.polyring import RP, ring_elements
 from kohmoto.rootfind import compare_roots
 from kohmoto.sets import EnclosedSet, lebesgue
 from kohmoto.spectra import (
+    approach_digits,
     band_classify,
     defect_spectrum,
     extension_traces,
     finite_section_eigs,
     finite_section_modes,
+    floquet_zeros,
     membership,
     spectrum_from_trace,
     spectrum_periodic,
@@ -223,6 +227,46 @@ def test_band_edges_certify_without_fallback(monkeypatch):
 def test_edges_of_one_spectrum_share_two_polynomials():
     spec = spectrum_periodic(F(21, 34), V5, TOL9)
     assert len({id(enc.poly) for band in spec.bands for enc in band}) == 2
+
+
+def dense_bloch_zeros(word: str, V) -> np.ndarray:
+    """Reference: eigenvalues of the dense complex quarter-phase Bloch
+    matrix, with the whole flux on the closing link."""
+    q = len(word)
+    m = np.zeros((q, q), dtype=complex)
+    for i, ch in enumerate(word):
+        m[i, i] = float(V) * int(ch)
+    for i in range(q - 1):
+        m[i, i + 1] = m[i + 1, i] = 1.0
+    if q > 1:
+        m[0, q - 1] += 1j
+        m[q - 1, 0] += -1j
+    return np.linalg.eigvalsh(m)
+
+
+def test_floquet_zeros_match_dense_complex_bloch_matrix():
+    # every defect word of the fast Q = 25 butterfly, and all short words
+    words = {
+        "".join(w) for n in (1, 2, 3) for w in itertools.product("01", repeat=n)
+    }
+    for q in range(1, 26):
+        for p in range(q + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            r = F(p, q)
+            for side in ("plus", "minus"):
+                if (side, r) not in (("plus", 1), ("minus", 0)):
+                    words.add(sk_words(approach_digits(r, side) + (FAST_K,))[-1])
+    for V in (V5, F(1, 2), F(-3)):
+        for word in words:
+            zeros = floquet_zeros(word, V)
+            assert len(zeros) == len(word)
+            assert np.max(np.abs(np.array(zeros) - dense_bloch_zeros(word, V))) < 1e-10
+
+
+def test_floquet_zeros_needs_a_reflection_of_the_cyclic_word():
+    with pytest.raises(PreconditionError):
+        floquet_zeros("001011", V5)
 
 
 def test_membership_examples():
