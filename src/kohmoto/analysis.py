@@ -539,7 +539,7 @@ def _fast_defects(r: Fraction, side: str, V: Fraction, base_bands) -> list[float
 
 # Caps on Q by backend, from measured cost at V = 5 on a 2-core machine: the
 # fast backend takes 8-9 s at Q = 60 and 11 s at Q = 64, the certified one
-# 37 s at Q = 16 (rows grow like Q^2, and each costs more with q).
+# 12 s at Q = 16 (rows grow like Q^2, and each costs more with q).
 MAX_Q = {"fast": 64, "certified": 16}
 
 

@@ -112,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     s_def.add_argument("--side", choices=["plus", "minus"], required=True)
     s_def.add_argument("--V", required=True)
     s_def.add_argument("--tol", default="1e-9")
-    s_def.add_argument("--kmax", type=int, default=64)
     add_common(s_def, "json")
     s_mem = ssub.add_parser("member", help="exact membership test for a rational energy")
     s_mem.add_argument("--E", required=True)
@@ -282,7 +281,7 @@ def _run(args: argparse.Namespace) -> None:
             payload = spec.to_json_obj() if fmt == "json" else _spectrum_text(spec)
         elif subcmd == "defects":
             spec = spectra.defect_spectrum(
-                _parse_rational(args.r), args.side, V, _parse_tol(args.tol), kcap=args.kmax
+                _parse_rational(args.r), args.side, V, _parse_tol(args.tol)
             )
             payload = spec.to_json_obj() if fmt == "json" else _spectrum_text(spec)
         else:  # member

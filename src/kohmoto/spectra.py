@@ -8,8 +8,15 @@ by floating eigenvalue estimates: exact sign changes across as many cells as
 a Sturm count over exact integers finds.  Bisection only splits the two
 edges of a band narrower than a cell, or isolates the edges when the
 estimates do not certify.
-One-sided limit spectra add exactly q isolated eigenvalues, enclosed by the
-nested escaping bands of continued-fraction approximants.
+One-sided limit spectra add exactly q isolated eigenvalues.  With
+(t_v, t_u, t_uv) the traces of the last two words of the approach string and
+of their one-step extension, set P = t_u t_v - 2 t_uv, G+- = P -+ |V| t_v and
+D = t_u^2 - (V^2 + 4).  The trace-map invariant
+t_u^2 + t_v^2 + t_uv^2 - t_u t_v t_uv - 4 = V^2 gives G+ G- = D (t_v^2 - 4),
+so the points of the upper and the lower limit together are the 2q simple
+roots of D, isolated like band edges.  A root is a point of the chosen side
+when P = sign(t_u) |V| t_v there; this is certified by showing the other
+factor non-zero on the root's enclosure with a Lipschitz bound.
 """
 
 from __future__ import annotations
@@ -24,7 +31,14 @@ import numpy as np
 from .errors import DegeneracyError, PreconditionError, PrecisionError
 from .farey import as_fraction, cf_forms, check_rotation, format_rational, over_common_denominator
 from .polyring import RP, ring_elements
-from .rootfind import RootEnclosure, compare_roots, isolate_roots, separate
+from .rootfind import (
+    RootEnclosure,
+    _eval_homogeneous,
+    compare_roots,
+    isolate_roots,
+    separate,
+    sign_at,
+)
 from .words import Configuration, period_word, sk_words
 
 # ---------------------------------------------------------------------------
@@ -399,54 +413,109 @@ def approach_digits(r, side: str) -> tuple[int, ...]:
     return short if (side == "plus") == (n % 2 == 0) else long
 
 
-# Cap on the approximant index k of the defect and certificate loops: the
+# Cap on the approximant index k of the optimality and measure loops: the
 # approximant trace degree grows with k.
 MAX_K = 64
 
 
+def floquet_defect_estimates(word: str, V) -> list[float]:
+    """Floating estimates of the 2q roots of t^2 = V^2 + 4: eigenvalues of
+    the one-period operator with Bloch multiplier +-lam, lam + 1/lam =
+    sqrt(V^2 + 4).  Used only to seed certified isolation."""
+    q = len(word)
+    v = float(as_fraction(V))
+    lam = (np.sqrt(v * v + 4) + abs(v)) / 2
+    out = []
+    for mult in (lam, -lam):
+        m = np.diag([v * int(ch) for ch in word])
+        for i in range(q - 1):
+            m[i, i + 1] += 1.0
+            m[i + 1, i] += 1.0
+        m[q - 1, 0] += mult
+        m[0, q - 1] += 1 / mult
+        out.extend(float(x) for x in np.linalg.eigvals(m).real)
+    return out
+
+
+def _certified_nonzero(g: RP, lo: Fraction, hi: Fraction) -> bool:
+    """True when g has no root in [lo, hi]: |g(mid)| exceeds the bound
+    sum_k k |c_k| R^(k-1) * width/2 on |g(x) - g(mid)|, R = max(|lo|, |hi|).
+    An exact enclosure [x, x] is decided by g(x) itself.
+
+    With lo = a/d and hi = b/d, both sides are scaled by (2d)^n, n = deg g,
+    so the test runs on integers."""
+    c = g.num
+    if lo == hi:
+        return sign_at(c, lo.numerator, lo.denominator) != 0
+    [(a, b)], d = over_common_denominator([(lo, hi)])
+    n = len(c) - 1
+    slope = [k * abs(ck) for k, ck in enumerate(c)][1:] or [0]
+    bound = _eval_homogeneous(slope, max(abs(a), abs(b)), d)  # d^(n-1) * sum
+    return 2 * abs(_eval_homogeneous(c, a + b, 2 * d)) > bound * (b - a) << n
+
+
+# Cap on the halvings that decide which side a root of t_u^2 - V^2 - 4
+# belongs to.
+MAX_SIDE_HALVINGS = 256
+
+
 @functools.lru_cache(maxsize=128)
-def defect_spectrum(r, side: str, V, tol, kcap: int = MAX_K) -> Spectrum:
+def defect_spectrum(r, side: str, V, tol) -> Spectrum:
     """Spectrum of the one-sided limit operator: the periodic bands plus
     exactly q isolated eigenvalues, one in each bounded spectral gap and one
     in an unbounded gap (above the bands for the upper limit, below for the
-    lower), each enclosed to width <= tol by nested escaping bands."""
+    lower), each enclosed to width <= tol.
+
+    With (t_v, t_u, t_uv) the last trace triple of the approach string, the
+    gap energies that are eigenvalues of u^inf v . u^inf are those where
+    P = t_u t_v - 2 t_uv equals sign(t_u) |V| t_v.  The trace-map invariant
+    t_u^2 + t_v^2 + t_uv^2 - t_u t_v t_uv - 4 = V^2 gives the identity
+    G+ G- = D (t_v^2 - 4) for G+- = P -+ |V| t_v and D = t_u^2 - V^2 - 4,
+    checked exactly here, so the q points of both sides together are the
+    2q simple roots of D.  A root belongs to this side when, with s the
+    exact sign of t_u across its enclosure, G_-s is certified non-zero on
+    the enclosure (so G_s vanishes at the root), and to the other side when
+    G_s is; undecided enclosures are halved."""
     r = check_rotation(as_fraction(r))
     V = as_fraction(V)
     tol = _check_tol(tol)
     if V == 0:
         raise PreconditionError("defect spectra require a non-zero coupling")
-    if kcap > MAX_K:
-        raise PreconditionError(f"kmax must be <= {MAX_K}")
-    digits = approach_digits(r, side)
+    t_v, t_u, t_uv = trace_triples(approach_digits(r, side), V)[-1]
+    q = r.denominator
     base = spectrum_periodic(r, V, tol)
-    root_tol = tol / 4
-    best_k, widths = None, []
-    gen = extension_traces(digits, V)
-    k_next = 1
-    type_b = []
-    for k, t in gen:
-        if k != k_next:
-            continue
-        approx = spectrum_from_trace(
-            t, root_tol, word=sk_words(digits + (k,))[-1], V=V
-        )
-        _, type_b, rels = _split_escaping(approx, base)
-        widths = [b.hi - a.lo for a, b in type_b]
-        if all(w <= tol for w in widths) and all(rel == "outside" for rel in rels):
-            best_k = k
-            break
-        if 2 * k_next > kcap:
-            break
-        k_next = 2 * k_next
-    if best_k is None:
-        raise PrecisionError(
-            f"defect certification at {format_rational(r)}{'+' if side == 'plus' else '-'} "
-            f"did not converge by k = {k_next} (cap {kcap}); "
-            f"widths {[float(w) for w in widths]}"
-        )
-    points = tuple((a.lo, b.hi) for a, b in type_b)
-    _check_point_placement(base, points, above=(side == "plus") == (V > 0))
-    return Spectrum(base.bands, points, tol)
+    P = t_u * t_v - 2 * t_uv
+    D = t_u * t_u - (V * V + 4)
+    g_plus, g_minus = P - abs(V) * t_v, P + abs(V) * t_v
+    if g_plus * g_minus != D * (t_v * t_v - 4):
+        raise PrecisionError("trace-map invariant fails for the defect traces")
+    roots = isolate_roots(
+        D.int_poly(), guide=floquet_defect_estimates(period_word(r), V), width=tol
+    )
+    if len(roots) != 2 * q:
+        raise PrecisionError(f"t^2 = V^2 + 4 has {len(roots)} roots, wanted {2 * q}")
+    points = []
+    for enc in roots:
+        enc = enc.refined(tol)
+        for _ in range(MAX_SIDE_HALVINGS):
+            s = sign_at(t_u.num, enc.lo.numerator, enc.lo.denominator)
+            if s != 0 and s == sign_at(t_u.num, enc.hi.numerator, enc.hi.denominator):
+                g_same, g_other = (g_plus, g_minus) if s > 0 else (g_minus, g_plus)
+                if _certified_nonzero(g_other, enc.lo, enc.hi):
+                    points.append((enc.lo, enc.hi))
+                    break
+                if _certified_nonzero(g_same, enc.lo, enc.hi):
+                    break
+            if enc.is_exact():
+                raise PrecisionError("G+ and G- both vanish at an exact defect root")
+            enc = enc.refined(enc.width / 2)
+        else:
+            raise PrecisionError(
+                f"side of a defect root at {format_rational(r)} not decided "
+                f"after {MAX_SIDE_HALVINGS} halvings"
+            )
+    _check_point_placement(base, tuple(points), above=(side == "plus") == (V > 0))
+    return Spectrum(base.bands, tuple(points), tol)
 
 
 def _check_point_placement(base: Spectrum, points, above: bool) -> None:

@@ -1,0 +1,42 @@
+"""The approximant enclosure of defect eigenvalues, kept as a test oracle
+for `spectra.defect_spectrum`.
+
+Extending the approach string of a one-sided limit by a digit k gives
+approximants whose bands, apart from those inside the periodic spectrum,
+escape onto the q defect points as k grows.  k doubles until every
+escaping band is at most tol wide and disjoint from the periodic spectrum,
+and the escaping bands are the point enclosures."""
+
+from __future__ import annotations
+
+from kohmoto.errors import PrecisionError
+from kohmoto.spectra import (
+    MAX_K,
+    _check_point_placement,
+    _split_escaping,
+    approach_digits,
+    extension_traces,
+    spectrum_from_trace,
+    spectrum_periodic,
+)
+from kohmoto.words import sk_words
+
+
+def approximant_defect_points(r, side: str, V, tol) -> tuple:
+    """The q defect point enclosures of the one-sided limit of r, from the
+    escaping bands of approximants k = 1, 2, 4, ... up to MAX_K."""
+    digits = approach_digits(r, side)
+    base = spectrum_periodic(r, V, tol)
+    k_next = 1
+    for k, t in extension_traces(digits, V):
+        if k != k_next:
+            continue
+        approx = spectrum_from_trace(t, tol / 4, word=sk_words(digits + (k,))[-1], V=V)
+        _, escaping, rels = _split_escaping(approx, base)
+        if all(b.hi - a.lo <= tol for a, b in escaping) and all(rel == "outside" for rel in rels):
+            points = tuple((a.lo, b.hi) for a, b in escaping)
+            _check_point_placement(base, points, above=(side == "plus") == (V > 0))
+            return points
+        if 2 * k_next > MAX_K:
+            raise PrecisionError(f"approximants did not converge by k = {k_next}")
+        k_next *= 2

@@ -69,12 +69,14 @@ def test_tree_commands():
 def test_exit_codes():
     run("farey", "dist", "bogus", "1/7", expect=2)
     run("analyze", "optimality", "--r", "1/2", "--side", "plus", "--V", "2", expect=4)
-    run("spectrum", "defects", "--r", "7/9", "--side", "plus", "--V", "5",
-        "--tol", "1e-40", "--kmax", "1", expect=3)
+    out = run("spectrum", "defects", "--r", "7/9", "--side", "plus", "--V", "5",
+              "--tol", "1e-40", "--format", "json")
+    assert len(json.loads(out)["result"]["points"]) == 9
     run("spectrum", "bands", "--r", "1/2", "--V", "0", expect=2)
     run("butterfly", "--Q", "2", "--V", "5", "--fast", "--threads", "2", expect=2)
     # inputs that can blow up time or memory are capped
     run("tree", "show", "--depth", "17", expect=2)
+    # spectrum defects has no --kmax any more
     run("spectrum", "defects", "--r", "2/3", "--side", "plus", "--V", "5", "--kmax", "65", expect=2)
     run("analyze", "optimality", "--r", "2/3", "--side", "minus", "--V", "5", "--kmax", "65", expect=2)
     run("analyze", "measures", "--r", "0", "--V", "5", "--kmax", "65", expect=2)
@@ -92,6 +94,27 @@ def test_exit_codes():
         env=env,
     )
     assert proc.returncode == 2
+    # root isolation that loses one root of t^2 = V^2 + 4 (degree 6 at 2/3;
+    # the band edges have degree 3) must surface as a certification failure
+    code = (
+        "import sys\n"
+        "from kohmoto import cli, spectra\n"
+        "isolate = spectra.isolate_roots\n"
+        "def short(p, **kw):\n"
+        "    roots = isolate(p, **kw)\n"
+        "    return roots[:-1] if len(roots) == 6 else roots\n"
+        "spectra.isolate_roots = short\n"
+        "sys.exit(cli.main(['spectrum', 'defects', '--r', '2/3', '--side', 'plus', '--V', '5']))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(env, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 3, (proc.returncode, proc.stderr)
+    assert "wanted 6" in proc.stderr
 
 
 def test_idempotent_bytes():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from kohmoto.analysis import FAST_K
-from kohmoto.errors import DegeneracyError, PreconditionError
+from kohmoto.errors import DegeneracyError, PreconditionError, PrecisionError
 from kohmoto.farey import cf_forms
 from kohmoto.polyring import RP, ring_elements
 from kohmoto.rootfind import compare_roots
@@ -33,6 +33,7 @@ from kohmoto.spectra import (
 )
 from kohmoto.words import Configuration, defect_config, period_word, sk_words
 
+from defect_oracle import approximant_defect_points
 from set_helpers import certainly_disjoint_triple, covers_at_resolution, union
 
 V5 = F(5)
@@ -379,7 +380,8 @@ def test_negative_coupling_mirrors_positive():
 
 
 def test_defect_spectrum_small_coupling():
-    # the escaping-band construction also certifies V <= 4 (k grows instead)
+    # the roots of t^2 = V^2 + 4 need no large coupling, unlike the
+    # approximant enclosures of the optimality certificate (V > 4)
     spec = defect_spectrum(F(1, 2), "plus", F(1, 2), F(1, 10**4))
     assert len(spec.points) == 2
     evs = finite_section_eigs(defect_config(F(1, 2), "plus"), F(1, 2), 2001)
@@ -389,6 +391,138 @@ def test_defect_spectrum_small_coupling():
     assert len(gap_evs) == 2
     for (lo, hi), ev in zip(spec.points, gap_evs):
         assert float(lo) - 1e-4 <= ev <= float(hi) + 1e-4
+
+
+def _points_bracket_defect_roots(spec, r, V):
+    """Each point is at most tol wide and brackets a sign change of
+    t(E)^2 - (V^2 + 4), with t the trace over the mechanical word of r,
+    computed by an integer transfer product with site matrices
+    [[E - V a, -1], [1, 0]] scaled by L = den(E) den(V)."""
+    p, q = r.numerator, r.denominator
+    word = [((n + 1) * p) // q - (n * p) // q for n in range(q)]
+
+    def disc_sign(E):
+        L = E.denominator * V.denominator
+        d0 = E.numerator * V.denominator
+        d1 = d0 - V.numerator * E.denominator
+        m00, m01, m10, m11 = 1, 0, 0, 1
+        for a in word:
+            d = d1 if a else d0
+            m00, m01, m10, m11 = d * m00 - L * m10, d * m01 - L * m11, L * m00, L * m01
+        tr = m00 + m11
+        v = (tr * V.denominator) ** 2 - (V.numerator**2 + 4 * V.denominator**2) * L ** (2 * q)
+        return (v > 0) - (v < 0)
+
+    assert len(spec.points) == q
+    for lo, hi in spec.points:
+        assert hi - lo <= spec.tol
+        assert disc_sign(lo) * disc_sign(hi) <= 0
+
+
+def _one_sided_points(max_q):
+    for q in range(1, max_q + 1):
+        for p in range(q + 1):
+            if math.gcd(p, q) == 1:
+                for side in ("plus", "minus"):
+                    if not (p == 0 and side == "minus" or p == q and side == "plus"):
+                        yield F(p, q), side
+
+
+def test_defect_identity_with_symbolic_coupling():
+    # P^2 - V^2 t_v^2 = (t_u^2 - V^2 - 4)(t_v^2 - 4) for P = t_u t_v - 2 t_uv,
+    # from the trace-map invariant, for every approach string with q <= 13
+    _, Vs, _ = ring_elements(None)
+    cases = list(_one_sided_points(13))
+    assert len(cases) == 116
+    for r, side in cases:
+        t_v, t_u, t_uv = trace_triples(approach_digits(r, side), None)[-1]
+        P = t_u * t_v - 2 * t_uv
+        assert P * P - Vs * Vs * t_v * t_v == (t_u * t_u - Vs * Vs - 4) * (t_v * t_v - 4)
+
+
+def test_defect_points_match_approximant_oracle():
+    for V in (V5, F(2), F(-3), F(13, 2)):
+        for r, side in _one_sided_points(8):
+            spec = defect_spectrum(r, side, V, TOL6)
+            oracle = approximant_defect_points(r, side, V, TOL6)
+            assert len(spec.points) == len(oracle)
+            for (lo, hi), (olo, ohi) in zip(spec.points, oracle):
+                assert lo <= ohi and olo <= hi
+            _points_bracket_defect_roots(spec, r, V)
+
+
+def test_certified_nonzero_needs_the_slope_bound():
+    from kohmoto.spectra import _certified_nonzero
+
+    g = RP.from_fractions([F(-1, 3), 1])  # root at 1/3
+    assert not _certified_nonzero(g, F(0), F(1, 2))  # g(1/4) != 0, but 1/3 is inside
+    assert _certified_nonzero(g, F(1, 2), F(1))
+    assert not _certified_nonzero(g, F(1, 3), F(1, 3))
+    assert _certified_nonzero(g, F(1, 2), F(1, 2))
+    h = RP.from_fractions([F(1, 100), 0, -1])  # roots at +-1/10
+    assert not _certified_nonzero(h, F(-1, 2), F(-1, 16))
+    assert _certified_nonzero(h, F(-1, 16), F(1, 16))
+
+
+def test_defect_spectrum_checks_the_trace_invariant(monkeypatch):
+    from kohmoto import spectra
+
+    real = spectra.trace_triples
+
+    def skewed(digits, V):
+        *head, (t_v, t_u, t_uv) = real(digits, V)
+        return [*head, (t_v, t_u, t_uv + 1)]
+
+    monkeypatch.setattr(spectra, "trace_triples", skewed)
+    with pytest.raises(PrecisionError, match="invariant"):
+        spectra.defect_spectrum.__wrapped__(F(2, 3), "plus", V5, TOL6)
+
+
+def test_defect_spectrum_without_float_guides(monkeypatch):
+    # the guides only place grid cells: without them Sturm bisection
+    # isolates the roots, and the points are refined to the same tolerance
+    from kohmoto import spectra
+
+    for r, side in ((F(2, 3), "plus"), (F(3, 5), "minus")):
+        guided = defect_spectrum(r, side, V5, TOL6)
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "floquet_defect_estimates", lambda word, V: [])
+            bisected = spectra.defect_spectrum.__wrapped__(r, side, V5, TOL6)
+        _points_bracket_defect_roots(bisected, r, V5)
+        for (lo, hi), (glo, ghi) in zip(bisected.points, guided.points):
+            assert lo <= ghi and glo <= hi
+
+
+def test_defect_points_at_rational_square_roots():
+    # sqrt(V^2 + 4) is rational, so t^2 - V^2 - 4 factors over Q and a grid
+    # point can be a root: at 0+ with V = 3/2 the point is exactly 5/2
+    exact = 0
+    for V in (F(3, 2), F(-3, 2), F(8, 3)):
+        for r, side in _one_sided_points(6):
+            spec = defect_spectrum(r, side, V, TOL6)
+            _points_bracket_defect_roots(spec, r, V)
+            exact += sum(lo == hi for lo, hi in spec.points)
+    assert defect_spectrum(F(0), "plus", F(3, 2), TOL6).points == ((F(5, 2), F(5, 2)),)
+    assert exact > 1
+
+
+def test_defect_spectrum_small_coupling_against_finite_sections():
+    V, tol = F(1, 2), TOL9
+    for r in (F(1, 2), F(2, 5), F(5, 8)):
+        base = spectrum_periodic(r, V, tol)
+        bands = [(float(lo.lo), float(hi.hi)) for lo, hi in base.bands]
+        for side in ("plus", "minus"):
+            spec = defect_spectrum(r, side, V, tol)
+            _points_bracket_defect_roots(spec, r, V)
+            vals, edge_mass = finite_section_modes(defect_config(r, side), V, 2001)
+            gap_evs = [
+                v
+                for v, m in zip(vals, edge_mass)
+                if m < 0.2 and not any(lo <= v <= hi for lo, hi in bands)
+            ]
+            assert len(gap_evs) == r.denominator
+            for (lo, hi), ev in zip(spec.points, gap_evs):
+                assert float(lo) - 1e-8 <= ev <= float(hi) + 1e-8
 
 
 def test_finite_section_free_laplacian():
