@@ -16,6 +16,7 @@ from .farey import (
     as_fraction,
     as_point,
     cf_eval,
+    cf_forms,
     check_rotation,
     farey_distance,
     format_rational,
@@ -280,7 +281,7 @@ class MeasureReport:
         }
 
 
-def measure_experiments(r, V, Kmax: int, tol=Fraction(1, 10**9), form: str = "short") -> MeasureReport:
+def measure_experiments(r, V, Kmax: int, tol=Fraction(1, 10**9)) -> MeasureReport:
     """Tabulates the overlap measure with the k-th approximant; for V > 4
     additionally certifies that consecutive overlaps fit inside the base
     measure and flags the rows below half of it."""
@@ -290,9 +291,7 @@ def measure_experiments(r, V, Kmax: int, tol=Fraction(1, 10**9), form: str = "sh
         raise PreconditionError("measure experiments need a non-zero coupling")
     if not 0 <= Kmax <= MAX_K:
         raise PreconditionError(f"Kmax must be between 0 and {MAX_K}")
-    from .farey import cf_forms
-
-    digits = cf_forms(r)[0 if form == "short" else 1]
+    digits = cf_forms(r)[0]
     base = EnclosedSet.from_spectrum(spectrum_periodic(r, V, tol))
     mu = base.measure()
     rows = []

@@ -43,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, fmt_default="text"):
-        sp.add_argument("--format", choices=["text", "json", "csv", "svg"], default=fmt_default)
+    def add_common(sp, fmt_default="text", formats=("text", "json")):
+        sp.add_argument("--format", choices=formats, default=fmt_default)
         sp.add_argument("--out", "-o", default=None, help="output path (default stdout)")
 
     farey = sub.add_parser("farey", help="Farey arithmetic and the Farey metric")
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     bf.add_argument("--tol", default="1e-6")
     bf.add_argument("--fast", action="store_true", help="uncertified floating backend")
     bf.add_argument("--no-defects", action="store_true")
-    add_common(bf, "csv")
+    add_common(bf, "csv", ("text", "json", "csv", "svg"))
     return p
 
 
@@ -173,8 +173,6 @@ def canonical_invocation(args: argparse.Namespace) -> str:
 
 
 def emit(payload, fmt: str, invocation: str, out_path) -> None:
-    if fmt in ("csv", "svg") and not isinstance(payload, str):
-        raise PreconditionError(f"{fmt} output is not available for this command")
     if fmt == "json":
         body = json.dumps({"invocation": invocation, "result": payload}, indent=2, sort_keys=True)
         text = body + "\n"

@@ -135,19 +135,6 @@ def cf_forms(r) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # Farey neighbors
 
 
-def farey_set(m: int) -> list[Fraction]:
-    """All m-Farey numbers, sorted (brute-force; used by small drivers and
-    test oracles)."""
-    if m < 1:
-        raise PreconditionError("Farey level must be >= 1")
-    out = {ZERO, ONE}
-    for q in range(2, m + 1):
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                out.add(Fraction(p, q))
-    return sorted(out)
-
-
 def _q_neighbors_cf(r: Fraction) -> tuple[Fraction, Fraction]:
     """Neighbors of r in F_q (q the denominator of r), read off the long
     continued fraction by truncation."""
@@ -178,31 +165,6 @@ def farey_neighbors(r, m: int) -> tuple[Optional[Fraction], Optional[Fraction]]:
         return Fraction(m - 1, m), None
     lower, upper = _q_neighbors_cf(r)
     return _cascade(lower, r, m), _cascade(upper, r, m)
-
-
-def farey_neighbors_stern_brocot(r, m: int) -> tuple[Optional[Fraction], Optional[Fraction]]:
-    """Same contract as farey_neighbors, via a Stern-Brocot walk."""
-    r = check_rotation(as_fraction(r))
-    if m < 1 or r.denominator > m:
-        raise PreconditionError(f"{format_rational(r)} is not an {m}-Farey number")
-    if r == 0:
-        return None, Fraction(1, m)
-    if r == 1:
-        return Fraction(m - 1, m), None
-    lo, hi = ZERO, ONE
-    while True:
-        mid = mediant(lo, hi)
-        if mid == r:
-            break
-        if mid < r:
-            lo = mid
-        else:
-            hi = mid
-    while lo.denominator + r.denominator <= m:
-        lo = mediant(lo, r)
-    while hi.denominator + r.denominator <= m:
-        hi = mediant(hi, r)
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 RP: univariate polynomials in the energy E over the rationals, stored as
 integer coefficients with one common positive denominator (fast exact
-convolutions).  VP/BP: integer polynomials in the coupling V, and
-E-polynomials with VP coefficients, for identities checked with symbolic V.
+convolutions).  Ints and Fractions coerce to constant polynomials, so
+trace recursions mix them freely with RP values.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class RP:
     def const(c) -> "RP":
         c = Fraction(c)
         return RP([c.numerator], c.denominator)
-
-    @staticmethod
-    def linear(c0, c1) -> "RP":
-        return RP.from_fractions([c0, c1])
 
     def degree(self) -> int:
         return len(self.num) - 1
@@ -133,162 +129,3 @@ class RP:
 
     def __repr__(self):
         return f"RP({self.num}, {self.den})"
-
-
-class VP:
-    """Integer polynomial in the coupling variable V."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        self.c = _strip([int(x) for x in c] or [0])
-
-    def _coerce(self, other):
-        if isinstance(other, VP):
-            return other
-        if isinstance(other, int):
-            return VP([other])
-        return NotImplemented
-
-    def is_zero(self):
-        return self.c == [0]
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = [0] * max(len(self.c), len(other.c))
-        for i, x in enumerate(self.c):
-            out[i] += x
-        for i, x in enumerate(other.c):
-            out[i] += x
-        return VP(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return VP([-x for x in self.c])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.c, other.c
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return VP(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        return hash(tuple(self.c))
-
-    def __repr__(self):
-        return f"VP({self.c})"
-
-
-VP_ZERO = VP([0])
-VP_ONE = VP([1])
-VP_V = VP([0, 1])
-
-
-class BP:
-    """Polynomial in E whose coefficients are integer polynomials in V."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        c = [x if isinstance(x, VP) else VP([x]) for x in c] or [VP_ZERO]
-        while len(c) > 1 and c[-1].is_zero():
-            c.pop()
-        self.c = c
-
-    def _coerce(self, other):
-        if isinstance(other, BP):
-            return other
-        if isinstance(other, (int, VP)):
-            return BP([other])
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = [VP_ZERO] * max(len(self.c), len(other.c))
-        for i, x in enumerate(self.c):
-            out[i] = out[i] + x
-        for i, x in enumerate(other.c):
-            out[i] = out[i] + x
-        return BP(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BP([-x for x in self.c])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.c, other.c
-        out = [VP_ZERO] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x.is_zero():
-                for j, y in enumerate(b):
-                    if not y.is_zero():
-                        out[i + j] = out[i + j] + x * y
-        return BP(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        return hash(tuple(self.c))
-
-    def is_zero(self):
-        return len(self.c) == 1 and self.c[0].is_zero()
-
-    def __repr__(self):
-        return f"BP({self.c})"
-
-
-def ring_elements(V=None):
-    """(E, V-as-coefficient, const) constructors for a numeric coupling
-    (Fraction) or the symbolic one (V=None)."""
-    if V is None:
-        return BP([VP_ZERO, VP_ONE]), BP([VP_V]), lambda n: BP([VP([n])])
-    V = Fraction(V)
-    return RP.from_fractions([0, 1]), RP.const(V), lambda n: RP.const(n)

@@ -210,37 +210,29 @@ def _dyadic_exponent(x: Fraction) -> int:
 def isolate_roots(
     p: Sequence[int],
     guide: Optional[Sequence[float]] = None,
-    window: Optional[tuple[Fraction, Fraction]] = None,
     width: Optional[Fraction] = None,
 ) -> list[RootEnclosure]:
     """All real roots of a square-free integer polynomial as isolating
     intervals, sorted, that meet at most in a shared endpoint which is not
-    a root.  An optional window restricts the search to an open interval
-    with non-root endpoints.
+    a root.
 
-    One Sturm chain gives the number of roots in the window.  Floating
-    guesses (one per root) then place each root in a cell of a dyadic
-    grid whose spacing is at most width and at most a third of the
-    smallest gap between guesses; a sign change across each of as many
-    disjoint cells as there are roots certifies them all.  When the
-    guesses do not yield such cells, Sturm bisection over the window
-    isolates the roots instead."""
+    One Sturm chain gives the number of real roots.  Floating guesses (one
+    per root) then place each root in a cell of a dyadic grid whose
+    spacing is at most width and at most a third of the smallest gap
+    between guesses; a sign change across each of as many disjoint cells
+    as there are roots certifies them all.  When the guesses do not yield
+    such cells, Sturm bisection inside the Cauchy bound isolates the roots
+    instead."""
     p = primitive(p)
     if degree(p) == 0:
         return []
     chain = sturm_chain(p)
-    if window is None:
-        bound = Fraction(cauchy_bound(p))
-        lo_all, hi_all = -bound, bound
-        # every real root lies inside the Cauchy bound, so count at infinity
-        lead = [1 if q[-1] > 0 else -1 for q in chain]
-        at_minus = [-s if degree(q) % 2 else s for s, q in zip(lead, chain)]
-        total = _variations(at_minus) - _variations(lead)
-    else:
-        lo_all, hi_all = window
-        if any(_sign(p, x) == 0 for x in window):
-            raise PreconditionError("window endpoints must not be roots")
-        total = variations_at(chain, lo_all) - variations_at(chain, hi_all)
+    bound = Fraction(cauchy_bound(p))
+    lo_all, hi_all = -bound, bound
+    # every real root lies inside the Cauchy bound, so count at infinity
+    lead = [1 if q[-1] > 0 else -1 for q in chain]
+    at_minus = [-s if degree(q) % 2 else s for s, q in zip(lead, chain)]
+    total = _variations(at_minus) - _variations(lead)
     if total == 0:
         return []
     poly = tuple(p)
@@ -430,17 +422,7 @@ def compare_roots(a: RootEnclosure, b: RootEnclosure) -> int:
         if a_.is_exact() and b_.is_exact() and a_.lo == b_.lo:
             return 0
         if gchain is not None:
-            lo = min(a_.lo, b_.lo)
-            hi = max(a_.hi, b_.hi)
-            # the padded window shrinks with the enclosures, so it comes to
-            # exclude every other root of g
-            pad = (hi - lo) / (1 << 10)
-            lo_pt, hi_pt = lo - pad, hi + pad
-            while _sign(g, lo_pt) == 0:
-                lo_pt -= pad
-            while _sign(g, hi_pt) == 0:
-                hi_pt += pad
-            whole = count_roots(gchain, lo_pt, hi_pt)
+            whole = _count_padded(g, gchain, min(a_.lo, b_.lo), max(a_.hi, b_.hi))
             in_a = _count_roots_closed(g, gchain, a_)
             in_b = _count_roots_closed(g, gchain, b_)
             if whole == 1 and in_a == 1 and in_b == 1:
@@ -454,7 +436,14 @@ def compare_roots(a: RootEnclosure, b: RootEnclosure) -> int:
 def _count_roots_closed(g: IntPoly, gchain, enc: RootEnclosure) -> int:
     if enc.is_exact():
         return 1 if _sign(g, enc.lo) == 0 else 0
-    lo, hi = enc.lo, enc.hi
+    return _count_padded(g, gchain, enc.lo, enc.hi)
+
+
+def _count_padded(g: IntPoly, gchain, lo: Fraction, hi: Fraction) -> int:
+    """Roots of g in [lo, hi] padded by a 1024th of its width, each end
+    stepped outward off the roots of g.  The padding shrinks with the
+    interval, so a shrinking interval comes to exclude every root of g
+    outside it."""
     pad = (hi - lo) / (1 << 10)
     lo_pt, hi_pt = lo - pad, hi + pad
     while _sign(g, lo_pt) == 0:

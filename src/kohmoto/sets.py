@@ -6,18 +6,18 @@ containing exactly one isolated member whose exact position is unknown).
 Intersections, Lebesgue measure and the Hausdorff metric come out as
 certified rational enclosures.
 
-`directed_hausdorff` is the one distance routine; both ends of the
-`EnclosedSet.hausdorff` enclosure come from it.  For the directed distance
-from the true set A to the true set B, with w(B) the largest spot
-half-width of B (0 without spots):
+`_directed`, the directed Hausdorff distance dH(X, Y) = sup over X of the
+distance to Y between two sorted disjoint unions, is the one distance
+routine; both ends of the `EnclosedSet.hausdorff` enclosure come from it.
+For the directed distance from the true set A to the true set B, with w(B)
+the largest spot half-width of B (0 without spots):
 
-- upper: directed_hausdorff(A.outer, B.inner + spot midpoints of B) + w(B),
-  since A lies in A.outer and each spot's member lies within w(B) of the
-  spot's midpoint;
-- lower: the largest of directed_hausdorff(A.inner, B.outer) and, for each
-  spot of A, the distance from its midpoint to B.outer minus its own
-  half-width, since A holds A.inner and each spot's member, and B lies in
-  B.outer.
+- upper: dH(A.outer, B.inner + spot midpoints of B) + w(B), since A lies
+  in A.outer and each spot's member lies within w(B) of the spot's
+  midpoint;
+- lower: the largest of dH(A.inner, B.outer) and, for each spot of A,
+  the distance from its midpoint to B.outer minus its own half-width,
+  since A holds A.inner and each spot's member, and B lies in B.outer.
 
 Each end takes the larger value of the two directions.  The w(B) slack
 lets the upper end use one sweep against the spot midpoints.
@@ -79,8 +79,14 @@ def measure(intervals) -> Fraction:
 
 
 def _directed(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> int:
-    """`directed_hausdorff` on integer endpoints whose gap midpoints in b
-    are integers."""
+    """sup over the union a of the distance to the union b, on integer
+    endpoints whose gap midpoints in b are integers.
+
+    Both are sorted disjoint unions, as `normalize` returns them.  On each
+    interval of a the distance to b peaks at an endpoint or at the midpoint
+    of a gap of b.  Bisection finds the intervals of b next to each
+    candidate, so the cost is O((n + m) log m) and nothing is built per
+    candidate."""
 
     def dist(x: int, i: int) -> int:
         # b[i] is the first interval of b starting after x
@@ -101,30 +107,6 @@ def _directed(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> int
             if lo <= mid <= hi:
                 best = max(best, mid - b[g][1])
     return best
-
-
-def directed_hausdorff(a, b) -> Fraction:
-    """sup over the union a of the distance to the union b, exactly.
-
-    Both are sorted disjoint unions, as `normalize` returns them.  On each
-    interval of a the distance to b peaks at an endpoint or at the midpoint
-    of a gap of b.  Bisection finds the intervals of b next to each
-    candidate, so the cost is O((n + m) log m) and nothing is built per
-    candidate."""
-    if not a:
-        return Fraction(0)
-    if not b:
-        raise PreconditionError("directed distance to an empty set")
-    ends, d = over_common_denominator([*a, *b], 4)
-    return Fraction(_directed(ends[: len(a)], ends[len(a) :]), d)
-
-
-def hausdorff_exact(a, b) -> Fraction:
-    """Hausdorff distance of two non-empty unions of closed intervals."""
-    a, b = normalize(a), normalize(b)
-    if not a or not b:
-        raise PreconditionError("Hausdorff distance needs non-empty sets")
-    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
 @dataclass(frozen=True)

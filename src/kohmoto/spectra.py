@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegeneracyError, PreconditionError, PrecisionError
 from .farey import as_fraction, cf_forms, check_rotation, format_rational, over_common_denominator
-from .polyring import RP, ring_elements
+from .polyring import RP
 from .rootfind import (
     RootEnclosure,
     _eval_homogeneous,
@@ -45,11 +45,9 @@ from .words import Configuration, period_word, sk_words
 # Transfer-matrix traces
 
 
-def _site_matrix(letter: str, E, Vc, const):
+def _site_matrix(letter: str, E, Vc):
     # A(a) = [[E - V*a, -1], [1, 0]]
-    if letter == "0":
-        return [[E, const(-1)], [const(1), const(0)]]
-    return [[E - Vc, const(-1)], [const(1), const(0)]]
+    return [[E if letter == "0" else E - Vc, -1], [1, 0]]
 
 
 def trace_poly(word: str, V) -> RP:
@@ -59,44 +57,52 @@ def trace_poly(word: str, V) -> RP:
         raise PreconditionError("transfer product needs a non-empty word")
     if set(word) - {"0", "1"}:
         raise PreconditionError(f"word {word!r} is not over {{0,1}}")
-    V = as_fraction(V)
-    E, Vc, const = ring_elements(V)
-    m = _site_matrix(word[0], E, Vc, const)
+    E, Vc = RP([0, 1]), RP.const(as_fraction(V))
+    m = _site_matrix(word[0], E, Vc)
     for letter in word[1:]:
-        a = _site_matrix(letter, E, Vc, const)
+        a = _site_matrix(letter, E, Vc)
         m = [
             [a[0][0] * m[0][0] + a[0][1] * m[1][0], a[0][0] * m[0][1] + a[0][1] * m[1][1]],
             [a[1][0] * m[0][0] + a[1][1] * m[1][0], a[1][0] * m[0][1] + a[1][1] * m[1][1]],
         ]
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if det != const(1):
+    if det != 1:
         raise PrecisionError("transfer product determinant is not 1")
     return m[0][0] + m[1][1]
 
 
-def _power_trace(A, B, C, e: int, const):
+def _power_trace(A, B, C, e: int):
     """tr(P M^e) from A = tr P, B = tr M, C = tr(P M), for e >= 0."""
-    lo, hi = const(-1), const(0)
+    lo, hi = -1, 0
     for _ in range(e):
         lo, hi = hi, B * hi - lo
     return hi * C - lo * A
 
 
-def trace_triples(digits, V) -> list[tuple]:
+def trace_triples(digits, V) -> list[tuple[RP, RP, RP]]:
     """Trace triples (prev, current, one-step-extension) along the prefixes
-    of a continued-fraction string; V = None runs with symbolic coupling."""
+    of a continued-fraction string, as polynomials in the energy at a
+    rational coupling.  The recursion is `_trace_triples`, which takes the
+    energy and the coupling as ring elements: that is the seam where the
+    tests pass a symbolic coupling."""
+    return _trace_triples(digits, RP([0, 1]), RP.const(as_fraction(V)))
+
+
+def _trace_triples(digits, E, Vc) -> list[tuple]:
+    """The recursion of `trace_triples` over any ring that holds the energy
+    E and the coupling Vc and coerces integer constants.  The tests run it
+    over Z[V][E] to check the trace-map invariant for every coupling."""
     digits = tuple(int(d) for d in digits)
     if len(digits) < 2 or digits[0] != 0 or digits[1] != 0 or any(d < 1 for d in digits[2:]):
         raise PreconditionError(
             f"trace chain needs a continued fraction of a value in [0,1], got {digits}"
         )
-    E, Vc, const = ring_elements(V)
-    A, B, C = E - Vc, E, E * E - Vc * E - const(2)
+    A, B, C = E - Vc, E, E * E - Vc * E - 2
     out = [(A, B, C)]
     for i, d in enumerate(digits[2:]):
         e = d - 1 if i == 0 else d
-        nb = _power_trace(A, B, C, e, const)
-        nc = _power_trace(A, B, C, e + 1, const)
+        nb = _power_trace(A, B, C, e)
+        nc = _power_trace(A, B, C, e + 1)
         A, B, C = B, nb, nc
         out.append((A, B, C))
     return out
@@ -118,12 +124,10 @@ def extension_traces(digits, V) -> Iterator[tuple[int, RP]]:
     Incremental in k; extending the bare string for the value 0 uses the
     first-digit exponent convention."""
     digits = tuple(int(d) for d in digits)
-    V = as_fraction(V)
-    E, Vc, const = ring_elements(V)
     A, B, C = trace_triples(digits, V)[-1]
     first_slot = len(digits) == 2
     # exponent for appended digit k is k-1 in the first slot, else k
-    lo, hi = const(-1), const(0)  # (S_{e-2}, S_{e-1}) at e = 0
+    lo, hi = -1, 0  # (S_{e-2}, S_{e-1}) at e = 0
     e = 0
     k = 0
     while True:
@@ -173,23 +177,27 @@ def _check_tol(tol) -> Fraction:
     return tol
 
 
+def _bloch_matrix(word: str, v: float, mult: float) -> np.ndarray:
+    """The one-period operator of a word with Bloch multiplier mult: the
+    corner from the last site back to the first carries mult, its partner
+    1/mult; one site holds both on the diagonal, added as one sum."""
+    q = len(word)
+    m = np.diag([v * int(ch) for ch in word])
+    i = np.arange(q - 1)
+    m[i, i + 1] = m[i + 1, i] = 1.0
+    if q == 1:
+        m[0, 0] += mult + 1 / mult
+    else:
+        m[q - 1, 0] += mult
+        m[0, q - 1] += 1 / mult
+    return m
+
+
 def floquet_edges(word: str, V, anti: bool) -> list[float]:
     """Floating band-edge estimates: eigenvalues of the one-period operator
     with periodic (trace = +2) or antiperiodic (trace = -2) closure.  Used
     only to seed certified isolation and the rendering backend."""
-    q = len(word)
-    v = float(as_fraction(V))
-    s = -1.0 if anti else 1.0
-    m = np.zeros((q, q))
-    for i, ch in enumerate(word):
-        m[i, i] = v * int(ch)
-    for i in range(q - 1):
-        m[i, i + 1] = m[i + 1, i] = 1.0
-    if q == 1:
-        m[0, 0] += 2 * s
-    else:
-        m[0, q - 1] += s
-        m[q - 1, 0] += s
+    m = _bloch_matrix(word, float(as_fraction(V)), -1.0 if anti else 1.0)
     return [float(x) for x in np.linalg.eigvalsh(m)]
 
 
@@ -422,18 +430,11 @@ def floquet_defect_estimates(word: str, V) -> list[float]:
     """Floating estimates of the 2q roots of t^2 = V^2 + 4: eigenvalues of
     the one-period operator with Bloch multiplier +-lam, lam + 1/lam =
     sqrt(V^2 + 4).  Used only to seed certified isolation."""
-    q = len(word)
     v = float(as_fraction(V))
     lam = (np.sqrt(v * v + 4) + abs(v)) / 2
     out = []
     for mult in (lam, -lam):
-        m = np.diag([v * int(ch) for ch in word])
-        for i in range(q - 1):
-            m[i, i + 1] += 1.0
-            m[i + 1, i] += 1.0
-        m[q - 1, 0] += mult
-        m[0, q - 1] += 1 / mult
-        out.extend(float(x) for x in np.linalg.eigvals(m).real)
+        out.extend(float(x) for x in np.linalg.eigvals(_bloch_matrix(word, v, mult)).real)
     return out
 
 
@@ -566,20 +567,3 @@ def finite_section_eigs(config: Configuration, V, N: int) -> list[float]:
     diag = np.array([v * int(config.at(n)) for n in range(-half, half + 1)])
     off = np.ones(N - 1)
     return list(eigh_tridiagonal(diag, off, eigvals_only=True))
-
-
-def finite_section_modes(config: Configuration, V, N: int, edge_frac: float = 0.05):
-    """Eigenvalues with the probability mass each eigenvector carries in the
-    outer edge_frac of the truncation window (to filter boundary modes)."""
-    from scipy.linalg import eigh_tridiagonal
-
-    if N < 3 or N % 2 == 0:
-        raise PreconditionError("finite section size must be odd and >= 3")
-    half = (N - 1) // 2
-    v = float(as_fraction(V))
-    diag = np.array([v * int(config.at(n)) for n in range(-half, half + 1)])
-    off = np.ones(N - 1)
-    vals, vecs = eigh_tridiagonal(diag, off)
-    m = max(1, int(edge_frac * N))
-    mass = (vecs[:m] ** 2).sum(axis=0) + (vecs[-m:] ** 2).sum(axis=0)
-    return list(vals), list(mass)

@@ -190,8 +190,8 @@ MAX_LISTING_DEPTH = 16
 def level_listing(depth: int) -> list[dict]:
     """Breadth-first listing of the tree to a depth, for the CLI; the
     listing has about 2^(depth + 1) rows, so the depth is capped."""
-    if depth > MAX_LISTING_DEPTH:
-        raise PreconditionError(f"listing depth must be <= {MAX_LISTING_DEPTH}")
+    if not 0 <= depth <= MAX_LISTING_DEPTH:
+        raise PreconditionError(f"listing depth must be between 0 and {MAX_LISTING_DEPTH}")
     rows = []
     frontier = [TreeNode.root()]
     for _ in range(depth + 1):

@@ -73,9 +73,6 @@ class Configuration:
             return v[n + len(v)]
         return u[(n + len(v)) % len(u)]
 
-    def window(self, lo: int, hi: int) -> str:
-        return "".join(self.at(n) for n in range(lo, hi + 1))
-
     def render(self) -> str:
         if self.is_periodic:
             return f"({self.period})^inf . ({self.period})^inf"
@@ -207,6 +204,8 @@ MAX_SUBWORD_LENGTH = 256
 
 
 def check_window(lo: int, hi: int) -> None:
+    if lo > hi:
+        raise PreconditionError("window must satisfy lo <= hi")
     if hi - lo + 1 > MAX_WINDOW:
         raise PreconditionError(f"window must hold at most {MAX_WINDOW} letters")
 

@@ -1,5 +1,5 @@
-"""The approximant enclosure of defect eigenvalues, kept as a test oracle
-for `spectra.defect_spectrum`.
+"""Test oracles for `spectra.defect_spectrum`: the approximant enclosure
+of the defect eigenvalues, and floating finite-section modes.
 
 Extending the approach string of a one-sided limit by a digit k gives
 approximants whose bands, apart from those inside the periodic spectrum,
@@ -9,7 +9,11 @@ and the escaping bands are the point enclosures."""
 
 from __future__ import annotations
 
-from kohmoto.errors import PrecisionError
+import numpy as np
+from scipy.linalg import eigh_tridiagonal
+
+from kohmoto.errors import PreconditionError, PrecisionError
+from kohmoto.farey import as_fraction
 from kohmoto.spectra import (
     MAX_K,
     _check_point_placement,
@@ -19,7 +23,7 @@ from kohmoto.spectra import (
     spectrum_from_trace,
     spectrum_periodic,
 )
-from kohmoto.words import sk_words
+from kohmoto.words import Configuration, sk_words
 
 
 def approximant_defect_points(r, side: str, V, tol) -> tuple:
@@ -40,3 +44,18 @@ def approximant_defect_points(r, side: str, V, tol) -> tuple:
         if 2 * k_next > MAX_K:
             raise PrecisionError(f"approximants did not converge by k = {k_next}")
         k_next *= 2
+
+
+def finite_section_modes(config: Configuration, V, N: int, edge_frac: float = 0.05):
+    """Eigenvalues of the N x N truncation centered at the origin, with the
+    probability mass each eigenvector carries in the outer edge_frac of the
+    window (to filter boundary modes)."""
+    if N < 3 or N % 2 == 0:
+        raise PreconditionError("finite section size must be odd and >= 3")
+    half = (N - 1) // 2
+    v = float(as_fraction(V))
+    diag = np.array([v * int(config.at(n)) for n in range(-half, half + 1)])
+    vals, vecs = eigh_tridiagonal(diag, np.ones(N - 1))
+    m = max(1, int(edge_frac * N))
+    mass = (vecs[:m] ** 2).sum(axis=0) + (vecs[-m:] ** 2).sum(axis=0)
+    return list(vals), list(mass)

@@ -13,18 +13,15 @@ from kohmoto.farey import (
     cf_eval,
     cf_forms,
     farey_distance,
-    farey_set,
 )
-from kohmoto.polyring import ring_elements
 from kohmoto.sets import EnclosedSet, lebesgue
 from kohmoto.spectra import (
     defect_spectrum,
     extension_traces,
+    _trace_triples,
     finite_section_eigs,
-    finite_section_modes,
     spectrum_from_trace,
     spectrum_periodic,
-    trace_triples,
 )
 from kohmoto.tree import boundary_distance, path_of
 from kohmoto.words import (
@@ -38,6 +35,9 @@ from kohmoto.words import (
 )
 from kohmoto.farey import QuadraticIrrational
 
+import symbolic_ring
+from defect_oracle import finite_section_modes
+from farey_helpers import farey_set
 from set_helpers import certainly_disjoint_triple
 
 V5 = F(5)
@@ -250,16 +250,16 @@ def test_criterion_08_essential_spectrum():
 
 def test_criterion_09_fricke_invariant():
     t0 = time.time()
-    E, Vc, const = ring_elements(None)
-    target = Vc * Vc + const(4)
-    ok = (const(2) * const(2) + E * E + (E - Vc) * (E - Vc) - const(2) * E * (E - Vc)) == target
+    E, Vs = symbolic_ring.E, symbolic_ring.V
+    target = Vs * Vs + 4
+    ok = (2 * 2 + E * E + (E - Vs) * (E - Vs) - 2 * E * (E - Vs)) == target
     for n in (1, 2, 3):
         for digs in itertools.product((1, 2, 3), repeat=n):
-            for A, B, C in trace_triples((0, 0) + digs, None):
+            for A, B, C in _trace_triples((0, 0) + digs, E, Vs):
                 if (A * A + B * B + C * C - A * B * C) != target:
                     ok = False
     for digs in itertools.product((1, 2, 3), repeat=4):
-        A, B, C = trace_triples((0, 0) + digs, None)[-1]
+        A, B, C = _trace_triples((0, 0) + digs, E, Vs)[-1]
         if (A * A + B * B + C * C - A * B * C) != target:
             ok = False
     report(9, ok, "Fricke invariant holds symbolically, depth <= 5, digits <= 3", t0)

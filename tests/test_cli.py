@@ -117,6 +117,21 @@ def test_exit_codes():
     assert "wanted 6" in proc.stderr
 
 
+def test_formats_only_where_produced():
+    # only butterfly writes CSV or SVG; the other commands offer text and json
+    run("farey", "dist", "1/2", "1/3", "--format", "svg", expect=2)
+    run("farey", "cf", "2/5", "--format", "csv", expect=2)
+    assert run("farey", "cf", "2/5", "--format", "text").endswith("\n")
+
+
+def test_empty_windows_and_listings_rejected():
+    run("word", "show", "1/2", "--lo", "5", "--hi", "3", expect=2)
+    run("tree", "show", "--depth", "-1", expect=2)
+    assert run("word", "show", "1/2", "--lo", "3", "--hi", "3").splitlines()[-1] == "1"
+    obj = json.loads(run("tree", "show", "--depth", "0", "--format", "json"))
+    assert [row["label"] for row in obj["result"]] == ["[0,1]"]
+
+
 def test_idempotent_bytes():
     a = run("spectrum", "defects", "--r", "2/3", "--side", "plus", "--V", "5",
             "--tol", "1e-6", "--format", "json")

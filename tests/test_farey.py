@@ -14,11 +14,11 @@ from kohmoto.farey import (
     emergence_level,
     farey_distance,
     farey_neighbors,
-    farey_neighbors_stern_brocot,
-    farey_set,
     mediant,
     simplest_rational_between,
 )
+
+from farey_helpers import farey_neighbors_stern_brocot, farey_set
 
 GOLDEN = QuadraticIrrational.from_digits([0, 0], [1])  # (sqrt(5)-1)/2
 

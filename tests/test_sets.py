@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from kohmoto.errors import PreconditionError
 from kohmoto.sets import (
     EnclosedSet,
-    directed_hausdorff,
-    hausdorff_exact,
     hausdorff_spectra,
     intersect,
     lebesgue,
@@ -20,7 +18,7 @@ from kohmoto.sets import (
 )
 from kohmoto.spectra import defect_spectrum, spectrum_periodic
 
-from set_helpers import covers_at_resolution, from_intervals
+from set_helpers import covers_at_resolution, directed_hausdorff, from_intervals, hausdorff_exact
 
 
 def test_normalize_and_intersect():

@@ -13,7 +13,7 @@ import pytest
 from kohmoto.analysis import FAST_K
 from kohmoto.errors import DegeneracyError, PreconditionError, PrecisionError
 from kohmoto.farey import cf_forms
-from kohmoto.polyring import RP, ring_elements
+from kohmoto.polyring import RP
 from kohmoto.rootfind import compare_roots
 from kohmoto.sets import EnclosedSet, lebesgue
 from kohmoto.spectra import (
@@ -21,8 +21,9 @@ from kohmoto.spectra import (
     band_classify,
     defect_spectrum,
     extension_traces,
+    _site_matrix,
+    _trace_triples,
     finite_section_eigs,
-    finite_section_modes,
     floquet_zeros,
     membership,
     spectrum_from_trace,
@@ -33,7 +34,8 @@ from kohmoto.spectra import (
 )
 from kohmoto.words import Configuration, defect_config, period_word, sk_words
 
-from defect_oracle import approximant_defect_points
+import symbolic_ring
+from defect_oracle import approximant_defect_points, finite_section_modes
 from set_helpers import certainly_disjoint_triple, covers_at_resolution, union
 
 V5 = F(5)
@@ -69,6 +71,14 @@ def test_trace_examples():
         trace_poly("", V5)
 
 
+def test_traces_need_a_rational_coupling():
+    # symbolic coupling runs only through the private _trace_triples
+    with pytest.raises(PreconditionError):
+        trace_triples((0, 0, 2), None)
+    with pytest.raises(PreconditionError):
+        trace_poly("01", None)
+
+
 def test_trace_cyclic_invariance_random_words():
     rng = random.Random(4)
     for _ in range(25):
@@ -80,12 +90,13 @@ def test_trace_cyclic_invariance_random_words():
 
 
 def test_transfer_determinant_symbolic():
-    # build the symbolic product for small words and check det == 1 in Z[E,V]
-    E, Vc, const = ring_elements(None)
+    # multiply the site matrices symbolically for small words and check
+    # det == 1 in Z[V][E]
+    E, Vs = symbolic_ring.E, symbolic_ring.V
     for w in ("0", "1", "01", "110", "10110"):
         m = None
         for ch in w:
-            a = [[E - (Vc if ch == "1" else const(0)), const(-1)], [const(1), const(0)]]
+            a = _site_matrix(ch, E, Vs)
             m = a if m is None else [
                 [
                     a[0][0] * m[0][0] + a[0][1] * m[1][0],
@@ -97,7 +108,7 @@ def test_transfer_determinant_symbolic():
                 ],
             ]
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        assert det == const(1)
+        assert det == 1
 
 
 def test_trace_cf_examples_and_word_agreement():
@@ -119,16 +130,16 @@ def test_extension_traces_match_word_ladders():
 
 
 def test_fricke_invariant_symbolic_V():
-    E, Vc, const = ring_elements(None)
-    target = Vc * Vc + const(4)
+    E, Vs = symbolic_ring.E, symbolic_ring.V
+    target = Vs * Vs + 4
     # the base triple for the value 0: (2, E, E - V)
-    A, B, C = const(2), E, E - Vc
+    A, B, C = 2, E, E - Vs
     assert (A * A + B * B + C * C - A * B * C) == target
     digit_strings = [()]
     for n in (1, 2, 3):
         digit_strings += list(itertools.product((1, 2, 3), repeat=n))
     for digs in digit_strings:
-        triples = trace_triples((0, 0) + digs, None)
+        triples = _trace_triples((0, 0) + digs, E, Vs)
         for A, B, C in triples:
             assert (A * A + B * B + C * C - A * B * C) == target
 
@@ -431,11 +442,11 @@ def _one_sided_points(max_q):
 def test_defect_identity_with_symbolic_coupling():
     # P^2 - V^2 t_v^2 = (t_u^2 - V^2 - 4)(t_v^2 - 4) for P = t_u t_v - 2 t_uv,
     # from the trace-map invariant, for every approach string with q <= 13
-    _, Vs, _ = ring_elements(None)
+    E, Vs = symbolic_ring.E, symbolic_ring.V
     cases = list(_one_sided_points(13))
     assert len(cases) == 116
     for r, side in cases:
-        t_v, t_u, t_uv = trace_triples(approach_digits(r, side), None)[-1]
+        t_v, t_u, t_uv = _trace_triples(approach_digits(r, side), E, Vs)[-1]
         P = t_u * t_v - 2 * t_uv
         assert P * P - Vs * Vs * t_v * t_v == (t_u * t_u - Vs * Vs - 4) * (t_v * t_v - 4)
 

@@ -11,7 +11,6 @@ from kohmoto.farey import (
     cf_forms,
     farey_distance,
     farey_neighbors,
-    farey_set,
 )
 from kohmoto.words import (
     Configuration,
@@ -25,6 +24,8 @@ from kohmoto.words import (
     sk_words,
     subshift_distance,
 )
+
+from farey_helpers import farey_set
 
 GOLDEN = QuadraticIrrational.from_digits([0, 0], [1])
 
