@@ -425,9 +425,9 @@ FAST_K = 6
 
 
 def _fast_band_edges(word: str, V) -> list[float]:
-    return sorted(
-        floquet_edges(word, V, anti=False) + floquet_edges(word, V, anti=True)
-    )
+    """The union of the four reflection sectors' eigenvalues, sorted."""
+    (a, b), (c, d) = floquet_edges(word, V, anti=False), floquet_edges(word, V, anti=True)
+    return sorted(a + b + c + d)
 
 
 @dataclass(frozen=True)

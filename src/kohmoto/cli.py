@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     bf.add_argument("--tol", default="1e-6")
     bf.add_argument("--fast", action="store_true", help="uncertified floating backend")
     bf.add_argument("--no-defects", action="store_true")
-    add_common(bf, "csv", ("text", "json", "csv", "svg"))
+    add_common(bf, "csv", ("json", "csv", "svg"))
     return p
 
 
@@ -345,7 +345,6 @@ def _run(args: argparse.Namespace) -> None:
             payload = ds.to_json_obj()
         else:
             payload = ds.to_csv()
-            fmt = "csv"
         emit(payload, fmt, inv, args.out)
         return
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .rootfind import _eval_homogeneous
+from .rootfind import _eval_homogeneous, poly_mul
 
 
 def _strip(c: list) -> list:
@@ -97,14 +97,7 @@ class RP:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.num, other.num
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return RP(out, self.den * other.den)
+        return RP(poly_mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -59,9 +59,38 @@ def primitive(p: Sequence[int]) -> IntPoly:
     return [c // g for c in p] if g > 1 else p
 
 
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def poly_add(a: Sequence[int], b: Sequence[int], sign: int = 1) -> IntPoly:
+    """a + sign * b, stripped."""
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = x
+    for i, y in enumerate(b):
+        out[i] += sign * y
+    return strip(out)
+
+
 def _eval_homogeneous(p: Sequence[int], num: int, den: int) -> int:
-    """den^deg(p) * p(num/den), an exact integer (same sign as p(num/den))."""
+    """den^deg(p) * p(num/den), an exact integer (same sign as p(num/den)).
+    A power-of-two den (every grid and bisection point) multiplies by
+    shifts."""
     acc = p[-1]
+    if den & (den - 1) == 0:
+        k = den.bit_length() - 1
+        shift = 0
+        for c in reversed(p[:-1]):
+            shift += k
+            acc = acc * num + (c << shift)
+        return acc
     dpow = 1
     for c in reversed(p[:-1]):
         dpow *= den
@@ -178,10 +207,12 @@ class RootEnclosure:
     def refined(self, max_width: Fraction) -> "RootEnclosure":
         """The same root enclosed at most max_width wide, by bisection on
         integer numerators over a doubling denominator."""
-        [(lo, hi)], d = over_common_denominator([(self.lo, self.hi)])
         wn, wd = max_width.numerator, max_width.denominator
-        if (hi - lo) * wd <= wn * d:
+        a, b = self.lo.numerator, self.lo.denominator
+        c, e = self.hi.numerator, self.hi.denominator
+        if (c * b - a * e) * wd <= wn * b * e:
             return self
+        [(lo, hi)], d = over_common_denominator([(self.lo, self.hi)])
         p = self.poly
         s_lo = sign_at(p, lo, d)
         while (hi - lo) * wd > wn * d:
@@ -198,9 +229,8 @@ class RootEnclosure:
         return RootEnclosure(p, Fraction(lo, d), Fraction(hi, d))
 
 
-def _dyadic_exponent(x: Fraction) -> int:
-    """The largest e with 2^e <= x, for x > 0."""
-    n, d = x.numerator, x.denominator
+def _dyadic_exponent(n: int, d: int) -> int:
+    """The largest e with 2^e <= n/d, for n, d > 0."""
     e = n.bit_length() - d.bit_length()
     if (d << e if e >= 0 else d) > (n if e >= 0 else n << -e):
         e -= 1
@@ -246,6 +276,49 @@ def isolate_roots(
     return roots
 
 
+def _guess_numerators(guide: Sequence[float]) -> Optional[tuple[list[int], int]]:
+    """The sorted guesses as exact integers over one power-of-two
+    denominator, or None when one is not finite."""
+    if not all(math.isfinite(g) for g in guide):
+        return None
+    ratios = [g.as_integer_ratio() for g in sorted(guide)]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _grid_exponent(
+    xs: Sequence[int], den: int, window: Fraction, width: Optional[Fraction]
+) -> Optional[int]:
+    """The exponent of the grid spacing: the largest power of two at most
+    the window, at most width and at most a third of the smallest gap
+    between the guesses xs / den; None when two guesses coincide."""
+    gaps = [b - a for a, b in zip(xs, xs[1:])]
+    if 0 in gaps:
+        return None
+    # 2^e <= x is monotone in x, so the smallest cap has the smallest exponent
+    e = _dyadic_exponent(window.numerator, window.denominator)
+    if gaps:
+        e = min(e, _dyadic_exponent(min(gaps), 3 * den))
+    if width is not None:
+        e = min(e, _dyadic_exponent(width.numerator, width.denominator))
+    return e
+
+
+def grid_spacing(
+    p: Sequence[int], guide: Sequence[float], width: Optional[Fraction]
+) -> Optional[Fraction]:
+    """The spacing of the grid that `isolate_roots(p, guide, width)` lays
+    under the guesses, or None when it lays none.  Passed as the width to
+    the isolation of each factor of p, guided by its share of the guesses,
+    it puts every factor on the grid of p."""
+    guesses = _guess_numerators(guide)
+    if guesses is None:
+        return None
+    window = Fraction(2 * cauchy_bound(p))  # the same for every nonzero multiple of p
+    e = _grid_exponent(*guesses, window, width)
+    return None if e is None else Fraction(2) ** e
+
+
 def _grid_cells(
     poly: tuple[int, ...],
     guide: Sequence[float],
@@ -260,20 +333,13 @@ def _grid_cells(
     Grid point k is k * hn / hd, and the guesses are exact integers over
     one power-of-two denominator, so cells are found by integer division
     and only the accepted cells become Fractions."""
-    if not all(math.isfinite(g) for g in guide):
+    guesses = _guess_numerators(guide)
+    if guesses is None:
         return None
-    ratios = [g.as_integer_ratio() for g in sorted(guide)]
-    den = max(d for _, d in ratios)
-    xs = [n * (den // d) for n, d in ratios]
-    gaps = [b - a for a, b in zip(xs, xs[1:])]
-    if 0 in gaps:
+    xs, den = guesses
+    e = _grid_exponent(xs, den, hi_all - lo_all, width)
+    if e is None:
         return None
-    caps = [hi_all - lo_all]
-    if gaps:
-        caps.append(Fraction(min(gaps), 3 * den))
-    if width is not None:
-        caps.append(width)
-    e = _dyadic_exponent(min(caps))
     hn, hd = (1 << e, 1) if e >= 0 else (1, 1 << -e)
     # the grid points inside the window are kmin..kmax
     kmin = -((-lo_all.numerator * hd) // (lo_all.denominator * hn))

@@ -2,12 +2,19 @@
 mechanical-word potentials.
 
 The spectrum of a q-periodic operator is the preimage of [-2,2] under the
-trace of the transfer-matrix cocycle over one period.  Its 2q band edges,
-the roots of t - 2 and t + 2, are certified in cells of a dyadic grid placed
-by floating eigenvalue estimates: exact sign changes across as many cells as
-a Sturm count over exact integers finds.  Bisection only splits the two
-edges of a band narrower than a cell, or isolates the edges when the
-estimates do not certify.
+trace of the transfer-matrix cocycle over one period.  Its 2q band edges
+are the roots of t - 2 and t + 2.  The period word is a rotation of its
+reversal, so it splits into two palindromes, and the reflection symmetry
+factors each of t - 2 and t + 2 exactly into two integer polynomials of
+about half the degree (`reflection_factors`; the identities are checked
+against the trace).  The roots of each factor are certified in cells of a
+dyadic grid placed by floating eigenvalue estimates from the matching
+reflection sector of the one-period operator (`floquet_edges`): exact
+sign changes across as many cells as a Sturm count over exact integers
+finds.  Each side's grid is the one the unsplit isolation of t -+ 2 would
+lay, so the factored certificate gives the same bytes.  Bisection only
+splits the two edges of a band narrower than a cell, or isolates the
+edges when the estimates do not certify.
 One-sided limit spectra add exactly q isolated eigenvalues.  With
 (t_v, t_u, t_uv) the traces of the last two words of the approach string and
 of their one-step extension, set P = t_u t_v - 2 t_uv, G+- = P -+ |V| t_v and
@@ -32,10 +39,16 @@ from .errors import DegeneracyError, PreconditionError, PrecisionError
 from .farey import as_fraction, cf_forms, check_rotation, format_rational, over_common_denominator
 from .polyring import RP
 from .rootfind import (
+    IntPoly,
     RootEnclosure,
     _eval_homogeneous,
     compare_roots,
+    degree,
+    grid_spacing,
     isolate_roots,
+    poly_add,
+    poly_gcd,
+    poly_mul,
     separate,
     sign_at,
 )
@@ -182,9 +195,9 @@ def _bloch_matrix(word: str, v: float, mult: float) -> np.ndarray:
     corner from the last site back to the first carries mult, its partner
     1/mult; one site holds both on the diagonal, added as one sum."""
     q = len(word)
-    m = np.diag([v * int(ch) for ch in word])
-    i = np.arange(q - 1)
-    m[i, i + 1] = m[i + 1, i] = 1.0
+    m = np.zeros((q, q))
+    m.flat[:: q + 1] = [v * int(ch) for ch in word]
+    m.flat[1 :: q + 1] = m.flat[q :: q + 1] = 1.0
     if q == 1:
         m[0, 0] += mult + 1 / mult
     else:
@@ -193,12 +206,56 @@ def _bloch_matrix(word: str, v: float, mult: float) -> np.ndarray:
     return m
 
 
-def floquet_edges(word: str, V, anti: bool) -> list[float]:
-    """Floating band-edge estimates: eigenvalues of the one-period operator
-    with periodic (trace = +2) or antiperiodic (trace = -2) closure.  Used
-    only to seed certified isolation and the rendering backend."""
+def _reflection(word: str) -> int:
+    """The shift s with word[::-1] == word[s:] + word[:s]: the mirror
+    i -> (s - 1 - i) mod n of the ring maps the cyclic word onto itself.
+    Every Christoffel word is a rotation of its reversal; a word that is
+    not raises PreconditionError."""
+    shift = (word + word).find(word[::-1])
+    if shift < 0:
+        raise PreconditionError(f"word {word!r} is not a rotation of its reversal")
+    return shift
+
+
+def floquet_edges(word: str, V, anti: bool) -> tuple[list[float], list[float]]:
+    """Floating band-edge estimates: the eigenvalues of the one-period
+    operator with periodic (trace = +2) or antiperiodic (trace = -2)
+    closure, as its two reflection sectors (even, odd).  Used only to seed
+    certified isolation and the rendering backend.
+
+    With R(i) = (s - 1 - i) mod n the mirror of the ring, the periodic
+    operator commutes with R, and its even and odd sectors hold the roots
+    of the reflection factors P1 P2 - S1 S2 and Q1 Q2 - R1 R2 of t - 2
+    (see `reflection_factors`).  The antiperiodic operator commutes with
+    G o R instead, G = -1 on the sites of the first palindrome w[:s]; its
+    even and odd sectors hold the roots of Q1 P2 + R1 S2 and P1 Q2 + S1 R2,
+    the factors of t + 2."""
+    n = len(word)
+    shift = _reflection(word)
     m = _bloch_matrix(word, float(as_fraction(V)), -1.0 if anti else 1.0)
-    return [float(x) for x in np.linalg.eigvalsh(m)]
+    # R maps each palindrome w[:s], w[s:] onto itself, swapping its halves:
+    # the sites of the first halves pair off with their mirrors, and the
+    # centre of an odd palindrome is fixed.  A sector vector has
+    # v[R i] = parity * gauge[i] * v[i]; a fixed site lies in the sector
+    # where that factor is 1.  Columns e_j + sign e_Rj, even sector first:
+    h1, h2 = shift // 2, (n - shift) // 2
+    pairs = [*range(h1), *range(shift, shift + h2)]
+    centre1 = [h1] if shift % 2 else []
+    centre2 = [shift + h2] if (n - shift) % 2 else []
+    even = pairs + centre2 + ([] if anti else centre1)
+    odd = pairs + (centre1 if anti else [])
+    cols = even + odd
+    mirror = [(shift - 1 - j) % n for j in cols]
+    sign = [-1.0 if anti and j < shift else 1.0 for j in even]
+    sign += [1.0 if anti and j < shift else -1.0 for j in odd]
+    basis = np.zeros((n, n))
+    basis[cols + mirror, list(range(n)) * 2] = [1.0] * n + sign
+    # the sums over the unnormalized columns are exact; their squared
+    # norms (2 for a pair, 1 for a fixed site) enter as exact weights
+    inv_norm2 = [1.0 if j == r else 0.5 for j, r in zip(cols, mirror)]
+    h = (basis.T @ m @ basis) * np.sqrt(np.outer(inv_norm2, inv_norm2))
+    k = len(even)
+    return np.linalg.eigvalsh(h[:k, :k]).tolist(), np.linalg.eigvalsh(h[k:, k:]).tolist()
 
 
 def floquet_zeros(word: str, V) -> list[float]:
@@ -210,15 +267,11 @@ def floquet_zeros(word: str, V) -> list[float]:
     reflection of the ring that maps the cyclic word onto itself.  In the
     basis e_i (sites fixed by R), (e_i + e_Ri)/sqrt2 and i(e_i - e_Ri)/sqrt2
     (pairs of sites swapped by R) H is real symmetric; its O(n) nonzeros
-    are summed directly.  Every Christoffel word is a rotation of its
-    reversal; a word that is not raises PreconditionError."""
+    are summed directly."""
     n = len(word)
-    shift = (word + word).find(word[::-1])
-    if shift < 0:
-        raise PreconditionError(f"word {word!r} is not a rotation of its reversal")
     v = float(as_fraction(V))
     sites = np.arange(n)
-    mirror = (shift - 1 - sites) % n  # word[mirror[i]] == word[i]
+    mirror = (_reflection(word) - 1 - sites) % n
     fixed = sites[mirror == sites]
     reps = sites[sites < mirror]
     nf, npairs = len(fixed), len(reps)
@@ -249,12 +302,106 @@ def floquet_zeros(word: str, V) -> list[float]:
     return [float(x) for x in np.linalg.eigvalsh(m)]
 
 
+def _site_step(p: IntPoly, r: IntPoly, c0: int, b: int) -> IntPoly:
+    """(bE + c0) p - b r, for deg r < deg p + 1."""
+    out = [c0 * c for c in p]
+    out.append(0)
+    for i, c in enumerate(p):
+        out[i + 1] += b * c
+    for i, c in enumerate(r):
+        out[i] -= b * c
+    while len(out) > 1 and not out[-1]:  # p = 0 at the first step
+        out.pop()
+    return out
+
+
+def _half_transfer(rho: str, a: int, b: int) -> tuple[IntPoly, ...]:
+    """(x, y, z, w) with b^len(rho) M_rho = [[x, y], [z, w]] over Z[E], at
+    coupling a/b: the product of the scaled site matrices
+    b A(c) = [[bE - ac, -b], [b, 0]], in the order of `trace_poly`."""
+    x, y, z, w = [1], [0], [0], [1]
+    for ch in rho:
+        c0 = -a if ch == "1" else 0
+        x, y, z, w = (
+            _site_step(x, z, c0, b),
+            _site_step(y, w, c0, b),
+            x if b == 1 else [b * c for c in x],
+            y if b == 1 else [b * c for c in y],
+        )
+    return x, y, z, w
+
+
+def _palindrome_factors(pal: str, a: int, b: int) -> tuple[IntPoly, ...]:
+    """(P, Q, R, S) of a palindrome from the half transfer product
+    [[x, y], [z, w]] over its first half rho: (x - z, x + z, w + y, w - y)
+    for even length, (e x - 2z, x, y, 2w - e y) with e = E - V c for odd
+    length with centre letter c; scaled by powers of b like `_half_transfer`."""
+    h = len(pal) // 2
+    x, y, z, w = _half_transfer(pal[:h], a, b)
+    if len(pal) % 2 == 0:
+        return poly_add(x, z, -1), poly_add(x, z), poly_add(w, y), poly_add(w, y, -1)
+    e = [-a * int(pal[h]), b]
+    return (
+        poly_add(poly_mul(e, x), [2 * b * c for c in z], -1),
+        x,
+        y,
+        poly_add([2 * b * c for c in w], poly_mul(e, y), -1),
+    )
+
+
+def reflection_factors(word: str, V) -> tuple[tuple[IntPoly, IntPoly], tuple[IntPoly, IntPoly]]:
+    """The reflection factors of t - 2 and t + 2 for the trace t of a word
+    that is a rotation of its reversal, as integer polynomials in E.
+
+    With s the shift of `_reflection`, w splits into the palindromes
+    w[:s] and w[s:], with factors (P1, Q1, R1, S1) and (P2, Q2, R2, S2)
+    from `_palindrome_factors`.  Then, with b the denominator of V and n
+    the length of w,
+        b^n (t - 2) = (P1 P2 - S1 S2)(Q1 Q2 - R1 R2),
+        b^n (t + 2) = (Q1 P2 + R1 S2)(P1 Q2 + S1 R2),
+    each pair ordered like the reflection sectors of `floquet_edges`."""
+    V = as_fraction(V)
+    a, b = V.numerator, V.denominator
+    shift = _reflection(word)
+    P1, Q1, R1, S1 = _palindrome_factors(word[:shift], a, b)
+    P2, Q2, R2, S2 = _palindrome_factors(word[shift:], a, b)
+    upper = (
+        poly_add(poly_mul(P1, P2), poly_mul(S1, S2), -1),
+        poly_add(poly_mul(Q1, Q2), poly_mul(R1, R2), -1),
+    )
+    lower = (
+        poly_add(poly_mul(Q1, P2), poly_mul(R1, S2)),
+        poly_add(poly_mul(P1, Q2), poly_mul(S1, R2)),
+    )
+    return upper, lower
+
+
+def _share_a_root(roots: list[RootEnclosure], f: IntPoly, g: IntPoly) -> bool:
+    """Whether the factors f and g of one side share a root, given the
+    enclosures of the roots of both.  A shared root lies in an enclosure of
+    each, so two enclosures overlap; only then is the gcd computed."""
+    ends, _ = over_common_denominator((e.lo, e.hi) for e in roots)
+    ends.sort()
+    # an end shared by two enclosures is a root only if both are exact
+    overlap = any(a[1] > b[0] or a == b for a, b in zip(ends, ends[1:]))
+    return overlap and degree(poly_gcd(f, g)) > 0
+
+
 def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     """Band decomposition {|t| <= 2} of a degree-q trace polynomial: exactly
-    q certified-disjoint closed bands, edges enclosed to width <= tol.  The
-    generating word and coupling give eigenvalue estimates that place each
-    edge in a grid cell at most tol wide; exact signs and a Sturm count
-    certify the cells."""
+    q certified-disjoint closed bands, edges enclosed to width <= tol.
+
+    The band edges are the roots of t - 2 and t + 2, isolated as the roots
+    of their reflection factors (`reflection_factors`, each of about half
+    the degree), with the exact product identities checked first.  The
+    eigenvalues of the reflection sectors of `floquet_edges` guide the
+    factors they belong to.  Each side's grid spacing is computed from the
+    guesses of both its sectors together and tol, as the unsplit isolation
+    of t -+ 2 would lay it, so every certified cell, and every output byte,
+    is the one the unsplit isolation gives whenever its grid certifies.
+    Exact signs across the cells, counted against one Sturm chain per
+    factor, certify them.  A root shared by the two factors of a side
+    (touching bands, e.g. coupling 0) raises DegeneracyError."""
     tol = _check_tol(tol)
     q = t.degree()
     if q < 1:
@@ -263,19 +410,31 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
         raise PrecisionError("trace polynomial must be monic")
     if len(word) != q:
         raise PreconditionError("word length must match the trace degree")
+    scale = as_fraction(V).denominator ** q
+    found = []
     try:
-        upper = (t - 2).int_poly()
-        lower = (t + 2).int_poly()
-        roots_upper = isolate_roots(
-            upper, guide=floquet_edges(word, V, anti=False), width=tol
-        )
-        roots_lower = isolate_roots(
-            lower, guide=floquet_edges(word, V, anti=True), width=tol
-        )
+        for anti, factors in zip((False, True), reflection_factors(word, V)):
+            # den * (t -+ 2)
+            name, target = ("t + 2", 2) if anti else ("t - 2", -2)
+            target = [t.num[0] + target * t.den] + t.num[1:]
+            if [c * t.den for c in poly_mul(*factors)] != [c * scale for c in target]:
+                raise PrecisionError(f"reflection factors do not multiply to {name}")
+            guides = floquet_edges(word, V, anti)
+            spacing = grid_spacing(target, guides[0] + guides[1], tol)
+            width = tol if spacing is None else spacing
+            roots = [
+                enc
+                for f, guide in zip(factors, guides)
+                for enc in isolate_roots(f, guide=guide, width=width)
+            ]
+            if _share_a_root(roots, *factors):
+                raise DegeneracyError(f"{name} has a multiple root")
+            found.append(roots)
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"degenerate band structure (touching bands, e.g. coupling 0): {exc}"
         ) from exc
+    roots_upper, roots_lower = found
     if len(roots_upper) != q or len(roots_lower) != q:
         raise DegeneracyError(
             f"expected {q} simple edges per side, found "

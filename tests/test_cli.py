@@ -74,6 +74,8 @@ def test_exit_codes():
     assert len(json.loads(out)["result"]["points"]) == 9
     run("spectrum", "bands", "--r", "1/2", "--V", "0", expect=2)
     run("butterfly", "--Q", "2", "--V", "5", "--fast", "--threads", "2", expect=2)
+    # butterfly writes csv, json or svg; it has no text artifact
+    run("butterfly", "--Q", "2", "--V", "5", "--fast", "--format", "text", expect=2)
     # inputs that can blow up time or memory are capped
     run("tree", "show", "--depth", "17", expect=2)
     # spectrum defects has no --kmax any more

@@ -23,7 +23,7 @@ from kohmoto.rootfind import (
 )
 
 import symbolic_ring
-from symbolic_ring import BP, VP
+from symbolic_ring import BP
 
 
 def poly_from_roots(roots):
@@ -179,14 +179,25 @@ def test_bp_symbolic_arithmetic():
     t = E * E - V * E - 2
     En, Vn = RP([0, 1]), RP.const(7)
     tn = En * En - Vn * En - 2
-    # substitute V = 7 by expanding VP coefficients
-    subbed = []
-    for vp in t.c:
-        val = sum(c * 7**i for i, c in enumerate(vp.c))
-        subbed.append(F(val))
+    # substitute V = 7 row by row: c[i][j] is the coefficient of E^i V^j
+    subbed = [F(sum(c * 7**j for j, c in enumerate(row))) for row in t.c]
     assert subbed == tn.coeffs()
     assert (t * t - t * t).is_zero()
-    assert BP([VP([0, 1])]) * BP([VP([0, 1])]) == BP([VP([0, 0, 1])])
+    assert V * V == BP([[0, 0, 1]])
+    # products with large and negative coefficients against the schoolbook
+    # convolution of the arrays
+    rng = random.Random(3)
+    for _ in range(40):
+        a = [[rng.randint(-10**30, 10**30) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(1, 6))]
+        b = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(1, 6))]
+        out = [[0] * 9 for _ in range(11)]
+        for i, ra in enumerate(a):
+            for k, rb in enumerate(b):
+                for j, x in enumerate(ra):
+                    for l, y in enumerate(rb):
+                        out[i + k][j + l] += x * y
+        assert BP(a) * BP(b) == BP(out)
+        assert BP(a) + BP(b) - BP(b) == BP(a)
 
 
 # --- float-seeded grid certificates (property tests) --------------------------

@@ -4,17 +4,19 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kohmoto import spectra
 from kohmoto.analysis import FAST_K
 from kohmoto.errors import DegeneracyError, PreconditionError, PrecisionError
 from kohmoto.farey import cf_forms
 from kohmoto.polyring import RP
-from kohmoto.rootfind import compare_roots
+from kohmoto.rootfind import compare_roots, isolate_roots, poly_mul, primitive
 from kohmoto.sets import EnclosedSet, lebesgue
 from kohmoto.spectra import (
     approach_digits,
@@ -24,8 +26,10 @@ from kohmoto.spectra import (
     _site_matrix,
     _trace_triples,
     finite_section_eigs,
+    floquet_edges,
     floquet_zeros,
     membership,
+    reflection_factors,
     spectrum_from_trace,
     spectrum_periodic,
     trace_poly,
@@ -35,6 +39,7 @@ from kohmoto.spectra import (
 from kohmoto.words import Configuration, defect_config, period_word, sk_words
 
 import symbolic_ring
+from band_oracle import unsplit_spectrum
 from defect_oracle import approximant_defect_points, finite_section_modes
 from set_helpers import certainly_disjoint_triple, covers_at_resolution, union
 
@@ -156,10 +161,11 @@ def test_trace_recursion_at_band_edges():
             exts[k] = t
             if k > 9:
                 break
-        upper_poly = tuple((B - 2).int_poly())
+        # the edges where t_c = +2 are the roots of the two factors of t_c - 2
+        upper_polys = {tuple(primitive(f)) for f in reflection_factors(period_word(r), V5)[0]}
         for lo_enc, hi_enc in spec.bands:
             for enc in (lo_enc, hi_enc):
-                sign_plus = enc.poly == upper_poly
+                sign_plus = enc.poly in upper_polys
                 for k in range(1, 9):
                     lhs_lo, lhs_hi = interval_eval(exts[k + 1], enc.lo, enc.hi)
                     c_lo, c_hi = interval_eval(C, enc.lo, enc.hi)
@@ -236,9 +242,88 @@ def test_band_edges_certify_without_fallback(monkeypatch):
         spectra.clear_memos()
 
 
-def test_edges_of_one_spectrum_share_two_polynomials():
+def test_edges_of_one_spectrum_lie_on_four_reflection_factors():
     spec = spectrum_periodic(F(21, 34), V5, TOL9)
-    assert len({id(enc.poly) for band in spec.bands for enc in band}) == 2
+    sides = reflection_factors(period_word(F(21, 34)), V5)
+    factors = [tuple(primitive(f)) for side in sides for f in side]
+    assert len({id(enc.poly) for band in spec.bands for enc in band}) == 4
+    assert {enc.poly for band in spec.bands for enc in band} == set(factors)
+
+
+def _reduced(qmax: int):
+    for q in range(1, qmax + 1):
+        for p in range(q + 1):
+            if math.gcd(p, q) == 1:
+                yield F(p, q)
+
+
+def _check_reflection_identities(word: str, t: RP, V) -> None:
+    scale = V.denominator ** len(word)
+    for factors, target in zip(reflection_factors(word, V), (t - 2, t + 2)):
+        assert [c * target.den for c in poly_mul(*factors)] == [c * scale for c in target.num]
+
+
+def test_reflection_factors_multiply_to_t_minus_and_plus_2():
+    # b^q (t - 2) = (P1 P2 - S1 S2)(Q1 Q2 - R1 R2) and
+    # b^q (t + 2) = (Q1 P2 + R1 S2)(P1 Q2 + S1 R2), exactly
+    cases = 0
+    for V in (V5, F(1, 2), F(-3), F(13, 2)):
+        for r in _reduced(40):
+            _check_reflection_identities(period_word(r), trace_poly_cf(cf_forms(r)[0], V), V)
+            cases += 1
+    for r, side in _one_sided_points(7):
+        digits = approach_digits(r, side)
+        for k, t in extension_traces(digits, V5):
+            if k > 6:
+                break
+            _check_reflection_identities(sk_words(digits + (k,))[-1], t, V5)
+            cases += 1
+    assert cases == 1964 + 216
+
+
+def test_reflection_sectors_hold_the_roots_of_their_factors():
+    # the even and odd sectors of floquet_edges give one estimate per real
+    # root of the factor in the same position, and nothing else
+    cases = 0
+    for V in (V5, F(1, 2), F(-3)):
+        for r in _reduced(21):
+            word = period_word(r)
+            for anti, factors in zip((False, True), reflection_factors(word, V)):
+                for f, guesses in zip(factors, floquet_edges(word, V, anti)):
+                    roots = [float(e.refined(F(1, 10**12)).mid) for e in isolate_roots(f)]
+                    assert len(roots) == len(f) - 1 == len(guesses)
+                    assert np.allclose(sorted(guesses), roots, rtol=0, atol=1e-9)
+            cases += 1
+    assert cases == 3 * 141
+
+
+def test_factored_band_edges_match_the_unsplit_isolation_byte_for_byte():
+    for V in (F(1, 2), F(2), V5, F(-3), F(13, 2)):
+        for tol in (TOL6, TOL9):
+            for r in _reduced(30):
+                t = trace_poly_cf(cf_forms(r)[0], V)
+                word = period_word(r)
+                assert (
+                    spectrum_from_trace(t, tol, word, V).to_json_obj()
+                    == unsplit_spectrum(t, tol, word, V).to_json_obj()
+                ), (r, V, tol)
+
+
+def test_touching_bands_fail_fast():
+    # at coupling 0 the two factors of t - 2 share their roots; the overlap
+    # of their cells must end the isolation before separate's passes
+    spectra.clear_memos()
+    t0 = time.perf_counter()
+    with pytest.raises(DegeneracyError, match="multiple root"):
+        spectrum_periodic(F(2, 5), 0, TOL6)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_reflection_factors_are_checked_against_the_trace():
+    # a word of the right length whose trace is another polynomial
+    t = trace_poly_cf(cf_forms(F(2, 5))[0], V5)
+    with pytest.raises(PrecisionError, match="reflection factors"):
+        spectrum_from_trace(t, TOL6, period_word(F(1, 5)), V5)
 
 
 def dense_bloch_zeros(word: str, V) -> np.ndarray:
