@@ -7,11 +7,12 @@ certify one root per cell; when the estimates do not yield such cells,
 bisection on Sturm counts isolates the roots instead.  Floating point only
 proposes cells: every certificate is an exact integer sign or count.
 
-Enclosure ends are Fractions to callers.  Inside the hot loops (grid
-cells, bisection in `RootEnclosure.refined`, the sort and overlap tests of
-`separate`) they are integer numerators over one common denominator
-(`farey.over_common_denominator`), and a Fraction is built only for a
-result.  Every exact sign is `sign_at(p, num, den)`.
+Every enclosure end is dyadic: grid points, bisection midpoints and Sturm
+bisection inside the integer Cauchy bound have power-of-two denominators.
+A `RootEnclosure` stores its ends as integers over one 2^exp, two of them
+meet over a common denominator by a shift, and every loop here runs on
+those integers; the `lo` and `hi` Fractions are for output.  Every exact
+sign is `sign_at(p, num, den)`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegeneracyError, PreconditionError, PrecisionError
-from .farey import over_common_denominator
 
 IntPoly = list[int]
 
@@ -104,10 +104,6 @@ def sign_at(p: Sequence[int], num: int, den: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _sign(p: Sequence[int], x: Fraction) -> int:
-    return sign_at(p, x.numerator, x.denominator)
-
-
 def _pseudo_rem_signed(a: IntPoly, b: IntPoly) -> tuple[IntPoly, int]:
     """Remainder of (lc(b)^k) * a by b together with the sign of lc(b)^k."""
     db = degree(b)
@@ -168,14 +164,15 @@ def _variations(signs: Sequence[int]) -> int:
     return out
 
 
-def variations_at(chain: Sequence[IntPoly], x: Fraction) -> int:
-    num, den = x.numerator, x.denominator
-    return _variations([sign_at(q, num, den) for q in chain])
+def variations_at(chain: Sequence[IntPoly], num: int, exp: int) -> int:
+    """Sign variations of the chain at num / 2^exp."""
+    return _variations([sign_at(q, num, 1 << exp) for q in chain])
 
 
-def count_roots(chain: Sequence[IntPoly], lo: Fraction, hi: Fraction) -> int:
-    """Number of roots in (lo, hi); endpoints must not be roots."""
-    return variations_at(chain, lo) - variations_at(chain, hi)
+def count_roots(chain: Sequence[IntPoly], lo: int, hi: int, exp: int) -> int:
+    """Number of roots in (lo / 2^exp, hi / 2^exp); the ends must not be
+    roots."""
+    return variations_at(chain, lo, exp) - variations_at(chain, hi, exp)
 
 
 def cauchy_bound(p: Sequence[int]) -> int:
@@ -186,47 +183,70 @@ def cauchy_bound(p: Sequence[int]) -> int:
 
 @dataclass
 class RootEnclosure:
-    """Isolating interval [lo, hi] for one simple real root of poly, with
-    poly(lo) != 0 != poly(hi) unless lo == hi hits the root exactly."""
+    """Isolating interval [lo_num / 2^exp, hi_num / 2^exp] for one simple
+    real root of poly, nonzero at both ends unless they coincide at the
+    root.  Dyadic rational ends are folded into exp (any other end raises
+    PreconditionError), and the ends are kept reduced."""
 
     poly: tuple[int, ...]
-    lo: Fraction
-    hi: Fraction
+    lo_num: int
+    hi_num: int
+    exp: int = 0
+
+    def __post_init__(self):
+        lo, hi, e = self.lo_num, self.hi_num, self.exp
+        if type(lo) is not int or type(hi) is not int:
+            lo, hi = Fraction(lo), Fraction(hi)
+            d = lo.denominator * hi.denominator
+            if d & (d - 1):
+                raise PreconditionError(f"enclosure [{lo}, {hi}] has an end that is not dyadic")
+            lo, hi, e = int(lo * d), int(hi * d), e + d.bit_length() - 1
+        low = (lo | hi) & -(lo | hi)  # the lowest set bit of either end
+        shift = min(low.bit_length() - 1, e) if low else e
+        self.lo_num, self.hi_num, self.exp = lo >> shift, hi >> shift, e - shift
 
     @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_num, 1 << self.exp)
 
     @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_num, 1 << self.exp)
+
+    def ends_at(self, exp: int) -> tuple[int, int]:
+        """The ends as numerators over 2^exp, for exp >= self.exp."""
+        s = exp - self.exp
+        return self.lo_num << s, self.hi_num << s
 
     def is_exact(self) -> bool:
-        return self.lo == self.hi
+        return self.lo_num == self.hi_num
 
     def refined(self, max_width: Fraction) -> "RootEnclosure":
-        """The same root enclosed at most max_width wide, by bisection on
-        integer numerators over a doubling denominator."""
+        """The same root enclosed at most max_width wide."""
         wn, wd = max_width.numerator, max_width.denominator
-        a, b = self.lo.numerator, self.lo.denominator
-        c, e = self.hi.numerator, self.hi.denominator
-        if (c * b - a * e) * wd <= wn * b * e:
+        return self.bisected(_halvings((self.hi_num - self.lo_num) * wd, wn << self.exp))
+
+    def bisected(self, steps: int) -> "RootEnclosure":
+        """The same root after steps halvings of the enclosure, or its exact
+        enclosure when a midpoint hits it."""
+        if steps <= 0 or self.is_exact():
             return self
-        [(lo, hi)], d = over_common_denominator([(self.lo, self.hi)])
-        p = self.poly
-        s_lo = sign_at(p, lo, d)
-        while (hi - lo) * wd > wn * d:
+        p, lo, hi, e = self.poly, self.lo_num, self.hi_num, self.exp
+        s_lo = sign_at(p, lo, 1 << e)
+        for _ in range(steps):
             m = lo + hi
-            lo, hi, d = 2 * lo, 2 * hi, 2 * d
-            s_m = sign_at(p, m, d)
+            lo, hi, e = 2 * lo, 2 * hi, e + 1
+            s_m = sign_at(p, m, 1 << e)
             if s_m == 0:
-                x = Fraction(m, d)
-                return RootEnclosure(p, x, x)
-            if s_m == s_lo:
-                lo = m
-            else:
-                hi = m
-        return RootEnclosure(p, Fraction(lo, d), Fraction(hi, d))
+                return RootEnclosure(p, m, m, e)
+            lo, hi = (m, hi) if s_m == s_lo else (lo, m)
+        return RootEnclosure(p, lo, hi, e)
+
+
+def _halvings(x: int, y: int) -> int:
+    """The fewest halvings that bring a width x down to y > 0: the smallest
+    n >= 0 with x <= y * 2^n."""
+    return 0 if x <= y else -_dyadic_exponent(y, x)
 
 
 def _dyadic_exponent(n: int, d: int) -> int:
@@ -257,8 +277,7 @@ def isolate_roots(
     if degree(p) == 0:
         return []
     chain = sturm_chain(p)
-    bound = Fraction(cauchy_bound(p))
-    lo_all, hi_all = -bound, bound
+    bound = cauchy_bound(p)
     # every real root lies inside the Cauchy bound, so count at infinity
     lead = [1 if q[-1] > 0 else -1 for q in chain]
     at_minus = [-s if degree(q) % 2 else s for s, q in zip(lead, chain)]
@@ -268,9 +287,9 @@ def isolate_roots(
     poly = tuple(p)
     roots = None
     if guide is not None and len(guide) == total:
-        roots = _grid_cells(poly, guide, lo_all, hi_all, width)
+        roots = _grid_cells(poly, guide, bound, width)
     if roots is None:
-        roots = _sturm_bisection(poly, chain, lo_all, hi_all)
+        roots = _sturm_bisection(poly, chain, bound)
     if len(roots) != total:
         raise PrecisionError(f"isolated {len(roots)} roots, Sturm count is {total}")
     return roots
@@ -287,7 +306,7 @@ def _guess_numerators(guide: Sequence[float]) -> Optional[tuple[list[int], int]]
 
 
 def _grid_exponent(
-    xs: Sequence[int], den: int, window: Fraction, width: Optional[Fraction]
+    xs: Sequence[int], den: int, window: int, width: Optional[Fraction]
 ) -> Optional[int]:
     """The exponent of the grid spacing: the largest power of two at most
     the window, at most width and at most a third of the smallest gap
@@ -296,7 +315,7 @@ def _grid_exponent(
     if 0 in gaps:
         return None
     # 2^e <= x is monotone in x, so the smallest cap has the smallest exponent
-    e = _dyadic_exponent(window.numerator, window.denominator)
+    e = _dyadic_exponent(window, 1)
     if gaps:
         e = min(e, _dyadic_exponent(min(gaps), 3 * den))
     if width is not None:
@@ -314,36 +333,32 @@ def grid_spacing(
     guesses = _guess_numerators(guide)
     if guesses is None:
         return None
-    window = Fraction(2 * cauchy_bound(p))  # the same for every nonzero multiple of p
+    window = 2 * cauchy_bound(p)  # the same for every nonzero multiple of p
     e = _grid_exponent(*guesses, window, width)
     return None if e is None else Fraction(2) ** e
 
 
 def _grid_cells(
-    poly: tuple[int, ...],
-    guide: Sequence[float],
-    lo_all: Fraction,
-    hi_all: Fraction,
-    width: Optional[Fraction],
+    poly: tuple[int, ...], guide: Sequence[float], bound: int, width: Optional[Fraction]
 ) -> Optional[list[RootEnclosure]]:
-    """One sign-change cell of a dyadic grid per guess, sorted, or None
-    when the cells do not certify one root each.  A grid point where the
-    polynomial vanishes is returned as the exact enclosure [x, x].
+    """One sign-change cell of a dyadic grid inside [-bound, bound] per
+    guess, sorted, or None when the cells do not certify one root each.  A
+    grid point where the polynomial vanishes is returned as the exact
+    enclosure [x, x].
 
-    Grid point k is k * hn / hd, and the guesses are exact integers over
-    one power-of-two denominator, so cells are found by integer division
-    and only the accepted cells become Fractions."""
+    Grid point k is k * hn / hd with hn, hd powers of two, and the guesses
+    are exact integers over one power-of-two denominator, so cells are
+    found by integer division."""
     guesses = _guess_numerators(guide)
     if guesses is None:
         return None
     xs, den = guesses
-    e = _grid_exponent(xs, den, hi_all - lo_all, width)
+    e = _grid_exponent(xs, den, 2 * bound, width)
     if e is None:
         return None
     hn, hd = (1 << e, 1) if e >= 0 else (1, 1 << -e)
-    # the grid points inside the window are kmin..kmax
-    kmin = -((-lo_all.numerator * hd) // (lo_all.denominator * hn))
-    kmax = (hi_all.numerator * hd) // (hi_all.denominator * hn)
+    # the grid points inside the window are -kmax..kmax
+    kmax = bound * hd // hn
     signs: dict[int, int] = {}
 
     def sign(k: int) -> int:
@@ -366,58 +381,50 @@ def _grid_cells(
         # on a tie the guess sits on the cell midpoint and the cell above wins
         near = k - 1 if 2 * x * hd < (2 * k + 1) * step else k + 1
         c = cell(k) or cell(near)
-        if c is None or c[0] < kmin or c[1] > kmax:
+        if c is None or c[0] < -kmax or c[1] > kmax:
             return None
         cells.append(c)
     cells.sort()
     if any(a[1] >= b[0] for a, b in zip(cells, cells[1:])):
         return None
-    return [RootEnclosure(poly, Fraction(a * hn, hd), Fraction(b * hn, hd)) for a, b in cells]
+    return [RootEnclosure(poly, a * hn, b * hn, max(-e, 0)) for a, b in cells]
 
 
 def _sturm_bisection(
-    poly: tuple[int, ...], chain: Sequence[IntPoly], lo_all: Fraction, hi_all: Fraction
+    poly: tuple[int, ...], chain: Sequence[IntPoly], bound: int
 ) -> list[RootEnclosure]:
-    """Isolating intervals for the roots in (lo_all, hi_all) by bisection
-    on Sturm counts, sorted."""
-    vcache: dict[Fraction, int] = {}
-
-    def vat(x: Fraction) -> int:
-        if x not in vcache:
-            vcache[x] = variations_at(chain, x)
-        return vcache[x]
-
+    """Isolating intervals for the roots in (-bound, bound) by bisection
+    on Sturm counts, sorted.  The stack holds [a / 2^e, b / 2^e] with the
+    variation counts at both ends."""
     roots: list[RootEnclosure] = []
-    stack = [(lo_all, hi_all, vat(lo_all) - vat(hi_all))]
+    stack = [(-bound, bound, 0, variations_at(chain, -bound, 0), variations_at(chain, bound, 0))]
     while stack:
-        a, b, k = stack.pop()
-        if k == 0:
+        a, b, e, va, vb = stack.pop()
+        if va - vb == 1:
+            roots.append(RootEnclosure(poly, a, b, e))
+        if va - vb <= 1:
             continue
-        if k == 1:
-            roots.append(RootEnclosure(poly, a, b))
+        m, a, b, e = a + b, 2 * a, 2 * b, e + 1
+        if sign_at(poly, m, 1 << e) == 0:
+            roots.append(RootEnclosure(poly, m, m, e))
+            # step off the root by a quarter of the width, halving the step
+            # until both sides are off the roots and span this one alone
+            eps, m, a, b, e = b - a, m << 2, a << 2, b << 2, e + 2
+            while not (
+                a < m - eps
+                and m + eps < b
+                and sign_at(poly, m - eps, 1 << e)
+                and sign_at(poly, m + eps, 1 << e)
+                and variations_at(chain, m - eps, e) - variations_at(chain, m + eps, e) == 1
+            ):
+                m, a, b, e = 2 * m, 2 * a, 2 * b, e + 1
+            stack.append((a, m - eps, e, va, variations_at(chain, m - eps, e)))
+            stack.append((m + eps, b, e, variations_at(chain, m + eps, e), vb))
             continue
-        m = (a + b) / 2
-        if _sign(poly, m) == 0:
-            roots.append(RootEnclosure(poly, m, m))
-            eps = (b - a) / 4
-            while True:
-                left, right = m - eps, m + eps
-                if (
-                    left > a
-                    and right < b
-                    and _sign(poly, left) != 0
-                    and _sign(poly, right) != 0
-                    and vat(left) - vat(right) == 1
-                ):
-                    break
-                eps /= 2
-            stack.append((a, left, vat(a) - vat(left)))
-            stack.append((right, b, vat(right) - vat(b)))
-            continue
-        kl = vat(a) - vat(m)
-        stack.append((a, m, kl))
-        stack.append((m, b, k - kl))
-    roots.sort(key=lambda r: (r.lo, r.hi))
+        vm = variations_at(chain, m, e)
+        stack += [(a, m, e, va, vm), (m, b, e, vm, vb)]
+    exp = max((r.exp for r in roots), default=0)
+    roots.sort(key=lambda r: r.ends_at(exp))
     return roots
 
 
@@ -425,36 +432,29 @@ def separate(enclosures: list[RootEnclosure]) -> list[RootEnclosure]:
     """Refine a family of enclosures of pairwise distinct roots until the
     intervals are pairwise disjoint, and return them sorted.
 
-    Each pass sorts by (midpoint, lo) and tests overlaps and widths on
-    integer numerators over one common denominator; a pair whose first
-    enclosure the pass has just refined is put over its own denominator."""
+    Each pass sorts by (midpoint, lo); each neighbouring pair is compared
+    over the larger of its two exponents, and an overlapping pair is
+    refined to a quarter of its summed widths.  A pass without overlaps
+    leaves them sorted; two equal exact enclosures are DegeneracyError."""
     out = list(enclosures)
     for _ in range(4096):
-        ends, d = over_common_denominator((r.lo, r.hi) for r in out)
-        order = sorted(range(len(out)), key=lambda i: (ends[i][0] + ends[i][1], ends[i][0]))
-        out = [out[i] for i in order]
-        ends = [ends[i] for i in order]
-        changed = stale = False
+        exp = max(r.exp for r in out)
+        out.sort(key=lambda r: (sum(r.ends_at(exp)), r.ends_at(exp)[0]))
+        changed = False
         for i in range(len(out) - 1):
-            pair, e = ends[i : i + 2], d
-            if stale:
-                pair, e = over_common_denominator((r.lo, r.hi) for r in out[i : i + 2])
-            (alo, ahi), (blo, bhi) = pair
-            stale = ahi >= blo and not (alo == ahi and blo == bhi)
-            if stale:
-                # a quarter of the summed widths, positive as one is not exact
-                width = Fraction(ahi - alo + bhi - blo, 4 * e)
-                out[i], out[i + 1] = out[i].refined(width), out[i + 1].refined(width)
+            a, b = out[i], out[i + 1]
+            e = max(a.exp, b.exp)
+            (alo, ahi), (blo, bhi) = a.ends_at(e), b.ends_at(e)
+            total = ahi - alo + bhi - blo
+            if ahi >= blo and not total:
+                raise DegeneracyError("two equal roots with exact enclosures")
+            if ahi >= blo:
+                out[i] = a.bisected(_halvings(4 * (ahi - alo), total))
+                out[i + 1] = b.bisected(_halvings(4 * (bhi - blo), total))
                 changed = True
         if not changed:
-            break
-    else:
-        raise DegeneracyError("two roots could not be separated (equal roots?)")
-    ends, _ = over_common_denominator((r.lo, r.hi) for r in out)
-    order = sorted(range(len(out)), key=ends.__getitem__)
-    if any(ends[i][1] >= ends[j][0] for i, j in zip(order, order[1:])):
-        raise DegeneracyError("two roots could not be separated (equal roots?)")
-    return [out[i] for i in order]
+            return out
+    raise DegeneracyError("two roots could not be separated (equal roots?)")
 
 
 def poly_gcd(a: Sequence[int], b: Sequence[int]) -> IntPoly:
@@ -477,43 +477,46 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> IntPoly:
 def compare_roots(a: RootEnclosure, b: RootEnclosure) -> int:
     """Exact order of two algebraic numbers given by enclosures, detecting
     equality through the gcd of the defining polynomials."""
-    a_, b_ = a, b
     g = poly_gcd(list(a.poly), list(b.poly))
     gchain = sturm_chain(g) if degree(g) > 0 else None
     for _ in range(256):
-        if a_.hi < b_.lo:
+        e = max(a.exp, b.exp)
+        (alo, ahi), (blo, bhi) = a.ends_at(e), b.ends_at(e)
+        if ahi < blo:
             return -1
-        if b_.hi < a_.lo:
+        if bhi < alo:
             return 1
-        if a_.is_exact() and b_.is_exact() and a_.lo == b_.lo:
+        if alo == ahi == blo == bhi:
             return 0
-        if gchain is not None:
-            whole = _count_padded(g, gchain, min(a_.lo, b_.lo), max(a_.hi, b_.hi))
-            in_a = _count_roots_closed(g, gchain, a_)
-            in_b = _count_roots_closed(g, gchain, b_)
-            if whole == 1 and in_a == 1 and in_b == 1:
-                return 0
-        shrink = min(w for w in (a_.width, b_.width) if w) / 4
-        a_ = a_.refined(shrink)
-        b_ = b_.refined(shrink)
+        if (
+            gchain is not None
+            and _count_padded(g, gchain, min(alo, blo), max(ahi, bhi), e) == 1
+            and _count_roots_closed(g, gchain, a) == 1
+            and _count_roots_closed(g, gchain, b) == 1
+        ):
+            return 0
+        # refine each to a quarter of the narrower non-exact width
+        shrink = min(w for w in (ahi - alo, bhi - blo) if w)
+        a = a.bisected(_halvings(4 * (ahi - alo), shrink))
+        b = b.bisected(_halvings(4 * (bhi - blo), shrink))
     raise PreconditionError("root comparison did not converge")
 
 
 def _count_roots_closed(g: IntPoly, gchain, enc: RootEnclosure) -> int:
     if enc.is_exact():
-        return 1 if _sign(g, enc.lo) == 0 else 0
-    return _count_padded(g, gchain, enc.lo, enc.hi)
+        return 1 if sign_at(g, enc.lo_num, 1 << enc.exp) == 0 else 0
+    return _count_padded(g, gchain, enc.lo_num, enc.hi_num, enc.exp)
 
 
-def _count_padded(g: IntPoly, gchain, lo: Fraction, hi: Fraction) -> int:
-    """Roots of g in [lo, hi] padded by a 1024th of its width, each end
-    stepped outward off the roots of g.  The padding shrinks with the
-    interval, so a shrinking interval comes to exclude every root of g
-    outside it."""
-    pad = (hi - lo) / (1 << 10)
-    lo_pt, hi_pt = lo - pad, hi + pad
-    while _sign(g, lo_pt) == 0:
+def _count_padded(g: IntPoly, gchain, lo: int, hi: int, exp: int) -> int:
+    """Roots of g in [lo / 2^exp, hi / 2^exp] padded by a 1024th of its
+    width, each end stepped outward off the roots of g.  The padding
+    shrinks with the interval, so a shrinking interval comes to exclude
+    every root of g outside it."""
+    pad, exp = hi - lo, exp + 10
+    lo_pt, hi_pt = (lo << 10) - pad, (hi << 10) + pad
+    while sign_at(g, lo_pt, 1 << exp) == 0:
         lo_pt -= pad
-    while _sign(g, hi_pt) == 0:
+    while sign_at(g, hi_pt, 1 << exp) == 0:
         hi_pt += pad
-    return count_roots(gchain, lo_pt, hi_pt)
+    return count_roots(gchain, lo_pt, hi_pt, exp)

@@ -22,10 +22,11 @@ the largest spot half-width of B (0 without spots):
 Each end takes the larger value of the two directions.  The w(B) slack
 lets the upper end use one sweep against the spot midpoints.
 
-Endpoints are Fractions to callers.  The distance sweeps and `measure` run
-on integers: the endpoints over four times the least common multiple of
-their denominators, so spot centres and gap midpoints stay integers.  Each
-result becomes a Fraction once.
+An `EnclosedSet` keeps every endpoint as an integer numerator over one
+power of two 2^exp, as the root enclosures of a spectrum give them, so two
+sets meet over a common denominator by shifting to the larger exponent.
+`hausdorff` shifts by 2 more, so spot centres and gap midpoints stay
+integers.  Each result becomes a Fraction once.
 """
 
 from __future__ import annotations
@@ -34,19 +35,16 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate
 from operator import itemgetter
 
 from .errors import PreconditionError, PrecisionError
-from .farey import over_common_denominator
 
-Interval = tuple[Fraction, Fraction]
+Interval = tuple[int, int]
 _start = itemgetter(0)
 
 
 def normalize(intervals) -> tuple[Interval, ...]:
-    """Sort and merge closed intervals (degenerate ones allowed); the ends
-    may be Fractions or integers."""
+    """Sort and merge closed intervals (degenerate ones allowed)."""
     xs = sorted((lo, hi) for lo, hi in intervals if lo <= hi)
     out: list[Interval] = []
     for lo, hi in xs:
@@ -71,11 +69,6 @@ def intersect(a, b) -> tuple[Interval, ...]:
         else:
             j += 1
     return tuple(out)
-
-
-def measure(intervals) -> Fraction:
-    ends, d = over_common_denominator(intervals)
-    return Fraction(sum(hi - lo for lo, hi in ends), d)
 
 
 def _directed(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> int:
@@ -111,60 +104,67 @@ def _directed(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> int
 
 @dataclass(frozen=True)
 class EnclosedSet:
-    """A compact set bracketed by certified interval data."""
+    """A compact set bracketed by certified interval data, every endpoint
+    an integer numerator over 2^exp."""
 
     inner: tuple[Interval, ...]
     outer: tuple[Interval, ...]
     spots: tuple[Interval, ...] = field(default_factory=tuple)
+    exp: int = 0
 
     @staticmethod
     def from_spectrum(spec) -> "EnclosedSet":
-        inner, outer, spots = [], [], []
-        for lo, hi in spec.bands:
-            outer.append((lo.lo, hi.hi))
-            if lo.hi <= hi.lo:
-                inner.append((lo.hi, hi.lo))
-        for lo, hi in spec.points:
-            outer.append((lo, hi))
-            spots.append((lo, hi))
-        return EnclosedSet(normalize(inner), normalize(outer), tuple(sorted(spots)))
+        encs = [e for band in spec.bands for e in band] + list(spec.defects)
+        exp = max((e.exp for e in encs), default=0)
+        ends = [e.ends_at(exp) for e in encs]
+        n = 2 * len(spec.bands)
+        edges = list(zip(ends[0:n:2], ends[1:n:2]))
+        inner = [(lo[1], hi[0]) for lo, hi in edges if lo[1] <= hi[0]]
+        outer = [(lo[0], hi[1]) for lo, hi in edges] + ends[n:]
+        return EnclosedSet(normalize(inner), normalize(outer), tuple(sorted(ends[n:])), exp)
+
+    def over(self, exp: int) -> "EnclosedSet":
+        """The same set with its endpoints over 2^exp, for exp >= self.exp."""
+        s = exp - self.exp
+        # tuple() of a list sizes each tuple once; of a generator it grows the
+        # tuple by reallocation, which fragmented the heap on large sets
+        parts = [tuple([(lo << s, hi << s) for lo, hi in part]) for part in (self.inner, self.outer, self.spots)]
+        return EnclosedSet(*parts, exp)
 
     def intersection(self, other: "EnclosedSet") -> "EnclosedSet":
         if self.spots or other.spots:
             raise PreconditionError("set intersection is only defined for band data")
+        exp = max(self.exp, other.exp)
+        a, b = self.over(exp), other.over(exp)
         return EnclosedSet(
-            normalize(intersect(self.inner, other.inner)),
-            normalize(intersect(self.outer, other.outer)),
+            normalize(intersect(a.inner, b.inner)), normalize(intersect(a.outer, b.outer)), (), exp
         )
 
     def measure(self) -> tuple[Fraction, Fraction]:
         """Lebesgue measure enclosure; spots contribute only to the upper
         bound (each holds a single point of the true set)."""
-        return measure(self.inner), measure(self.outer)
+        d = 1 << self.exp
+        return tuple(Fraction(sum(hi - lo for lo, hi in part), d) for part in (self.inner, self.outer))
 
     def hausdorff(self, other: "EnclosedSet") -> tuple[Fraction, Fraction]:
         """Certified enclosure of the Hausdorff distance, computed on
-        integer endpoints over one common denominator of both sets."""
+        integer endpoints over 4 times the larger 2^exp of the two sets."""
         if not self.outer or not other.outer:
             raise PreconditionError("Hausdorff distance needs non-empty sets")
-        parts = (self.inner, self.outer, self.spots, other.inner, other.outer, other.spots)
-        ends, d = over_common_denominator((iv for part in parts for iv in part), 4)
-        cuts = list(accumulate((len(part) for part in parts), initial=0))
-        split = [ends[i:j] for i, j in zip(cuts, cuts[1:])]
-        mine, theirs = split[:3], split[3:]
+        exp = max(self.exp, other.exp) + 2
+        mine, theirs = self.over(exp), other.over(exp)
         hi = lo = 0
         for a, b in ((mine, theirs), (theirs, mine)):
-            (a_inner, a_outer, a_spots), (b_inner, b_outer, b_spots) = a, b
-            members = normalize(b_inner + [((s + t) // 2,) * 2 for s, t in b_spots])
+            members = normalize([*b.inner, *[((s + t) // 2,) * 2 for s, t in b.spots]])
             if not members:
                 raise PrecisionError("set enclosure too coarse (no certified member)")
-            slack = max(((t - s) // 2 for s, t in b_spots), default=0)
-            hi = max(hi, _directed(a_outer, members) + slack)
-            lo = max(lo, _directed(a_inner, b_outer))
-            for s, t in a_spots:
+            slack = max(((t - s) // 2 for s, t in b.spots), default=0)
+            hi = max(hi, _directed(a.outer, members) + slack)
+            lo = max(lo, _directed(a.inner, b.outer))
+            for s, t in a.spots:
                 centre = ((s + t) // 2,) * 2
-                lo = max(lo, _directed([centre], b_outer) - (t - s) // 2)
-        return Fraction(min(lo, hi), d), Fraction(hi, d)
+                lo = max(lo, _directed([centre], b.outer) - (t - s) // 2)
+        return Fraction(min(lo, hi), 1 << exp), Fraction(hi, 1 << exp)
 
 
 def hausdorff_spectra(s1, s2) -> tuple[Fraction, Fraction]:
@@ -174,4 +174,4 @@ def hausdorff_spectra(s1, s2) -> tuple[Fraction, Fraction]:
 def lebesgue(spec) -> tuple[Fraction, Fraction]:
     """Total band length of a spectrum as a certified enclosure (isolated
     points contribute nothing)."""
-    return EnclosedSet.from_spectrum(replace(spec, points=())).measure()
+    return EnclosedSet.from_spectrum(replace(spec, defects=())).measure()

@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DegeneracyError, PreconditionError, PrecisionError
-from .farey import as_fraction, cf_forms, check_rotation, format_rational, over_common_denominator
+from .farey import as_fraction, cf_forms, check_rotation, format_rational
 from .polyring import RP
 from .rootfind import (
     IntPoly,
@@ -159,11 +159,17 @@ def extension_traces(digits, V) -> Iterator[tuple[int, RP]]:
 @dataclass(frozen=True)
 class Spectrum:
     """Ordered certified band/point data: bands are pairs of root
-    enclosures, points are plain rational enclosures."""
+    enclosures of their edges, defects the root enclosures of the isolated
+    points."""
 
     bands: tuple
-    points: tuple
+    defects: tuple
     tol: Fraction
+
+    @property
+    def points(self) -> tuple:
+        """Each isolated point's enclosure as a (lo, hi) pair of Fractions."""
+        return tuple((e.lo, e.hi) for e in self.defects)
 
     def to_json_obj(self) -> dict:
         return {
@@ -176,9 +182,7 @@ class Spectrum:
                 ]
                 for lo, hi in self.bands
             ],
-            "points": [
-                [format_rational(lo), format_rational(hi)] for lo, hi in self.points
-            ],
+            "points": [[format_rational(e.lo), format_rational(e.hi)] for e in self.defects],
             "tol": format_rational(self.tol),
         }
 
@@ -380,8 +384,7 @@ def _share_a_root(roots: list[RootEnclosure], f: IntPoly, g: IntPoly) -> bool:
     """Whether the factors f and g of one side share a root, given the
     enclosures of the roots of both.  A shared root lies in an enclosure of
     each, so two enclosures overlap; only then is the gcd computed."""
-    ends, _ = over_common_denominator((e.lo, e.hi) for e in roots)
-    ends.sort()
+    ends = sorted((lo, hi) for lo, hi, _ in _edges(roots))
     # an end shared by two enclosures is a root only if both are exact
     overlap = any(a[1] > b[0] or a == b for a, b in zip(ends, ends[1:]))
     return overlap and degree(poly_gcd(f, g)) > 0
@@ -446,7 +449,8 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     bands = []
     for i in range(0, 2 * q, 2):
         lo, hi = edges[i], edges[i + 1]
-        mid = (lo.hi + hi.lo) / 2
+        exp = max(lo.exp, hi.exp)
+        mid = Fraction(lo.ends_at(exp)[1] + hi.ends_at(exp)[0], 2 << exp)
         if abs(t.eval(mid)) > 2:
             raise PrecisionError("band midpoint escaped the trace window")
         bands.append((lo, hi))
@@ -479,10 +483,14 @@ def membership(E, r, V) -> bool:
 # Band classification and defect spectra
 
 
-# A band edge in the band relations: (lo, hi, enclosure), with the ends of
-# the enclosure as integer numerators over a denominator shared by all
-# edges compared.
+# A band edge or defect point in the band relations and the placement check:
+# (lo, hi, enclosure), the ends over the 2^exp shared by all edges compared.
 Edge = tuple[int, int, RootEnclosure]
+
+
+def _edges(encs: list[RootEnclosure]) -> list[Edge]:
+    exp = max(enc.exp for enc in encs)
+    return [(*enc.ends_at(exp), enc) for enc in encs]
 
 
 def _cmp(a: Edge, b: Edge) -> int:
@@ -516,9 +524,7 @@ def _split_escaping(approx: Spectrum, base: Spectrum):
     """Split approximant bands into those certified inside the base
     spectrum and the escaping rest, with each escaping band's relation;
     exactly one band per base band must escape."""
-    encs = [e for spec in (approx, base) for band in spec.bands for e in band]
-    ends, _ = over_common_denominator((e.lo, e.hi) for e in encs)
-    edges = [(lo, hi, e) for (lo, hi), e in zip(ends, encs)]
+    edges = _edges([e for spec in (approx, base) for band in spec.bands for e in band])
     pairs = list(zip(edges[::2], edges[1::2]))
     base_edges = pairs[len(approx.bands) :]
     inside, escaping, rels = [], [], []
@@ -597,17 +603,18 @@ def floquet_defect_estimates(word: str, V) -> list[float]:
     return out
 
 
-def _certified_nonzero(g: RP, lo: Fraction, hi: Fraction) -> bool:
-    """True when g has no root in [lo, hi]: |g(mid)| exceeds the bound
-    sum_k k |c_k| R^(k-1) * width/2 on |g(x) - g(mid)|, R = max(|lo|, |hi|).
-    An exact enclosure [x, x] is decided by g(x) itself.
+def _certified_nonzero(g: RP, a: int, b: int, exp: int) -> bool:
+    """True when g has no root in [lo, hi] = [a / 2^exp, b / 2^exp]: |g(mid)|
+    exceeds the bound sum_k k |c_k| R^(k-1) * width/2 on |g(x) - g(mid)|,
+    R = max(|lo|, |hi|).  An exact enclosure [x, x] is decided by g(x)
+    itself.
 
-    With lo = a/d and hi = b/d, both sides are scaled by (2d)^n, n = deg g,
-    so the test runs on integers."""
+    With d = 2^exp, both sides are scaled by (2d)^n, n = deg g, so the test
+    runs on integers."""
     c = g.num
-    if lo == hi:
-        return sign_at(c, lo.numerator, lo.denominator) != 0
-    [(a, b)], d = over_common_denominator([(lo, hi)])
+    d = 1 << exp
+    if a == b:
+        return sign_at(c, a, d) != 0
     n = len(c) - 1
     slope = [k * abs(ck) for k, ck in enumerate(c)][1:] or [0]
     bound = _eval_homogeneous(slope, max(abs(a), abs(b)), d)  # d^(n-1) * sum
@@ -658,17 +665,18 @@ def defect_spectrum(r, side: str, V, tol) -> Spectrum:
     for enc in roots:
         enc = enc.refined(tol)
         for _ in range(MAX_SIDE_HALVINGS):
-            s = sign_at(t_u.num, enc.lo.numerator, enc.lo.denominator)
-            if s != 0 and s == sign_at(t_u.num, enc.hi.numerator, enc.hi.denominator):
+            lo, hi, exp = enc.lo_num, enc.hi_num, enc.exp
+            s = sign_at(t_u.num, lo, 1 << exp)
+            if s != 0 and s == sign_at(t_u.num, hi, 1 << exp):
                 g_same, g_other = (g_plus, g_minus) if s > 0 else (g_minus, g_plus)
-                if _certified_nonzero(g_other, enc.lo, enc.hi):
-                    points.append((enc.lo, enc.hi))
+                if _certified_nonzero(g_other, lo, hi, exp):
+                    points.append(enc)
                     break
-                if _certified_nonzero(g_same, enc.lo, enc.hi):
+                if _certified_nonzero(g_same, lo, hi, exp):
                     break
             if enc.is_exact():
                 raise PrecisionError("G+ and G- both vanish at an exact defect root")
-            enc = enc.refined(enc.width / 2)
+            enc = enc.bisected(1)
         else:
             raise PrecisionError(
                 f"side of a defect root at {format_rational(r)} not decided "
@@ -682,22 +690,22 @@ def _check_point_placement(base: Spectrum, points, above: bool) -> None:
     """For positive coupling, upper limits put one eigenvalue in the gap
     above each band (the last one above the spectrum) and lower limits
     mirror this below each band; negative coupling reflects the picture
-    (conjugation by (-1)^n sends H(V) to -H(-V))."""
-    bands = base.bands
-    q = len(bands)
+    (conjugation by (-1)^n sends H(V) to -H(-V)).
+
+    The points are root enclosures on t_u^2 - V^2 - 4.  A point's enclosure
+    may overlap or touch its edge's; `compare_roots` then decides the order
+    of the two roots exactly, whatever the tol."""
+    q = len(base.bands)
     if len(points) != q:
         raise PrecisionError(f"expected {q} defect points, found {len(points)}")
-    for j, (plo, phi) in enumerate(points):
-        if above:
-            beside = plo > bands[j][1].hi
-            in_gap = j + 1 == q or phi < bands[j + 1][0].lo
-        else:
-            beside = phi < bands[j][0].lo
-            in_gap = j == 0 or plo > bands[j - 1][1].hi
-        if not beside:
-            where = "above" if above else "below"
-            raise PrecisionError(f"defect point is not {where} its band")
-        if not in_gap:
+    edges = _edges([*(e for band in base.bands for e in band), *points])
+    lower, upper = edges[0 : 2 * q : 2], edges[1 : 2 * q : 2]
+    # the edge the point lies beside, and the edge across its gap
+    side, near, far = (1, upper, lower) if above else (-1, lower, upper)
+    for j, point in enumerate(edges[2 * q :]):
+        if _cmp(point, near[j]) != side:
+            raise PrecisionError(f"defect point is not {'above' if above else 'below'} its band")
+        if 0 <= j + side < q and _cmp(point, far[j + side]) != -side:
             raise PrecisionError("defect point escaped its gap")
 
 

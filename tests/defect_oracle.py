@@ -16,7 +16,6 @@ from kohmoto.errors import PreconditionError, PrecisionError
 from kohmoto.farey import as_fraction
 from kohmoto.spectra import (
     MAX_K,
-    _check_point_placement,
     _split_escaping,
     approach_digits,
     extension_traces,
@@ -39,11 +38,26 @@ def approximant_defect_points(r, side: str, V, tol) -> tuple:
         _, escaping, rels = _split_escaping(approx, base)
         if all(b.hi - a.lo <= tol for a, b in escaping) and all(rel == "outside" for rel in rels):
             points = tuple((a.lo, b.hi) for a, b in escaping)
-            _check_point_placement(base, points, above=(side == "plus") == (V > 0))
+            _check_hull_placement(base, points, above=(side == "plus") == (V > 0))
             return points
         if 2 * k_next > MAX_K:
             raise PrecisionError(f"approximants did not converge by k = {k_next}")
         k_next *= 2
+
+
+def _check_hull_placement(base, points, above: bool) -> None:
+    """`spectra._check_point_placement` at enclosure resolution, for point
+    hulls that enclose no root of a known polynomial: each hull lies
+    strictly beside its band and inside its gap."""
+    bands = base.bands
+    q = len(bands)
+    for j, (plo, phi) in enumerate(points):
+        if above:
+            ok = plo > bands[j][1].hi and (j + 1 == q or phi < bands[j + 1][0].lo)
+        else:
+            ok = phi < bands[j][0].lo and (j == 0 or plo > bands[j - 1][1].hi)
+        if not ok:
+            raise PrecisionError("escaping band hull is not in its gap")
 
 
 def finite_section_modes(config: Configuration, V, N: int, edge_frac: float = 0.05):

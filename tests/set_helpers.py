@@ -1,10 +1,11 @@
 """Set operations and exact distances that only the tests use, on
-`kohmoto.sets.EnclosedSet` and plain interval unions."""
+`kohmoto.sets.EnclosedSet` and plain interval unions with dyadic ends."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from kohmoto.errors import PreconditionError
-from kohmoto.farey import over_common_denominator
+from kohmoto.rootfind import RootEnclosure
 from kohmoto.sets import EnclosedSet, _directed, intersect, normalize
 
 
@@ -15,8 +16,10 @@ def directed_hausdorff(a, b) -> Fraction:
         return Fraction(0)
     if not b:
         raise PreconditionError("directed distance to an empty set")
-    ends, d = over_common_denominator([*a, *b], 4)
-    return Fraction(_directed(ends[: len(a)], ends[len(a) :]), d)
+    encs = [RootEnclosure((), lo, hi) for lo, hi in [*a, *b]]
+    exp = max(e.exp for e in encs) + 2  # gap midpoints stay integers
+    ends = [e.ends_at(exp) for e in encs]
+    return Fraction(_directed(ends[: len(a)], ends[len(a) :]), 1 << exp)
 
 
 def hausdorff_exact(a, b) -> Fraction:
@@ -27,27 +30,47 @@ def hausdorff_exact(a, b) -> Fraction:
     return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
-def from_intervals(intervals) -> EnclosedSet:
-    """A set known exactly: inner and outer union coincide."""
-    xs = normalize(intervals)
-    return EnclosedSet(xs, xs)
+def enclosed_set(bands=(), spots=()) -> EnclosedSet:
+    """The set of a spectrum with these bands and isolated points: each
+    band is a pair of edge enclosures ((lo, hi), (lo, hi)) and each spot the
+    enclosure (lo, hi) of one point, all with dyadic ends."""
+    spec = SimpleNamespace(
+        bands=[(RootEnclosure((), *lo), RootEnclosure((), *hi)) for lo, hi in bands],
+        defects=[RootEnclosure((), *spot) for spot in spots],
+    )
+    return EnclosedSet.from_spectrum(spec)
+
+
+def from_intervals(intervals, points=()) -> EnclosedSet:
+    """A set known exactly, intervals and isolated points: inner and outer
+    union coincide up to the points."""
+    return enclosed_set([((lo, lo), (hi, hi)) for lo, hi in intervals], [(x, x) for x in points])
+
+
+def _common(*sets: EnclosedSet) -> list[EnclosedSet]:
+    exp = max(s.exp for s in sets)
+    return [s.over(exp) for s in sets]
 
 
 def union(a: EnclosedSet, b: EnclosedSet) -> EnclosedSet:
+    a, b = _common(a, b)
     return EnclosedSet(
         normalize(a.inner + b.inner),
         normalize(a.outer + b.outer),
         tuple(sorted(a.spots + b.spots)),
+        a.exp,
     )
 
 
 def covers_at_resolution(a: EnclosedSet, b: EnclosedSet) -> bool:
     """Containment check at enclosure resolution: the certified inner part
     of b lies inside the outer hull of a."""
+    a, b = _common(a, b)
     body = normalize(b.inner + b.spots)
     hull = normalize(a.outer)
     return intersect(body, hull) == body
 
 
 def certainly_disjoint_triple(a: EnclosedSet, b: EnclosedSet, c: EnclosedSet) -> bool:
+    a, b, c = _common(a, b, c)
     return not intersect(intersect(a.outer, b.outer), c.outer)

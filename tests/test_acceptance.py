@@ -85,7 +85,7 @@ def test_criterion_02_closed_form_spectra():
         (5 + F(s41, scale)) / 2,
     ]
     edges = [spec.bands[0][0], spec.bands[0][1], spec.bands[1][0], spec.bands[1][1]]
-    ok = all(abs(e.mid - t) <= F(1, 10**9) for e, t in zip(edges, targets))
+    ok = all(abs((e.lo + e.hi) / 2 - t) <= F(1, 10**9) for e, t in zip(edges, targets))
     s0 = spectrum_periodic(F(0), V5, tol)
     s1 = spectrum_periodic(F(1), V5, tol)
     ok = ok and s0.bands[0][0].lo <= -2 <= s0.bands[0][0].hi

@@ -137,6 +137,15 @@ def test_butterfly_certified_small():
     assert len(row23.defects_plus) == 3 and len(row23.defects_minus) == 3
 
 
+def test_certified_butterfly_places_defect_points_near_band_edges():
+    # at V = -3 the 1/14+ points lie closer to their band edges than the
+    # default tol 1e-6, so only exact root comparison places them
+    ds = butterfly(14, F(-3), "certified")
+    assert [(r.q, r.p, r.error) for r in ds.rows if r.error] == []
+    row = next(r for r in ds.rows if (r.q, r.p) == (14, 1))
+    assert len(row.defects_plus) == 14
+
+
 def test_butterfly_fast_deterministic_and_schema():
     ds1 = butterfly(8, V5, "fast", True)
     ds2 = butterfly(8, V5, "fast", True)
@@ -161,8 +170,8 @@ def test_butterfly_fast_matches_certified_bands():
         spec = spectrum_periodic(F(row.p, row.q), V5, F(1, 10**9))
         assert len(row.bands) == len(spec.bands)
         for (flo, fhi), (clo, chi) in zip(row.bands, spec.bands):
-            assert abs(float(flo[1:]) - float(clo.mid)) < 1e-6
-            assert abs(float(fhi[1:]) - float(chi.mid)) < 1e-6
+            assert abs(float(flo[1:]) - float(clo.lo)) < 1e-6
+            assert abs(float(fhi[1:]) - float(chi.lo)) < 1e-6
 
 
 # at V = 8 the fast backend drops defect points of 1/12+ and so of 11/12-

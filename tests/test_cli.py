@@ -1,10 +1,26 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from kohmoto import cli
+
 DATA = Path(__file__).parent / "data"
+
+# SHA-256 of the stdout of certified commands: a change inside the exact
+# layers (enclosure representation, refinement, set metrics) must not move
+# an output byte.
+CERTIFIED_OUTPUTS = {
+    "spectrum bands --r 55/89 --V 5 --format json": "9549753b7b26841a57b11f98b17f26ded446ae9a6a8281d9f50ed1122e5b0319",
+    "spectrum defects --r 8/13 --side plus --V 1/2 --tol 1e-9 --format json": "e8f6bee7285ed1d997736535beb7f0f087d448d39ba37826102bc40465813f78",
+    "analyze optimality --r 2/3 --side minus --V 5 --kmax 20 --format json": "4aa6750f2b1f3f4111826c018b633cede8c35ba55d48f7ececd73db46fffa9d1",
+    "butterfly --Q 8 --V 5 --format json": "9bad971ab6879ca7c12d7f7c9d17f46e41acd156675bf1df4db6a4baed39c6f6",
+    "butterfly --Q 8 --V -3 --format json": "c0777ac67941c67ae5de9a6080322068b8b5a8027c90026811c0ac7abfd0b9ba",
+}
 
 
 def run(*args, expect=0):
@@ -179,3 +195,10 @@ def test_analyze_measures_json():
     obj = json.loads(out)["result"]
     assert obj["mu"] == ["4/1", "4/1"]
     assert len(obj["rows"]) == 3
+
+
+@pytest.mark.parametrize("command", list(CERTIFIED_OUTPUTS))
+def test_certified_output_bytes_are_pinned(command, capsys):
+    assert cli.main(command.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CERTIFIED_OUTPUTS[command]

@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 
 from kohmoto.errors import PreconditionError
 from kohmoto.sets import (
-    EnclosedSet,
     hausdorff_spectra,
     intersect,
     lebesgue,
-    measure,
     normalize,
 )
 from kohmoto.spectra import defect_spectrum, spectrum_periodic
 
-from set_helpers import covers_at_resolution, directed_hausdorff, from_intervals, hausdorff_exact
+from set_helpers import (
+    covers_at_resolution,
+    directed_hausdorff,
+    enclosed_set,
+    from_intervals,
+    hausdorff_exact,
+)
 
 
 def test_normalize_and_intersect():
@@ -26,7 +30,7 @@ def test_normalize_and_intersect():
     assert xs == ((F(0), F(2)), (F(3), F(4)))
     ys = intersect(xs, ((F(1), F(7, 2)),))
     assert ys == ((F(1), F(2)), (F(3), F(7, 2)))
-    assert measure(ys) == F(3, 2)
+    assert from_intervals(ys).measure() == (F(3, 2), F(3, 2))
 
 
 def test_hausdorff_hand_examples():
@@ -62,14 +66,13 @@ def test_hausdorff_grid_oracle_with_spots():
     def rand_set():
         n = rng.randint(1, 4)
         iv = []
-        x = F(rng.randint(-20, 0), 7)
+        x = F(rng.randint(-20, 0), 8)
         for _ in range(n):
-            w = F(rng.randint(1, 30), 13)
+            w = F(rng.randint(1, 30), 16)
             iv.append((x, x + w))
-            x = x + w + F(rng.randint(1, 25), 11)
-        spots = [(x + F(1, 3), x + F(1, 3))] if rng.random() < 0.6 else []
-        es = EnclosedSet(normalize(iv), normalize(iv + spots), tuple(spots))
-        return es, normalize(iv + spots)
+            x = x + w + F(rng.randint(1, 25), 8)
+        points = [x + F(1, 4)] if rng.random() < 0.6 else []
+        return from_intervals(iv, points), normalize(iv + [(p, p) for p in points])
 
     def grid_dh(a, b, step=1 / 512):
         def pts(iv):
@@ -104,24 +107,26 @@ def test_hausdorff_grid_oracle_with_spots():
 def test_enclosure_widens_with_sloppy_spots():
     # an uncertain isolated point must still give a two-sided bound
     a = from_intervals([(F(0), F(1))])
-    spot = (F(2), F(2) + F(1, 1000))
-    b = EnclosedSet(((F(0), F(1)),), ((F(0), F(1)), spot), (spot,))
+    spot = (F(2), F(2) + F(1, 1024))
+    b = enclosed_set([((F(0), F(0)), (F(1), F(1)))], [spot])
     lo, hi = a.hausdorff(b)
     assert lo <= 1 <= hi
-    assert hi - lo <= F(1, 500)
+    assert hi - lo <= F(1, 512)
     # each spot's lower bound gives up only its own half-width, not the
     # widest spot's: the narrow far spot pins the lower end exactly
-    narrow = (F(10), F(10) + F(1, 10**6))
-    b = EnclosedSet(((F(0), F(1)),), ((F(0), F(1)), spot, narrow), (spot, narrow))
-    assert a.hausdorff(b) == (9, 9 + F(1, 10**6))
+    narrow = (F(10), F(10) + F(1, 2**20))
+    b = enclosed_set([((F(0), F(0)), (F(1), F(1)))], [spot, narrow])
+    assert a.hausdorff(b) == (9, 9 + F(1, 2**20))
 
 
 def test_intersection_measure_enclosure():
-    a = EnclosedSet(((F(0), F(1)),), ((F(-1, 100), F(101, 100)),))
-    b = EnclosedSet(((F(1, 2), F(2)),), ((F(49, 100), F(2)),))
+    # inner (0, 1) in outer (-1/128, 1 + 1/128); inner (1/2, 2) in outer
+    # (1/2 - 1/64, 2)
+    a = enclosed_set([((F(-1, 128), F(0)), (F(1), F(1) + F(1, 128)))])
+    b = enclosed_set([((F(1, 2) - F(1, 64), F(1, 2)), (F(2), F(2)))])
     c = a.intersection(b)
     mlo, mhi = c.measure()
-    assert mlo == F(1, 2) and mhi == F(52, 100)
+    assert mlo == F(1, 2) and mhi == F(1, 2) + F(1, 64) + F(1, 128)
 
 
 def test_spectra_level_helpers():
@@ -149,7 +154,7 @@ def test_covers_at_resolution():
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
-rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+rationals = st.builds(F, st.integers(-60, 60), st.sampled_from([1, 2, 4, 8]))
 fractions_of_unit = st.builds(F, st.integers(0, 8), st.just(8))
 
 
@@ -186,15 +191,15 @@ def enclosed_with_truth(draw):
         x = lo[0] + (lo[1] - lo[0]) * draw(fractions_of_unit)
         y_lo = max(x, hi[0])
         y = y_lo + (hi[1] - y_lo) * draw(fractions_of_unit)
-        bands.append((SimpleNamespace(lo=lo[0], hi=lo[1]), SimpleNamespace(lo=hi[0], hi=hi[1])))
+        bands.append((lo, hi))
         truth.append((x, y))
     for _ in range(draw(st.integers(0, 3))):
         s = draw(rationals)
-        w = F(draw(st.integers(1, 9)), 50)
+        w = F(draw(st.integers(1, 9)), 64)
         x = s + w * draw(fractions_of_unit)
         spots.append((s, s + w))
         truth.append((x, x))
-    es = EnclosedSet.from_spectrum(SimpleNamespace(bands=bands, points=spots))
+    es = enclosed_set(bands, spots)
     assume(es.inner or es.spots)
     return es, truth
 
@@ -225,6 +230,17 @@ def hausdorff_ref(x, y):
     def directed(a, b):
         return brute_directed(a, b) if a else F(0)
 
+    def fractions(es):
+        d = 1 << es.exp
+        parts = (es.inner, es.outer, es.spots)
+        return SimpleNamespace(
+            **{
+                name: [(F(lo, d), F(hi, d)) for lo, hi in part]
+                for name, part in zip(("inner", "outer", "spots"), parts)
+            }
+        )
+
+    x, y = fractions(x), fractions(y)
     hi = lo = F(0)
     for a, b in ((x, y), (y, x)):
         members = merge_ref(list(b.inner) + [((s + t) / 2,) * 2 for s, t in b.spots])

@@ -208,7 +208,7 @@ def test_spectrum_half_closed_forms():
     targets = [(5 - s41hi) / 2, F(0), F(5), (5 + s41lo) / 2]
     edges = [a_lo, a_hi, b_lo, b_hi]
     for enc, target in zip(edges, targets):
-        assert abs(enc.mid - target) <= F(1, 10**9)
+        assert abs((enc.lo + enc.hi) / 2 - target) <= F(1, 10**9)
 
 
 def test_band_count_sampled():
@@ -290,7 +290,7 @@ def test_reflection_sectors_hold_the_roots_of_their_factors():
             word = period_word(r)
             for anti, factors in zip((False, True), reflection_factors(word, V)):
                 for f, guesses in zip(factors, floquet_edges(word, V, anti)):
-                    roots = [float(e.refined(F(1, 10**12)).mid) for e in isolate_roots(f)]
+                    roots = [float(e.refined(F(1, 10**12)).lo) for e in isolate_roots(f)]
                     assert len(roots) == len(f) - 1 == len(guesses)
                     assert np.allclose(sorted(guesses), roots, rtol=0, atol=1e-9)
             cases += 1
@@ -448,6 +448,40 @@ def test_defect_point_placement_both_sides():
                         assert plo > base.bands[j - 1][1].hi
 
 
+# Defect points whose enclosures at this tol overlap the enclosure of a
+# band edge (at V = -3 the 1/20+ point lies 1.7e-10 from its edge).  Over
+# every p/q with q <= 25, both sides, V = 5, 1/2, -3 and 13/2, these are
+# the points that a placement decided at tol resolution fails to certify.
+NEAR_EDGE_POINTS = [
+    *((TOL6, V5, pt) for pt in ("9/19-", "10/19+")),
+    *(
+        (TOL6, F(-3), pt)
+        for pt in ("1/14+", "13/14-", "1/20+", "19/20-", "1/22+", "21/22-", "1/23+", "22/23-", "12/25-", "13/25+")
+    ),
+    *((TOL9, F(-3), pt) for pt in ("1/20+", "19/20-", "1/22+", "21/22-", "1/23+", "22/23-")),
+]
+
+
+@pytest.mark.parametrize(
+    "tol, V, point", NEAR_EDGE_POINTS, ids=[f"{pt}-V{V}-tol{float(tol):g}" for tol, V, pt in NEAR_EDGE_POINTS]
+)
+def test_defect_points_near_a_band_edge_are_placed_exactly(tol, V, point):
+    r, side = F(point[:-1]), "plus" if point.endswith("+") else "minus"
+    spec = defect_spectrum(r, side, V, tol)
+    q = r.denominator
+    assert len(spec.defects) == q
+    assert all(e.hi - e.lo <= tol for e in spec.defects)
+    # refined far below tol, every point lies strictly inside its gap
+    fine = F(1, 2**100)
+    edges = [e.refined(fine) for band in spec.bands for e in band]
+    above = (side == "plus") == (V > 0)
+    for j, enc in enumerate(spec.defects):
+        p = enc.refined(fine)
+        below_edge, above_edge = (2 * j + 1, 2 * j + 2) if above else (2 * j - 1, 2 * j)
+        assert below_edge < 0 or edges[below_edge].hi < p.lo
+        assert above_edge == 2 * q or p.hi < edges[above_edge].lo
+
+
 def test_defect_gap_clusters_against_finite_sections():
     r, side = F(2, 3), "plus"
     spec = defect_spectrum(r, side, V5, TOL6)
@@ -550,14 +584,15 @@ def test_defect_points_match_approximant_oracle():
 def test_certified_nonzero_needs_the_slope_bound():
     from kohmoto.spectra import _certified_nonzero
 
+    # the ends are integers over 2^exp: [0, 1/2] is (0, 1, 1)
     g = RP.from_fractions([F(-1, 3), 1])  # root at 1/3
-    assert not _certified_nonzero(g, F(0), F(1, 2))  # g(1/4) != 0, but 1/3 is inside
-    assert _certified_nonzero(g, F(1, 2), F(1))
-    assert not _certified_nonzero(g, F(1, 3), F(1, 3))
-    assert _certified_nonzero(g, F(1, 2), F(1, 2))
+    assert not _certified_nonzero(g, 0, 1, 1)  # g(1/4) != 0, but 1/3 is inside
+    assert _certified_nonzero(g, 1, 2, 1)  # [1/2, 1]
+    assert _certified_nonzero(g, 1, 1, 1)  # [1/2, 1/2]
+    assert not _certified_nonzero(RP.from_fractions([F(-1, 4), 1]), 1, 1, 2)  # g(1/4) = 0
     h = RP.from_fractions([F(1, 100), 0, -1])  # roots at +-1/10
-    assert not _certified_nonzero(h, F(-1, 2), F(-1, 16))
-    assert _certified_nonzero(h, F(-1, 16), F(1, 16))
+    assert not _certified_nonzero(h, -8, -1, 4)  # [-1/2, -1/16]
+    assert _certified_nonzero(h, -1, 1, 4)  # [-1/16, 1/16]
 
 
 def test_defect_spectrum_checks_the_trace_invariant(monkeypatch):
@@ -647,12 +682,13 @@ def test_inclusion_and_at_most_k():
             small = EnclosedSet.from_spectrum(specs[k + 1])
             cover = union(base, EnclosedSet.from_spectrum(specs[k]))
             assert covers_at_resolution(cover, small)
+        scale = 1 << base.exp  # base.outer holds integers over 2^exp
         for k in range(1, 8):
             approx = specs[k]
             for c, d in base.outer:
                 count = 0
                 for lo, hi in approx.bands:
-                    if c <= lo.hi and hi.lo <= d:
+                    if c <= lo.hi * scale and hi.lo * scale <= d:
                         count += 1
                 assert count <= k
 
@@ -716,10 +752,11 @@ def test_point_placement_check_survives_python_O():
     code = (
         "from fractions import Fraction as F\n"
         "from kohmoto.errors import PrecisionError\n"
+        "from kohmoto.rootfind import RootEnclosure\n"
         "from kohmoto.spectra import _check_point_placement, spectrum_periodic\n"
         "base = spectrum_periodic(F(0), 5, F(1, 10**6))\n"
         "try:\n"
-        "    _check_point_placement(base, [(F(0), F(0))], above=True)\n"
+        "    _check_point_placement(base, [RootEnclosure((0, 1), 0, 0)], above=True)\n"
         "except PrecisionError as exc:\n"
         "    print(exc)\n"
     )
