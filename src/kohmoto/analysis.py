@@ -4,9 +4,8 @@ certificate, Lebesgue-measure experiments, and the butterfly dataset.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -34,6 +33,11 @@ from .spectra import (
     spectrum_periodic,
 )
 from .words import period_word, sk_words
+
+# Imported after the package's own modules, so that numpy loads inside
+# `spectra`, after `farey`, `sets` and `rootfind`: loading it before them
+# measured 0.4 MB more peak RSS on `bands_sweep` (heap layout, not objects).
+import numpy as np
 
 
 def point_spectrum(x, V, tol) -> Spectrum:
@@ -336,6 +340,9 @@ class ButterflyDataset:
     backend: str
     include_defects: bool
     rows: tuple[ButterflyRow, ...]
+    # each interval end of rows as the float its string was formatted from,
+    # two per interval in row order: what to_svg draws
+    ends: np.ndarray = field(repr=False, compare=False)
 
     def to_csv(self) -> str:
         lines = ["q,p,kind,lo,hi"]
@@ -368,51 +375,36 @@ class ButterflyDataset:
         }
 
     def to_svg(self, width: int = 800, height: int = 600) -> str:
-        parsed = [
-            tuple(
-                [(_parse_value(lo), _parse_value(hi)) for lo, hi in part]
-                for part in (row.bands, row.defects_plus, row.defects_minus)
-            )
-            for row in self.rows
-        ]
-        vals = [x for parts in parsed for part in parts for pair in part for x in pair]
-        if not vals:
-            vals = [0.0, 1.0]
-        e_lo, e_hi = min(vals), max(vals)
+        ends = self.ends
+        e_lo, e_hi = (ends.min(), ends.max()) if len(ends) else (0.0, 1.0)
         pad = 0.05 * (e_hi - e_lo) or 1.0
         e_lo, e_hi = e_lo - pad, e_hi + pad
 
-        def sx(e: float) -> float:
+        def sx(e: np.ndarray) -> np.ndarray:
             return 40 + (width - 60) * (e - e_lo) / (e_hi - e_lo)
 
-        def sy(r: float) -> float:
-            return height - 30 - (height - 60) * r
-
+        x_end, x_mid = sx(ends), sx((ends[0::2] + ends[1::2]) / 2)
         out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
             f'viewBox="0 0 {width} {height}">',
             f'<rect width="{width}" height="{height}" fill="white"/>',
         ]
-        for row, (bands, plus, minus) in zip(self.rows, parsed):
-            y = sy(row.p / row.q)
-            for lo, hi in bands:
-                x1, x2 = sx(lo), sx(hi)
+        i = 0  # the row's first interval
+        for row in self.rows:
+            y = f"{height - 30 - (height - 60) * (row.p / row.q):.2f}"
+            xs = x_end[2 * i : 2 * (i + len(row.bands))].tolist()
+            for x1, x2 in zip(xs[0::2], xs[1::2]):
                 out.append(
-                    f'<line x1="{x1:.2f}" y1="{y:.2f}" x2="{x2:.2f}" y2="{y:.2f}" '
+                    f'<line x1="{x1:.2f}" y1="{y}" x2="{x2:.2f}" y2="{y}" '
                     f'stroke="black" stroke-width="1.2"/>'
                 )
-            for points, color in ((plus, "#cc0000"), (minus, "#0044cc")):
-                for lo, hi in points:
-                    x = sx((lo + hi) / 2)
-                    out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.2" fill="{color}"/>')
+            i += len(row.bands)
+            for points, color in ((row.defects_plus, "#cc0000"), (row.defects_minus, "#0044cc")):
+                for x in x_mid[i : i + len(points)].tolist():
+                    out.append(f'<circle cx="{x:.2f}" cy="{y}" r="1.2" fill="{color}"/>')
+                i += len(points)
         out.append("</svg>")
         return "\n".join(out) + "\n"
-
-
-def _parse_value(s: str) -> float:
-    if s.startswith("~"):
-        return float(s[1:])
-    return float(Fraction(s))
 
 
 def _fmt_fast(x: float) -> str:
@@ -451,6 +443,14 @@ class _RowValues:
         swap = {"defect_plus": "defect_minus", "defect_minus": "defect_plus"}
         errors = {swap.get(part, part): msg for part, msg in self.errors.items()}
         return _RowValues(flip(self.bands), flip(self.minus), flip(self.plus), errors)
+
+    def ends(self, backend: str) -> np.ndarray:
+        """The ends of the row's intervals as the strings print them, one
+        (lo, hi) row each: bands, then plus and minus points."""
+        ends = np.array(self.bands + self.plus + self.minus, dtype=float).reshape(-1, 2)
+        if backend == "fast":
+            ends += (-FAST_SLOP, FAST_SLOP)
+        return ends
 
     def formatted(self, r: Fraction, fmt) -> ButterflyRow:
         def strs(intervals) -> tuple:
@@ -511,14 +511,12 @@ def _butterfly_row(r: Fraction, V: Fraction, backend: str, include_defects: bool
 def _outside_bands(zeros, bands) -> list[float]:
     """The zeros outside every band widened by 1e-9 on each side.  The ends
     of sorted bands are sorted, so a zero lies in some widened band iff it
-    lies in the last one that starts at or below it."""
-    starts = [lo - 1e-9 for lo, _ in bands]
-    out = []
-    for z in zeros:
-        i = bisect.bisect_right(starts, z) - 1
-        if i < 0 or z > bands[i][1] + 1e-9:
-            out.append(z)
-    return out
+    lies in the last one that starts at or below it; a band at -inf stands
+    below them all."""
+    lo, hi = np.array([(-np.inf, -np.inf), *bands]).T
+    zeros = np.asarray(zeros, dtype=float)
+    last = np.searchsorted(lo - 1e-9, zeros, side="right") - 1
+    return zeros[zeros > hi[last] + 1e-9].tolist()
 
 
 def _fast_defects(r: Fraction, side: str, V: Fraction, base_bands) -> list[float]:
@@ -537,8 +535,9 @@ def _fast_defects(r: Fraction, side: str, V: Fraction, base_bands) -> list[float
 
 
 # Caps on Q by backend, from measured cost at V = 5 on a 2-core machine: the
-# fast backend takes 8-9 s at Q = 60 and 11 s at Q = 64, the certified one
-# 12 s at Q = 16 (rows grow like Q^2, and each costs more with q).
+# fast backend takes 6.5-6.7 s at Q = 60 and 8.1-8.4 s at Q = 64, the
+# certified one 12 s at Q = 16 (rows grow like Q^2, and each costs more with
+# q).
 MAX_Q = {"fast": 64, "certified": 16}
 
 
@@ -572,7 +571,7 @@ def butterfly(
     ]
     fmt = _FORMATS[backend]
     lower = {}  # fast rows of 0 < r < 1/2, until their mirror row is due
-    rows = []
+    rows, ends = [], []
     for r in rationals:
         if 1 - r in lower:
             values = lower.pop(1 - r).mirrored(float(V))
@@ -581,4 +580,7 @@ def butterfly(
             if backend == "fast" and 0 < 2 * r < 1:
                 lower[r] = values
         rows.append(values.formatted(r, fmt))
-    return ButterflyDataset(Q, V, backend, include_defects, tuple(rows))
+        ends.append(values.ends(backend))
+    return ButterflyDataset(
+        Q, V, backend, include_defects, tuple(rows), np.concatenate(ends).ravel()
+    )

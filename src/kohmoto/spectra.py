@@ -221,6 +221,36 @@ def _reflection(word: str) -> int:
     return shift
 
 
+def _fold(word: str, V) -> tuple[int, int, int, np.ndarray]:
+    """The ring of a word folded by its mirror R(i) = (s - 1 - i) mod n.
+
+    R maps each palindrome w[:s], w[s:] onto itself, so the ring folds
+    into a path: the pairs {i, R i} for the first h1 = s // 2 sites i of
+    w[:s] and the first h2 = (n - s) // 2 of w[s:], numbered 0..h1+h2-1
+    in that order, and the centre of each odd palindrome, fixed by R.
+    Pair j meets pair j + 1 of its half on two links.  The halves meet
+    where the closing link (n - 1, 0) and its mirror (s - 1, s) join pair
+    0 to pair h1.  The path turns at the middle of each palindrome: at its
+    centre, or at the link between its two middle sites, which joins a
+    pair to its own mirror; with s = 0 that link of the empty w[:s] is the
+    closing link.
+
+    Returns (s, h1, h2, the potentials v w_i).  A zero potential is +0.0
+    (v * 0 is -0.0 for v < 0), as the sums of a matrix product starting
+    from +0.0 give it."""
+    n, shift = len(word), _reflection(word)
+    letters = np.frombuffer(word.encode(), dtype=np.uint8) - ord("0")
+    return shift, shift // 2, (n - shift) // 2, float(as_fraction(V)) * letters + 0.0
+
+
+def _fill(m: np.ndarray, i: int, j: int, count: int, x) -> None:
+    """m[i + t, j + t] = m[j + t, i + t] = x for 0 <= t < count."""
+    if count > 0:
+        size, flat = len(m), m.reshape(-1)
+        flat[i * size + j : (i + count) * size + j + count : size + 1] = x
+        flat[j * size + i : (j + count) * size + i + count : size + 1] = x
+
+
 def floquet_edges(word: str, V, anti: bool) -> tuple[list[float], list[float]]:
     """Floating band-edge estimates: the eigenvalues of the one-period
     operator with periodic (trace = +2) or antiperiodic (trace = -2)
@@ -233,77 +263,134 @@ def floquet_edges(word: str, V, anti: bool) -> tuple[list[float], list[float]]:
     (see `reflection_factors`).  The antiperiodic operator commutes with
     G o R instead, G = -1 on the sites of the first palindrome w[:s]; its
     even and odd sectors hold the roots of Q1 P2 + R1 S2 and P1 Q2 + S1 R2,
-    the factors of t + 2."""
+    the factors of t + 2.
+
+    A sector vector has v[R i] = sign * G(i) * v[i], so a centre lies in
+    the sector where that factor is 1.  On the orthonormal basis
+    (e_i + sign G(i) e_Ri) / sqrt2 for the pairs of `_fold` and e_c for the
+    centres (that of w[s:] first), each sector matrix is the folded path,
+    written entry by entry in O(n): v w_i on the diagonal, 1 between
+    consecutive pairs of a half, sign * mult where the halves meet (mult
+    = +-1 the closing weight), +-sqrt2 from a centre to its pair, and
+    v w_i + sign G(i) x on a pair across a turning link of weight x.
+    These are bit for bit the entries of B^T H B for the unnormalized
+    basis B, scaled by the norms: the integer link weights sum exactly,
+    and B^T H B gives a turning pair (v w + y) + (y + v w), y = sign G x,
+    which halves to v w + y rounded once."""
     n = len(word)
-    shift = _reflection(word)
-    m = _bloch_matrix(word, float(as_fraction(V)), -1.0 if anti else 1.0)
-    # R maps each palindrome w[:s], w[s:] onto itself, swapping its halves:
-    # the sites of the first halves pair off with their mirrors, and the
-    # centre of an odd palindrome is fixed.  A sector vector has
-    # v[R i] = parity * gauge[i] * v[i]; a fixed site lies in the sector
-    # where that factor is 1.  Columns e_j + sign e_Rj, even sector first:
-    h1, h2 = shift // 2, (n - shift) // 2
-    pairs = [*range(h1), *range(shift, shift + h2)]
-    centre1 = [h1] if shift % 2 else []
-    centre2 = [shift + h2] if (n - shift) % 2 else []
-    even = pairs + centre2 + ([] if anti else centre1)
-    odd = pairs + (centre1 if anti else [])
-    cols = even + odd
-    mirror = [(shift - 1 - j) % n for j in cols]
-    sign = [-1.0 if anti and j < shift else 1.0 for j in even]
-    sign += [1.0 if anti and j < shift else -1.0 for j in odd]
-    basis = np.zeros((n, n))
-    basis[cols + mirror, list(range(n)) * 2] = [1.0] * n + sign
-    # the sums over the unnormalized columns are exact; their squared
-    # norms (2 for a pair, 1 for a fixed site) enter as exact weights
-    inv_norm2 = [1.0 if j == r else 0.5 for j, r in zip(cols, mirror)]
-    h = (basis.T @ m @ basis) * np.sqrt(np.outer(inv_norm2, inv_norm2))
-    k = len(even)
-    return np.linalg.eigvalsh(h[:k, :k]).tolist(), np.linalg.eigvalsh(h[k:, k:]).tolist()
+    mult = -1.0 if anti else 1.0
+    shift, h1, h2, pot = _fold(word, V)
+    p = h1 + h2
+    half = np.sqrt(0.5)  # 1 / (norm of a pair * norm of a centre)
+    out = []
+    for sign in (1.0, -1.0):
+        # the centre of w[s:] has G = 1, that of w[:s] has G = mult
+        c2 = shift + h2 if (n - shift) % 2 and sign == 1.0 else None
+        c1 = h1 if shift % 2 and sign == mult else None
+        centres = [c for c in (c2, c1) if c is not None]
+        k = p + len(centres)
+        h = np.zeros((k, k))
+        diag = h.reshape(-1)[:: k + 1]
+        diag[:h1], diag[h1:p] = pot[:h1], pot[shift : shift + h2]
+        diag[p:] = pot[centres]
+        _fill(h, 1, 0, h1 - 1, 1.0)
+        _fill(h, h1 + 1, h1, h2 - 1, 1.0)
+        if h1 and h2:
+            h[0, h1] = h[h1, 0] = sign * mult
+        # links from a pair to its own mirror, summed before the one rounding
+        turn = {}
+        if shift % 2 == 0 and h1:
+            turn[h1 - 1] = sign * mult
+        if shift == 0 and h2:
+            turn[0] = sign * mult
+        if (n - shift) % 2 == 0 and h2:
+            turn[p - 1] = turn.get(p - 1, 0.0) + sign
+        for j, x in turn.items():
+            h[j, j] += x
+        if p and c2 is not None:  # links c2 -+ 1, or n - 1 -> 0 when h2 = 0
+            j, x = (p - 1, 2.0) if h2 else (0, 2.0 * mult)
+            h[p, j] = h[j, p] = x * half
+        if p and c1 is not None:  # links h1 -+ 1, or 0 -> 1 and n - 1 -> 0
+            j = h1 - 1 if h1 else 0
+            h[k - 1, j] = h[j, k - 1] = 2.0 * half
+        if not p and len(centres) == 2:  # n = 2: two centres, linked twice
+            h[0, 1] = h[1, 0] = 1.0 + mult
+        if n == 1 and k:  # the closing link from the one site to itself
+            h[0, 0] += mult + 1 / mult
+        out.append(np.linalg.eigvalsh(h).tolist())
+    return out[0], out[1]
 
 
 def floquet_zeros(word: str, V) -> list[float]:
     """Floating estimates of the trace zeros (one per band): eigenvalues of
     the quarter-phase Bloch matrix of the cyclic word.
 
-    The flux pi/2 is spread as e^{i pi/(2n)} over the n links of the ring,
-    so the matrix H commutes with R o conjugation, where R is the
-    reflection of the ring that maps the cyclic word onto itself.  In the
-    basis e_i (sites fixed by R), (e_i + e_Ri)/sqrt2 and i(e_i - e_Ri)/sqrt2
-    (pairs of sites swapped by R) H is real symmetric; its O(n) nonzeros
-    are summed directly."""
+    The flux pi/2 is spread as e^{i theta}, theta = pi/(2n), over the n
+    links of the ring, so the matrix H commutes with R o conjugation, R the
+    mirror of `_fold`.  On the basis (e_i + e_Ri)/sqrt2, i(e_i - e_Ri)/sqrt2
+    for each pair i of the fold and e_c for each centre, H is real
+    symmetric.  With c = cos theta and s = sin theta, its O(n) nonzeros
+    are written directly: v w on the diagonal; the block [[c, -s], [s, c]]
+    from pair j to pair j + 1 of a half (rows of j + 1), [[c, s], [s, -c]]
+    where the halves meet (rows of pair 0); [[c, -+s], [-+s, -c]] added on
+    a pair at a turning link, the sign that of the link's starting site
+    (+ for i, - for R i); and sqrt2 (c, -+s) from a centre to its pair."""
     n = len(word)
-    v = float(as_fraction(V))
-    sites = np.arange(n)
-    mirror = (_reflection(word) - 1 - sites) % n
-    fixed = sites[mirror == sites]
-    reps = sites[sites < mirror]
-    nf, npairs = len(fixed), len(reps)
-    # each site lies on at most two basis vectors: (column, amplitude) slots
-    col = np.zeros((n, 2), dtype=int)
-    amp = np.zeros((n, 2), dtype=complex)
-    col[fixed, 0], amp[fixed, 0] = np.arange(nf), 1.0
-    plus = nf + np.arange(npairs)
-    h = np.sqrt(0.5)
-    for site, phase in ((reps, 1j), (mirror[reps], -1j)):
-        col[site, 0], amp[site, 0] = plus, h
-        col[site, 1], amp[site, 1] = plus + npairs, phase * h
-    # nonzeros of H: diagonal, links i -> i+1 and their adjoints
-    nxt = (sites + 1) % n
-    rows = np.concatenate([sites, nxt, sites])
-    cols = np.concatenate([sites, sites, nxt])
-    hop = np.exp(0.5j * np.pi / n) if n else 0.0
-    vals = np.concatenate([
-        v * np.array([int(ch) for ch in word], dtype=float),
-        np.full(n, hop),
-        np.full(n, np.conj(hop)),
-    ])
-    # M[a, b] sums conj(U[i, a]) H[i, j] U[j, b] over the nonzeros H[i, j];
-    # the imaginary parts cancel
-    a = col[rows][:, :, None] * n + col[cols][:, None, :]
-    w = amp[rows].conj()[:, :, None] * vals[:, None, None] * amp[cols][:, None, :]
-    m = np.bincount(a.ravel(), weights=w.real.ravel(), minlength=n * n).reshape(n, n)
-    return [float(x) for x in np.linalg.eigvalsh(m)]
+    shift, h1, h2, pot = _fold(word, V)
+    p = h1 + h2
+    centres = [c for c, odd in ((shift + h2, (n - shift) % 2), (h1, shift % 2)) if odd]
+    c, s = np.cos(0.5 * np.pi / n), np.sin(0.5 * np.pi / n)
+    # columns: the even vector of each pair, its odd vector, the centres
+    m = np.zeros((n, n))
+    diag = m.reshape(-1)[:: n + 1]
+    diag[:h1] = diag[p : p + h1] = pot[:h1]
+    diag[h1:p] = diag[p + h1 : 2 * p] = pot[shift : shift + h2]
+    diag[2 * p :] = pot[centres]
+    for lo, count in ((0, h1 - 1), (h1, h2 - 1)):
+        _fill(m, lo + 1, lo, count, c)
+        _fill(m, lo + 1 + p, lo + p, count, c)
+        _fill(m, lo + 1, lo + p, count, -s)
+        _fill(m, lo + 1 + p, lo, count, s)
+
+    def add(i, j, x):
+        m[i, j] += x
+        if i != j:
+            m[j, i] += x
+
+    def turn(j, sign):
+        add(j, j, c)
+        add(j, j + p, -sign * s)
+        add(j + p, j + p, -c)
+
+    if h1 and h2:  # 0 <- n - 1 and its mirror s - 1 -> s
+        add(0, h1, c)
+        add(0, h1 + p, s)
+        add(p, h1, s)
+        add(p, h1 + p, -c)
+    if shift % 2 == 0 and h1:  # h1 - 1 -> h1
+        turn(h1 - 1, 1.0)
+    if shift == 0 and h2:  # n - 1 -> 0
+        turn(0, -1.0)
+    if (n - shift) % 2 == 0 and h2:  # s + h2 - 1 -> s + h2
+        turn(p - 1, 1.0)
+    r2 = np.sqrt(2.0)
+    if (n - shift) % 2 and p:
+        if h2:  # s + h2 - 1 -> the centre
+            add(2 * p, p - 1, r2 * c)
+            add(2 * p, 2 * p - 1, -r2 * s)
+        else:  # the centre n - 1 -> 0
+            add(0, 2 * p, r2 * c)
+            add(p, 2 * p, r2 * s)
+    if shift % 2 and p:
+        # h1 - 1 -> the centre h1, or with h1 = 0 the mirror n - 1 of s -> 0
+        j = h1 - 1 if h1 else 0
+        add(n - 1, j, r2 * c)
+        add(n - 1, j + p, -r2 * s if h1 else r2 * s)
+    if n == 2 and not p:  # two centres, linked twice
+        add(0, 1, 2 * c)
+    if n == 1:  # one site, linked to itself
+        add(0, 0, 2 * c)
+    return np.linalg.eigvalsh(m).tolist()
 
 
 def _site_step(p: IntPoly, r: IntPoly, c0: int, b: int) -> IntPoly:

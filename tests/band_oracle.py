@@ -2,7 +2,13 @@
 t - 2 and t + 2 isolated whole, each guided by all eigenvalues of the
 periodic or antiperiodic one-period operator.  `spectra.spectrum_from_trace`
 isolates the reflection factors instead and must give the same bytes
-wherever this grid certifies."""
+wherever this grid certifies.
+
+t -+ 2 is proportional to det(E - H) for the real symmetric periodic or
+antiperiodic operator H of the period, so all its q roots are real.  Then
+q disjoint sign-change cells of the grid that `isolate_roots` lays are a
+complete certificate: each holds a root, and there are no more.  The
+oracle builds no Sturm chain of full degree unless the cells fail."""
 
 from __future__ import annotations
 
@@ -10,8 +16,8 @@ import numpy as np
 
 from kohmoto.errors import PrecisionError
 from kohmoto.farey import as_fraction
-from kohmoto.rootfind import isolate_roots, separate
-from kohmoto.spectra import Spectrum, _bloch_matrix
+from kohmoto.rootfind import _grid_cells, cauchy_bound, degree, isolate_roots, primitive, separate
+from kohmoto.spectra import Spectrum, _bloch_matrix, _reflection
 
 
 def ring_eigenvalues(word: str, V, anti: bool) -> list[float]:
@@ -19,15 +25,26 @@ def ring_eigenvalues(word: str, V, anti: bool) -> list[float]:
     return [float(x) for x in np.linalg.eigvalsh(m)]
 
 
+def isolate_real_rooted(p, guide: list[float], width):
+    """`isolate_roots` for a polynomial whose roots are all real: the same
+    cells when as many as its degree certify, from the same grid."""
+    p = primitive(p)
+    if len(guide) == degree(p):
+        cells = _grid_cells(tuple(p), guide, cauchy_bound(p), width)
+        if cells is not None:
+            return cells
+    return isolate_roots(p, guide=guide, width=width)
+
+
 def unsplit_spectrum(t, tol, word: str, V) -> Spectrum:
     """`spectrum_from_trace` on t -+ 2 whole."""
     tol = as_fraction(tol)
     q = t.degree()
-    roots_upper = isolate_roots(
-        (t - 2).int_poly(), guide=ring_eigenvalues(word, V, anti=False), width=tol
+    roots_upper = isolate_real_rooted(
+        (t - 2).int_poly(), ring_eigenvalues(word, V, anti=False), tol
     )
-    roots_lower = isolate_roots(
-        (t + 2).int_poly(), guide=ring_eigenvalues(word, V, anti=True), width=tol
+    roots_lower = isolate_real_rooted(
+        (t + 2).int_poly(), ring_eigenvalues(word, V, anti=True), tol
     )
     assert len(roots_upper) == q and len(roots_lower) == q
     edges = [e.refined(tol) for e in separate(roots_upper + roots_lower)]
@@ -38,3 +55,29 @@ def unsplit_spectrum(t, tol, word: str, V) -> Spectrum:
             raise PrecisionError("band midpoint escaped the trace window")
         bands.append((lo, hi))
     return Spectrum(tuple(bands), (), tol)
+
+
+def dense_floquet_edges(word: str, V, anti: bool) -> tuple[list[float], list[float]]:
+    """`spectra.floquet_edges` as the dense change of basis B^T H B: an
+    n x n basis with columns e_j + sign e_Rj, even sector first, and two
+    n x n products.  The fold writes the same entries, so the eigenvalues
+    must agree bit for bit."""
+    n = len(word)
+    shift = _reflection(word)
+    m = _bloch_matrix(word, float(as_fraction(V)), -1.0 if anti else 1.0)
+    h1, h2 = shift // 2, (n - shift) // 2
+    pairs = [*range(h1), *range(shift, shift + h2)]
+    centre1 = [h1] if shift % 2 else []
+    centre2 = [shift + h2] if (n - shift) % 2 else []
+    even = pairs + centre2 + ([] if anti else centre1)
+    odd = pairs + (centre1 if anti else [])
+    cols = even + odd
+    mirror = [(shift - 1 - j) % n for j in cols]
+    sign = [-1.0 if anti and j < shift else 1.0 for j in even]
+    sign += [1.0 if anti and j < shift else -1.0 for j in odd]
+    basis = np.zeros((n, n))
+    basis[cols + mirror, list(range(n)) * 2] = [1.0] * n + sign
+    inv_norm2 = [1.0 if j == r else 0.5 for j, r in zip(cols, mirror)]
+    h = (basis.T @ m @ basis) * np.sqrt(np.outer(inv_norm2, inv_norm2))
+    k = len(even)
+    return np.linalg.eigvalsh(h[:k, :k]).tolist(), np.linalg.eigvalsh(h[k:, k:]).tolist()

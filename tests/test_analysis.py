@@ -174,6 +174,65 @@ def test_butterfly_fast_matches_certified_bands():
             assert abs(float(fhi[1:]) - float(chi.lo)) < 1e-6
 
 
+def string_parsing_svg(ds, width: int = 800, height: int = 600) -> str:
+    """The SVG render that reads every value back from the row strings:
+    the oracle for `ButterflyDataset.to_svg`, which draws from the values
+    the strings were formatted from."""
+
+    def parse(s: str) -> float:
+        return float(s[1:]) if s.startswith("~") else float(F(s))
+
+    parsed = [
+        tuple(
+            [(parse(lo), parse(hi)) for lo, hi in part]
+            for part in (row.bands, row.defects_plus, row.defects_minus)
+        )
+        for row in ds.rows
+    ]
+    vals = [x for parts in parsed for part in parts for pair in part for x in pair]
+    if not vals:
+        vals = [0.0, 1.0]
+    e_lo, e_hi = min(vals), max(vals)
+    pad = 0.05 * (e_hi - e_lo) or 1.0
+    e_lo, e_hi = e_lo - pad, e_hi + pad
+
+    def sx(e: float) -> float:
+        return 40 + (width - 60) * (e - e_lo) / (e_hi - e_lo)
+
+    def sy(r: float) -> float:
+        return height - 30 - (height - 60) * r
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for row, (bands, plus, minus) in zip(ds.rows, parsed):
+        y = sy(row.p / row.q)
+        for lo, hi in bands:
+            x1, x2 = sx(lo), sx(hi)
+            out.append(
+                f'<line x1="{x1:.2f}" y1="{y:.2f}" x2="{x2:.2f}" y2="{y:.2f}" '
+                f'stroke="black" stroke-width="1.2"/>'
+            )
+        for points, color in ((plus, "#cc0000"), (minus, "#0044cc")):
+            for lo, hi in points:
+                x = sx((lo + hi) / 2)
+                out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.2" fill="{color}"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("V", [V5, F(1, 2), F(8)])
+@pytest.mark.parametrize("Q, backend", [(8, "certified"), (12, "fast")])
+def test_svg_matches_the_string_parsing_render(Q, backend, V):
+    ds = butterfly(Q, V, backend)
+    assert ds.to_svg() == string_parsing_svg(ds)
+    assert ds.to_svg(width=333, height=201) == string_parsing_svg(ds, 333, 201)
+    # at V = 8 the fast rows of 1/12+ and 11/12- fail and draw no points
+    assert any(row.error for row in ds.rows) == (backend == "fast" and V == 8)
+
+
 # at V = 8 the fast backend drops defect points of 1/12+ and so of 11/12-
 @pytest.mark.parametrize("V, failed", [(V5, 0), (F(2), 0), (F(1, 2), 0), (F(8), 1)])
 def test_butterfly_fast_mirrored_rows_match_direct_rows(V, failed):

@@ -39,7 +39,7 @@ from kohmoto.spectra import (
 from kohmoto.words import Configuration, defect_config, period_word, sk_words
 
 import symbolic_ring
-from band_oracle import unsplit_spectrum
+from band_oracle import dense_floquet_edges, unsplit_spectrum
 from defect_oracle import approximant_defect_points, finite_section_modes
 from set_helpers import certainly_disjoint_triple, covers_at_resolution, union
 
@@ -295,6 +295,26 @@ def test_reflection_sectors_hold_the_roots_of_their_factors():
                     assert np.allclose(sorted(guesses), roots, rtol=0, atol=1e-9)
             cases += 1
     assert cases == 3 * 141
+
+
+def test_floquet_edges_match_the_dense_basis_construction_bit_for_bit():
+    # every period word and every approximant word with k <= 6 for q <= 25
+    words = set()
+    for r in _reduced(25):
+        words.add(period_word(r))
+        for side in ("plus", "minus"):
+            if (side, r) not in (("plus", 1), ("minus", 0)):
+                digits = approach_digits(r, side)
+                words.update(sk_words(digits + (k,))[-1] for k in range(1, 7))
+    assert len(words) == 2456
+    for V in (V5, F(1, 2), F(-3)):
+        for word in words:
+            for anti in (False, True):
+                got = floquet_edges(word, V, anti)
+                want = dense_floquet_edges(word, V, anti)
+                assert [np.array(x).tobytes() for x in got] == [
+                    np.array(x).tobytes() for x in want
+                ], (word, V, anti)
 
 
 def test_factored_band_edges_match_the_unsplit_isolation_byte_for_byte():
