@@ -3,7 +3,9 @@
 RP: univariate polynomials in the energy E over the rationals, stored as
 integer coefficients with one common positive denominator (fast exact
 convolutions).  Ints and Fractions coerce to constant polynomials, so
-trace recursions mix them freely with RP values.
+trace recursions mix them freely with RP values.  When both operands have
+denominator 1 (every integer coupling), sums and products are built on
+the coefficient lists directly, without a gcd.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .rootfind import _eval_homogeneous, poly_mul
+from .rootfind import _eval_homogeneous, poly_add, poly_mul
 
 
 def _strip(c: list) -> list:
@@ -26,18 +28,26 @@ class RP:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1, normalize=True):
+    def __init__(self, num, den=1):
         num = _strip([int(x) for x in num] or [0])
         den = int(den)
         if den == 0:
             raise ZeroDivisionError
         if den < 0:
             num, den = [-x for x in num], -den
-        if normalize and den != 1:
+        if den != 1:
             g = math.gcd(den, *[abs(x) for x in num]) if any(num) else den
             if g > 1:
                 num, den = [x // g for x in num], den // g
         self.num, self.den = num, den
+
+    @staticmethod
+    def _raw(num: list, den: int = 1) -> "RP":
+        """The polynomial num / den from a stripped integer list and a
+        positive denominator already in lowest terms, taken as they are."""
+        out = object.__new__(RP)
+        out.num, out.den = num, den
+        return out
 
     @staticmethod
     def from_fractions(coeffs) -> "RP":
@@ -62,7 +72,9 @@ class RP:
     def _coerce(self, other):
         if isinstance(other, RP):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return RP._raw([int(other)])
+        if isinstance(other, Fraction):
             return RP.const(other)
         return NotImplemented
 
@@ -71,8 +83,9 @@ class RP:
         if other is NotImplemented:
             return NotImplemented
         a, b = self, other
-        la, lb = len(a.num), len(b.num)
-        out = [0] * max(la, lb)
+        if a.den == b.den == 1:
+            return RP._raw(poly_add(a.num, b.num))
+        out = [0] * max(len(a.num), len(b.num))
         for i, x in enumerate(a.num):
             out[i] += x * b.den
         for i, x in enumerate(b.num):
@@ -82,12 +95,14 @@ class RP:
     __radd__ = __add__
 
     def __neg__(self):
-        return RP([-x for x in self.num], self.den, normalize=False)
+        return RP._raw([-x for x in self.num], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den == 1:
+            return RP._raw(poly_add(self.num, other.num, -1))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -97,6 +112,8 @@ class RP:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den == 1:
+            return RP._raw(_strip(poly_mul(self.num, other.num)))
         return RP(poly_mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__

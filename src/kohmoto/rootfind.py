@@ -1,6 +1,9 @@
 """Certified real-root isolation and refinement for integer polynomials.
 
-A Sturm chain over exact integers gives the number of roots in a window.
+A Sturm chain over exact integers gives the number of roots in a window;
+for a monic polynomial it is the subresultant chain, whose normal steps
+divide exactly by the square of a leading coefficient instead of taking a
+gcd of every coefficient.
 Floating-point root estimates place each root in one cell of a dyadic grid,
 and exact sign changes across as many disjoint cells as the Sturm count
 certify one root per cell; when the estimates do not yield such cells,
@@ -129,8 +132,31 @@ def _pseudo_rem_signed(a: IntPoly, b: IntPoly) -> tuple[IntPoly, int]:
     return r, sgn
 
 
+def _prem_normal(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The pseudo-remainder lc(b)^2 a mod b for deg a = deg b + 1, stripped."""
+    lb, top, n = b[-1], a[-1], len(b) - 1
+    # lb a - top x b, whose degree n + 1 term cancels
+    r = [lb * a[0]] + [lb * a[j] - top * b[j - 1] for j in range(1, n + 1)]
+    top = r[n]
+    return strip([lb * r[j] - top * b[j] for j in range(n)])
+
+
 def sturm_chain(p: Sequence[int]) -> list[IntPoly]:
-    """Sign-correct Sturm chain (primitive pseudo-remainders).
+    """Sign-correct Sturm chain.
+
+    For a monic polynomial (every trace factor at an integer coupling) the
+    normal steps, deg a = deg b + 1 >= 2, follow the subresultant chain
+    (Collins 1967, Brown and Traub 1971).  A normal step after a normal
+    step appends -prem(a, b) / lc(a)^2, an exact division that is checked;
+    any other normal step appends -prem(a, b).  prem multiplies a by
+    lc(b)^2 > 0.  Every other step, and every step for a polynomial that
+    is not monic, appends the primitive part of its signed
+    pseudo-remainder.  So each element is a positive multiple of the
+    element of the primitive chain, and every sign and count is the same,
+    without a gcd of every coefficient.  A large leading coefficient, such
+    as the power of b that leads a trace factor at coupling a/b, carries
+    into the subresultants and makes them several times longer than the
+    primitive elements, so such a polynomial keeps the primitive chain.
 
     Raises DegeneracyError when the polynomial has a multiple real or
     complex root (non-trivial gcd with its derivative)."""
@@ -138,11 +164,24 @@ def sturm_chain(p: Sequence[int]) -> list[IntPoly]:
     if degree(p0) == 0:
         return [p0]
     chain = [p0, primitive(derivative(p0))]
+    monic = abs(p0[-1]) == 1
     while True:
-        r, sgn = _pseudo_rem_signed(chain[-2], chain[-1])
-        if r == [0]:
-            break
-        chain.append(primitive([-sgn * c for c in r]))
+        a, b = chain[-2], chain[-1]
+        if monic and len(a) - len(b) == 1 and len(b) > 1:
+            r = _prem_normal(a, b)
+            if r == [0]:
+                break
+            # lc(a)^2 when the step that made b was normal too
+            d = a[-1] * a[-1] if len(chain) > 2 and len(chain[-3]) - len(a) == 1 else 1
+            qr = [divmod(-c, d) for c in r]
+            if any(rem for _, rem in qr):
+                raise PrecisionError("subresultant division left a remainder")
+            chain.append([quo for quo, _ in qr])
+        else:
+            r, sgn = _pseudo_rem_signed(a, b)
+            if r == [0]:
+                break
+            chain.append(primitive([-sgn * c for c in r]))
         if degree(chain[-1]) == 0:
             break
     if degree(chain[-1]) > 0:
@@ -432,29 +471,72 @@ def separate(enclosures: list[RootEnclosure]) -> list[RootEnclosure]:
     """Refine a family of enclosures of pairwise distinct roots until the
     intervals are pairwise disjoint, and return them sorted.
 
-    Each pass sorts by (midpoint, lo); each neighbouring pair is compared
-    over the larger of its two exponents, and an overlapping pair is
-    refined to a quarter of its summed widths.  A pass without overlaps
-    leaves them sorted; two equal exact enclosures are DegeneracyError."""
+    The family is kept sorted by (midpoint, lo), and each pass compares
+    neighbouring pairs over the larger of their two exponents; an
+    overlapping pair is refined to a quarter of its summed widths.  A pass
+    without overlaps leaves them sorted; two equal exact enclosures are
+    DegeneracyError.
+
+    A pass changes only the runs of enclosures chained by overlapping
+    pairs, so only those runs are sorted again, and the next pass visits
+    only the pairs that hold a member of a run.  A pair of two other
+    enclosures was disjoint and stays so.  Every run keeps its place when
+    its ends stay in order with their neighbours; otherwise the whole
+    family is sorted again and the next pass visits every pair.  So the
+    passes see the order, and make the signs, of sorting everything on
+    each pass."""
     out = list(enclosures)
+    _sort_by_midpoint(out)
+    pairs = range(len(out) - 1)
     for _ in range(4096):
-        exp = max(r.exp for r in out)
-        out.sort(key=lambda r: (sum(r.ends_at(exp)), r.ends_at(exp)[0]))
-        changed = False
-        for i in range(len(out) - 1):
+        runs: list[list[int]] = []  # [first, last] index of each run
+        for i in pairs:
             a, b = out[i], out[i + 1]
             e = max(a.exp, b.exp)
             (alo, ahi), (blo, bhi) = a.ends_at(e), b.ends_at(e)
+            if ahi < blo:
+                continue
             total = ahi - alo + bhi - blo
-            if ahi >= blo and not total:
+            if not total:
                 raise DegeneracyError("two equal roots with exact enclosures")
-            if ahi >= blo:
-                out[i] = a.bisected(_halvings(4 * (ahi - alo), total))
-                out[i + 1] = b.bisected(_halvings(4 * (bhi - blo), total))
-                changed = True
-        if not changed:
+            out[i] = a.bisected(_halvings(4 * (ahi - alo), total))
+            out[i + 1] = b.bisected(_halvings(4 * (bhi - blo), total))
+            if runs and runs[-1][1] == i:
+                runs[-1][1] = i + 1
+            else:
+                runs.append([i, i + 1])
+        if not runs:
             return out
+        for first, last in runs:
+            run = out[first : last + 1]
+            _sort_by_midpoint(run)
+            out[first : last + 1] = run
+        n = len(out) - 1
+        ends = [j for first, last in runs for j in (first - 1, last) if 0 <= j < n]
+        if all(_in_order(out[j], out[j + 1]) for j in ends):
+            pairs = sorted(
+                {j for first, last in runs for j in range(max(first - 1, 0), min(last + 1, n))}
+            )
+        else:
+            _sort_by_midpoint(out)
+            pairs = range(n)
     raise DegeneracyError("two roots could not be separated (equal roots?)")
+
+
+def _midpoint_key(r: RootEnclosure, exp: int) -> tuple[int, int]:
+    lo, hi = r.ends_at(exp)
+    return lo + hi, lo
+
+
+def _sort_by_midpoint(encs: list[RootEnclosure]) -> None:
+    """Sort in place by (midpoint, lo), stably."""
+    exp = max((r.exp for r in encs), default=0)
+    encs.sort(key=lambda r: _midpoint_key(r, exp))
+
+
+def _in_order(a: RootEnclosure, b: RootEnclosure) -> bool:
+    e = max(a.exp, b.exp)
+    return _midpoint_key(a, e) <= _midpoint_key(b, e)
 
 
 def poly_gcd(a: Sequence[int], b: Sequence[int]) -> IntPoly:

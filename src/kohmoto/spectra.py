@@ -254,8 +254,16 @@ def _fill(m: np.ndarray, i: int, j: int, count: int, x) -> None:
 def floquet_edges(word: str, V, anti: bool) -> tuple[list[float], list[float]]:
     """Floating band-edge estimates: the eigenvalues of the one-period
     operator with periodic (trace = +2) or antiperiodic (trace = -2)
-    closure, as its two reflection sectors (even, odd).  Used only to seed
-    certified isolation and the rendering backend.
+    closure, as its two reflection sectors (even, odd) from
+    `_sector_matrices`.  Used only to seed certified isolation and the
+    rendering backend."""
+    even, odd = _sector_matrices(word, V, anti)
+    return np.linalg.eigvalsh(even).tolist(), np.linalg.eigvalsh(odd).tolist()
+
+
+def _sector_matrices(word: str, V, anti: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd reflection sectors of the one-period operator with
+    periodic or antiperiodic closure, as real symmetric matrices.
 
     With R(i) = (s - 1 - i) mod n the mirror of the ring, the periodic
     operator commutes with R, and its even and odd sectors hold the roots
@@ -317,7 +325,7 @@ def floquet_edges(word: str, V, anti: bool) -> tuple[list[float], list[float]]:
             h[0, 1] = h[1, 0] = 1.0 + mult
         if n == 1 and k:  # the closing link from the one site to itself
             h[0, 0] += mult + 1 / mult
-        out.append(np.linalg.eigvalsh(h).tolist())
+        out.append(h)
     return out[0], out[1]
 
 
@@ -491,7 +499,13 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     is the one the unsplit isolation gives whenever its grid certifies.
     Exact signs across the cells, counted against one Sturm chain per
     factor, certify them.  A root shared by the two factors of a side
-    (touching bands, e.g. coupling 0) raises DegeneracyError."""
+    (touching bands, e.g. coupling 0) raises DegeneracyError.
+
+    Each band is checked by |t| <= 2 at one point between the inner ends
+    of its edge enclosures, lo.hi and hi.lo: the dyadic with the fewest
+    bits strictly between them (`_short_point`), or their midpoint when
+    they are neighbours over 2^exp.  A short point keeps the Horner
+    integers, and the gcd of the Fraction, short."""
     tol = _check_tol(tol)
     q = t.degree()
     if q < 1:
@@ -537,11 +551,23 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     for i in range(0, 2 * q, 2):
         lo, hi = edges[i], edges[i + 1]
         exp = max(lo.exp, hi.exp)
-        mid = Fraction(lo.ends_at(exp)[1] + hi.ends_at(exp)[0], 2 << exp)
-        if abs(t.eval(mid)) > 2:
-            raise PrecisionError("band midpoint escaped the trace window")
+        a, b = lo.ends_at(exp)[1], hi.ends_at(exp)[0]
+        point = Fraction(_short_point(a, b), 1 << exp) if b - a > 1 else Fraction(a + b, 2 << exp)
+        if abs(t.eval(point)) > 2:
+            raise PrecisionError("band check point escaped the trace window")
         bands.append((lo, hi))
     return Spectrum(tuple(bands), (), tol)
+
+
+def _short_point(a: int, b: int) -> int:
+    """The integer strictly between a and b > a + 1 with the most trailing
+    zero bits: 0 when a < 0 < b, else b - 1 with the bits below its
+    highest difference from a cleared (a has a 0 there and b - 1 a 1, in
+    two's complement, so it lies above a)."""
+    if a < 0 < b:
+        return 0
+    k = (a ^ (b - 1)).bit_length() - 1
+    return ((b - 1) >> k) << k
 
 
 @functools.lru_cache(maxsize=128)

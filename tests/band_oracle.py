@@ -57,11 +57,11 @@ def unsplit_spectrum(t, tol, word: str, V) -> Spectrum:
     return Spectrum(tuple(bands), (), tol)
 
 
-def dense_floquet_edges(word: str, V, anti: bool) -> tuple[list[float], list[float]]:
-    """`spectra.floquet_edges` as the dense change of basis B^T H B: an
-    n x n basis with columns e_j + sign e_Rj, even sector first, and two
-    n x n products.  The fold writes the same entries, so the eigenvalues
-    must agree bit for bit."""
+def dense_sector_matrices(word: str, V, anti: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The reflection sectors of `spectra._sector_matrices` as the dense
+    change of basis B^T H B: an n x n basis with columns e_j + sign e_Rj,
+    even sector first, and two n x n products.  The fold writes the same
+    entries, so the matrices must agree bit for bit."""
     n = len(word)
     shift = _reflection(word)
     m = _bloch_matrix(word, float(as_fraction(V)), -1.0 if anti else 1.0)
@@ -80,4 +80,9 @@ def dense_floquet_edges(word: str, V, anti: bool) -> tuple[list[float], list[flo
     inv_norm2 = [1.0 if j == r else 0.5 for j, r in zip(cols, mirror)]
     h = (basis.T @ m @ basis) * np.sqrt(np.outer(inv_norm2, inv_norm2))
     k = len(even)
-    return np.linalg.eigvalsh(h[:k, :k]).tolist(), np.linalg.eigvalsh(h[k:, k:]).tolist()
+    return h[:k, :k], h[k:, k:]
+
+
+def dense_floquet_edges(word: str, V, anti: bool) -> tuple[list[float], list[float]]:
+    """`spectra.floquet_edges` on the dense sector matrices."""
+    return tuple(np.linalg.eigvalsh(h).tolist() for h in dense_sector_matrices(word, V, anti))

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,6 +27,7 @@ from kohmoto.rootfind import (
 )
 
 import symbolic_ring
+from rootfind_oracle import chain_matches_oracle, primitive_sturm_chain, resorting_separate
 from symbolic_ring import BP
 
 
@@ -109,6 +114,66 @@ def test_multiple_root_raises():
         isolate_roots([0, 0, 1])  # x^2
 
 
+def test_sturm_chain_matches_the_primitive_chain():
+    # x^5 - x: the remainder of x^5 - x by 5x^4 - 1 has degree 1, a
+    # defective step; the others mix normal and defective steps, monic or not
+    for p in (
+        [0, -1, 0, 0, 0, 1],
+        [0, -1, 0, 0, 0, 0, 0, 1],
+        [1, 0, 0, 0, 0, 0, 0, 0, -3, 0, 1],
+        poly_from_roots([0, 1, F(1, 2), -1, 2]),
+        poly_from_roots(range(-6, 7)),
+        [-2, 0, 1],
+        [3, 1],
+        [7],
+    ):
+        assert chain_matches_oracle(p), p
+
+
+def test_multiple_roots_raise_in_both_chains():
+    p = poly_mul(poly_mul([-1, 1], [-1, 1]), [2, 1])  # (x - 1)^2 (x + 2)
+    for chain in (sturm_chain, primitive_sturm_chain):
+        with pytest.raises(DegeneracyError):
+            chain(p)
+
+
+sparse_coefficients = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5, -12, 40])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(sparse_coefficients, min_size=1, max_size=12), st.sampled_from([1, -1, 3]))
+def test_sturm_chain_matches_the_primitive_chain_on_sparse_polynomials(low, lead):
+    assert chain_matches_oracle(low + [lead])
+
+
+def test_subresultant_division_is_checked_under_python_O():
+    # a remainder that lc(a)^2 does not divide must raise, also without
+    # asserts; the second step of the chain of x^5 - 5x^3 + 4x divides by
+    # 5^2
+    code = (
+        "from unittest import mock\n"
+        "from kohmoto import rootfind\n"
+        "from kohmoto.errors import PrecisionError\n"
+        "prem = rootfind._prem_normal\n"
+        "def off_by_one(a, b):\n"
+        "    r = prem(a, b)\n"
+        "    return [r[0] + 1] + r[1:]\n"
+        "with mock.patch.object(rootfind, '_prem_normal', off_by_one):\n"
+        "    try:\n"
+        "        rootfind.sturm_chain([0, 4, 0, -5, 0, 1])\n"
+        "    except PrecisionError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "subresultant division left a remainder\n")
+
+
 def test_separate_orders_and_disjoins():
     a = isolate_roots([-2, 0, 1])  # +-sqrt2
     b = isolate_roots([-3, 0, 1])  # +-sqrt3
@@ -184,6 +249,41 @@ def test_rp_arithmetic():
     half = RP.const(F(1, 2))
     assert (half + half).coeffs() == [F(1)]
     assert (E * half * 2) == E
+
+
+int_coefficients = st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=6)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    int_coefficients,
+    int_coefficients,
+    st.integers(-50, 50),
+    st.sampled_from([F(1), F(1, 2), F(-7, 3)]),
+)
+def test_rp_integer_paths_match_fraction_coefficients(a, b, k, scale):
+    # denominator-1 operands take the integer paths; a scaled copy the
+    # general ones; both must give the coefficients of Fraction arithmetic
+    def coeffs(x, y, op):
+        n = max(len(x), len(y))
+        x, y = x + [0] * (n - len(x)), y + [0] * (n - len(y))
+        return [op(F(u), F(v)) for u, v in zip(x, y)]
+
+    product = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    A, B = RP(a), RP(b)
+    for x, y, s in ((A, B, F(1)), (A * scale, B * scale, scale)):
+        assert x + y == RP.from_fractions(coeffs(a, b, lambda u, v: (u + v) * s))
+        assert x - y == RP.from_fractions(coeffs(a, b, lambda u, v: (u - v) * s))
+        assert x * y == RP.from_fractions([c * s * s for c in product])
+        assert -x == RP.from_fractions([-F(c) * s for c in a])
+        assert x + k == k + x == RP.from_fractions(coeffs(a, [k], lambda u, v: u * s + v))
+        assert x * k == k * x == RP.from_fractions([c * s * k for c in a])
+        assert k - x == RP.from_fractions(coeffs(a, [k], lambda u, v: v - u * s))
+    for x in (A + B, A - B, A * B, -A, A + k, k - A, A * k):
+        assert x.den == 1 and (len(x.num) == 1 or x.num[-1] != 0)
 
 
 def test_bp_symbolic_arithmetic():
@@ -458,6 +558,53 @@ def test_integer_separate_matches_fraction_separate(encs):
         got = separate(encs)
     assert ends(got) == ends(separate_ref(encs, want))
     assert seen == want
+
+
+@st.composite
+def nested_enclosures(draw):
+    """Enclosures of distinct dyadic roots, each on its own linear
+    polynomial, reaching any dyadic distance to either side: they nest in
+    and chain across each other, some exact."""
+    encs = []
+    for r in draw(dyadic_roots):
+        p = (-r.numerator, r.denominator)
+        if draw(st.integers(0, 5)) == 0:
+            encs.append(RootEnclosure(p, r, r))
+            continue
+        left, right = (
+            F(draw(st.integers(1, 4096)), draw(st.sampled_from([1, 8, 64, 1024])))
+            for _ in range(2)
+        )
+        encs.append(RootEnclosure(p, r - left, r + right))
+    return draw(st.permutations(encs))
+
+
+@PROPERTY
+@given(nested_enclosures())
+def test_separate_matches_resorting_every_pass(encs):
+    seen, want = [], []
+    with recording_sign_at(seen):
+        got = separate(encs)
+    with recording_sign_at(want):
+        assert got == resorting_separate(encs)
+    assert seen == want
+
+
+def test_separate_sorts_everything_when_a_refined_run_crosses_its_neighbour():
+    # [0, 10] around 17/2 and [4, 6] around 5 overlap, and [7, 8] around
+    # 15/2 lies beyond [4, 6]; refining [0, 10] to [15/2, 10] moves it past
+    # [7, 8], which only a sort of the whole family puts in order
+    encs = [
+        RootEnclosure((-17, 2), F(0), F(10)),
+        RootEnclosure((-5, 1), F(4), F(6)),
+        RootEnclosure((-15, 2), F(7), F(8)),
+    ]
+    sorts = mock.patch.object(rootfind, "_sort_by_midpoint", wraps=rootfind._sort_by_midpoint)
+    with sorts as spy:
+        got = separate(encs)
+    assert [len(call.args[0]) for call in spy.call_args_list].count(3) == 2
+    assert got == resorting_separate(encs)
+    assert all(a.hi < b.lo for a, b in zip(got, got[1:]))
 
 
 @PROPERTY

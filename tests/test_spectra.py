@@ -7,11 +7,14 @@ import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kohmoto import spectra
+from kohmoto import rootfind, spectra
 from kohmoto.analysis import FAST_K
 from kohmoto.errors import DegeneracyError, PreconditionError, PrecisionError
 from kohmoto.farey import cf_forms
@@ -39,8 +42,9 @@ from kohmoto.spectra import (
 from kohmoto.words import Configuration, defect_config, period_word, sk_words
 
 import symbolic_ring
-from band_oracle import dense_floquet_edges, unsplit_spectrum
+from band_oracle import dense_floquet_edges, dense_sector_matrices, unsplit_spectrum
 from defect_oracle import approximant_defect_points, finite_section_modes
+from rootfind_oracle import chain_matches_oracle, resorting_separate
 from set_helpers import certainly_disjoint_triple, covers_at_resolution, union
 
 V5 = F(5)
@@ -307,14 +311,20 @@ def test_floquet_edges_match_the_dense_basis_construction_bit_for_bit():
                 digits = approach_digits(r, side)
                 words.update(sk_words(digits + (k,))[-1] for k in range(1, 7))
     assert len(words) == 2456
+    # the eigenvalues follow from the matrices, so a few words check them
+    few = set(sorted(words, key=lambda w: (len(w), w))[::200])
     for V in (V5, F(1, 2), F(-3)):
         for word in words:
             for anti in (False, True):
-                got = floquet_edges(word, V, anti)
-                want = dense_floquet_edges(word, V, anti)
-                assert [np.array(x).tobytes() for x in got] == [
-                    np.array(x).tobytes() for x in want
+                got = spectra._sector_matrices(word, V, anti)
+                want = dense_sector_matrices(word, V, anti)
+                assert [(h.shape, h.tobytes()) for h in got] == [
+                    (h.shape, np.ascontiguousarray(h).tobytes()) for h in want
                 ], (word, V, anti)
+                if word in few:
+                    assert [np.array(x).tobytes() for x in floquet_edges(word, V, anti)] == [
+                        np.array(x).tobytes() for x in dense_floquet_edges(word, V, anti)
+                    ], (word, V, anti)
 
 
 def test_factored_band_edges_match_the_unsplit_isolation_byte_for_byte():
@@ -327,6 +337,70 @@ def test_factored_band_edges_match_the_unsplit_isolation_byte_for_byte():
                     spectrum_from_trace(t, tol, word, V).to_json_obj()
                     == unsplit_spectrum(t, tol, word, V).to_json_obj()
                 ), (r, V, tol)
+
+
+def test_sturm_chains_of_trace_polynomials_match_the_primitive_chain():
+    for V in (V5, F(1, 2), F(-3)):
+        for r in _reduced(40):
+            for factors in reflection_factors(period_word(r), V):
+                assert all(chain_matches_oracle(f) for f in factors), (r, V)
+        # D = t_u^2 - V^2 - 4 of every one-sided point
+        for r in _reduced(12):
+            for side in ("plus", "minus"):
+                if (side, r) not in (("plus", 1), ("minus", 0)):
+                    _, t_u, _ = trace_triples(approach_digits(r, side), V)[-1]
+                    assert chain_matches_oracle((t_u * t_u - (V * V + 4)).int_poly()), (r, side, V)
+
+
+def test_sturm_fallback_cases_match_the_primitive_chain():
+    # 2/q and (q - 2)/q for odd q from 43 to 59 at V = 5, tol 1e-9: the
+    # grid cells miss two edges 1e-14 apart, and Sturm bisection isolates
+    cases = [F(p, q) for q in range(43, 60, 2) for p in (2, q - 2)]
+    assert len(cases) == 18
+    for r in cases:
+        for factors in reflection_factors(period_word(r), V5):
+            assert all(chain_matches_oracle(f) for f in factors), r
+    fallback = mock.patch.object(rootfind, "_sturm_bisection", wraps=rootfind._sturm_bisection)
+    spectra.clear_memos()
+    try:
+        for r in cases:
+            with fallback as spy:
+                assert len(spectrum_periodic(r, V5, TOL9).bands) == r.denominator
+            assert spy.call_count > 0, r
+    finally:
+        spectra.clear_memos()
+
+
+def test_separate_matches_resorting_every_pass_on_band_edges(monkeypatch):
+    calls = []
+
+    def both(encs):
+        want = resorting_separate(encs)
+        got = rootfind.separate(encs)
+        calls.append((got, want))
+        return got
+
+    monkeypatch.setattr(spectra, "separate", both)
+    for r in (F(28, 55), F(29, 57), F(30, 59)):
+        t = trace_poly_cf(cf_forms(r)[0], V5)
+        spectrum_from_trace(t, TOL9, period_word(r), V5)
+    assert len(calls) == 3
+    for got, want in calls:
+        assert [(e.poly, e.lo_num, e.hi_num, e.exp) for e in got] == [
+            (e.poly, e.lo_num, e.hi_num, e.exp) for e in want
+        ]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(-(2**70), 2**70), st.integers(2, 2**12) | st.integers(2, 2**80))
+def test_band_check_point_is_the_shortest_between_the_ends(a, gap):
+    b = a + gap
+    m = spectra._short_point(a, b)
+    assert a < m < b
+    if gap <= 2**12:
+        # no integer strictly between has more trailing zero bits
+        zeros = lambda x: (x & -x).bit_length() if x else math.inf
+        assert zeros(m) == max(zeros(x) for x in range(a + 1, b))
 
 
 def test_touching_bands_fail_fast():
