@@ -20,6 +20,10 @@ CERTIFIED_OUTPUTS = {
     "analyze optimality --r 2/3 --side minus --V 5 --kmax 20 --format json": "4aa6750f2b1f3f4111826c018b633cede8c35ba55d48f7ececd73db46fffa9d1",
     "butterfly --Q 8 --V 5 --format json": "9bad971ab6879ca7c12d7f7c9d17f46e41acd156675bf1df4db6a4baed39c6f6",
     "butterfly --Q 8 --V -3 --format json": "c0777ac67941c67ae5de9a6080322068b8b5a8027c90026811c0ac7abfd0b9ba",
+    # set metrics on spots at both sides of a pair, then intersection and
+    # measure
+    "analyze lipschitz --pair 1/3+:2/5- --pair 0+:1/7 --pair 1/2-:3/5+ --V 5 --tol 1e-9 --format json": "5cf643486015ddb0caae0cabdc70e2bc933ffcff10abcfc2b56d6d0e373f5cd9",
+    "analyze measures --r 3/5 --V 5 --kmax 8 --format json": "3ebdc375953f9c94683100efc519d4792edd2d13e08ac8aedc28bed7729bea20",
 }
 
 
