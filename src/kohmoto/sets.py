@@ -6,11 +6,12 @@ containing exactly one isolated member whose exact position is unknown).
 Intersections, Lebesgue measure and the Hausdorff metric come out as
 certified rational enclosures.
 
-`_directed`, the directed Hausdorff distance dH(X, Y) = sup over X of the
-distance to Y between two sorted disjoint unions, is the one distance
-routine; both ends of the `EnclosedSet.hausdorff` enclosure come from it.
-For the directed distance from the true set A to the true set B, with w(B)
-the largest spot half-width of B (0 without spots):
+`_directed`, twice the directed Hausdorff distance dH(X, Y) = sup over X of
+the distance to Y between two sorted disjoint unions, is the one distance
+routine; both ends of the `EnclosedSet.hausdorff` enclosure come from it
+and from `_spots_lower`, its counterpart for spot centres.  For the
+directed distance from the true set A to the true set B, with w(B) the
+largest spot half-width of B (0 without spots):
 
 - upper: dH(A.outer, B.inner + spot midpoints of B) + w(B), since A lies
   in A.outer and each spot's member lies within w(B) of the spot's
@@ -20,85 +21,140 @@ the largest spot half-width of B (0 without spots):
   since A holds A.inner and each spot's member, and B lies in B.outer.
 
 Each end takes the larger value of the two directions.  The w(B) slack
-lets the upper end use one sweep against the spot midpoints.
+lets the upper end use one sweep against the spot midpoints.  Both
+routines are linear merges: one pointer walks the intervals of Y while the
+loop walks X (or the spots), so a distance costs O(n + m).
 
 An `EnclosedSet` keeps every endpoint as an integer numerator over one
 power of two 2^exp, as the root enclosures of a spectrum give them, so two
-sets meet over a common denominator by shifting to the larger exponent.
-`hausdorff` shifts by 2 more, so spot centres and gap midpoints stay
-integers.  Each result becomes a Fraction once.
+sets meet over a common denominator by shifting the one with the smaller
+exponent.  Doubled distances keep gap midpoints exact on integer ends;
+`hausdorff` doubles the ends once more only where spot midpoints join the
+members, and reports every value over 4 times the common 2^exp.  Each
+result becomes a Fraction once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import itemgetter
 
 from .errors import PreconditionError, PrecisionError
 
 Interval = tuple[int, int]
-_start = itemgetter(0)
 
 
 def normalize(intervals) -> tuple[Interval, ...]:
     """Sort and merge closed intervals (degenerate ones allowed)."""
-    xs = sorted((lo, hi) for lo, hi in intervals if lo <= hi)
     out: list[Interval] = []
-    for lo, hi in xs:
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
+    end = None  # the right end of out[-1]
+    for lo, hi in sorted(intervals):
+        if lo > hi:
+            continue
+        if out and lo <= end:
+            if hi > end:
+                out[-1] = (out[-1][0], hi)
+                end = hi
         else:
             out.append((lo, hi))
+            end = hi
     return tuple(out)
 
 
 def intersect(a, b) -> tuple[Interval, ...]:
+    """The intersection of two sorted disjoint unions.  For unions as
+    `normalize` returns them, the result is one too: each piece starts
+    after the interval that ended the piece before it."""
     out = []
     i = j = 0
-    a, b = list(a), list(b)
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo <= hi:
-            out.append((lo, hi))
-        if a[i][1] < b[j][1]:
+    n, m = len(a), len(b)
+    while i < n and j < m:
+        alo, ahi = a[i]
+        blo, bhi = b[j]
+        lo = alo if alo > blo else blo
+        if ahi < bhi:
+            if lo <= ahi:
+                out.append((lo, ahi))
             i += 1
         else:
+            if lo <= bhi:
+                out.append((lo, bhi))
             j += 1
     return tuple(out)
 
 
-def _directed(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> int:
-    """sup over the union a of the distance to the union b, on integer
-    endpoints whose gap midpoints in b are integers.
+def _directed(a: Sequence[Interval], b: Sequence[Interval]) -> int:
+    """Twice the sup over the union a of the distance to the non-empty
+    union b, both with integer endpoints, so gap midpoints need no rounding.
 
     Both are sorted disjoint unions, as `normalize` returns them.  On each
     interval of a the distance to b peaks at an endpoint or at the midpoint
-    of a gap of b.  Bisection finds the intervals of b next to each
-    candidate, so the cost is O((n + m) log m) and nothing is built per
-    candidate."""
-
-    def dist(x: int, i: int) -> int:
-        # b[i] is the first interval of b starting after x
-        if i == 0:
-            return b[0][0] - x
-        d = max(0, x - b[i - 1][1])
-        return d if i == len(b) else min(d, b[i][0] - x)
-
-    best = 0
+    of a gap of b.  The loop walks a and one pointer walks b, so the cost
+    is O(n + m)."""
+    ends = gaps = 0  # largest end distance, largest gap width with its midpoint in a
+    m = len(b)
+    j = 0  # b[j] is the first interval of b starting after the point at hand
     for lo, hi in a:
-        i = bisect_right(b, lo, key=_start)
-        j = bisect_right(b, hi, key=_start)
-        best = max(best, dist(lo, i), dist(hi, j))
-        # gap g lies between b[g] and b[g + 1]; every gap midpoint in
-        # [lo, hi] lies in one of the gaps i - 1 to j - 1
-        for g in range(max(i - 1, 0), min(j, len(b) - 1)):
-            mid = (b[g][1] + b[g + 1][0]) // 2
-            if lo <= mid <= hi:
-                best = max(best, mid - b[g][1])
+        while j < m and b[j][0] <= lo:
+            j += 1
+        if j == m:
+            # lo and hi lie past the start of the last interval of b
+            if hi - b[-1][1] > ends:
+                ends = hi - b[-1][1]
+            continue
+        y = b[j][0]
+        if j:
+            x = b[j - 1][1]
+            d = lo - x if lo - x < y - lo else y - lo
+            if 2 * lo <= x + y <= 2 * hi and y - x > gaps:
+                gaps = y - x
+        else:
+            d = y - lo
+        if d > ends:
+            ends = d
+        # every later gap that starts inside [lo, hi] has its midpoint past lo
+        while y <= hi:
+            j += 1
+            if j == m:
+                break
+            x, y = b[j - 1][1], b[j][0]
+            if x + y <= 2 * hi and y - x > gaps:
+                gaps = y - x
+        if j == m:
+            d = hi - b[-1][1]
+        elif j:
+            x = b[j - 1][1]
+            d = hi - x if hi - x < y - hi else y - hi
+        else:
+            d = y - hi
+        if d > ends:
+            ends = d
+    return max(2 * ends, gaps)
+
+
+def _spots_lower(spots: Sequence[Interval], b: Sequence[Interval]) -> int:
+    """The largest of 0 and, over the spots (s, t), twice the distance from
+    the midpoint (s + t)/2 to the non-empty union b minus the width t - s:
+    the lower Hausdorff term of the spots, twice over, in one pass.
+
+    b is a sorted disjoint union; the pointer into b follows the midpoints
+    forward, and back where spots nest, so sorted spots cost O(n + m)."""
+    best = 0
+    m = len(b)
+    j = 0  # b[j] is the first interval of b starting after the midpoint
+    for s, t in spots:
+        c = s + t
+        while j < m and 2 * b[j][0] <= c:
+            j += 1
+        while j and 2 * b[j - 1][0] > c:
+            j -= 1
+        d = c - 2 * b[j - 1][1] if j else 2 * b[0][0] - c
+        if 0 < j < m and 2 * b[j][0] - c < d:
+            d = 2 * b[j][0] - c
+        d -= t - s
+        if d > best:
+            best = d
     return best
 
 
@@ -114,18 +170,22 @@ class EnclosedSet:
 
     @staticmethod
     def from_spectrum(spec) -> "EnclosedSet":
-        encs = [e for band in spec.bands for e in band] + list(spec.defects)
-        exp = max((e.exp for e in encs), default=0)
-        ends = [e.ends_at(exp) for e in encs]
-        n = 2 * len(spec.bands)
-        edges = list(zip(ends[0:n:2], ends[1:n:2]))
-        inner = [(lo[1], hi[0]) for lo, hi in edges if lo[1] <= hi[0]]
-        outer = [(lo[0], hi[1]) for lo, hi in edges] + ends[n:]
-        return EnclosedSet(normalize(inner), normalize(outer), tuple(sorted(ends[n:])), exp)
+        exp = max((e.exp for part in (*spec.bands, spec.defects) for e in part), default=0)
+        inner, outer = [], []
+        for lo, hi in spec.bands:
+            (a, b), (c, d) = lo.ends_at(exp), hi.ends_at(exp)
+            if b <= c:
+                inner.append((b, c))
+            outer.append((a, d))
+        spots = sorted(e.ends_at(exp) for e in spec.defects)
+        return EnclosedSet(normalize(inner), normalize(outer + spots), tuple(spots), exp)
 
     def over(self, exp: int) -> "EnclosedSet":
-        """The same set with its endpoints over 2^exp, for exp >= self.exp."""
+        """The same set with its endpoints over 2^exp, for exp >= self.exp;
+        the set itself when exp is its own."""
         s = exp - self.exp
+        if not s:
+            return self
         # tuple() of a list sizes each tuple once; of a generator it grows the
         # tuple by reallocation, which fragmented the heap on large sets
         parts = [tuple([(lo << s, hi << s) for lo, hi in part]) for part in (self.inner, self.outer, self.spots)]
@@ -136,9 +196,7 @@ class EnclosedSet:
             raise PreconditionError("set intersection is only defined for band data")
         exp = max(self.exp, other.exp)
         a, b = self.over(exp), other.over(exp)
-        return EnclosedSet(
-            normalize(intersect(a.inner, b.inner)), normalize(intersect(a.outer, b.outer)), (), exp
-        )
+        return EnclosedSet(intersect(a.inner, b.inner), intersect(a.outer, b.outer), (), exp)
 
     def measure(self) -> tuple[Fraction, Fraction]:
         """Lebesgue measure enclosure; spots contribute only to the upper
@@ -151,19 +209,22 @@ class EnclosedSet:
         integer endpoints over 4 times the larger 2^exp of the two sets."""
         if not self.outer or not other.outer:
             raise PreconditionError("Hausdorff distance needs non-empty sets")
-        exp = max(self.exp, other.exp) + 2
+        exp = max(self.exp, other.exp)
         mine, theirs = self.over(exp), other.over(exp)
         hi = lo = 0
+        # every value below is over 2^(exp + 2)
         for a, b in ((mine, theirs), (theirs, mine)):
-            members = normalize([*b.inner, *[((s + t) // 2,) * 2 for s, t in b.spots]])
-            if not members:
+            if b.spots:
+                # spot midpoints (s + t)/2 are integers over 2^(exp + 1)
+                members = normalize([*((2 * s, 2 * t) for s, t in b.inner), *((s + t, s + t) for s, t in b.spots)])
+                outer = [(2 * s, 2 * t) for s, t in a.outer]
+                hi = max(hi, _directed(outer, members) + 2 * max(t - s for s, t in b.spots))
+            elif b.inner:
+                hi = max(hi, 2 * _directed(a.outer, b.inner))
+            else:
                 raise PrecisionError("set enclosure too coarse (no certified member)")
-            slack = max(((t - s) // 2 for s, t in b.spots), default=0)
-            hi = max(hi, _directed(a.outer, members) + slack)
-            lo = max(lo, _directed(a.inner, b.outer))
-            for s, t in a.spots:
-                centre = ((s + t) // 2,) * 2
-                lo = max(lo, _directed([centre], b.outer) - (t - s) // 2)
+            lo = max(lo, 2 * _directed(a.inner, b.outer), 2 * _spots_lower(a.spots, b.outer))
+        exp += 2
         return Fraction(min(lo, hi), 1 << exp), Fraction(hi, 1 << exp)
 
 

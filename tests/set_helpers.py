@@ -17,9 +17,10 @@ def directed_hausdorff(a, b) -> Fraction:
     if not b:
         raise PreconditionError("directed distance to an empty set")
     encs = [RootEnclosure((), lo, hi) for lo, hi in [*a, *b]]
-    exp = max(e.exp for e in encs) + 2  # gap midpoints stay integers
+    exp = max(e.exp for e in encs)
     ends = [e.ends_at(exp) for e in encs]
-    return Fraction(_directed(ends[: len(a)], ends[len(a) :]), 1 << exp)
+    # _directed gives twice the distance
+    return Fraction(_directed(ends[: len(a)], ends[len(a) :]), 2 << exp)
 
 
 def hausdorff_exact(a, b) -> Fraction:

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kohmoto.errors import PreconditionError
+from kohmoto.errors import PreconditionError, PrecisionError
+from kohmoto.rootfind import RootEnclosure
 from kohmoto.sets import (
+    EnclosedSet,
+    _directed,
     hausdorff_spectra,
     intersect,
     lebesgue,
@@ -22,6 +25,13 @@ from set_helpers import (
     enclosed_set,
     from_intervals,
     hausdorff_exact,
+)
+from set_oracle import (
+    bisect_directed,
+    copying_from_spectrum,
+    normalizing_intersection,
+    per_spot_hausdorff,
+    sorting_normalize,
 )
 
 
@@ -257,3 +267,125 @@ def hausdorff_ref(x, y):
 def test_integer_hausdorff_matches_fraction_formulas(a, b):
     (ea, _), (eb, _) = a, b
     assert ea.hausdorff(eb) == hausdorff_ref(ea, eb)
+
+
+# --- the linear sweeps against the bisecting oracles ------------------------
+# Small integer ends make touching, nested and degenerate intervals common.
+
+ints = st.integers(-24, 24)
+int_pairs = st.tuples(ints, ints).map(sorted).map(tuple)
+int_unions = st.lists(int_pairs, max_size=7).map(normalize)
+nonempty_int_unions = st.lists(int_pairs, min_size=1, max_size=7).map(normalize)
+
+
+@st.composite
+def integer_sets(draw, spots=True):
+    """An EnclosedSet on small integer ends: a non-empty outer union, an
+    inner union inside it, spots inside and outside the bands, and an
+    exponent of its own."""
+    outer = draw(nonempty_int_unions)
+    inner = intersect(outer, draw(int_unions))
+    spot_list = draw(st.lists(int_pairs, max_size=4)) if spots else []
+    return EnclosedSet(inner, normalize([*outer, *spot_list]), tuple(sorted(spot_list)), draw(st.integers(0, 3)))
+
+
+def outcome(f, *args):
+    """What f returns, or the type of what it raises."""
+    try:
+        return f(*args)
+    except (PreconditionError, PrecisionError) as exc:
+        return type(exc)
+
+
+@PROPERTY
+@given(int_unions, nonempty_int_unions)
+def test_directed_sweep_matches_bisection(a, b):
+    # doubled ends give the bisecting oracle integer gap midpoints
+    def doubled(u):
+        return [(2 * lo, 2 * hi) for lo, hi in u]
+
+    assert _directed(a, b) == bisect_directed(doubled(a), doubled(b))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(rationals, rationals), max_size=8))
+def test_normalize_matches_sorting_oracle(intervals):
+    assert normalize(intervals) == sorting_normalize(intervals)
+    assert normalize(iter(intervals)) == sorting_normalize(intervals)
+
+
+@PROPERTY
+@given(int_unions, int_unions)
+def test_intersect_of_normalized_unions_is_normalized(a, b):
+    out = intersect(a, b)
+    assert out == normalize(out)
+    assert all(hi1 < lo2 for (_, hi1), (lo2, _) in zip(out, out[1:]))
+
+
+@PROPERTY
+@given(integer_sets(), integer_sets())
+def test_hausdorff_matches_per_spot_oracle(x, y):
+    assert outcome(x.hausdorff, y) == outcome(per_spot_hausdorff, x, y)
+
+
+@PROPERTY
+@given(integer_sets(spots=False), integer_sets(spots=False))
+def test_intersection_matches_normalizing_oracle(x, y):
+    assert x.intersection(y) == normalizing_intersection(x, y)
+    assert x.intersection(x) == x
+
+
+dyadic = st.builds(F, st.integers(-40, 40), st.sampled_from([1, 2, 4, 8, 16]))
+
+
+@st.composite
+def spectrum_data(draw):
+    """Band edge and spot enclosures with dyadic ends at mixed exponents."""
+    bands = []
+    for _ in range(draw(st.integers(0, 4))):
+        v = sorted(draw(st.lists(dyadic, min_size=4, max_size=4)))
+        bands.append(((v[0], v[1]), (v[2], v[3])) if draw(st.booleans()) else ((v[0], v[2]), (v[1], v[3])))
+    spots = [tuple(sorted(draw(st.lists(dyadic, min_size=2, max_size=2)))) for _ in range(draw(st.integers(0, 3)))]
+    return SimpleNamespace(
+        bands=[(RootEnclosure((), *lo), RootEnclosure((), *hi)) for lo, hi in bands],
+        defects=[RootEnclosure((), *spot) for spot in spots],
+    )
+
+
+@PROPERTY
+@given(spectrum_data())
+def test_from_spectrum_matches_copying_oracle(spec):
+    assert EnclosedSet.from_spectrum(spec) == copying_from_spectrum(spec)
+
+
+CASES = {
+    # name: (x, y) as (inner, outer, spots, exp)
+    "touching and degenerate": (
+        ((0, 2), (3, 3), (4, 6)), ((0, 2), (3, 3), (4, 6)), (), 0,
+        ((2, 2), (5, 9)), ((1, 3), (5, 9)), (), 1,
+    ),
+    "spot inside a band": (
+        ((0, 10),), ((-1, 11),), (), 2,
+        ((0, 3),), ((0, 3), (5, 6)), ((5, 6),), 2,
+    ),
+    "spot outside every band": (
+        ((0, 10),), ((0, 10),), (), 0,
+        ((0, 4),), ((0, 4), (30, 33)), ((30, 33),), 0,
+    ),
+    "single intervals": (((1, 5),), ((0, 6),), (), 3, ((8, 9),), ((7, 9),), (), 0),
+    "unequal exponents": (
+        ((0, 4), (8, 12)), ((-1, 5), (7, 13)), ((20, 21),), 0,
+        ((1, 70),), ((0, 72),), ((100, 101), (130, 133)), 3,
+    ),
+    "nested spots": (
+        ((0, 1),), ((0, 1), (9, 30)), ((9, 30), (10, 11)), 1,
+        ((4, 8), (24, 40)), ((4, 8), (24, 40)), (), 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_hausdorff_hand_cases_match_per_spot_oracle(name):
+    data = CASES[name]
+    x, y = EnclosedSet(*data[:4]), EnclosedSet(*data[4:])
+    assert x.hausdorff(y) == per_spot_hausdorff(x, y) == y.hausdorff(x)
