@@ -6,12 +6,12 @@ containing exactly one isolated member whose exact position is unknown).
 Intersections, Lebesgue measure and the Hausdorff metric come out as
 certified rational enclosures.
 
-`_directed`, twice the directed Hausdorff distance dH(X, Y) = sup over X of
-the distance to Y between two sorted disjoint unions, is the one distance
-routine; both ends of the `EnclosedSet.hausdorff` enclosure come from it
-and from `_spots_lower`, its counterpart for spot centres.  For the
-directed distance from the true set A to the true set B, with w(B) the
-largest spot half-width of B (0 without spots):
+`_directed` gives twice the directed Hausdorff distance dH(X, Y) = sup
+over X of the distance to Y between two sorted disjoint unions, and
+`_spots_lower` the same for the midpoints of spots, less their
+half-widths; both ends of the `EnclosedSet.hausdorff` enclosure come from
+these two.  For the directed distance from the true set A to the true set
+B, with w(B) the largest spot half-width of B (0 without spots):
 
 - upper: dH(A.outer, B.inner + spot midpoints of B) + w(B), since A lies
   in A.outer and each spot's member lies within w(B) of the spot's
@@ -134,9 +134,9 @@ def _directed(a: Sequence[Interval], b: Sequence[Interval]) -> int:
 
 
 def _spots_lower(spots: Sequence[Interval], b: Sequence[Interval]) -> int:
-    """The largest of 0 and, over the spots (s, t), twice the distance from
-    the midpoint (s + t)/2 to the non-empty union b minus the width t - s:
-    the lower Hausdorff term of the spots, twice over, in one pass.
+    """Twice the largest of 0 and, over the spots (s, t), the distance from
+    the midpoint (s + t)/2 to the non-empty union b less the half-width
+    (t - s)/2: the lower Hausdorff term of all spots in one pass.
 
     b is a sorted disjoint union; the pointer into b follows the midpoints
     forward, and back where spots nest, so sorted spots cost O(n + m)."""
@@ -215,7 +215,8 @@ class EnclosedSet:
         # every value below is over 2^(exp + 2)
         for a, b in ((mine, theirs), (theirs, mine)):
             if b.spots:
-                # spot midpoints (s + t)/2 are integers over 2^(exp + 1)
+                # spot midpoints (s + t)/2 are integers over 2^(exp + 1);
+                # a half-width (t - s)/2 is 2(t - s) over 2^(exp + 2)
                 members = normalize([*((2 * s, 2 * t) for s, t in b.inner), *((s + t, s + t) for s, t in b.spots)])
                 outer = [(2 * s, 2 * t) for s, t in a.outer]
                 hi = max(hi, _directed(outer, members) + 2 * max(t - s for s, t in b.spots))

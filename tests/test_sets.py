@@ -223,16 +223,6 @@ def test_hausdorff_enclosure_holds_sampled_true_sets(a, b):
     assert (lo, hi) == eb.hausdorff(ea)
 
 
-def merge_ref(intervals):
-    out = []
-    for lo, hi in sorted(iv for iv in intervals if iv[0] <= iv[1]):
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
 def hausdorff_ref(x, y):
     """The formulas of `EnclosedSet.hausdorff` in Fractions, with the
     brute-force directed distance."""
@@ -253,7 +243,7 @@ def hausdorff_ref(x, y):
     x, y = fractions(x), fractions(y)
     hi = lo = F(0)
     for a, b in ((x, y), (y, x)):
-        members = merge_ref(list(b.inner) + [((s + t) / 2,) * 2 for s, t in b.spots])
+        members = sorting_normalize(list(b.inner) + [((s + t) / 2,) * 2 for s, t in b.spots])
         slack = max(((t - s) / 2 for s, t in b.spots), default=F(0))
         hi = max(hi, directed(a.outer, members) + slack)
         lo = max(lo, directed(a.inner, b.outer))
