@@ -33,6 +33,13 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def format_dyadic(num: int, exp: int) -> str:
+    """`format_rational` of num / 2^exp without a gcd: the lowest terms
+    strip the trailing zero bits of num, at most exp of them."""
+    shift = min((num & -num).bit_length() - 1, exp) if num else exp
+    return f"{num >> shift}/{1 << (exp - shift)}"
+
+
 def check_rotation(r: Fraction) -> Fraction:
     if not (ZERO <= r <= ONE):
         raise PreconditionError(f"rotation number {format_rational(r)} outside [0,1]")

@@ -62,13 +62,60 @@ def primitive(p: Sequence[int]) -> IntPoly:
     return [c // g for c in p] if g > 1 else p
 
 
+# Fewest terms of both factors for which `poly_mul` packs them into one
+# integer each; below it the schoolbook loop is faster (the crossover of
+# the products of the certified band and defect spectra at V = 5 lies at 5
+# to 6 terms).
+KRONECKER_TERMS = 6
+
+
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
+    """The product of two integer polynomials, unstripped (length
+    len(a) + len(b) - 1).
+
+    Two factors of at least KRONECKER_TERMS terms multiply by Kronecker
+    substitution: each becomes its value at 2^w, one big-integer product
+    (C code) convolves them, and the product's coefficients are read back
+    as balanced base-2^w digits.  A coefficient of the product is at most
+    min(len) max|a| max|b| in absolute value, below 2^(w - 1) for
+    w = bits(max|a|) + bits(max|b|) + bits(min(len)) + 1, so every digit
+    is exact; anything left above the last digit raises PrecisionError."""
+    if len(a) >= KRONECKER_TERMS and len(b) >= KRONECKER_TERMS:
+        return _kronecker_mul(a, b)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
                     out[i + j] += x * y
+    return out
+
+
+def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
+    """`poly_mul` by Kronecker substitution at 2^w."""
+    w = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    x = y = 0
+    for c in reversed(a):
+        x = (x << w) + c
+    for c in reversed(b):
+        y = (y << w) + c
+    m = x * y
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = []
+    for _ in range(len(a) + len(b) - 1):
+        c = m & mask
+        m >>= w
+        if c >= half:  # a negative digit borrows from the next
+            c -= mask + 1
+            m += 1
+        out.append(c)
+    if m:
+        raise PrecisionError("Kronecker product left a residue above its last digit")
     return out
 
 
@@ -133,12 +180,17 @@ def _pseudo_rem_signed(a: IntPoly, b: IntPoly) -> tuple[IntPoly, int]:
 
 
 def _prem_normal(a: IntPoly, b: IntPoly) -> IntPoly:
-    """The pseudo-remainder lc(b)^2 a mod b for deg a = deg b + 1, stripped."""
+    """The pseudo-remainder lc(b)^2 a mod b for deg a = deg b + 1, stripped.
+
+    With n = deg b, the first division step r = lb a - top x b cancels the
+    degree n + 1 term, and the second, lb r - r_n b, the degree n term, so
+    coefficient j is lb^2 a_j - lb top b_(j-1) - r_n b_j: one pass, three
+    products per coefficient, r_n = lb a_n - top b_(n-1) its only other
+    coefficient of r."""
     lb, top, n = b[-1], a[-1], len(b) - 1
-    # lb a - top x b, whose degree n + 1 term cancels
-    r = [lb * a[0]] + [lb * a[j] - top * b[j - 1] for j in range(1, n + 1)]
-    top = r[n]
-    return strip([lb * r[j] - top * b[j] for j in range(n)])
+    lb2, lbtop, rn = lb * lb, lb * top, lb * a[n] - top * b[n - 1]
+    # (a_j, b_(j-1), b_j) for j < n, with b_(-1) = 0
+    return strip([lb2 * x - lbtop * u - rn * v for x, u, v in zip(a, [0] + b, b[:n])])
 
 
 def sturm_chain(p: Sequence[int]) -> list[IntPoly]:

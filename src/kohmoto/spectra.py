@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DegeneracyError, PreconditionError, PrecisionError
-from .farey import as_fraction, cf_forms, check_rotation, format_rational
+from .farey import as_fraction, cf_forms, check_rotation, format_dyadic, format_rational
 from .polyring import RP
 from .rootfind import (
     IntPoly,
@@ -84,20 +84,24 @@ def trace_poly(word: str, V) -> RP:
     return m[0][0] + m[1][1]
 
 
-def _power_trace(A, B, C, e: int):
-    """tr(P M^e) from A = tr P, B = tr M, C = tr(P M), for e >= 0."""
-    lo, hi = -1, 0
+def _step_traces(A, B, C, e: int):
+    """(tr(P M^e), tr(P M^(e+1))) from A = tr P, B = tr M, C = tr(P M), for
+    e >= 0.  By Cayley-Hamilton M^2 = tr(M) M - I, so T_j = tr(P M^j)
+    obeys T_(j+1) = B T_j - T_(j-1): one product per step."""
+    lo, hi = A, C
     for _ in range(e):
         lo, hi = hi, B * hi - lo
-    return hi * C - lo * A
+    return lo, hi
 
 
 def trace_triples(digits, V) -> list[tuple[RP, RP, RP]]:
     """Trace triples (prev, current, one-step-extension) along the prefixes
     of a continued-fraction string, as polynomials in the energy at a
-    rational coupling.  The recursion is `_trace_triples`, which takes the
-    energy and the coupling as ring elements: that is the seam where the
-    tests pass a symbolic coupling."""
+    rational coupling.  A digit e appends the word of the current trace e
+    times, and each appended copy costs one polynomial product through the
+    three-term recurrence of `_step_traces`.  The recursion is
+    `_trace_triples`, which takes the energy and the coupling as ring
+    elements: that is the seam where the tests pass a symbolic coupling."""
     return _trace_triples(digits, RP([0, 1]), RP.const(as_fraction(V)))
 
 
@@ -113,9 +117,7 @@ def _trace_triples(digits, E, Vc) -> list[tuple]:
     A, B, C = E - Vc, E, E * E - Vc * E - 2
     out = [(A, B, C)]
     for i, d in enumerate(digits[2:]):
-        e = d - 1 if i == 0 else d
-        nb = _power_trace(A, B, C, e)
-        nc = _power_trace(A, B, C, e + 1)
+        nb, nc = _step_traces(A, B, C, d - 1 if i == 0 else d)
         A, B, C = B, nb, nc
         out.append((A, B, C))
     return out
@@ -134,22 +136,20 @@ def trace_poly_cf(digits, V) -> RP:
 def extension_traces(digits, V) -> Iterator[tuple[int, RP]]:
     """Yields (k, trace polynomial of digits ++ [k]) for k = 1, 2, ...
 
-    Incremental in k; extending the bare string for the value 0 uses the
-    first-digit exponent convention."""
+    Incremental in k: with (A, B, C) the last trace triple, the trace for
+    exponent e is T_e = tr(P M^e) of `_step_traces`, so each k costs one
+    polynomial product.  Extending the bare string for the value 0 uses the
+    first-digit exponent e = k - 1, any other string e = k."""
     digits = tuple(int(d) for d in digits)
     A, B, C = trace_triples(digits, V)[-1]
-    first_slot = len(digits) == 2
-    # exponent for appended digit k is k-1 in the first slot, else k
-    lo, hi = -1, 0  # (S_{e-2}, S_{e-1}) at e = 0
-    e = 0
-    k = 0
+    k, lo, hi = 1, A, C  # (T_(e-1), T_e) at e = 1
+    if len(digits) == 2:
+        yield 1, A
+        k = 2
     while True:
+        yield k, hi
+        lo, hi = hi, B * hi - lo
         k += 1
-        target = k - 1 if first_slot else k
-        while e < target:
-            lo, hi = hi, B * hi - lo
-            e += 1
-        yield k, hi * C - lo * A
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +172,15 @@ class Spectrum:
         return tuple((e.lo, e.hi) for e in self.defects)
 
     def to_json_obj(self) -> dict:
+        """Every enclosure end as the string of `format_rational`, built from
+        its integer numerator over 2^exp by `format_dyadic`."""
+
+        def ends(e: RootEnclosure) -> list[str]:
+            return [format_dyadic(e.lo_num, e.exp), format_dyadic(e.hi_num, e.exp)]
+
         return {
-            "bands": [
-                [
-                    format_rational(lo.lo),
-                    format_rational(lo.hi),
-                    format_rational(hi.lo),
-                    format_rational(hi.hi),
-                ]
-                for lo, hi in self.bands
-            ],
-            "points": [[format_rational(e.lo), format_rational(e.hi)] for e in self.defects],
+            "bands": [ends(lo) + ends(hi) for lo, hi in self.bands],
+            "points": [ends(e) for e in self.defects],
             "tol": format_rational(self.tol),
         }
 

@@ -1,8 +1,10 @@
-"""The primitive-remainder Sturm chain and the pass-and-resort `separate`,
-kept as oracles for `kohmoto.rootfind`.
+"""The primitive-remainder Sturm chain, the two-pass normal pseudo-remainder
+and the pass-and-resort `separate`, kept as oracles for `kohmoto.rootfind`.
 
 `rootfind.sturm_chain` builds its normal steps by subresultants; each of
 its elements must be a positive multiple of the element here.
+`rootfind._prem_normal` builds in one pass what two division steps build
+here.
 `rootfind.separate` sorts again only the runs a pass refined; it must
 return what sorting everything on each pass returns, after the same signs.
 """
@@ -17,6 +19,7 @@ from kohmoto.rootfind import (
     degree,
     derivative,
     primitive,
+    strip,
     sturm_chain,
 )
 
@@ -39,6 +42,15 @@ def primitive_sturm_chain(p) -> list[list[int]]:
             "polynomial has a multiple root; band machinery requires simple roots"
         )
     return chain
+
+
+def two_pass_prem_normal(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^2 a mod b for deg a = deg b + 1, stripped, by two division
+    steps: r = lb a - top x b, then lb r - r_n b."""
+    lb, top, n = b[-1], a[-1], len(b) - 1
+    r = [lb * a[0]] + [lb * a[j] - top * b[j - 1] for j in range(1, n + 1)]
+    top = r[n]
+    return strip([lb * r[j] - top * b[j] for j in range(n)])
 
 
 def resorting_separate(enclosures: list[RootEnclosure]) -> list[RootEnclosure]:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kohmoto.errors import PreconditionError
 from kohmoto.farey import (
@@ -14,6 +16,8 @@ from kohmoto.farey import (
     emergence_level,
     farey_distance,
     farey_neighbors,
+    format_dyadic,
+    format_rational,
     mediant,
     simplest_rational_between,
 )
@@ -308,3 +312,16 @@ def test_distance_to_convergents_of_an_irrational():
 def test_point_parsing_round_trip():
     for text in ["2/3", "2/3+", "2/3-", "0/1+", "cf:[0,0]per[1]", "cf:[0,0,2,1]per[3,1]"]:
         assert str(P.parse(text)) == text
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(-64, 64),
+        st.integers(1, 2000).flatmap(lambda bits: st.integers(-(1 << bits), 1 << bits)),
+        st.tuples(st.integers(-9, 9), st.integers(0, 300)).map(lambda t: t[0] << t[1]),
+    ),
+    st.integers(0, 300),
+)
+def test_dyadic_format_matches_the_reduced_fraction(num, exp):
+    assert format_dyadic(num, exp) == format_rational(F(num, 1 << exp))

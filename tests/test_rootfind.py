@@ -27,7 +27,12 @@ from kohmoto.rootfind import (
 )
 
 import symbolic_ring
-from rootfind_oracle import chain_matches_oracle, primitive_sturm_chain, resorting_separate
+from rootfind_oracle import (
+    chain_matches_oracle,
+    primitive_sturm_chain,
+    resorting_separate,
+    two_pass_prem_normal,
+)
 from symbolic_ring import BP
 
 
@@ -144,6 +149,46 @@ sparse_coefficients = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5, -12, 40])
 @given(st.lists(sparse_coefficients, min_size=1, max_size=12), st.sampled_from([1, -1, 3]))
 def test_sturm_chain_matches_the_primitive_chain_on_sparse_polynomials(low, lead):
     assert chain_matches_oracle(low + [lead])
+
+
+wide_coefficients = st.one_of(
+    st.just(0),
+    st.integers(1, 2000).flatmap(lambda bits: st.integers(-(1 << bits), 1 << bits)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.lists(wide_coefficients, min_size=1, max_size=24),
+    st.lists(sparse_coefficients, min_size=1, max_size=24),
+)
+def test_one_pass_prem_normal_matches_two_division_steps(a, b):
+    b = b[:-1] + [b[-1] or 1]
+    a = (a + [0] * len(b))[: len(b)] + [a[-1] or 1]
+    assert rootfind._prem_normal(a, b) == two_pass_prem_normal(a, b)
+
+
+# lengths on both sides of the size at which poly_mul switches to packing
+packed_lengths = st.integers(1, rootfind.KRONECKER_TERMS + 4)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(packed_lengths, packed_lengths, st.data())
+def test_packed_product_matches_the_schoolbook_product(la, lb, data):
+    a = data.draw(st.lists(wide_coefficients, min_size=la, max_size=la))
+    b = data.draw(st.lists(wide_coefficients, min_size=lb, max_size=lb))
+    want = poly_mul(a, b)
+    assert rootfind.poly_mul(a, b) == want
+    assert rootfind._kronecker_mul(a, b) == want
+
+
+def test_packed_product_edge_cases():
+    n = rootfind.KRONECKER_TERMS
+    zero, ones, minus = [0] * n, [1] * n, [-1] * n
+    big = [(-1) ** i * (1 << 1999) for i in range(n)]
+    for a, b in ((zero, big), (ones, minus), (big, big), (minus, [0] * (n - 1) + [-(1 << 64)])):
+        assert rootfind.poly_mul(a, b) == poly_mul(a, b)
+        assert rootfind.poly_mul(b, a) == poly_mul(a, b)
 
 
 def test_subresultant_division_is_checked_under_python_O():

@@ -46,6 +46,7 @@ from band_oracle import dense_floquet_edges, dense_sector_matrices, unsplit_spec
 from defect_oracle import approximant_defect_points, finite_section_modes
 from rootfind_oracle import chain_matches_oracle, resorting_separate
 from set_helpers import certainly_disjoint_triple, covers_at_resolution, union
+from trace_oracle import power_extension_traces, power_trace_triples
 
 V5 = F(5)
 TOL9 = F(1, 10**9)
@@ -136,6 +137,29 @@ def test_extension_traces_match_word_ladders():
             if k > 4:
                 break
             assert t == trace_poly(sk_words(digits + (k,))[-1], V5)
+
+
+# the bare string, first digit 1 (exponent 0) and larger first digits,
+# followed by up to two more digits
+RECURRENCE_STRINGS = [(0, 0)] + [
+    (0, 0) + digs for n in (1, 2, 3) for digs in itertools.product((1, 2, 4), repeat=n)
+]
+
+
+@pytest.mark.parametrize("V", [V5, F(1, 2), F(-3), F(7, 3)])
+def test_trace_recurrence_matches_the_power_trace_oracle(V):
+    E, Vc = RP([0, 1]), RP.const(V)
+    for digits in RECURRENCE_STRINGS:
+        assert trace_triples(digits, V) == power_trace_triples(digits, E, Vc), digits
+        assert list(itertools.islice(extension_traces(digits, V), 6)) == power_extension_traces(
+            digits, E, Vc, 6
+        ), digits
+
+
+def test_trace_recurrence_matches_the_power_trace_oracle_symbolically():
+    E, Vs = symbolic_ring.E, symbolic_ring.V
+    for digits in RECURRENCE_STRINGS:
+        assert _trace_triples(digits, E, Vs) == power_trace_triples(digits, E, Vs), digits
 
 
 def test_fricke_invariant_symbolic_V():
