@@ -4,7 +4,9 @@ certificate, Lebesgue-measure experiments, and the butterfly dataset.
 
 from __future__ import annotations
 
+import html
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -375,6 +377,11 @@ class ButterflyDataset:
         }
 
     def to_svg(self, width: int = 800, height: int = 600) -> str:
+        """Bands as lines and defect points as circles, one row per p/q.  A
+        row whose `error` is set is preceded by the comment
+        `<!-- p/q failed: message -->`, so a figure with missing parts says
+        so; the message has its markup characters escaped and a space after
+        each hyphen that another follows, as an XML comment requires."""
         ends = self.ends
         e_lo, e_hi = (ends.min(), ends.max()) if len(ends) else (0.0, 1.0)
         pad = 0.05 * (e_hi - e_lo) or 1.0
@@ -391,6 +398,9 @@ class ButterflyDataset:
         ]
         i = 0  # the row's first interval
         for row in self.rows:
+            if row.error:
+                text = re.sub("-(?=-)", "- ", html.escape(row.error, quote=False))
+                out.append(f"<!-- {row.p}/{row.q} failed: {text} -->")
             y = f"{height - 30 - (height - 60) * (row.p / row.q):.2f}"
             xs = x_end[2 * i : 2 * (i + len(row.bands))].tolist()
             for x1, x2 in zip(xs[0::2], xs[1::2]):

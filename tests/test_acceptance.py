@@ -351,6 +351,7 @@ def test_criterion_13_butterfly_reproduction():
 
     golden = pathlib.Path(__file__).parent / "data" / "butterfly_q25_v5.svg"
     body = golden.read_text().splitlines()
-    body = "\n".join(line for line in body if not line.startswith("<!--")) + "\n"
+    # the golden file is CLI output: without its invocation header
+    body = "\n".join(line for line in body if not line.startswith("<!-- kohmoto ")) + "\n"
     ok = ok and ds1.to_svg() == body
     report(13, ok, "butterfly dataset byte-stable across runs, matches golden", t0)

@@ -2,15 +2,20 @@ import os
 import random
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 from pathlib import Path
+from xml.sax.saxutils import escape
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohmoto.analysis import (
     _FORMATS,
+    ButterflyDataset,
+    ButterflyRow,
     _butterfly_row,
     _outside_bands,
     butterfly,
@@ -174,10 +179,20 @@ def test_butterfly_fast_matches_certified_bands():
             assert abs(float(fhi[1:]) - float(chi.lo)) < 1e-6
 
 
+def comment_text(message: str) -> str:
+    """A message as XML comment text: markup escaped, and hyphen pairs
+    split until none is left."""
+    text = escape(message)
+    while "--" in text:
+        text = text.replace("--", "- -")
+    return text
+
+
 def string_parsing_svg(ds, width: int = 800, height: int = 600) -> str:
     """The SVG render that reads every value back from the row strings:
     the oracle for `ButterflyDataset.to_svg`, which draws from the values
-    the strings were formatted from."""
+    the strings were formatted from, and marks each failed row with a
+    comment."""
 
     def parse(s: str) -> float:
         return float(s[1:]) if s.startswith("~") else float(F(s))
@@ -208,6 +223,8 @@ def string_parsing_svg(ds, width: int = 800, height: int = 600) -> str:
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for row, (bands, plus, minus) in zip(ds.rows, parsed):
+        if row.error:
+            out.append(f"<!-- {row.p}/{row.q} failed: {comment_text(row.error)} -->")
         y = sy(row.p / row.q)
         for lo, hi in bands:
             x1, x2 = sx(lo), sx(hi)
@@ -231,6 +248,19 @@ def test_svg_matches_the_string_parsing_render(Q, backend, V):
     assert ds.to_svg(width=333, height=201) == string_parsing_svg(ds, 333, 201)
     # at V = 8 the fast rows of 1/12+ and 11/12- fail and draw no points
     assert any(row.error for row in ds.rows) == (backend == "fast" and V == 8)
+
+
+def test_svg_comment_of_a_failed_row_cannot_end_the_comment_or_draw():
+    message = "defect_plus: <line x1='0'/> --> <circle r='1'/> a---b & c-"
+    row = ButterflyRow(3, 1, (), (), (), error=message)
+    ds = ButterflyDataset(3, V5, "fast", True, (row,), np.zeros(0))
+    svg = ds.to_svg()
+    assert svg == string_parsing_svg(ds)
+    comments = [line for line in svg.splitlines() if line.startswith("<!--")]
+    assert comments == [f"<!-- 1/3 failed: {comment_text(message)} -->"]
+    body = comments[0][len("<!-- ") : -len(" -->")]
+    assert not any(bad in body for bad in ("--", "<line ", "<circle "))
+    assert [el.tag for el in ET.fromstring(svg)] == ["{http://www.w3.org/2000/svg}rect"]
 
 
 # at V = 8 the fast backend drops defect points of 1/12+ and so of 11/12-
