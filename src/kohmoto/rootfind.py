@@ -62,37 +62,15 @@ def primitive(p: Sequence[int]) -> IntPoly:
     return [c // g for c in p] if g > 1 else p
 
 
-# Fewest terms of both factors for which `poly_mul` packs them into one
-# integer each; below it the schoolbook loop is faster (the crossover of
-# the products of the certified band and defect spectra at V = 5 lies at 5
-# to 6 terms).
-KRONECKER_TERMS = 6
-
-
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     """The product of two integer polynomials, unstripped (length
-    len(a) + len(b) - 1).
-
-    Two factors of at least KRONECKER_TERMS terms multiply by Kronecker
-    substitution: each becomes its value at 2^w, one big-integer product
-    (C code) convolves them, and the product's coefficients are read back
-    as balanced base-2^w digits.  A coefficient of the product is at most
-    min(len) max|a| max|b| in absolute value, below 2^(w - 1) for
-    w = bits(max|a|) + bits(max|b|) + bits(min(len)) + 1, so every digit
-    is exact; anything left above the last digit raises PrecisionError."""
-    if len(a) >= KRONECKER_TERMS and len(b) >= KRONECKER_TERMS:
-        return _kronecker_mul(a, b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    """`poly_mul` by Kronecker substitution at 2^w."""
+    len(a) + len(b) - 1), by Kronecker substitution: each factor becomes
+    its value at 2^w, one big-integer product (in C) convolves them, and
+    the product's coefficients are read back as balanced base-2^w digits.
+    A coefficient of the product is at most min(len) max|a| max|b| in
+    absolute value, below 2^(w - 1) for
+    w = bits(max|a|) + bits(max|b|) + bits(min(len)) + 1, so every digit is
+    exact; anything left above the last digit raises PrecisionError."""
     w = (
         max(map(abs, a)).bit_length()
         + max(map(abs, b)).bit_length()
