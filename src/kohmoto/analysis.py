@@ -378,9 +378,8 @@ class ButterflyDataset:
     def to_svg(self, width: int = 800, height: int = 600) -> str:
         """Bands as lines and defect points as circles, one row per p/q.  A
         row whose `error` is set is preceded by the comment
-        `<!-- p/q failed: message -->`, so a figure with missing parts says
-        so; the message has its markup characters escaped and a space after
-        each hyphen that another follows, as an XML comment requires."""
+        `<!-- p/q failed: message -->` of `xml_comment`, so a figure with
+        missing parts says so."""
         ends = self.ends
         e_lo, e_hi = (ends.min(), ends.max()) if len(ends) else (0.0, 1.0)
         pad = 0.05 * (e_hi - e_lo) or 1.0
@@ -398,9 +397,7 @@ class ButterflyDataset:
         i = 0  # the row's first interval
         for row in self.rows:
             if row.error:
-                text = row.error.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-                text = re.sub("-(?=-)", "- ", text)
-                out.append(f"<!-- {row.p}/{row.q} failed: {text} -->")
+                out.append(xml_comment(f"{row.p}/{row.q} failed: {row.error}"))
             y = f"{height - 30 - (height - 60) * (row.p / row.q):.2f}"
             xs = x_end[2 * i : 2 * (i + len(row.bands))].tolist()
             for x1, x2 in zip(xs[0::2], xs[1::2]):
@@ -415,6 +412,14 @@ class ButterflyDataset:
                 i += len(points)
         out.append("</svg>")
         return "\n".join(out) + "\n"
+
+
+def xml_comment(text: str) -> str:
+    """`<!-- text -->` with the markup characters of text escaped and a
+    space after each hyphen that another follows, as an XML comment
+    requires."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"<!-- {re.sub('-(?=-)', '- ', text)} -->"
 
 
 def _fmt_fast(x: float) -> str:
@@ -544,11 +549,13 @@ def _fast_defects(r: Fraction, side: str, V: Fraction, base_bands) -> list[float
     return pts
 
 
-# Caps on Q by backend, from measured cost at V = 5 on a 2-core machine: the
-# fast backend takes 6.5-6.7 s at Q = 60 and 8.1-8.4 s at Q = 64, the
-# certified one 12 s at Q = 16 (rows grow like Q^2, and each costs more with
-# q).
-MAX_Q = {"fast": 64, "certified": 16}
+# Caps on Q by backend, from measured CLI wall time at V = 5 on a 2-core
+# machine: the fast backend takes 6.5-6.7 s at Q = 60 and 8.1-8.4 s at
+# Q = 64, the certified one 8.1-8.8 s at Q = 24 and 11.9-12.3 s at Q = 25
+# (rows grow like Q^2, and each costs more with q; from Q = 17 on, most of
+# it is the Sturm bisection that isolates t^2 = V^2 + 4 at rows such as
+# 1/q and 2/q, where two float guides (nearly) coincide).
+MAX_Q = {"fast": 64, "certified": 24}
 
 
 def butterfly(

@@ -180,7 +180,7 @@ def emit(payload, fmt: str, invocation: str, out_path) -> None:
         text = f"# {invocation}\n{payload}"
     elif fmt == "svg":
         head, _, rest = payload.partition("\n")
-        text = f"{head}\n<!-- {invocation} -->\n{rest}"
+        text = f"{head}\n{analysis.xml_comment(invocation)}\n{rest}"
     else:
         text = f"# {invocation}\n{payload}\n"
     if out_path:

@@ -22,8 +22,10 @@ D = t_u^2 - (V^2 + 4).  The trace-map invariant
 t_u^2 + t_v^2 + t_uv^2 - t_u t_v t_uv - 4 = V^2 gives G+ G- = D (t_v^2 - 4),
 so the points of the upper and the lower limit together are the 2q simple
 roots of D, isolated like band edges.  A root is a point of the chosen side
-when P = sign(t_u) |V| t_v there; this is certified by showing the other
-factor non-zero on the root's enclosure with a Lipschitz bound.
+when P = sign(t_u) |V| t_v there.  Exactly one of G+ and G- vanishes at
+each root, so gcd(D, G+) and gcd(D, G-) split D exactly; a root's factor is
+read from two exact signs of gcd(D, G+) across its cell, and its side from
+the sign of t_u on the cell.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .polyring import RP
 from .rootfind import (
     IntPoly,
     RootEnclosure,
-    _eval_homogeneous,
     compare_roots,
     degree,
     grid_spacing,
@@ -714,29 +715,6 @@ def floquet_defect_estimates(word: str, V) -> list[float]:
     return out
 
 
-def _certified_nonzero(g: RP, a: int, b: int, exp: int) -> bool:
-    """True when g has no root in [lo, hi] = [a / 2^exp, b / 2^exp]: |g(mid)|
-    exceeds the bound sum_k k |c_k| R^(k-1) * width/2 on |g(x) - g(mid)|,
-    R = max(|lo|, |hi|).  An exact enclosure [x, x] is decided by g(x)
-    itself.
-
-    With d = 2^exp, both sides are scaled by (2d)^n, n = deg g, so the test
-    runs on integers."""
-    c = g.num
-    d = 1 << exp
-    if a == b:
-        return sign_at(c, a, d) != 0
-    n = len(c) - 1
-    slope = [k * abs(ck) for k, ck in enumerate(c)][1:] or [0]
-    bound = _eval_homogeneous(slope, max(abs(a), abs(b)), d)  # d^(n-1) * sum
-    return 2 * abs(_eval_homogeneous(c, a + b, 2 * d)) > bound * (b - a) << n
-
-
-# Cap on the halvings that decide which side a root of t_u^2 - V^2 - 4
-# belongs to.
-MAX_SIDE_HALVINGS = 256
-
-
 @functools.lru_cache(maxsize=128)
 def defect_spectrum(r, side: str, V, tol) -> Spectrum:
     """Spectrum of the one-sided limit operator: the periodic bands plus
@@ -750,10 +728,12 @@ def defect_spectrum(r, side: str, V, tol) -> Spectrum:
     t_u^2 + t_v^2 + t_uv^2 - t_u t_v t_uv - 4 = V^2 gives the identity
     G+ G- = D (t_v^2 - 4) for G+- = P -+ |V| t_v and D = t_u^2 - V^2 - 4,
     checked exactly here, so the q points of both sides together are the
-    2q simple roots of D.  A root belongs to this side when, with s the
-    exact sign of t_u across its enclosure, G_-s is certified non-zero on
-    the enclosure (so G_s vanishes at the root), and to the other side when
-    G_s is; undecided enclosures are halved."""
+    2q simple roots of D.  At each of them exactly one of G+ and G- vanishes
+    (if both did, P = |V| t_v = 0 there, and G+ G- would vanish twice at a
+    simple root of D, where t_v^2 - 4 = -4), so A = gcd(D, G+) and
+    C = gcd(D, G-) split D exactly, A C = +-D, which is checked.  A root in an isolating cell of D is a root of A when A changes
+    sign across the cell (or vanishes at an exact enclosure [x, x]), and it
+    belongs to this side when that agrees with t_u > 0 on the cell."""
     r = check_rotation(as_fraction(r))
     V = as_fraction(V)
     tol = _check_tol(tol)
@@ -767,32 +747,30 @@ def defect_spectrum(r, side: str, V, tol) -> Spectrum:
     g_plus, g_minus = P - abs(V) * t_v, P + abs(V) * t_v
     if g_plus * g_minus != D * (t_v * t_v - 4):
         raise PrecisionError("trace-map invariant fails for the defect traces")
-    roots = isolate_roots(
-        D.int_poly(), guide=floquet_defect_estimates(period_word(r), V), width=tol
-    )
+    d = D.int_poly()
+    a, c = poly_gcd(d, g_plus.int_poly()), poly_gcd(d, g_minus.int_poly())
+    # primitive factors of the primitive d, so their product is d up to sign,
+    # and equal lists make deg a + deg c = deg d
+    if poly_mul(a, c) not in (d, [-x for x in d]):
+        raise PrecisionError("G+ and G- do not split t^2 = V^2 + 4")
+    roots = isolate_roots(d, guide=floquet_defect_estimates(period_word(r), V), width=tol)
     if len(roots) != 2 * q:
         raise PrecisionError(f"t^2 = V^2 + 4 has {len(roots)} roots, wanted {2 * q}")
     points = []
     for enc in roots:
         enc = enc.refined(tol)
-        for _ in range(MAX_SIDE_HALVINGS):
-            lo, hi, exp = enc.lo_num, enc.hi_num, enc.exp
-            s = sign_at(t_u.num, lo, 1 << exp)
-            if s != 0 and s == sign_at(t_u.num, hi, 1 << exp):
-                g_same, g_other = (g_plus, g_minus) if s > 0 else (g_minus, g_plus)
-                if _certified_nonzero(g_other, lo, hi, exp):
-                    points.append(enc)
-                    break
-                if _certified_nonzero(g_same, lo, hi, exp):
-                    break
-            if enc.is_exact():
-                raise PrecisionError("G+ and G- both vanish at an exact defect root")
+        # t_u^2 = V^2 + 4 at the root, so the halving ends with one sign of
+        # t_u on the cell; a cell holds at most one zero of t_u, as a gap
+        # with two roots of D lies between any two of them
+        while True:
+            lo, hi, den = enc.lo_num, enc.hi_num, 1 << enc.exp
+            s = sign_at(t_u.num, lo, den)
+            if s and s == sign_at(t_u.num, hi, den):
+                break
             enc = enc.bisected(1)
-        else:
-            raise PrecisionError(
-                f"side of a defect root at {format_rational(r)} not decided "
-                f"after {MAX_SIDE_HALVINGS} halvings"
-            )
+        # A is nonzero at the ends of a cell that is not exact
+        if (sign_at(a, lo, den) * sign_at(a, hi, den) <= 0) == (s > 0):
+            points.append(enc)
     _check_point_placement(base, tuple(points), above=(side == "plus") == (V > 0))
     return Spectrum(base.bands, tuple(points), tol)
 

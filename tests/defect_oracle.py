@@ -1,11 +1,17 @@
 """Test oracles for `spectra.defect_spectrum`: the approximant enclosure
-of the defect eigenvalues, and floating finite-section modes.
+of the defect eigenvalues, the side decision by a Lipschitz bound, and
+floating finite-section modes.
 
 Extending the approach string of a one-sided limit by a digit k gives
 approximants whose bands, apart from those inside the periodic spectrum,
 escape onto the q defect points as k grows.  k doubles until every
 escaping band is at most tol wide and disjoint from the periodic spectrum,
-and the escaping bands are the point enclosures."""
+and the escaping bands are the point enclosures.
+
+The halving oracle decides each root of t_u^2 - V^2 - 4 by showing G+ or
+G- non-zero on its enclosure with a global slope bound, halving the
+enclosure until one of them is; `defect_spectrum` decides the same roots by
+the exact split of t_u^2 - V^2 - 4 into its gcds with G+ and G-."""
 
 from __future__ import annotations
 
@@ -13,16 +19,20 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from kohmoto.errors import PreconditionError, PrecisionError
-from kohmoto.farey import as_fraction
+from kohmoto.farey import as_fraction, check_rotation
+from kohmoto.polyring import RP
+from kohmoto.rootfind import RootEnclosure, _eval_homogeneous, isolate_roots, sign_at
 from kohmoto.spectra import (
     MAX_K,
     _split_escaping,
     approach_digits,
     extension_traces,
+    floquet_defect_estimates,
     spectrum_from_trace,
     spectrum_periodic,
+    trace_triples,
 )
-from kohmoto.words import Configuration, sk_words
+from kohmoto.words import Configuration, period_word, sk_words
 
 
 def approximant_defect_points(r, side: str, V, tol) -> tuple:
@@ -58,6 +68,58 @@ def _check_hull_placement(base, points, above: bool) -> None:
             ok = phi < bands[j][0].lo and (j == 0 or plo > bands[j - 1][1].hi)
         if not ok:
             raise PrecisionError("escaping band hull is not in its gap")
+
+
+def certified_nonzero(g: RP, a: int, b: int, exp: int) -> bool:
+    """True when g has no root in [lo, hi] = [a / 2^exp, b / 2^exp]: |g(mid)|
+    exceeds the bound sum_k k |c_k| R^(k-1) * width/2 on |g(x) - g(mid)|,
+    R = max(|lo|, |hi|).  An exact enclosure [x, x] is decided by g(x)
+    itself.
+
+    With d = 2^exp, both sides are scaled by (2d)^n, n = deg g, so the test
+    runs on integers."""
+    c = g.num
+    d = 1 << exp
+    if a == b:
+        return sign_at(c, a, d) != 0
+    n = len(c) - 1
+    slope = [k * abs(ck) for k, ck in enumerate(c)][1:] or [0]
+    bound = _eval_homogeneous(slope, max(abs(a), abs(b)), d)  # d^(n-1) * sum
+    return 2 * abs(_eval_homogeneous(c, a + b, 2 * d)) > bound * (b - a) << n
+
+
+def halving_defect_points(r, side: str, V, tol, max_halvings: int = 256) -> list[RootEnclosure]:
+    """The point enclosures of the one-sided limit of r, each root of
+    t_u^2 - V^2 - 4 refined to tol and then halved until t_u has one sign s
+    on it and `certified_nonzero` shows G_-s non-zero (a point of this
+    side) or G_s non-zero (a point of the other side)."""
+    r, V = check_rotation(as_fraction(r)), as_fraction(V)
+    t_v, t_u, t_uv = trace_triples(approach_digits(r, side), V)[-1]
+    P = t_u * t_v - 2 * t_uv
+    D = t_u * t_u - (V * V + 4)
+    g_plus, g_minus = P - abs(V) * t_v, P + abs(V) * t_v
+    roots = isolate_roots(
+        D.int_poly(), guide=floquet_defect_estimates(period_word(r), V), width=tol
+    )
+    points = []
+    for enc in roots:
+        enc = enc.refined(tol)
+        for _ in range(max_halvings):
+            lo, hi, exp = enc.lo_num, enc.hi_num, enc.exp
+            s = sign_at(t_u.num, lo, 1 << exp)
+            if s != 0 and s == sign_at(t_u.num, hi, 1 << exp):
+                g_same, g_other = (g_plus, g_minus) if s > 0 else (g_minus, g_plus)
+                if certified_nonzero(g_other, lo, hi, exp):
+                    points.append(enc)
+                    break
+                if certified_nonzero(g_same, lo, hi, exp):
+                    break
+            if enc.is_exact():
+                raise PrecisionError("G+ and G- both vanish at an exact defect root")
+            enc = enc.bisected(1)
+        else:
+            raise PrecisionError(f"side of a defect root not decided after {max_halvings} halvings")
+    return points
 
 
 def finite_section_modes(config: Configuration, V, N: int, edge_frac: float = 0.05):

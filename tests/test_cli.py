@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from kohmoto import cli
+from kohmoto import analysis, cli
 
 DATA = Path(__file__).parent / "data"
 
@@ -16,10 +17,10 @@ DATA = Path(__file__).parent / "data"
 # an output byte.
 CERTIFIED_OUTPUTS = {
     "spectrum bands --r 55/89 --V 5 --format json": "9549753b7b26841a57b11f98b17f26ded446ae9a6a8281d9f50ed1122e5b0319",
-    "spectrum defects --r 8/13 --side plus --V 1/2 --tol 1e-9 --format json": "e8f6bee7285ed1d997736535beb7f0f087d448d39ba37826102bc40465813f78",
+    "spectrum defects --r 8/13 --side plus --V 1/2 --tol 1e-9 --format json": "0254344bdb4c48c3786a95bca8e907ecebe1e934cc0833e6d543e9a648b8adda",
     "analyze optimality --r 2/3 --side minus --V 5 --kmax 20 --format json": "4aa6750f2b1f3f4111826c018b633cede8c35ba55d48f7ececd73db46fffa9d1",
-    "butterfly --Q 8 --V 5 --format json": "9bad971ab6879ca7c12d7f7c9d17f46e41acd156675bf1df4db6a4baed39c6f6",
-    "butterfly --Q 8 --V -3 --format json": "c0777ac67941c67ae5de9a6080322068b8b5a8027c90026811c0ac7abfd0b9ba",
+    "butterfly --Q 8 --V 5 --format json": "d047d3ffddd6edb6876d44496fb832bc79f54149d3585bc02f2acdf12249f940",
+    "butterfly --Q 8 --V -3 --format json": "0b136404e532d7a0cb2d19a276a6921b5c2a7ed6769f6582895980c58b58fb80",
     # set metrics on spots at both sides of a pair, then intersection and
     # measure
     "analyze lipschitz --pair 1/3+:2/5- --pair 0+:1/7 --pair 1/2-:3/5+ --V 5 --tol 1e-9 --format json": "5cf643486015ddb0caae0cabdc70e2bc933ffcff10abcfc2b56d6d0e373f5cd9",
@@ -103,7 +104,7 @@ def test_exit_codes():
     run("analyze", "optimality", "--r", "2/3", "--side", "minus", "--V", "5", "--kmax", "65", expect=2)
     run("analyze", "measures", "--r", "0", "--V", "5", "--kmax", "65", expect=2)
     run("butterfly", "--Q", "65", "--V", "5", "--fast", expect=2)
-    run("butterfly", "--Q", "17", "--V", "5", expect=2)
+    run("butterfly", "--Q", "25", "--V", "5", expect=2)
     run("word", "show", "2/3+", "--lo", "0", "--hi", "100000", expect=2)
     run("word", "dict", "2/3", "--n", "257", expect=2)
     run("word", "complexity", "0+", "--n", "257", expect=2)
@@ -192,6 +193,18 @@ def test_butterfly_svg_golden(tmp_path):
     run("butterfly", "--Q", "25", "--V", "5", "--fast", "--format", "svg",
         "-o", str(target))
     assert target.read_bytes() == (DATA / "butterfly_q25_v5.svg").read_bytes()
+
+
+def test_butterfly_svgs_are_well_formed_xml(tmp_path):
+    # the invocation header and the failed-row comments (the Q = 25 golden
+    # has 22) are escaped, so an XML parser reads the whole figure
+    target = tmp_path / "certified.svg"
+    run("butterfly", "--Q", "4", "--V", "-3", "--format", "svg", "-o", str(target))
+    for path in (target, DATA / "butterfly_q25_v5.svg"):
+        assert ET.parse(path).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+    comment = analysis.xml_comment("a--b-->c<&-")
+    assert comment == "<!-- a- -b- -&gt;c&lt;&amp;- -->"
+    ET.fromstring(f"<a>{comment}</a>")
 
 
 def test_analyze_measures_json():

@@ -43,7 +43,7 @@ from kohmoto.words import Configuration, defect_config, period_word, sk_words
 
 import symbolic_ring
 from band_oracle import dense_floquet_edges, dense_sector_matrices, unsplit_spectrum
-from defect_oracle import approximant_defect_points, finite_section_modes
+from defect_oracle import approximant_defect_points, finite_section_modes, halving_defect_points
 from rootfind_oracle import chain_matches_oracle, resorting_separate
 from set_helpers import certainly_disjoint_triple, covers_at_resolution, union
 from trace_oracle import power_extension_traces, power_trace_triples
@@ -699,18 +699,18 @@ def test_defect_points_match_approximant_oracle():
             _points_bracket_defect_roots(spec, r, V)
 
 
-def test_certified_nonzero_needs_the_slope_bound():
-    from kohmoto.spectra import _certified_nonzero
-
-    # the ends are integers over 2^exp: [0, 1/2] is (0, 1, 1)
-    g = RP.from_fractions([F(-1, 3), 1])  # root at 1/3
-    assert not _certified_nonzero(g, 0, 1, 1)  # g(1/4) != 0, but 1/3 is inside
-    assert _certified_nonzero(g, 1, 2, 1)  # [1/2, 1]
-    assert _certified_nonzero(g, 1, 1, 1)  # [1/2, 1/2]
-    assert not _certified_nonzero(RP.from_fractions([F(-1, 4), 1]), 1, 1, 2)  # g(1/4) = 0
-    h = RP.from_fractions([F(1, 100), 0, -1])  # roots at +-1/10
-    assert not _certified_nonzero(h, -8, -1, 4)  # [-1/2, -1/16]
-    assert _certified_nonzero(h, -1, 1, 4)  # [-1/16, 1/16]
+def test_defect_split_matches_the_halving_oracle():
+    # the gcd split decides every root as the Lipschitz halving did, on
+    # wider (unhalved) enclosures that contain the oracle's; at 1/21+ and
+    # 2/23- (V = 5) bands narrower than tol put a zero of t_u in some
+    # points' cells, which are halved until t_u has one sign on them
+    cases = [(r, side, V) for V in (V5, F(-3), F(1, 2)) for r, side in _one_sided_points(12)]
+    for r, side, V in cases + [(F(1, 21), "plus", V5), (F(2, 23), "minus", V5)]:
+        points = defect_spectrum(r, side, V, TOL6).defects
+        oracle = halving_defect_points(r, side, V, TOL6)
+        assert len(points) == len(oracle) == r.denominator
+        for enc, old in zip(points, oracle):
+            assert enc.lo <= old.lo and old.hi <= enc.hi
 
 
 def test_defect_spectrum_checks_the_trace_invariant(monkeypatch):
@@ -724,6 +724,31 @@ def test_defect_spectrum_checks_the_trace_invariant(monkeypatch):
 
     monkeypatch.setattr(spectra, "trace_triples", skewed)
     with pytest.raises(PrecisionError, match="invariant"):
+        spectra.defect_spectrum.__wrapped__(F(2, 3), "plus", V5, TOL6)
+
+
+@pytest.mark.parametrize("point", ["34/89+", "34/89-", "55/89+", "55/89-"])
+def test_defect_sides_are_decided_at_q89(point):
+    # a Lipschitz slope bound on G+- grows like R^deg and left these
+    # undecided after 256 halvings; the gcd split needs none
+    r, side = F(point[:-1]), "plus" if point.endswith("+") else "minus"
+    spec = defect_spectrum(r, side, V5, TOL9)
+    _points_bracket_defect_roots(spec, r, V5)
+    bands = spec.bands
+    for j, (lo, hi) in enumerate(spec.points):
+        if side == "plus":
+            assert bands[j][1].hi < lo and (j + 1 == 89 or hi < bands[j + 1][0].lo)
+        else:
+            assert hi < bands[j][0].lo and (j == 0 or bands[j - 1][1].hi < lo)
+
+
+def test_defect_spectrum_checks_the_gcd_split(monkeypatch):
+    # a split whose factors do not multiply to t^2 - V^2 - 4 is refused
+    from kohmoto import spectra
+
+    spectrum_periodic(F(2, 3), V5, TOL6)
+    monkeypatch.setattr(spectra, "poly_gcd", lambda a, b: [1])
+    with pytest.raises(PrecisionError, match="split"):
         spectra.defect_spectrum.__wrapped__(F(2, 3), "plus", V5, TOL6)
 
 
