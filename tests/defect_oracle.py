@@ -88,11 +88,11 @@ def certified_nonzero(g: RP, a: int, b: int, exp: int) -> bool:
     return 2 * abs(_eval_homogeneous(c, a + b, 2 * d)) > bound * (b - a) << n
 
 
-def halving_defect_points(r, side: str, V, tol, max_halvings: int = 256) -> list[RootEnclosure]:
+def halving_defect_points(r, side: str, V, tol) -> list[RootEnclosure]:
     """The point enclosures of the one-sided limit of r, each root of
     t_u^2 - V^2 - 4 refined to tol and then halved until t_u has one sign s
     on it and `certified_nonzero` shows G_-s non-zero (a point of this
-    side) or G_s non-zero (a point of the other side)."""
+    side) or G_s non-zero (a point of the other side), within 256 halvings."""
     r, V = check_rotation(as_fraction(r)), as_fraction(V)
     t_v, t_u, t_uv = trace_triples(approach_digits(r, side), V)[-1]
     P = t_u * t_v - 2 * t_uv
@@ -104,7 +104,7 @@ def halving_defect_points(r, side: str, V, tol, max_halvings: int = 256) -> list
     points = []
     for enc in roots:
         enc = enc.refined(tol)
-        for _ in range(max_halvings):
+        for _ in range(256):
             lo, hi, exp = enc.lo_num, enc.hi_num, enc.exp
             s = sign_at(t_u.num, lo, 1 << exp)
             if s != 0 and s == sign_at(t_u.num, hi, 1 << exp):
@@ -118,7 +118,7 @@ def halving_defect_points(r, side: str, V, tol, max_halvings: int = 256) -> list
                 raise PrecisionError("G+ and G- both vanish at an exact defect root")
             enc = enc.bisected(1)
         else:
-            raise PrecisionError(f"side of a defect root not decided after {max_halvings} halvings")
+            raise PrecisionError("side of a defect root not decided after 256 halvings")
     return points
 
 

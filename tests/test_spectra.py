@@ -746,7 +746,6 @@ def test_defect_spectrum_checks_the_gcd_split(monkeypatch):
     # a split whose factors do not multiply to t^2 - V^2 - 4 is refused
     from kohmoto import spectra
 
-    spectrum_periodic(F(2, 3), V5, TOL6)
     monkeypatch.setattr(spectra, "poly_gcd", lambda a, b: [1])
     with pytest.raises(PrecisionError, match="split"):
         spectra.defect_spectrum.__wrapped__(F(2, 3), "plus", V5, TOL6)
