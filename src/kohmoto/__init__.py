@@ -25,7 +25,6 @@ from .spectra import (
     Spectrum,
     band_classify,
     defect_spectrum,
-    finite_section_eigs,
     membership,
     spectrum_periodic,
     trace_poly,
@@ -66,7 +65,6 @@ __all__ = [
     "emergence_level",
     "farey_distance",
     "farey_neighbors",
-    "finite_section_eigs",
     "hausdorff_spectra",
     "lebesgue",
     "lipschitz_sweep",

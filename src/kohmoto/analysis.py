@@ -26,6 +26,7 @@ from .spectra import (
     MAX_K,
     Spectrum,
     approach_digits,
+    check_tol,
     defect_spectrum,
     extension_traces,
     floquet_edges,
@@ -580,6 +581,7 @@ def butterfly(
     if Q > MAX_Q[backend]:
         raise PreconditionError(f"Q must be <= {MAX_Q[backend]} with the {backend} backend")
     V = as_fraction(V)
+    tol = check_tol(tol)
     rationals = [
         Fraction(p, q)
         for q in range(1, Q + 1)

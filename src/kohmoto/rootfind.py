@@ -66,11 +66,9 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     """The product of two integer polynomials, unstripped (length
     len(a) + len(b) - 1), by Kronecker substitution: each factor becomes
     its value at 2^w, one big-integer product (in C) convolves them, and
-    the product's coefficients are read back as balanced base-2^w digits.
-    A coefficient of the product is at most min(len) max|a| max|b| in
-    absolute value, below 2^(w - 1) for
-    w = bits(max|a|) + bits(max|b|) + bits(min(len)) + 1, so every digit is
-    exact; anything left above the last digit raises PrecisionError."""
+    `unpack` reads the product's coefficients back.  A coefficient of the
+    product is at most min(len) max|a| max|b| in absolute value, below
+    2^(w - 1) for w = bits(max|a|) + bits(max|b|) + bits(min(len)) + 1."""
     w = (
         max(map(abs, a)).bit_length()
         + max(map(abs, b)).bit_length()
@@ -82,10 +80,17 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
         x = (x << w) + c
     for c in reversed(b):
         y = (y << w) + c
-    m = x * y
+    return unpack(x * y, w, len(a) + len(b) - 1)
+
+
+def unpack(m: int, w: int, count: int) -> IntPoly:
+    """The coefficients of the integer polynomial f with f(2^w) = m and
+    length count, every coefficient below 2^(w - 1) in absolute value: the
+    balanced base-2^w digits of m, lowest first.  Each digit is then exact;
+    anything left above the last digit raises PrecisionError."""
     half, mask = 1 << (w - 1), (1 << w) - 1
     out = []
-    for _ in range(len(a) + len(b) - 1):
+    for _ in range(count):
         c = m & mask
         m >>= w
         if c >= half:  # a negative digit borrows from the next
@@ -93,7 +98,7 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
             m += 1
         out.append(c)
     if m:
-        raise PrecisionError("Kronecker product left a residue above its last digit")
+        raise PrecisionError("packed value left a residue above its last digit")
     return out
 
 

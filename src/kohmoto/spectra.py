@@ -2,19 +2,22 @@
 mechanical-word potentials.
 
 The spectrum of a q-periodic operator is the preimage of [-2,2] under the
-trace of the transfer-matrix cocycle over one period.  Its 2q band edges
-are the roots of t - 2 and t + 2.  The period word is a rotation of its
-reversal, so it splits into two palindromes, and the reflection symmetry
-factors each of t - 2 and t + 2 exactly into two integer polynomials of
-about half the degree (`reflection_factors`; the identities are checked
-against the trace).  The roots of each factor are certified in cells of a
-dyadic grid placed by floating eigenvalue estimates from the matching
-reflection sector of the one-period operator (`floquet_edges`): exact
-sign changes across as many cells as a Sturm count over exact integers
-finds.  Each side's grid is the one the unsplit isolation of t -+ 2 would
-lay, so the factored certificate gives the same bytes.  Bisection only
-splits the two edges of a band narrower than a cell, or isolates the
-edges when the estimates do not certify.
+trace t of the transfer-matrix cocycle over one period.  Its 2q band edges
+are the roots of t - 2 = det(E - H) and t + 2 = det(E - H'), with H and H'
+the periodic and antiperiodic one-period operators.  The period word is a
+rotation of its reversal, so its ring folds by that reflection, and each of
+H, H' splits into an even and an odd reflection sector.  Each sector is a
+path, a Jacobi matrix of about half the size (`_sector_paths`).  Its
+entries give both the exact reflection factor, b^k det(E - J) from the
+three-term recurrence of the leading minors (`reflection_factors`; the
+products are checked against the trace), and the float sector matrix
+whose eigenvalues guide the isolation of that factor's roots
+(`floquet_edges`).  The roots are certified in cells of a dyadic grid:
+exact sign changes across as many cells as a Sturm count over exact
+integers finds.  Each side's grid is the one the unsplit isolation of
+t -+ 2 would lay, so the factored certificate gives the same bytes.
+Bisection only splits the two edges of a band narrower than a cell, or
+isolates the edges when the estimates do not certify.
 One-sided limit spectra add exactly q isolated eigenvalues.  With
 (t_v, t_u, t_uv) the traces of the last two words of the approach string and
 of their one-step extension, set P = t_u t_v - 2 t_uv, G+- = P -+ |V| t_v and
@@ -31,6 +34,7 @@ the sign of t_u on the cell.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -47,13 +51,13 @@ from .rootfind import (
     degree,
     grid_spacing,
     isolate_roots,
-    poly_add,
     poly_gcd,
     poly_mul,
     separate,
     sign_at,
+    unpack,
 )
-from .words import Configuration, period_word, sk_words
+from .words import period_word, sk_words
 
 # ---------------------------------------------------------------------------
 # Transfer-matrix traces
@@ -186,10 +190,23 @@ class Spectrum:
         }
 
 
-def _check_tol(tol) -> Fraction:
+# Cap on the approximant index k of the optimality and measure loops: the
+# approximant trace degree grows with k.
+MAX_K = 64
+
+# Floor on the enclosure width tol.  Refinement costs about quadratically
+# in its digits, and below the accuracy of the float guides (about 1e-13)
+# the isolation falls back to Sturm bisection: on a 2-core sandbox,
+# `spectrum defects --r 34/89 --side plus --V 5` took 0.5 s at tol 1e-9,
+# 95 s at 1e-40 and 236 s at 1e-100.
+MIN_TOL = Fraction(1, 10**40)
+
+
+def check_tol(tol) -> Fraction:
+    """tol as a Fraction; PreconditionError unless MIN_TOL <= tol."""
     tol = as_fraction(tol)
-    if tol <= 0:
-        raise PreconditionError("tolerance must be positive")
+    if tol < MIN_TOL:
+        raise PreconditionError(f"tolerance must be at least {float(MIN_TOL):g}")
     return tol
 
 
@@ -234,12 +251,17 @@ def _fold(word: str, V) -> tuple[int, int, int, np.ndarray]:
     pair to its own mirror; with s = 0 that link of the empty w[:s] is the
     closing link.
 
-    Returns (s, h1, h2, the potentials v w_i).  A zero potential is +0.0
+    Returns (s, h1, h2, the potentials of `_potentials`)."""
+    n, shift = len(word), _reflection(word)
+    return shift, shift // 2, (n - shift) // 2, _potentials(word, V)
+
+
+def _potentials(word: str, V) -> np.ndarray:
+    """The site potentials v w_i in floats.  A zero potential is +0.0
     (v * 0 is -0.0 for v < 0), as the sums of a matrix product starting
     from +0.0 give it."""
-    n, shift = len(word), _reflection(word)
     letters = np.frombuffer(word.encode(), dtype=np.uint8) - ord("0")
-    return shift, shift // 2, (n - shift) // 2, float(as_fraction(V)) * letters + 0.0
+    return float(as_fraction(V)) * letters + 0.0
 
 
 def _fill(m: np.ndarray, i: int, j: int, count: int, x) -> None:
@@ -260,70 +282,76 @@ def floquet_edges(word: str, V, anti: bool) -> tuple[list[float], list[float]]:
     return np.linalg.eigvalsh(even).tolist(), np.linalg.eigvalsh(odd).tolist()
 
 
-def _sector_matrices(word: str, V, anti: bool) -> tuple[np.ndarray, np.ndarray]:
+# One reflection sector as a path (`_sector_paths`): the lists (index, site,
+# turn) over its nodes, then (sign, beta) over the links between them.
+SectorPath = tuple[list[int], list[int], list[int], list[int], list[int]]
+
+
+def _sector_paths(word: str, anti: bool) -> tuple[SectorPath, SectorPath]:
     """The even and odd reflection sectors of the one-period operator with
-    periodic or antiperiodic closure, as real symmetric matrices.
+    periodic or antiperiodic closure, each a path: a Jacobi matrix.
 
-    With R(i) = (s - 1 - i) mod n the mirror of the ring, the periodic
-    operator commutes with R, and its even and odd sectors hold the roots
-    of the reflection factors P1 P2 - S1 S2 and Q1 Q2 - R1 R2 of t - 2
-    (see `reflection_factors`).  The antiperiodic operator commutes with
-    G o R instead, G = -1 on the sites of the first palindrome w[:s]; its
-    even and odd sectors hold the roots of Q1 P2 + R1 S2 and P1 Q2 + S1 R2,
-    the factors of t + 2.
-
-    A sector vector has v[R i] = sign * G(i) * v[i], so a centre lies in
-    the sector where that factor is 1.  On the orthonormal basis
-    (e_i + sign G(i) e_Ri) / sqrt2 for the pairs of `_fold` and e_c for the
-    centres (that of w[s:] first), each sector matrix is the folded path,
-    written entry by entry in O(n): v w_i on the diagonal, 1 between
-    consecutive pairs of a half, sign * mult where the halves meet (mult
-    = +-1 the closing weight), +-sqrt2 from a centre to its pair, and
-    v w_i + sign G(i) x on a pair across a turning link of weight x.
-    These are bit for bit the entries of B^T H B for the unnormalized
-    basis B, scaled by the norms: the integer link weights sum exactly,
-    and B^T H B gives a turning pair (v w + y) + (y + v w), y = sign G x,
-    which halves to v w + y rounded once."""
-    n = len(word)
-    mult = -1.0 if anti else 1.0
-    shift, h1, h2, pot = _fold(word, V)
-    p = h1 + h2
-    half = np.sqrt(0.5)  # 1 / (norm of a pair * norm of a centre)
+    With R the mirror of `_fold`, the periodic operator commutes with R;
+    the antiperiodic one with G o R instead, G = -1 on the sites of the
+    first palindrome w[:s].  A sector vector has v[R i] = sign G(i) v[i],
+    so a centre lies in the sector where that factor is 1.  On the
+    orthonormal basis (e_i + sign G(i) e_Ri) / sqrt2 of the pairs and e_c
+    of the centres, a sector is the folded ring, in path order: the centre
+    of w[:s], pairs h1 - 1 .. 0, pairs h1 .. p - 1, the centre of w[s:].
+    Node k carries V w_site + x_k on the diagonal, where x_k = sign G x
+    for a turning link of weight x from its pair to its own mirror (and
+    the one site of n = 1 closes on itself, x = 2 mult).  Link k joins
+    nodes k and k + 1 with entry sign_k sqrt(beta_k): 1 along a half,
+    sign * mult where the halves meet, +-sqrt2 from a centre to its pair
+    and 2 between the two centres of n = 2.  The matrix index numbers the
+    pairs as `_fold` does and the centres after them, that of w[s:]
+    first."""
+    n, shift = len(word), _reflection(word)
+    h1, h2 = shift // 2, (n - shift) // 2
+    p, mult = h1 + h2, -1 if anti else 1
     out = []
-    for sign in (1.0, -1.0):
-        # the centre of w[s:] has G = 1, that of w[:s] has G = mult
-        c2 = shift + h2 if (n - shift) % 2 and sign == 1.0 else None
-        c1 = h1 if shift % 2 and sign == mult else None
-        centres = [c for c in (c2, c1) if c is not None]
-        k = p + len(centres)
-        h = np.zeros((k, k))
-        diag = h.reshape(-1)[:: k + 1]
-        diag[:h1], diag[h1:p] = pot[:h1], pot[shift : shift + h2]
-        diag[p:] = pot[centres]
-        _fill(h, 1, 0, h1 - 1, 1.0)
-        _fill(h, h1 + 1, h1, h2 - 1, 1.0)
-        if h1 and h2:
-            h[0, h1] = h[h1, 0] = sign * mult
-        # links from a pair to its own mirror, summed before the one rounding
-        turn = {}
-        if shift % 2 == 0 and h1:
-            turn[h1 - 1] = sign * mult
-        if shift == 0 and h2:
-            turn[0] = sign * mult
-        if (n - shift) % 2 == 0 and h2:
-            turn[p - 1] = turn.get(p - 1, 0.0) + sign
-        for j, x in turn.items():
-            h[j, j] += x
-        if p and c2 is not None:  # links c2 -+ 1, or n - 1 -> 0 when h2 = 0
-            j, x = (p - 1, 2.0) if h2 else (0, 2.0 * mult)
-            h[p, j] = h[j, p] = x * half
-        if p and c1 is not None:  # links h1 -+ 1, or 0 -> 1 and n - 1 -> 0
-            j = h1 - 1 if h1 else 0
-            h[k - 1, j] = h[j, k - 1] = 2.0 * half
-        if not p and len(centres) == 2:  # n = 2: two centres, linked twice
-            h[0, 1] = h[1, 0] = 1.0 + mult
-        if n == 1 and k:  # the closing link from the one site to itself
-            h[0, 0] += mult + 1 / mult
+    for sign in (1, -1):
+        index = [*range(h1 - 1, -1, -1), *range(h1, p)]
+        site = [*range(h1 - 1, -1, -1), *range(shift, shift + h2)]
+        turn, link, beta = [0] * p, [1] * (p - 1), [1] * (p - 1)
+        if 0 < h1 < p:  # pair 0 meets pair h1 across the closing link
+            link[h1 - 1] = sign * mult
+        if shift % 2 == 0 and p:  # the middle link of w[:s], or closing at s = 0
+            turn[0] += sign * mult
+        if (n - shift) % 2 == 0:  # the middle link of w[s:]
+            turn[-1] += sign
+        if (n - shift) % 2 and sign == 1:  # the centre of w[s:], G = 1
+            if p:
+                link.append(1 if h2 else mult)
+                beta.append(2)
+            index.append(p)
+            site.append(shift + h2)
+            turn.append(2 * mult if n == 1 else 0)
+        if shift % 2 and sign == mult:  # the centre of w[:s], G = mult
+            if index:  # both centres share a sector only when mult = 1
+                link.insert(0, 1)
+                beta.insert(0, 2 if p else 4)
+            index.insert(0, len(index))
+            site.insert(0, h1)
+            turn.insert(0, 0)
+        out.append((index, site, turn, link, beta))
+    return out[0], out[1]
+
+
+def _sector_matrices(word: str, V, anti: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The two sectors of `_sector_paths` as real symmetric float matrices,
+    each entry scattered at its matrix index: v w_site + x on the diagonal,
+    sign sqrt(beta) beside it.  These are bit for bit the entries of
+    B^T H B for the unnormalized basis B, scaled by the norms: the integer
+    weights sum exactly, and B^T H B gives a turning pair
+    (v w + x) + (x + v w), which halves to v w + x rounded once."""
+    pot = _potentials(word, V).tolist()
+    out = []
+    for index, site, turn, link, beta in _sector_paths(word, anti):
+        h = np.zeros((len(index), len(index)))
+        i = np.array(index, dtype=int)
+        h[i, i] = [pot[j] + x for j, x in zip(site, turn)]
+        h[i[:-1], i[1:]] = h[i[1:], i[:-1]] = [s * math.sqrt(b) for s, b in zip(link, beta)]
         out.append(h)
     return out[0], out[1]
 
@@ -400,78 +428,46 @@ def floquet_zeros(word: str, V) -> list[float]:
     return np.linalg.eigvalsh(m).tolist()
 
 
-def _site_step(p: IntPoly, r: IntPoly, c0: int, b: int) -> IntPoly:
-    """(bE + c0) p - b r, for deg r < deg p + 1."""
-    out = [c0 * c for c in p]
-    out.append(0)
-    for i, c in enumerate(p):
-        out[i + 1] += b * c
-    for i, c in enumerate(r):
-        out[i] -= b * c
-    while len(out) > 1 and not out[-1]:  # p = 0 at the first step
-        out.pop()
-    return out
-
-
-def _half_transfer(rho: str, a: int, b: int) -> tuple[IntPoly, ...]:
-    """(x, y, z, w) with b^len(rho) M_rho = [[x, y], [z, w]] over Z[E], at
-    coupling a/b: the product of the scaled site matrices
-    b A(c) = [[bE - ac, -b], [b, 0]], in the order of `trace_poly`."""
-    x, y, z, w = [1], [0], [0], [1]
-    for ch in rho:
-        c0 = -a if ch == "1" else 0
-        x, y, z, w = (
-            _site_step(x, z, c0, b),
-            _site_step(y, w, c0, b),
-            x if b == 1 else [b * c for c in x],
-            y if b == 1 else [b * c for c in y],
-        )
-    return x, y, z, w
-
-
-def _palindrome_factors(pal: str, a: int, b: int) -> tuple[IntPoly, ...]:
-    """(P, Q, R, S) of a palindrome from the half transfer product
-    [[x, y], [z, w]] over its first half rho: (x - z, x + z, w + y, w - y)
-    for even length, (e x - 2z, x, y, 2w - e y) with e = E - V c for odd
-    length with centre letter c; scaled by powers of b like `_half_transfer`."""
-    h = len(pal) // 2
-    x, y, z, w = _half_transfer(pal[:h], a, b)
-    if len(pal) % 2 == 0:
-        return poly_add(x, z, -1), poly_add(x, z), poly_add(w, y), poly_add(w, y, -1)
-    e = [-a * int(pal[h]), b]
-    return (
-        poly_add(poly_mul(e, x), [2 * b * c for c in z], -1),
-        x,
-        y,
-        poly_add([2 * b * c for c in w], poly_mul(e, y), -1),
-    )
-
-
 def reflection_factors(word: str, V) -> tuple[tuple[IntPoly, IntPoly], tuple[IntPoly, IntPoly]]:
     """The reflection factors of t - 2 and t + 2 for the trace t of a word
-    that is a rotation of its reversal, as integer polynomials in E.
-
-    With s the shift of `_reflection`, w splits into the palindromes
-    w[:s] and w[s:], with factors (P1, Q1, R1, S1) and (P2, Q2, R2, S2)
-    from `_palindrome_factors`.  Then, with b the denominator of V and n
-    the length of w,
-        b^n (t - 2) = (P1 P2 - S1 S2)(Q1 Q2 - R1 R2),
-        b^n (t + 2) = (Q1 P2 + R1 S2)(P1 Q2 + S1 R2),
-    each pair ordered like the reflection sectors of `floquet_edges`."""
+    that is a rotation of its reversal, as integer polynomials in E: for
+    each sector of `_sector_paths`, b^k det(E - J) by `_path_determinant`,
+    with J its k x k Jacobi matrix and b the denominator of V = a/b.
+    det(E - H) is t - 2 for the periodic operator H of the n sites and
+    t + 2 for the antiperiodic one, and H is the direct sum of its two
+    sectors, so each pair multiplies to b^n (t -+ 2).  Each pair is ordered
+    like the sectors of `floquet_edges`."""
     V = as_fraction(V)
     a, b = V.numerator, V.denominator
-    shift = _reflection(word)
-    P1, Q1, R1, S1 = _palindrome_factors(word[:shift], a, b)
-    P2, Q2, R2, S2 = _palindrome_factors(word[shift:], a, b)
-    upper = (
-        poly_add(poly_mul(P1, P2), poly_mul(S1, S2), -1),
-        poly_add(poly_mul(Q1, Q2), poly_mul(R1, R2), -1),
-    )
-    lower = (
-        poly_add(poly_mul(Q1, P2), poly_mul(R1, S2)),
-        poly_add(poly_mul(P1, Q2), poly_mul(S1, R2)),
+    upper, lower = (
+        tuple(
+            _path_determinant([a * (word[i] == "1") + b * x for i, x in zip(site, turn)], beta, b)
+            for _, site, turn, _, beta in _sector_paths(word, anti)
+        )
+        for anti in (False, True)
     )
     return upper, lower
+
+
+def _path_determinant(diag: list[int], beta: list[int], b: int) -> IntPoly:
+    """b^k det(E - J) for the k x k Jacobi matrix J with diagonal entries
+    c_j / b (c_j = diag[j]) and squared off-diagonals beta, as an integer
+    polynomial in E.
+
+    With D_0 = 1 and D_-1 = 0, the scaled leading minors obey
+    D_j = (bE - c_j) D_(j-1) - b^2 beta_(j-1) D_(j-2).  The loop runs on
+    their values at E = 2^w, one integer each, and `unpack` reads D_k back.
+    w is set by the bound N_j = (b + |c_j|) N_(j-1) + b^2 beta_(j-1) N_(j-2)
+    on the L1 norm of D_j, which bounds every coefficient."""
+    links = [0, *(b * b * y for y in beta)]
+    lo, hi = 0, 1
+    for c, y in zip(diag, links):
+        lo, hi = hi, (b + abs(c)) * hi + y * lo
+    w = hi.bit_length() + 1
+    lo, hi = 0, 1
+    for c, y in zip(diag, links):
+        lo, hi = hi, hi * ((b << w) - c) - y * lo
+    return unpack(hi, w, len(diag) + 1)
 
 
 def _share_a_root(roots: list[RootEnclosure], f: IntPoly, g: IntPoly) -> bool:
@@ -505,7 +501,7 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     bits strictly between them (`_short_point`), or their midpoint when
     they are neighbours over 2^exp.  A short point keeps the Horner
     integers, and the gcd of the Fraction, short."""
-    tol = _check_tol(tol)
+    tol = check_tol(tol)
     q = t.degree()
     if q < 1:
         raise PreconditionError("trace polynomial must have positive degree")
@@ -575,7 +571,7 @@ def spectrum_periodic(r, V, tol) -> Spectrum:
     exactly q disjoint closed bands."""
     r = check_rotation(as_fraction(r))
     V = as_fraction(V)
-    tol = _check_tol(tol)
+    tol = check_tol(tol)
     t = trace_poly_cf(cf_forms(r)[0], V)
     spec = spectrum_from_trace(t, tol, word=period_word(r), V=V)
     if len(spec.bands) != r.denominator:
@@ -661,7 +657,7 @@ def band_classify(r, k: int, V, tol, form: str = "short"):
     detached from the base spectrum."""
     r = check_rotation(as_fraction(r))
     V = as_fraction(V)
-    tol = _check_tol(tol)
+    tol = check_tol(tol)
     if k < 1:
         raise PreconditionError("approximant index k must be >= 1")
     if form not in ("short", "long"):
@@ -698,11 +694,6 @@ def approach_digits(r, side: str) -> tuple[int, ...]:
     return short if (side == "plus") == (n % 2 == 0) else long
 
 
-# Cap on the approximant index k of the optimality and measure loops: the
-# approximant trace degree grows with k.
-MAX_K = 64
-
-
 def floquet_defect_estimates(word: str, V) -> list[float]:
     """Floating estimates of the 2q roots of t^2 = V^2 + 4: eigenvalues of
     the one-period operator with Bloch multiplier +-lam, lam + 1/lam =
@@ -731,12 +722,13 @@ def defect_spectrum(r, side: str, V, tol) -> Spectrum:
     2q simple roots of D.  At each of them exactly one of G+ and G- vanishes
     (if both did, P = |V| t_v = 0 there, and G+ G- would vanish twice at a
     simple root of D, where t_v^2 - 4 = -4), so A = gcd(D, G+) and
-    C = gcd(D, G-) split D exactly, A C = +-D, which is checked.  A root in an isolating cell of D is a root of A when A changes
-    sign across the cell (or vanishes at an exact enclosure [x, x]), and it
-    belongs to this side when that agrees with t_u > 0 on the cell."""
+    C = gcd(D, G-) split D exactly, A C = +-D, which is checked.  A root in
+    an isolating cell of D is a root of A when A changes sign across the
+    cell (or vanishes at an exact enclosure [x, x]), and it belongs to this
+    side when that agrees with t_u > 0 on the cell."""
     r = check_rotation(as_fraction(r))
     V = as_fraction(V)
-    tol = _check_tol(tol)
+    tol = check_tol(tol)
     if V == 0:
         raise PreconditionError("defect spectra require a non-zero coupling")
     t_v, t_u, t_uv = trace_triples(approach_digits(r, side), V)[-1]
@@ -806,20 +798,3 @@ _CACHES = (spectrum_periodic, defect_spectrum)
 def clear_memos() -> None:
     for cached in _CACHES:
         cached.cache_clear()
-
-
-# ---------------------------------------------------------------------------
-# Floating-point finite-section oracle (never part of the certified path)
-
-
-def finite_section_eigs(config: Configuration, V, N: int) -> list[float]:
-    """Eigenvalues of the N x N truncation centered at the origin."""
-    from scipy.linalg import eigh_tridiagonal
-
-    if N < 3 or N % 2 == 0:
-        raise PreconditionError("finite section size must be odd and >= 3")
-    half = (N - 1) // 2
-    v = float(as_fraction(V))
-    diag = np.array([v * int(config.at(n)) for n in range(-half, half + 1)])
-    off = np.ones(N - 1)
-    return list(eigh_tridiagonal(diag, off, eigvals_only=True))

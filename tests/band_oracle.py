@@ -8,7 +8,10 @@ t -+ 2 is proportional to det(E - H) for the real symmetric periodic or
 antiperiodic operator H of the period, so all its q roots are real.  Then
 q disjoint sign-change cells of the grid that `isolate_roots` lays are a
 complete certificate: each holds a root, and there are no more.  The
-oracle builds no Sturm chain of full degree unless the cells fail."""
+oracle builds no Sturm chain of full degree unless the cells fail.
+
+`list_path_determinant` is the oracle of `spectra._path_determinant`: the
+same three-term recurrence on plain coefficient lists."""
 
 from __future__ import annotations
 
@@ -86,3 +89,19 @@ def dense_sector_matrices(word: str, V, anti: bool) -> tuple[np.ndarray, np.ndar
 def dense_floquet_edges(word: str, V, anti: bool) -> tuple[list[float], list[float]]:
     """`spectra.floquet_edges` on the dense sector matrices."""
     return tuple(np.linalg.eigvalsh(h).tolist() for h in dense_sector_matrices(word, V, anti))
+
+
+def list_path_determinant(diag: list[int], beta: list[int], b: int) -> list[int]:
+    """b^k det(E - J) for the Jacobi matrix J with diagonal diag / b and
+    squared off-diagonals beta, by D_j = (bE - c_j) D_(j-1)
+    - b^2 beta_(j-1) D_(j-2) on coefficient lists, lowest first."""
+    lo, hi = [0], [1]
+    for c, y in zip(diag, [0, *beta]):
+        out = [0] * (len(hi) + 1)
+        for i, x in enumerate(hi):
+            out[i + 1] += b * x
+            out[i] -= c * x
+        for i, x in enumerate(lo):
+            out[i] -= b * b * y * x
+        lo, hi = hi, out
+    return hi

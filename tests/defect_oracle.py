@@ -1,6 +1,6 @@
 """Test oracles for `spectra.defect_spectrum`: the approximant enclosure
 of the defect eigenvalues, the side decision by a Lipschitz bound, and
-floating finite-section modes.
+floating finite-section eigenvalues and modes.
 
 Extending the approach string of a one-sided limit by a digit k gives
 approximants whose bands, apart from those inside the periodic spectrum,
@@ -135,3 +135,13 @@ def finite_section_modes(config: Configuration, V, N: int, edge_frac: float = 0.
     m = max(1, int(edge_frac * N))
     mass = (vecs[:m] ** 2).sum(axis=0) + (vecs[-m:] ** 2).sum(axis=0)
     return list(vals), list(mass)
+
+
+def finite_section_eigs(config: Configuration, V, N: int) -> list[float]:
+    """Eigenvalues of the N x N truncation centered at the origin."""
+    if N < 3 or N % 2 == 0:
+        raise PreconditionError("finite section size must be odd and >= 3")
+    half = (N - 1) // 2
+    v = float(as_fraction(V))
+    diag = np.array([v * int(config.at(n)) for n in range(-half, half + 1)])
+    return list(eigh_tridiagonal(diag, np.ones(N - 1), eigvals_only=True))

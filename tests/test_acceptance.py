@@ -19,7 +19,6 @@ from kohmoto.spectra import (
     defect_spectrum,
     extension_traces,
     _trace_triples,
-    finite_section_eigs,
     spectrum_from_trace,
     spectrum_periodic,
 )
@@ -36,7 +35,7 @@ from kohmoto.words import (
 from kohmoto.farey import QuadraticIrrational
 
 import symbolic_ring
-from defect_oracle import finite_section_modes
+from defect_oracle import finite_section_eigs, finite_section_modes
 from farey_helpers import farey_set
 from set_helpers import certainly_disjoint_triple
 

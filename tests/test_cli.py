@@ -25,6 +25,8 @@ CERTIFIED_OUTPUTS = {
     # measure
     "analyze lipschitz --pair 1/3+:2/5- --pair 0+:1/7 --pair 1/2-:3/5+ --V 5 --tol 1e-9 --format json": "5cf643486015ddb0caae0cabdc70e2bc933ffcff10abcfc2b56d6d0e373f5cd9",
     "analyze measures --r 3/5 --V 5 --kmax 8 --format json": "3ebdc375953f9c94683100efc519d4792edd2d13e08ac8aedc28bed7729bea20",
+    # a coupling that is not dyadic: reflection factors scaled by powers of 3
+    "spectrum bands --r 21/34 --V 7/3 --tol 1e-9 --format json": "dfbcaa0a17076a380f92afaa00b16dc067cf7941eca25ca16420dfeb402c0b39",
 }
 
 
@@ -99,6 +101,10 @@ def test_exit_codes():
     run("butterfly", "--Q", "2", "--V", "5", "--fast", "--format", "text", expect=2)
     # inputs that can blow up time or memory are capped
     run("tree", "show", "--depth", "17", expect=2)
+    # refinement costs grow with the digits of tol, which has a floor
+    run("spectrum", "bands", "--r", "2/5", "--V", "5", "--tol", "1e-41", expect=2)
+    run("spectrum", "bands", "--r", "2/5", "--V", "5", "--tol", "1e-10000", expect=2)
+    run("butterfly", "--Q", "3", "--V", "5", "--tol", "1e-41", expect=2)
     # spectrum defects has no --kmax any more
     run("spectrum", "defects", "--r", "2/3", "--side", "plus", "--V", "5", "--kmax", "65", expect=2)
     run("analyze", "optimality", "--r", "2/3", "--side", "minus", "--V", "5", "--kmax", "65", expect=2)

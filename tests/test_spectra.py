@@ -28,7 +28,6 @@ from kohmoto.spectra import (
     extension_traces,
     _site_matrix,
     _trace_triples,
-    finite_section_eigs,
     floquet_edges,
     floquet_zeros,
     membership,
@@ -42,8 +41,18 @@ from kohmoto.spectra import (
 from kohmoto.words import Configuration, defect_config, period_word, sk_words
 
 import symbolic_ring
-from band_oracle import dense_floquet_edges, dense_sector_matrices, unsplit_spectrum
-from defect_oracle import approximant_defect_points, finite_section_modes, halving_defect_points
+from band_oracle import (
+    dense_floquet_edges,
+    dense_sector_matrices,
+    list_path_determinant,
+    unsplit_spectrum,
+)
+from defect_oracle import (
+    approximant_defect_points,
+    finite_section_eigs,
+    finite_section_modes,
+    halving_defect_points,
+)
 from rootfind_oracle import chain_matches_oracle, resorting_separate
 from set_helpers import certainly_disjoint_triple, covers_at_resolution, union
 from trace_oracle import power_extension_traces, power_trace_triples
@@ -292,8 +301,8 @@ def _check_reflection_identities(word: str, t: RP, V) -> None:
 
 
 def test_reflection_factors_multiply_to_t_minus_and_plus_2():
-    # b^q (t - 2) = (P1 P2 - S1 S2)(Q1 Q2 - R1 R2) and
-    # b^q (t + 2) = (Q1 P2 + R1 S2)(P1 Q2 + S1 R2), exactly
+    # b^q (t - 2) = D_even D_odd of the periodic sector paths and
+    # b^q (t + 2) that of the antiperiodic ones, exactly
     cases = 0
     for V in (V5, F(1, 2), F(-3), F(13, 2)):
         for r in _reduced(40):
@@ -307,6 +316,33 @@ def test_reflection_factors_multiply_to_t_minus_and_plus_2():
             _check_reflection_identities(sk_words(digits + (k,))[-1], t, V5)
             cases += 1
     assert cases == 1964 + 216
+
+
+wide_numerators = st.integers(-(2**2000), 2**2000) | st.integers(-3, 3)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.sampled_from([1, 2, 3, 7]), st.data())
+def test_packed_path_determinant_matches_the_list_recurrence(k, b, data):
+    diag = data.draw(st.lists(wide_numerators, min_size=k, max_size=k))
+    links = max(k - 1, 0)
+    beta = data.draw(st.lists(st.sampled_from([0, 1, 2, 4]), min_size=links, max_size=links))
+    assert spectra._path_determinant(diag, beta, b) == list_path_determinant(diag, beta, b)
+
+
+def test_packed_path_determinant_edge_cases():
+    # the empty path, zero and all-negative diagonals that borrow through
+    # every slot, broken links, and one 2000-bit entry among small ones
+    n = 40
+    for diag, beta in (
+        ([], []),
+        ([0] * n, [1] * (n - 1)),
+        ([-1] * n, [4] * (n - 1)),
+        ([5, 0, 5, 0], [0, 2, 0]),
+        ([1] * (n - 1) + [-(1 << 1999)], [2] * (n - 1)),
+    ):
+        for b in (1, 2, 3, 7):
+            assert spectra._path_determinant(diag, beta, b) == list_path_determinant(diag, beta, b)
 
 
 def test_reflection_sectors_hold_the_roots_of_their_factors():
