@@ -26,6 +26,7 @@ from .spectra import (
     MAX_K,
     Spectrum,
     approach_digits,
+    check_coupling,
     check_tol,
     defect_spectrum,
     extension_traces,
@@ -537,7 +538,7 @@ def _outside_bands(zeros, bands) -> list[float]:
 
 def _fast_defects(r: Fraction, side: str, V: Fraction, base_bands) -> list[float]:
     # The trace crosses zero exactly once inside every band, so the zeros of
-    # the approximant trace (quarter-phase Bloch eigenvalues) mark its bands
+    # the approximant trace (one sector of the doubled word) mark its bands
     # far more robustly in floating point than near-degenerate edge pairs;
     # a zero outside every base band marks an escaping band.
     digits = approach_digits(r, side)
@@ -580,7 +581,7 @@ def butterfly(
         raise PreconditionError("backend must be certified or fast")
     if Q > MAX_Q[backend]:
         raise PreconditionError(f"Q must be <= {MAX_Q[backend]} with the {backend} backend")
-    V = as_fraction(V)
+    V = check_coupling(V)
     tol = check_tol(tol)
     rationals = [
         Fraction(p, q)

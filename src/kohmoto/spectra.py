@@ -17,7 +17,9 @@ exact sign changes across as many cells as a Sturm count over exact
 integers finds.  Each side's grid is the one the unsplit isolation of
 t -+ 2 would lay, so the factored certificate gives the same bytes.
 Bisection only splits the two edges of a band narrower than a cell, or
-isolates the edges when the estimates do not certify.
+isolates the edges when the estimates do not certify.  The float zeros
+of t, which mark the bands for the fast backend, are one sector of the
+doubled word's antiperiodic operator, of determinant t^2 (`floquet_zeros`).
 One-sided limit spectra add exactly q isolated eigenvalues.  With
 (t_v, t_u, t_uv) the traces of the last two words of the approach string and
 of their one-step extension, set P = t_u t_v - 2 t_uv, G+- = P -+ |V| t_v and
@@ -210,6 +212,16 @@ def check_tol(tol) -> Fraction:
     return tol
 
 
+def check_coupling(V) -> Fraction:
+    """V as a Fraction; PreconditionError unless it has a finite float."""
+    V = as_fraction(V)
+    try:
+        float(V)
+    except OverflowError:
+        raise PreconditionError("coupling is too large for a float") from None
+    return V
+
+
 def _bloch_matrix(word: str, v: float, mult: float) -> np.ndarray:
     """The one-period operator of a word with Bloch multiplier mult: the
     corner from the last site back to the first carries mult, its partner
@@ -237,41 +249,6 @@ def _reflection(word: str) -> int:
     return shift
 
 
-def _fold(word: str, V) -> tuple[int, int, int, np.ndarray]:
-    """The ring of a word folded by its mirror R(i) = (s - 1 - i) mod n.
-
-    R maps each palindrome w[:s], w[s:] onto itself, so the ring folds
-    into a path: the pairs {i, R i} for the first h1 = s // 2 sites i of
-    w[:s] and the first h2 = (n - s) // 2 of w[s:], numbered 0..h1+h2-1
-    in that order, and the centre of each odd palindrome, fixed by R.
-    Pair j meets pair j + 1 of its half on two links.  The halves meet
-    where the closing link (n - 1, 0) and its mirror (s - 1, s) join pair
-    0 to pair h1.  The path turns at the middle of each palindrome: at its
-    centre, or at the link between its two middle sites, which joins a
-    pair to its own mirror; with s = 0 that link of the empty w[:s] is the
-    closing link.
-
-    Returns (s, h1, h2, the potentials of `_potentials`)."""
-    n, shift = len(word), _reflection(word)
-    return shift, shift // 2, (n - shift) // 2, _potentials(word, V)
-
-
-def _potentials(word: str, V) -> np.ndarray:
-    """The site potentials v w_i in floats.  A zero potential is +0.0
-    (v * 0 is -0.0 for v < 0), as the sums of a matrix product starting
-    from +0.0 give it."""
-    letters = np.frombuffer(word.encode(), dtype=np.uint8) - ord("0")
-    return float(as_fraction(V)) * letters + 0.0
-
-
-def _fill(m: np.ndarray, i: int, j: int, count: int, x) -> None:
-    """m[i + t, j + t] = m[j + t, i + t] = x for 0 <= t < count."""
-    if count > 0:
-        size, flat = len(m), m.reshape(-1)
-        flat[i * size + j : (i + count) * size + j + count : size + 1] = x
-        flat[j * size + i : (j + count) * size + i + count : size + 1] = x
-
-
 def floquet_edges(word: str, V, anti: bool) -> tuple[list[float], list[float]]:
     """Floating band-edge estimates: the eigenvalues of the one-period
     operator with periodic (trace = +2) or antiperiodic (trace = -2)
@@ -291,21 +268,31 @@ def _sector_paths(word: str, anti: bool) -> tuple[SectorPath, SectorPath]:
     """The even and odd reflection sectors of the one-period operator with
     periodic or antiperiodic closure, each a path: a Jacobi matrix.
 
-    With R the mirror of `_fold`, the periodic operator commutes with R;
-    the antiperiodic one with G o R instead, G = -1 on the sites of the
-    first palindrome w[:s].  A sector vector has v[R i] = sign G(i) v[i],
-    so a centre lies in the sector where that factor is 1.  On the
-    orthonormal basis (e_i + sign G(i) e_Ri) / sqrt2 of the pairs and e_c
-    of the centres, a sector is the folded ring, in path order: the centre
-    of w[:s], pairs h1 - 1 .. 0, pairs h1 .. p - 1, the centre of w[s:].
-    Node k carries V w_site + x_k on the diagonal, where x_k = sign G x
-    for a turning link of weight x from its pair to its own mirror (and
-    the one site of n = 1 closes on itself, x = 2 mult).  Link k joins
-    nodes k and k + 1 with entry sign_k sqrt(beta_k): 1 along a half,
-    sign * mult where the halves meet, +-sqrt2 from a centre to its pair
-    and 2 between the two centres of n = 2.  The matrix index numbers the
-    pairs as `_fold` does and the centres after them, that of w[s:]
-    first."""
+    The mirror R(i) = (s - 1 - i) mod n, s = `_reflection(word)`, maps each
+    palindrome w[:s], w[s:] onto itself, so it folds the ring into a path:
+    the pairs {i, R i} for the first h1 = s // 2 sites i of w[:s] and the
+    first h2 = (n - s) // 2 of w[s:], and the centre of each odd
+    palindrome, fixed by R.  Pair j meets pair j + 1 of its half on two
+    links.  The halves meet where the closing link (n - 1, 0) and its
+    mirror (s - 1, s) join pair 0 to pair h1.  The path turns at the middle
+    of each palindrome: at its centre, or at the link between its two
+    middle sites, which joins a pair to its own mirror; with s = 0 that
+    link of the empty w[:s] is the closing link.
+
+    The periodic operator commutes with R; the antiperiodic one with G o R
+    instead, G = -1 on the sites of the first palindrome w[:s].  A sector
+    vector has v[R i] = sign G(i) v[i], so a centre lies in the sector
+    where that factor is 1.  On the orthonormal basis
+    (e_i + sign G(i) e_Ri) / sqrt2 of the pairs and e_c of the centres, a
+    sector is the folded ring, in path order: the centre of w[:s], pairs
+    h1 - 1 .. 0, pairs h1 .. p - 1, the centre of w[s:].  Node k carries
+    V w_site + x_k on the diagonal, where x_k = sign G x for a turning link
+    of weight x from its pair to its own mirror (and the one site of n = 1
+    closes on itself, x = 2 mult).  Link k joins nodes k and k + 1 with
+    entry sign_k sqrt(beta_k): 1 along a half, sign * mult where the halves
+    meet, +-sqrt2 from a centre to its pair and 2 between the two centres
+    of n = 2.  The matrix index numbers the pairs 0 .. p - 1, those of
+    w[:s] first, and the centres after them, that of w[s:] first."""
     n, shift = len(word), _reflection(word)
     h1, h2 = shift // 2, (n - shift) // 2
     p, mult = h1 + h2, -1 if anti else 1
@@ -338,94 +325,47 @@ def _sector_paths(word: str, anti: bool) -> tuple[SectorPath, SectorPath]:
     return out[0], out[1]
 
 
+def _path_floats(word: str, v: float, path: SectorPath) -> tuple[list[float], list[float]]:
+    """The float entries of a sector path in path order at coupling v:
+    v w_site + x on the diagonal, with +0.0 for a 0 site as B^T H B gives
+    it (v * 0 is -0.0 for v < 0), and sign sqrt(beta) beside it."""
+    _, site, turn, link, beta = path
+    diag = [(v if word[j] == "1" else 0.0) + x for j, x in zip(site, turn)]
+    return diag, [s * math.sqrt(b) for s, b in zip(link, beta)]
+
+
 def _sector_matrices(word: str, V, anti: bool) -> tuple[np.ndarray, np.ndarray]:
     """The two sectors of `_sector_paths` as real symmetric float matrices,
-    each entry scattered at its matrix index: v w_site + x on the diagonal,
-    sign sqrt(beta) beside it.  These are bit for bit the entries of
-    B^T H B for the unnormalized basis B, scaled by the norms: the integer
-    weights sum exactly, and B^T H B gives a turning pair
-    (v w + x) + (x + v w), which halves to v w + x rounded once."""
-    pot = _potentials(word, V).tolist()
-    out = []
-    for index, site, turn, link, beta in _sector_paths(word, anti):
-        h = np.zeros((len(index), len(index)))
-        i = np.array(index, dtype=int)
-        h[i, i] = [pot[j] + x for j, x in zip(site, turn)]
-        h[i[:-1], i[1:]] = h[i[1:], i[:-1]] = [s * math.sqrt(b) for s, b in zip(link, beta)]
+    each entry of `_path_floats` scattered at its matrix index.  These are
+    bit for bit the entries of B^T H B for the unnormalized basis B, scaled
+    by the norms: the integer weights sum exactly, and B^T H B gives a
+    turning pair (v w + x) + (x + v w), which halves to v w + x rounded
+    once."""
+    v, out = float(as_fraction(V)), []
+    for path in _sector_paths(word, anti):
+        diag, off = _path_floats(word, v, path)
+        i = np.array(path[0], dtype=int)
+        h = np.zeros((len(i), len(i)))
+        h[i, i] = diag
+        h[i[:-1], i[1:]] = h[i[1:], i[:-1]] = off
         out.append(h)
     return out[0], out[1]
 
 
 def floquet_zeros(word: str, V) -> list[float]:
-    """Floating estimates of the trace zeros (one per band): eigenvalues of
-    the quarter-phase Bloch matrix of the cyclic word.
-
-    The flux pi/2 is spread as e^{i theta}, theta = pi/(2n), over the n
-    links of the ring, so the matrix H commutes with R o conjugation, R the
-    mirror of `_fold`.  On the basis (e_i + e_Ri)/sqrt2, i(e_i - e_Ri)/sqrt2
-    for each pair i of the fold and e_c for each centre, H is real
-    symmetric.  With c = cos theta and s = sin theta, its O(n) nonzeros
-    are written directly: v w on the diagonal; the block [[c, -s], [s, c]]
-    from pair j to pair j + 1 of a half (rows of j + 1), [[c, s], [s, -c]]
-    where the halves meet (rows of pair 0); [[c, -+s], [-+s, -c]] added on
-    a pair at a turning link, the sign that of the link's starting site
-    (+ for i, - for R i); and sqrt2 (c, -+s) from a centre to its pair."""
-    n = len(word)
-    shift, h1, h2, pot = _fold(word, V)
-    p = h1 + h2
-    centres = [c for c, odd in ((shift + h2, (n - shift) % 2), (h1, shift % 2)) if odd]
-    c, s = np.cos(0.5 * np.pi / n), np.sin(0.5 * np.pi / n)
-    # columns: the even vector of each pair, its odd vector, the centres
-    m = np.zeros((n, n))
-    diag = m.reshape(-1)[:: n + 1]
-    diag[:h1] = diag[p : p + h1] = pot[:h1]
-    diag[h1:p] = diag[p + h1 : 2 * p] = pot[shift : shift + h2]
-    diag[2 * p :] = pot[centres]
-    for lo, count in ((0, h1 - 1), (h1, h2 - 1)):
-        _fill(m, lo + 1, lo, count, c)
-        _fill(m, lo + 1 + p, lo + p, count, c)
-        _fill(m, lo + 1, lo + p, count, -s)
-        _fill(m, lo + 1 + p, lo, count, s)
-
-    def add(i, j, x):
-        m[i, j] += x
-        if i != j:
-            m[j, i] += x
-
-    def turn(j, sign):
-        add(j, j, c)
-        add(j, j + p, -sign * s)
-        add(j + p, j + p, -c)
-
-    if h1 and h2:  # 0 <- n - 1 and its mirror s - 1 -> s
-        add(0, h1, c)
-        add(0, h1 + p, s)
-        add(p, h1, s)
-        add(p, h1 + p, -c)
-    if shift % 2 == 0 and h1:  # h1 - 1 -> h1
-        turn(h1 - 1, 1.0)
-    if shift == 0 and h2:  # n - 1 -> 0
-        turn(0, -1.0)
-    if (n - shift) % 2 == 0 and h2:  # s + h2 - 1 -> s + h2
-        turn(p - 1, 1.0)
-    r2 = np.sqrt(2.0)
-    if (n - shift) % 2 and p:
-        if h2:  # s + h2 - 1 -> the centre
-            add(2 * p, p - 1, r2 * c)
-            add(2 * p, 2 * p - 1, -r2 * s)
-        else:  # the centre n - 1 -> 0
-            add(0, 2 * p, r2 * c)
-            add(p, 2 * p, r2 * s)
-    if shift % 2 and p:
-        # h1 - 1 -> the centre h1, or with h1 = 0 the mirror n - 1 of s -> 0
-        j = h1 - 1 if h1 else 0
-        add(n - 1, j, r2 * c)
-        add(n - 1, j + p, -r2 * s if h1 else r2 * s)
-    if n == 2 and not p:  # two centres, linked twice
-        add(0, 1, 2 * c)
-    if n == 1:  # one site, linked to itself
-        add(0, 0, 2 * c)
-    return np.linalg.eigvalsh(m).tolist()
+    """Floating estimates of the trace zeros (one per band) of a word that
+    is a rotation of its reversal: the eigenvalues of the even sector of
+    the antiperiodic operator H' of ww.  With M the transfer product of w,
+    det(E - H') = tr(M^2) + 2 = t^2, and a Jacobi matrix with nonzero links
+    has simple eigenvalues, so each sector of H' holds every zero of t
+    once.  In path order the sector is tridiagonal."""
+    doubled = word + word
+    diag, off = _path_floats(doubled, float(as_fraction(V)), _sector_paths(doubled, True)[0])
+    n = len(diag)
+    h = np.zeros((n, n))
+    h.flat[:: n + 1] = diag
+    h.flat[1 :: n + 1] = h.flat[n :: n + 1] = off
+    return np.linalg.eigvalsh(h).tolist()
 
 
 def reflection_factors(word: str, V) -> tuple[tuple[IntPoly, IntPoly], tuple[IntPoly, IntPoly]]:
@@ -509,7 +449,7 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
         raise PrecisionError("trace polynomial must be monic")
     if len(word) != q:
         raise PreconditionError("word length must match the trace degree")
-    scale = as_fraction(V).denominator ** q
+    scale = check_coupling(V).denominator ** q
     found = []
     try:
         for anti, factors in zip((False, True), reflection_factors(word, V)):
@@ -570,7 +510,7 @@ def spectrum_periodic(r, V, tol) -> Spectrum:
     """Certified spectrum of the periodic operator at rational rotation r:
     exactly q disjoint closed bands."""
     r = check_rotation(as_fraction(r))
-    V = as_fraction(V)
+    V = check_coupling(V)
     tol = check_tol(tol)
     t = trace_poly_cf(cf_forms(r)[0], V)
     spec = spectrum_from_trace(t, tol, word=period_word(r), V=V)
@@ -656,7 +596,7 @@ def band_classify(r, k: int, V, tol, form: str = "short"):
     contained (type B); reports whether every type-B band has already
     detached from the base spectrum."""
     r = check_rotation(as_fraction(r))
-    V = as_fraction(V)
+    V = check_coupling(V)
     tol = check_tol(tol)
     if k < 1:
         raise PreconditionError("approximant index k must be >= 1")
@@ -727,7 +667,7 @@ def defect_spectrum(r, side: str, V, tol) -> Spectrum:
     cell (or vanishes at an exact enclosure [x, x]), and it belongs to this
     side when that agrees with t_u > 0 on the cell."""
     r = check_rotation(as_fraction(r))
-    V = as_fraction(V)
+    V = check_coupling(V)
     tol = check_tol(tol)
     if V == 0:
         raise PreconditionError("defect spectra require a non-zero coupling")

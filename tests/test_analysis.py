@@ -282,6 +282,12 @@ def test_butterfly_fast_mirrored_rows_match_direct_rows(V, failed):
                     assert abs(float(s[1:]) - float(t[1:])) <= 2e-12
 
 
+# rows of the fast backend that drop defect points, at the benchmark's Q = 25
+@pytest.mark.parametrize("V, most", [(F(2), 4), (F(8), 36)])
+def test_butterfly_fast_failed_rows_at_q25(V, most):
+    assert sum(row.error is not None for row in butterfly(25, V, "fast").rows) <= most
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(0, 4e-9), min_size=2, max_size=12),

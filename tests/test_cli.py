@@ -96,6 +96,10 @@ def test_exit_codes():
               "--tol", "1e-40", "--format", "json")
     assert len(json.loads(out)["result"]["points"]) == 9
     run("spectrum", "bands", "--r", "1/2", "--V", "0", expect=2)
+    # a coupling with no finite float
+    run("spectrum", "bands", "--r", "1/3", "--V", "1e400", expect=2)
+    run("spectrum", "defects", "--r", "1/3", "--side", "plus", "--V", "1e400", expect=2)
+    run("butterfly", "--Q", "2", "--V", "1e400", "--fast", expect=2)
     run("butterfly", "--Q", "2", "--V", "5", "--fast", "--threads", "2", expect=2)
     # butterfly writes csv, json or svg; it has no text artifact
     run("butterfly", "--Q", "2", "--V", "5", "--fast", "--format", "text", expect=2)

@@ -515,9 +515,49 @@ def test_floquet_zeros_match_dense_complex_bloch_matrix():
             assert np.max(np.abs(np.array(zeros) - dense_bloch_zeros(word, V))) < 1e-10
 
 
+def test_doubled_antiperiodic_sectors_hold_the_trace_zeros():
+    # det(E - H') = tr(M^2) + 2 = t^2 for the antiperiodic ring H' of ww,
+    # and each of its two sectors holds every zero of t once, for every
+    # defect word of the fast Q = 25 butterfly
+    cases = {
+        sk_words(digits)[-1]: (q, digits)
+        for q in range(1, 26)
+        for p in range(q + 1)
+        for side in ("plus", "minus")
+        if math.gcd(p, q) == 1 and (side, F(p, q)) not in (("plus", 1), ("minus", 0))
+        for digits in [approach_digits(F(p, q), side) + (FAST_K,)]
+    }
+    assert len(cases) == 400
+    for V in (V5, F(7, 3)):
+        for word, (q, digits) in cases.items():
+            t = trace_poly_cf(digits, V)
+            # the transfer product costs cubic time in the length
+            if q <= 6:
+                assert trace_poly(word + word, V) + 2 == t * t
+            # exactly: each sector's b^n det(E - J) is b^n t
+            factors = reflection_factors(word + word, V)[1]
+            assert all(RP(f, V.denominator ** len(word)) == t for f in factors)
+            even, odd = spectra._sector_matrices(word + word, V, True)
+            assert len(even) == len(odd) == len(word)
+            zeros = floquet_zeros(word, V)
+            assert np.max(np.abs(np.linalg.eigvalsh(odd) - zeros)) < 1e-10
+
+
 def test_floquet_zeros_needs_a_reflection_of_the_cyclic_word():
     with pytest.raises(PreconditionError):
         floquet_zeros("001011", V5)
+
+
+def test_a_coupling_without_a_finite_float_is_a_precondition():
+    assert spectra.check_coupling("7/3") == F(7, 3)
+    for call in (
+        spectra.check_coupling,
+        lambda V: spectrum_periodic(F(1, 3), V, TOL6),
+        lambda V: defect_spectrum(F(1, 3), "plus", V, TOL6),
+        lambda V: band_classify(F(1, 3), 2, V, TOL6),
+    ):
+        with pytest.raises(PreconditionError, match="coupling"):
+            call(F(10**400))
 
 
 def test_membership_examples():
