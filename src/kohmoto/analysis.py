@@ -13,6 +13,7 @@ from typing import Optional
 from .errors import PreconditionError, PrecisionError, UnsupportedRegimeError
 from .farey import (
     FareyPoint,
+    approach_digits,
     as_fraction,
     as_point,
     cf_eval,
@@ -25,7 +26,6 @@ from .sets import EnclosedSet
 from .spectra import (
     MAX_K,
     Spectrum,
-    approach_digits,
     check_coupling,
     check_tol,
     defect_spectrum,

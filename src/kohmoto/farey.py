@@ -125,6 +125,39 @@ def cf_forms(r) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return short, long
 
 
+def check_ladder_digits(digits, what: str) -> tuple[int, ...]:
+    """digits as a tuple of ints; PreconditionError unless they are a
+    continued-fraction string [0, 0, a1, ..., an] of a value in [0,1], every
+    ai >= 1, as the word ladder and the trace chain (what) need."""
+    digits = tuple(int(d) for d in digits)
+    if len(digits) < 2 or digits[0] != 0 or digits[1] != 0 or any(d < 1 for d in digits[2:]):
+        raise PreconditionError(
+            f"{what} needs a continued fraction of a value in [0,1], got {digits}"
+        )
+    return digits
+
+
+def approach_digits(r, side: str) -> tuple[int, ...]:
+    """Continued-fraction string whose k-extensions converge to the chosen
+    one-sided limit of r: the short form when side is plus and the short
+    form has an even number of digits past a0 (or minus and odd), else the
+    long form; the sentinels for 0+ and 1-."""
+    r = check_rotation(as_fraction(r))
+    if side not in ("plus", "minus"):
+        raise PreconditionError(f"side must be plus or minus, got {side!r}")
+    if r == 0:
+        if side == "minus":
+            raise PreconditionError("0- is not a point of the completion")
+        return CF_ZERO
+    if r == 1:
+        if side == "plus":
+            raise PreconditionError("1+ is not a point of the completion")
+        return CF_ONE
+    short, long = cf_forms(r)
+    n = len(short) - 2
+    return short if (side == "plus") == (n % 2 == 0) else long
+
+
 # ---------------------------------------------------------------------------
 # Farey neighbors
 
@@ -142,9 +175,10 @@ def _q_neighbors_cf(r: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def _cascade(neighbor: Fraction, r: Fraction, m: int) -> Fraction:
-    while neighbor.denominator + r.denominator <= m:
-        neighbor = mediant(neighbor, r)
-    return neighbor
+    """The last of the mediants (a + k p) / (b + k q) of the neighbor a/b
+    with r = p/q that lies in F_m: k = (m - b) // q."""
+    k = (m - neighbor.denominator) // r.denominator
+    return Fraction(neighbor.numerator + k * r.numerator, neighbor.denominator + k * r.denominator)
 
 
 def farey_neighbors(r, m: int) -> tuple[Optional[Fraction], Optional[Fraction]]:
@@ -399,15 +433,31 @@ def simplest_rational_between(lo, hi) -> Fraction:
         return ZERO
     if cmp_point_rational(lo, ONE) <= 0 <= cmp_point_rational(hi, ONE):
         return ONE
+    # the Stern-Brocot walk between a/b and c/d, one run of moves in the
+    # same direction at a time: the mediants (a + j c) / (b + j d) rise with
+    # j, and (j a + c) / (j b + d) fall
     a, b, c, d = 0, 1, 1, 1
     while True:
-        m = Fraction(a + c, b + d)
-        if cmp_point_rational(lo, m) > 0:
-            a, b = m.numerator, m.denominator
-        elif cmp_point_rational(hi, m) < 0:
-            c, d = m.numerator, m.denominator
-        else:
-            return m
+        k = _run_length(lambda j: cmp_point_rational(lo, Fraction(a + j * c, b + j * d)) > 0)
+        a, b = a + k * c, b + k * d
+        k = _run_length(lambda j: cmp_point_rational(hi, Fraction(j * a + c, j * b + d)) < 0)
+        if not k:
+            return Fraction(a + c, b + d)
+        c, d = k * a + c, k * b + d
+
+
+def _run_length(move) -> int:
+    """The largest k >= 0 with move(j) true for j = 1 .. k, for a move
+    that is true up to some j and false after, by a doubling search."""
+    if not move(1):
+        return 0
+    lo, hi = 1, 2  # move(lo) holds; move(hi) is unknown until the loop ends
+    while move(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if move(mid) else (lo, mid)
+    return lo
 
 
 def farey_distance(x, y) -> Fraction:

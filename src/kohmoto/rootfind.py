@@ -397,21 +397,6 @@ def _grid_exponent(
     return e
 
 
-def grid_spacing(
-    p: Sequence[int], guide: Sequence[float], width: Optional[Fraction]
-) -> Optional[Fraction]:
-    """The spacing of the grid that `isolate_roots(p, guide, width)` lays
-    under the guesses, or None when it lays none.  Passed as the width to
-    the isolation of each factor of p, guided by its share of the guesses,
-    it puts every factor on the grid of p."""
-    guesses = _guess_numerators(guide)
-    if guesses is None:
-        return None
-    window = 2 * cauchy_bound(p)  # the same for every nonzero multiple of p
-    e = _grid_exponent(*guesses, window, width)
-    return None if e is None else Fraction(2) ** e
-
-
 def _grid_cells(
     poly: tuple[int, ...], guide: Sequence[float], bound: int, width: Optional[Fraction]
 ) -> Optional[list[RootEnclosure]]:

@@ -12,14 +12,13 @@ entries give both the exact reflection factor, b^k det(E - J) from the
 three-term recurrence of the leading minors (`reflection_factors`; the
 products are checked against the trace), and the float sector matrix
 whose eigenvalues guide the isolation of that factor's roots
-(`floquet_edges`).  The roots are certified in cells of a dyadic grid:
-exact sign changes across as many cells as a Sturm count over exact
-integers finds.  Each side's grid is the one the unsplit isolation of
-t -+ 2 would lay, so the factored certificate gives the same bytes.
-Bisection only splits the two edges of a band narrower than a cell, or
-isolates the edges when the estimates do not certify.  The float zeros
-of t, which mark the bands for the fast backend, are one sector of the
-doubled word's antiperiodic operator, of determinant t^2 (`floquet_zeros`).
+(`floquet_edges`).  The roots are certified in cells of a dyadic grid laid
+from the factor's own guides: exact sign changes across as many cells as
+a Sturm count over exact integers finds.  Bisection only splits the two
+edges of a band narrower than a cell, or isolates the edges when the
+estimates do not certify.  The float zeros of t, which mark the bands for
+the fast backend, are one sector of the doubled word's antiperiodic
+operator, of determinant t^2 (`floquet_zeros`).
 One-sided limit spectra add exactly q isolated eigenvalues.  With
 (t_v, t_u, t_uv) the traces of the last two words of the approach string and
 of their one-step extension, set P = t_u t_v - 2 t_uv, G+- = P -+ |V| t_v and
@@ -44,14 +43,21 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DegeneracyError, PreconditionError, PrecisionError
-from .farey import as_fraction, cf_forms, check_rotation, format_dyadic, format_rational
+from .farey import (
+    approach_digits,
+    as_fraction,
+    cf_forms,
+    check_ladder_digits,
+    check_rotation,
+    format_dyadic,
+    format_rational,
+)
 from .polyring import RP
 from .rootfind import (
     IntPoly,
     RootEnclosure,
     compare_roots,
     degree,
-    grid_spacing,
     isolate_roots,
     poly_gcd,
     poly_mul,
@@ -116,11 +122,7 @@ def _trace_triples(digits, E, Vc) -> list[tuple]:
     """The recursion of `trace_triples` over any ring that holds the energy
     E and the coupling Vc and coerces integer constants.  The tests run it
     over Z[V][E] to check the trace-map invariant for every coupling."""
-    digits = tuple(int(d) for d in digits)
-    if len(digits) < 2 or digits[0] != 0 or digits[1] != 0 or any(d < 1 for d in digits[2:]):
-        raise PreconditionError(
-            f"trace chain needs a continued fraction of a value in [0,1], got {digits}"
-        )
+    digits = check_ladder_digits(digits, "trace chain")
     A, B, C = E - Vc, E, E * E - Vc * E - 2
     out = [(A, B, C)]
     for i, d in enumerate(digits[2:]):
@@ -259,9 +261,9 @@ def floquet_edges(word: str, V, anti: bool) -> tuple[list[float], list[float]]:
     return np.linalg.eigvalsh(even).tolist(), np.linalg.eigvalsh(odd).tolist()
 
 
-# One reflection sector as a path (`_sector_paths`): the lists (index, site,
-# turn) over its nodes, then (sign, beta) over the links between them.
-SectorPath = tuple[list[int], list[int], list[int], list[int], list[int]]
+# One reflection sector as a path (`_sector_paths`): the lists (site, turn)
+# over its nodes, then (sign, beta) over the links between them.
+SectorPath = tuple[list[int], list[int], list[int], list[int]]
 
 
 def _sector_paths(word: str, anti: bool) -> tuple[SectorPath, SectorPath]:
@@ -291,14 +293,12 @@ def _sector_paths(word: str, anti: bool) -> tuple[SectorPath, SectorPath]:
     closes on itself, x = 2 mult).  Link k joins nodes k and k + 1 with
     entry sign_k sqrt(beta_k): 1 along a half, sign * mult where the halves
     meet, +-sqrt2 from a centre to its pair and 2 between the two centres
-    of n = 2.  The matrix index numbers the pairs 0 .. p - 1, those of
-    w[:s] first, and the centres after them, that of w[s:] first."""
+    of n = 2."""
     n, shift = len(word), _reflection(word)
     h1, h2 = shift // 2, (n - shift) // 2
     p, mult = h1 + h2, -1 if anti else 1
     out = []
     for sign in (1, -1):
-        index = [*range(h1 - 1, -1, -1), *range(h1, p)]
         site = [*range(h1 - 1, -1, -1), *range(shift, shift + h2)]
         turn, link, beta = [0] * p, [1] * (p - 1), [1] * (p - 1)
         if 0 < h1 < p:  # pair 0 meets pair h1 across the closing link
@@ -311,45 +311,38 @@ def _sector_paths(word: str, anti: bool) -> tuple[SectorPath, SectorPath]:
             if p:
                 link.append(1 if h2 else mult)
                 beta.append(2)
-            index.append(p)
             site.append(shift + h2)
             turn.append(2 * mult if n == 1 else 0)
         if shift % 2 and sign == mult:  # the centre of w[:s], G = mult
-            if index:  # both centres share a sector only when mult = 1
+            if site:  # both centres share a sector only when mult = 1
                 link.insert(0, 1)
                 beta.insert(0, 2 if p else 4)
-            index.insert(0, len(index))
             site.insert(0, h1)
             turn.insert(0, 0)
-        out.append((index, site, turn, link, beta))
+        out.append((site, turn, link, beta))
     return out[0], out[1]
 
 
-def _path_floats(word: str, v: float, path: SectorPath) -> tuple[list[float], list[float]]:
-    """The float entries of a sector path in path order at coupling v:
-    v w_site + x on the diagonal, with +0.0 for a 0 site as B^T H B gives
-    it (v * 0 is -0.0 for v < 0), and sign sqrt(beta) beside it."""
-    _, site, turn, link, beta = path
-    diag = [(v if word[j] == "1" else 0.0) + x for j, x in zip(site, turn)]
-    return diag, [s * math.sqrt(b) for s, b in zip(link, beta)]
+def _path_matrix(word: str, v: float, path: SectorPath) -> np.ndarray:
+    """A sector path as its tridiagonal float matrix at coupling v, in path
+    order: v w_site + x on the diagonal, with +0.0 for a 0 site (v * 0 is
+    -0.0 for v < 0), and sign sqrt(beta) beside it.  These are bit for bit
+    the entries of B^T H B for the unnormalized basis B, scaled by the
+    norms: the integer weights sum exactly, and B^T H B gives a turning
+    pair (v w + x) + (x + v w), which halves to v w + x rounded once."""
+    site, turn, link, beta = path
+    n = len(site)
+    h = np.zeros((n, n))
+    h.flat[:: n + 1] = [(v if word[j] == "1" else 0.0) + x for j, x in zip(site, turn)]
+    h.flat[1 :: n + 1] = h.flat[n :: n + 1] = [s * math.sqrt(b) for s, b in zip(link, beta)]
+    return h
 
 
 def _sector_matrices(word: str, V, anti: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The two sectors of `_sector_paths` as real symmetric float matrices,
-    each entry of `_path_floats` scattered at its matrix index.  These are
-    bit for bit the entries of B^T H B for the unnormalized basis B, scaled
-    by the norms: the integer weights sum exactly, and B^T H B gives a
-    turning pair (v w + x) + (x + v w), which halves to v w + x rounded
-    once."""
-    v, out = float(as_fraction(V)), []
-    for path in _sector_paths(word, anti):
-        diag, off = _path_floats(word, v, path)
-        i = np.array(path[0], dtype=int)
-        h = np.zeros((len(i), len(i)))
-        h[i, i] = diag
-        h[i[:-1], i[1:]] = h[i[1:], i[:-1]] = off
-        out.append(h)
-    return out[0], out[1]
+    """The two sectors of `_sector_paths` as `_path_matrix` floats."""
+    v = float(as_fraction(V))
+    even, odd = (_path_matrix(word, v, path) for path in _sector_paths(word, anti))
+    return even, odd
 
 
 def floquet_zeros(word: str, V) -> list[float]:
@@ -358,14 +351,10 @@ def floquet_zeros(word: str, V) -> list[float]:
     the antiperiodic operator H' of ww.  With M the transfer product of w,
     det(E - H') = tr(M^2) + 2 = t^2, and a Jacobi matrix with nonzero links
     has simple eigenvalues, so each sector of H' holds every zero of t
-    once.  In path order the sector is tridiagonal."""
+    once."""
     doubled = word + word
-    diag, off = _path_floats(doubled, float(as_fraction(V)), _sector_paths(doubled, True)[0])
-    n = len(diag)
-    h = np.zeros((n, n))
-    h.flat[:: n + 1] = diag
-    h.flat[1 :: n + 1] = h.flat[n :: n + 1] = off
-    return np.linalg.eigvalsh(h).tolist()
+    path = _sector_paths(doubled, True)[0]
+    return np.linalg.eigvalsh(_path_matrix(doubled, float(as_fraction(V)), path)).tolist()
 
 
 def reflection_factors(word: str, V) -> tuple[tuple[IntPoly, IntPoly], tuple[IntPoly, IntPoly]]:
@@ -382,7 +371,7 @@ def reflection_factors(word: str, V) -> tuple[tuple[IntPoly, IntPoly], tuple[Int
     upper, lower = (
         tuple(
             _path_determinant([a * (word[i] == "1") + b * x for i, x in zip(site, turn)], beta, b)
-            for _, site, turn, _, beta in _sector_paths(word, anti)
+            for site, turn, _, beta in _sector_paths(word, anti)
         )
         for anti in (False, True)
     )
@@ -428,11 +417,8 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     of their reflection factors (`reflection_factors`, each of about half
     the degree), with the exact product identities checked first.  The
     eigenvalues of the reflection sectors of `floquet_edges` guide the
-    factors they belong to.  Each side's grid spacing is computed from the
-    guesses of both its sectors together and tol, as the unsplit isolation
-    of t -+ 2 would lay it, so every certified cell, and every output byte,
-    is the one the unsplit isolation gives whenever its grid certifies.
-    Exact signs across the cells, counted against one Sturm chain per
+    factors they belong to, each on a grid laid from its own guides and
+    tol.  Exact signs across the cells, counted against one Sturm chain per
     factor, certify them.  A root shared by the two factors of a side
     (touching bands, e.g. coupling 0) raises DegeneracyError.
 
@@ -458,13 +444,10 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
             target = [t.num[0] + target * t.den] + t.num[1:]
             if [c * t.den for c in poly_mul(*factors)] != [c * scale for c in target]:
                 raise PrecisionError(f"reflection factors do not multiply to {name}")
-            guides = floquet_edges(word, V, anti)
-            spacing = grid_spacing(target, guides[0] + guides[1], tol)
-            width = tol if spacing is None else spacing
             roots = [
                 enc
-                for f, guide in zip(factors, guides)
-                for enc in isolate_roots(f, guide=guide, width=width)
+                for f, guide in zip(factors, floquet_edges(word, V, anti))
+                for enc in isolate_roots(f, guide=guide, width=tol)
             ]
             if _share_a_root(roots, *factors):
                 raise DegeneracyError(f"{name} has a multiple root")
@@ -613,25 +596,6 @@ def band_classify(r, k: int, V, tol, form: str = "short"):
     type_a, type_b, rels = _split_escaping(approx, base)
     k0_reached = all(rel == "outside" for rel in rels)
     return type_a, type_b, k0_reached
-
-
-def approach_digits(r, side: str) -> tuple[int, ...]:
-    """Continued-fraction string whose k-extensions converge to the chosen
-    one-sided limit of r."""
-    r = check_rotation(as_fraction(r))
-    if side not in ("plus", "minus"):
-        raise PreconditionError(f"side must be plus or minus, got {side!r}")
-    if r == 0:
-        if side == "minus":
-            raise PreconditionError("0- is not a point of the completion")
-        return (0, 0)
-    if r == 1:
-        if side == "plus":
-            raise PreconditionError("1+ is not a point of the completion")
-        return (0, 0, 1)
-    short, long = cf_forms(r)
-    n = len(short) - 2
-    return short if (side == "plus") == (n % 2 == 0) else long
 
 
 def floquet_defect_estimates(word: str, V) -> list[float]:

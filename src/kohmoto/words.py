@@ -16,9 +16,11 @@ from typing import Union
 from .errors import PreconditionError, PrecisionError
 from .farey import (
     QuadraticIrrational,
+    approach_digits,
     as_fraction,
     as_point,
     cf_forms,
+    check_ladder_digits,
     check_rotation,
     sign_quad,
 )
@@ -107,9 +109,7 @@ def sk_words(digits) -> list[str]:
     """Word ladder [s_-1, s_0, ..., s_n] of a continued-fraction string
     [0, a0, a1, ..., an]: s_-1 = 1, s_0 = 0, s_1 = s_0^(a1-1) s_-1 and
     s_k = s_{k-1}^(a_k) s_{k-2} afterwards."""
-    digits = tuple(int(d) for d in digits)
-    if len(digits) < 2 or digits[0] != 0 or digits[1] != 0 or any(d < 1 for d in digits[2:]):
-        raise PreconditionError(f"word ladder needs a continued fraction of a value in [0,1], got {digits}")
+    digits = check_ladder_digits(digits, "word ladder")
     ladder = ["1", "0"]
     for i, a in enumerate(digits[2:]):
         if i == 0:
@@ -133,22 +133,9 @@ def period_word(r) -> str:
 def defect_config(r, side: str) -> Configuration:
     """One-sided limit configuration at a rational rotation: the period is
     kept and a single impurity determined by the Farey neighbors appears
-    left of the origin.  side is "plus" or "minus"."""
-    r = check_rotation(as_fraction(r))
-    if side not in ("plus", "minus"):
-        raise PreconditionError(f"side must be plus or minus, got {side!r}")
-    if r == 0:
-        if side == "minus":
-            raise PreconditionError("0- is not a point of the completion")
-        return Configuration.defect("0", "1")
-    if r == 1:
-        if side == "plus":
-            raise PreconditionError("1+ is not a point of the completion")
-        return Configuration.defect("1", "0")
-    short, long = cf_forms(r)
-    n = len(short) - 2
-    use_short_ladder = (side == "plus") == (n % 2 == 0)
-    ladder = sk_words(short if use_short_ladder else long)
+    left of the origin.  side is "plus" or "minus".  The period and the
+    impurity are the last two words of the ladder of `approach_digits`."""
+    ladder = sk_words(approach_digits(r, side))
     return Configuration.defect(ladder[-1], ladder[-2])
 
 

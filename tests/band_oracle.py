@@ -1,8 +1,8 @@
 """The unsplit isolation of band edges, kept as an oracle: the roots of
 t - 2 and t + 2 isolated whole, each guided by all eigenvalues of the
 periodic or antiperiodic one-period operator.  `spectra.spectrum_from_trace`
-isolates the reflection factors instead and must give the same bytes
-wherever this grid certifies.
+isolates the reflection factors instead, each on its own grid, and must
+give enclosures nested with these wherever this grid certifies.
 
 t -+ 2 is proportional to det(E - H) for the real symmetric periodic or
 antiperiodic operator H of the period, so all its q roots are real.  Then
@@ -63,17 +63,19 @@ def unsplit_spectrum(t, tol, word: str, V) -> Spectrum:
 def dense_sector_matrices(word: str, V, anti: bool) -> tuple[np.ndarray, np.ndarray]:
     """The reflection sectors of `spectra._sector_matrices` as the dense
     change of basis B^T H B: an n x n basis with columns e_j + sign e_Rj,
-    even sector first, and two n x n products.  The fold writes the same
+    even sector first, each in path order (the centre of w[:s], the pairs of
+    w[:s] from the middle out, those of w[s:] from the outside in, the
+    centre of w[s:]), and two n x n products.  The fold writes the same
     entries, so the matrices must agree bit for bit."""
     n = len(word)
     shift = _reflection(word)
     m = _bloch_matrix(word, float(as_fraction(V)), -1.0 if anti else 1.0)
     h1, h2 = shift // 2, (n - shift) // 2
-    pairs = [*range(h1), *range(shift, shift + h2)]
+    pairs = [*range(h1 - 1, -1, -1), *range(shift, shift + h2)]
     centre1 = [h1] if shift % 2 else []
     centre2 = [shift + h2] if (n - shift) % 2 else []
-    even = pairs + centre2 + ([] if anti else centre1)
-    odd = pairs + (centre1 if anti else [])
+    even = ([] if anti else centre1) + pairs + centre2
+    odd = (centre1 if anti else []) + pairs
     cols = even + odd
     mirror = [(shift - 1 - j) % n for j in cols]
     sign = [-1.0 if anti and j < shift else 1.0 for j in even]

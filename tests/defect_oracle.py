@@ -19,13 +19,12 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from kohmoto.errors import PreconditionError, PrecisionError
-from kohmoto.farey import as_fraction, check_rotation
+from kohmoto.farey import approach_digits, as_fraction, check_rotation
 from kohmoto.polyring import RP
 from kohmoto.rootfind import RootEnclosure, _eval_homogeneous, isolate_roots, sign_at
 from kohmoto.spectra import (
     MAX_K,
     _split_escaping,
-    approach_digits,
     extension_traces,
     floquet_defect_estimates,
     spectrum_from_trace,

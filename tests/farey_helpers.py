@@ -5,7 +5,16 @@ from fractions import Fraction
 from typing import Optional
 
 from kohmoto.errors import PreconditionError
-from kohmoto.farey import as_fraction, check_rotation, format_rational, mediant
+from kohmoto.farey import (
+    ONE,
+    ZERO,
+    as_fraction,
+    as_point,
+    check_rotation,
+    cmp_point_rational,
+    format_rational,
+    mediant,
+)
 
 
 def farey_set(m: int) -> list[Fraction]:
@@ -44,3 +53,22 @@ def farey_neighbors_stern_brocot(r, m: int) -> tuple[Optional[Fraction], Optiona
     while hi.denominator + r.denominator <= m:
         hi = mediant(hi, r)
     return lo, hi
+
+
+def simplest_rational_unit_steps(lo, hi) -> Fraction:
+    """Same contract as `kohmoto.farey.simplest_rational_between` for
+    lo < hi, via a Stern-Brocot walk of one mediant per step."""
+    lo, hi = as_point(lo), as_point(hi)
+    if cmp_point_rational(lo, ZERO) <= 0 <= cmp_point_rational(hi, ZERO):
+        return ZERO
+    if cmp_point_rational(lo, ONE) <= 0 <= cmp_point_rational(hi, ONE):
+        return ONE
+    a, b, c, d = 0, 1, 1, 1
+    while True:
+        m = Fraction(a + c, b + d)
+        if cmp_point_rational(lo, m) > 0:
+            a, b = m.numerator, m.denominator
+        elif cmp_point_rational(hi, m) < 0:
+            c, d = m.numerator, m.denominator
+        else:
+            return m

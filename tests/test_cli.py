@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -82,6 +83,23 @@ def test_word_dict_and_complexity():
     assert out.splitlines()[-1] == "4 5"
 
 
+def test_farey_walks_at_large_denominators(capsys):
+    # the neighbor cascade and the simplest-rational walk take time
+    # logarithmic in each continued-fraction digit
+    cases = {
+        "farey neighbors 1/2 1000000000000": "499999999999/999999999999 500000000000/999999999999",
+        "farey dist 1/1000000000000 1/999999999999": "1/999999999999",
+        "farey between 1/1000000000000 1/999999999999": "1/999999999999",
+        "farey between 999999999998/999999999999+ 999999999999/1000000000000-": "1999999999997/1999999999999",
+        "farey dist 1/1000000000000- 1/999999999999+": "1/999999999999",
+    }
+    for command, want in cases.items():
+        t0 = time.perf_counter()
+        assert cli.main(command.split()) == 0
+        assert time.perf_counter() - t0 < 1.0, command
+        assert capsys.readouterr().out.splitlines()[-1] == want, command
+
+
 def test_tree_commands():
     out = run("tree", "dist", "1/3+", "1/2-")
     assert out.splitlines()[-1] == "1/5"
@@ -105,6 +123,7 @@ def test_exit_codes():
     run("butterfly", "--Q", "2", "--V", "5", "--fast", "--format", "text", expect=2)
     # inputs that can blow up time or memory are capped
     run("tree", "show", "--depth", "17", expect=2)
+    run("tree", "dist", "1/3", "1/2", "--depth", "10001", expect=2)
     # refinement costs grow with the digits of tol, which has a floor
     run("spectrum", "bands", "--r", "2/5", "--V", "5", "--tol", "1e-41", expect=2)
     run("spectrum", "bands", "--r", "2/5", "--V", "5", "--tol", "1e-10000", expect=2)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -22,7 +23,7 @@ from kohmoto.farey import (
     simplest_rational_between,
 )
 
-from farey_helpers import farey_neighbors_stern_brocot, farey_set
+from farey_helpers import farey_neighbors_stern_brocot, farey_set, simplest_rational_unit_steps
 
 GOLDEN = QuadraticIrrational.from_digits([0, 0], [1])  # (sqrt(5)-1)/2
 
@@ -122,6 +123,17 @@ def test_neighbors_against_enumeration_and_stern_brocot():
         assert farey_neighbors_stern_brocot(r, m) == want
 
 
+def test_neighbors_at_large_levels_match_the_unit_step_walk():
+    # the closed-form cascade against one mediant per step, where the
+    # cascade takes up to m / q steps
+    rng = random.Random(19)
+    for _ in range(60):
+        m = rng.randint(2, 20000)
+        q = rng.randint(1, min(m, 40))
+        r = F(rng.choice([p for p in range(q + 1) if math.gcd(p, q) == 1]), q)
+        assert farey_neighbors(r, m) == farey_neighbors_stern_brocot(r, m), (r, m)
+
+
 def test_neighbor_determinant_and_gap_bounds():
     for m in range(1, 16):
         grid = farey_set(m)
@@ -200,6 +212,37 @@ def test_simplest_rational_oracle():
         if c > 0:
             x, y = y, x
         assert simplest_rational_between(x, y) == oracle_simplest(x, y)
+
+
+def _point_pool() -> list[P]:
+    """Exact and one-sided points of small denominators and near the ends,
+    where the walk makes long runs, and quadratic irrationals."""
+    rats = set(farey_set(7)) | {F(1, n) for n in (97, 500, 2001)} | {F(n - 1, n) for n in (98, 1500)}
+    rats |= {F(3, 7) + F(1, 2000), F(5, 13) - F(1, 999)}
+    rats = sorted(rats)
+    pool = [P.exact(r) for r in rats]
+    pool += [P.plus(r) for r in rats if r < 1] + [P.minus(r) for r in rats if r > 0]
+    for pre, per in (([0, 0], [1]), ([0, 0], [2]), ([0, 0, 2, 1], [3, 1]), ([0, 0, 300], [1]),
+                     ([0, 0, 1, 450], [2, 7]), ([0, 0, 3], [1, 200])):
+        pool.append(P.irrational(QuadraticIrrational.from_digits(pre, per)))
+    return pool
+
+
+def test_simplest_rational_matches_the_unit_step_walk():
+    pool = _point_pool()
+    rng = random.Random(29)
+    pairs = 0
+    for x, y in itertools.combinations(pool, 2):
+        if rng.random() > 0.25:
+            continue
+        c = compare_points(x, y)
+        if c == 0:
+            continue
+        if c > 0:
+            x, y = y, x
+        assert simplest_rational_between(x, y) == simplest_rational_unit_steps(x, y), (x, y)
+        pairs += 1
+    assert pairs > 800
 
 
 def test_distance_examples():
