@@ -26,6 +26,7 @@ from .sets import EnclosedSet
 from .spectra import (
     MAX_K,
     Spectrum,
+    _sector_paths,
     check_coupling,
     check_tol,
     defect_spectrum,
@@ -435,7 +436,7 @@ FAST_K = 6
 
 def _fast_band_edges(word: str, V) -> list[float]:
     """The union of the four reflection sectors' eigenvalues, sorted."""
-    (a, b), (c, d) = floquet_edges(word, V, anti=False), floquet_edges(word, V, anti=True)
+    (a, b), (c, d) = (floquet_edges(word, V, _sector_paths(word, anti)) for anti in (False, True))
     return sorted(a + b + c + d)
 
 
@@ -559,6 +560,11 @@ def _fast_defects(r: Fraction, side: str, V: Fraction, base_bands) -> list[float
 # 1/q and 2/q, where two float guides (nearly) coincide).
 MAX_Q = {"fast": 64, "certified": 24}
 
+# The fast backend's rows are float eigenvalues of matrices with V on the
+# diagonal and unit hoppings; from |V| = 2^52 on, an ulp of V is at least 1
+# and the hoppings are lost.
+MAX_FAST_V = 2**52
+
 
 def butterfly(
     Q: int,
@@ -582,6 +588,8 @@ def butterfly(
     if Q > MAX_Q[backend]:
         raise PreconditionError(f"Q must be <= {MAX_Q[backend]} with the {backend} backend")
     V = check_coupling(V)
+    if backend == "fast" and abs(V) >= MAX_FAST_V:
+        raise PreconditionError("the fast backend needs a coupling |V| < 2^52")
     tol = check_tol(tol)
     rationals = [
         Fraction(p, q)

@@ -128,7 +128,8 @@ class RP:
         return hash((tuple(self.num), self.den))
 
     def eval(self, x) -> Fraction:
-        x = Fraction(x)
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
         acc = _eval_homogeneous(self.num, x.numerator, x.denominator)
         return Fraction(acc, self.den * x.denominator ** self.degree())
 

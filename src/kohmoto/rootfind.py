@@ -206,12 +206,18 @@ def sturm_chain(p: Sequence[int]) -> list[IntPoly]:
             r = _prem_normal(a, b)
             if r == [0]:
                 break
-            # lc(a)^2 when the step that made b was normal too
-            d = a[-1] * a[-1] if len(chain) > 2 and len(chain[-3]) - len(a) == 1 else 1
-            qr = [divmod(-c, d) for c in r]
-            if any(rem for _, rem in qr):
-                raise PrecisionError("subresultant division left a remainder")
-            chain.append([quo for quo, _ in qr])
+            if len(chain) > 2 and len(chain[-3]) - len(a) == 1:
+                # the step that made b was normal too: divide by lc(a)^2
+                d = a[-1] * a[-1]
+                quotients = []
+                for c in r:
+                    quo, rem = divmod(-c, d)
+                    if rem:
+                        raise PrecisionError("subresultant division left a remainder")
+                    quotients.append(quo)
+                chain.append(quotients)
+            else:
+                chain.append([-c for c in r])
         else:
             r, sgn = _pseudo_rem_signed(a, b)
             if r == [0]:
@@ -426,12 +432,14 @@ def _grid_cells(
         return signs[k]
 
     def cell(k: int) -> Optional[tuple[int, int]]:
-        for j in (k, k + 1):
-            if sign(j) == 0:
-                return j, j
-        if sign(k) != sign(k + 1):
-            return k, k + 1
-        return None
+        # each sign is read once, the one at k + 1 only when k is no root
+        lo = sign(k)
+        if lo == 0:
+            return k, k
+        hi = sign(k + 1)
+        if hi == 0:
+            return k + 1, k + 1
+        return (k, k + 1) if lo != hi else None
 
     cells = []
     step = den * hn  # a guess x/den lies in cell k = floor(x / step * hd)

@@ -71,30 +71,40 @@ from .words import period_word, sk_words
 # Transfer-matrix traces
 
 
-def _site_matrix(letter: str, E, Vc):
-    # A(a) = [[E - V*a, -1], [1, 0]]
-    return [[E if letter == "0" else E - Vc, -1], [1, 0]]
-
-
 def trace_poly(word: str, V) -> RP:
-    """Trace of the ordered transfer product A(w_q)...A(w_1), as an exact
-    polynomial in the energy; the product determinant is checked to be 1."""
+    """Trace of the ordered transfer product A(w_n)...A(w_1), with
+    A(a) = [[E - V a, -1], [1, 0]], as an exact polynomial in the energy.
+
+    Column c of the product is (x_n, x_(n-1)) for the solution of
+    x_j = (E - V w_j) x_(j-1) - x_(j-2) from (x_0, x_(-1)) = e_c.  With
+    V = a/b, X_j = b^(j+1) x_j is an integer polynomial with
+    X_j = (bE - a w_j) X_(j-1) - b^2 X_(j-2).  As in `_path_determinant`
+    the loop runs on the values at E = 2^w, a shift and small products per
+    letter and column, so it takes O(n) integer operations.  The trace is
+    x0_n + x1_(n-1), and the determinant, the Casoratian
+    x0_n x1_(n-1) - x1_n x0_(n-1), is checked to be 1.  Both are read at
+    2^w: with N_j = (b + |c_j|) N_(j-1) + b^2 N_(j-2) the bound on the L1
+    norm of X_j, every coefficient of either lies below 2 N_n^2 < 2^(w - 1)
+    in absolute value, so its value at 2^w fixes it."""
     if not word:
         raise PreconditionError("transfer product needs a non-empty word")
     if set(word) - {"0", "1"}:
         raise PreconditionError(f"word {word!r} is not over {{0,1}}")
-    E, Vc = RP([0, 1]), RP.const(as_fraction(V))
-    m = _site_matrix(word[0], E, Vc)
-    for letter in word[1:]:
-        a = _site_matrix(letter, E, Vc)
-        m = [
-            [a[0][0] * m[0][0] + a[0][1] * m[1][0], a[0][0] * m[0][1] + a[0][1] * m[1][1]],
-            [a[1][0] * m[0][0] + a[1][1] * m[1][0], a[1][0] * m[0][1] + a[1][1] * m[1][1]],
-        ]
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if det != 1:
+    V = as_fraction(V)
+    a, b, n = V.numerator, V.denominator, len(word)
+    cs = [a if letter == "1" else 0 for letter in word]
+    b2 = b * b
+    lo, hi = 1, b
+    for c in cs:
+        lo, hi = hi, (b + abs(c)) * hi + b2 * lo
+    w = (hi * hi).bit_length() + 2
+    x0_prev, x0, x1_prev, x1 = 0, b, 1, 0
+    for c in cs:
+        x0_prev, x0 = x0, ((x0 * b) << w) - c * x0 - b2 * x0_prev
+        x1_prev, x1 = x1, ((x1 * b) << w) - c * x1 - b2 * x1_prev
+    if x0 * x1_prev - x1 * x0_prev != b ** (2 * n + 1):
         raise PrecisionError("transfer product determinant is not 1")
-    return m[0][0] + m[1][1]
+    return RP(unpack(x0 + b * x1_prev, w, n + 1), b ** (n + 1))
 
 
 def _step_traces(A, B, C, e: int):
@@ -251,16 +261,6 @@ def _reflection(word: str) -> int:
     return shift
 
 
-def floquet_edges(word: str, V, anti: bool) -> tuple[list[float], list[float]]:
-    """Floating band-edge estimates: the eigenvalues of the one-period
-    operator with periodic (trace = +2) or antiperiodic (trace = -2)
-    closure, as its two reflection sectors (even, odd) from
-    `_sector_matrices`.  Used only to seed certified isolation and the
-    rendering backend."""
-    even, odd = _sector_matrices(word, V, anti)
-    return np.linalg.eigvalsh(even).tolist(), np.linalg.eigvalsh(odd).tolist()
-
-
 # One reflection sector as a path (`_sector_paths`): the lists (site, turn)
 # over its nodes, then (sign, beta) over the links between them.
 SectorPath = tuple[list[int], list[int], list[int], list[int]]
@@ -338,10 +338,14 @@ def _path_matrix(word: str, v: float, path: SectorPath) -> np.ndarray:
     return h
 
 
-def _sector_matrices(word: str, V, anti: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The two sectors of `_sector_paths` as `_path_matrix` floats."""
+def floquet_edges(word: str, V, paths: tuple[SectorPath, SectorPath]) -> tuple[list[float], list[float]]:
+    """Floating band-edge estimates: the eigenvalues of the two reflection
+    sectors (even, odd) of `_sector_paths` for one closure of the
+    one-period operator, periodic (trace = +2) or antiperiodic
+    (trace = -2), as `_path_matrix` floats.  Used only to seed certified
+    isolation and the rendering backend."""
     v = float(as_fraction(V))
-    even, odd = (_path_matrix(word, v, path) for path in _sector_paths(word, anti))
+    even, odd = (np.linalg.eigvalsh(_path_matrix(word, v, path)).tolist() for path in paths)
     return even, odd
 
 
@@ -357,25 +361,23 @@ def floquet_zeros(word: str, V) -> list[float]:
     return np.linalg.eigvalsh(_path_matrix(doubled, float(as_fraction(V)), path)).tolist()
 
 
-def reflection_factors(word: str, V) -> tuple[tuple[IntPoly, IntPoly], tuple[IntPoly, IntPoly]]:
-    """The reflection factors of t - 2 and t + 2 for the trace t of a word
+def reflection_factors(word: str, V, paths: tuple[SectorPath, SectorPath]) -> tuple[IntPoly, IntPoly]:
+    """The reflection factors of t - 2 or t + 2 for the trace t of a word
     that is a rotation of its reversal, as integer polynomials in E: for
-    each sector of `_sector_paths`, b^k det(E - J) by `_path_determinant`,
-    with J its k x k Jacobi matrix and b the denominator of V = a/b.
-    det(E - H) is t - 2 for the periodic operator H of the n sites and
-    t + 2 for the antiperiodic one, and H is the direct sum of its two
-    sectors, so each pair multiplies to b^n (t -+ 2).  Each pair is ordered
-    like the sectors of `floquet_edges`."""
+    each sector of `_sector_paths` for the periodic or the antiperiodic
+    closure, b^k det(E - J) by `_path_determinant`, with J its k x k
+    Jacobi matrix and b the denominator of V = a/b.  det(E - H) is t - 2
+    for the periodic operator H of the n sites and t + 2 for the
+    antiperiodic one, and H is the direct sum of its two sectors, so the
+    pair multiplies to b^n (t -+ 2).  The pair is ordered like the sectors
+    of `floquet_edges`."""
     V = as_fraction(V)
     a, b = V.numerator, V.denominator
-    upper, lower = (
-        tuple(
-            _path_determinant([a * (word[i] == "1") + b * x for i, x in zip(site, turn)], beta, b)
-            for site, turn, _, beta in _sector_paths(word, anti)
-        )
-        for anti in (False, True)
+    even, odd = (
+        _path_determinant([a * (word[i] == "1") + b * x for i, x in zip(site, turn)], beta, b)
+        for site, turn, _, beta in paths
     )
-    return upper, lower
+    return even, odd
 
 
 def _path_determinant(diag: list[int], beta: list[int], b: int) -> IntPoly:
@@ -438,7 +440,10 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     scale = check_coupling(V).denominator ** q
     found = []
     try:
-        for anti, factors in zip((False, True), reflection_factors(word, V)):
+        for anti in (False, True):
+            # one fold of the ring per closure, for the factors and the guides
+            paths = _sector_paths(word, anti)
+            factors = reflection_factors(word, V, paths)
             # den * (t -+ 2)
             name, target = ("t + 2", 2) if anti else ("t - 2", -2)
             target = [t.num[0] + target * t.den] + t.num[1:]
@@ -446,7 +451,7 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
                 raise PrecisionError(f"reflection factors do not multiply to {name}")
             roots = [
                 enc
-                for f, guide in zip(factors, floquet_edges(word, V, anti))
+                for f, guide in zip(factors, floquet_edges(word, V, paths))
                 for enc in isolate_roots(f, guide=guide, width=tol)
             ]
             if _share_a_root(roots, *factors):
@@ -471,7 +476,8 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
         exp = max(lo.exp, hi.exp)
         a, b = lo.ends_at(exp)[1], hi.ends_at(exp)[0]
         point = Fraction(_short_point(a, b), 1 << exp) if b - a > 1 else Fraction(a + b, 2 << exp)
-        if abs(t.eval(point)) > 2:
+        value = t.eval(point)  # |t| <= 2 on its integers, without a new Fraction
+        if abs(value.numerator) > 2 * value.denominator:
             raise PrecisionError("band check point escaped the trace window")
         bands.append((lo, hi))
     return Spectrum(tuple(bands), (), tol)
@@ -601,8 +607,11 @@ def band_classify(r, k: int, V, tol, form: str = "short"):
 def floquet_defect_estimates(word: str, V) -> list[float]:
     """Floating estimates of the 2q roots of t^2 = V^2 + 4: eigenvalues of
     the one-period operator with Bloch multiplier +-lam, lam + 1/lam =
-    sqrt(V^2 + 4).  Used only to seed certified isolation."""
+    sqrt(V^2 + 4).  Used only to seed certified isolation.  A coupling
+    whose float square overflows is a PreconditionError."""
     v = float(as_fraction(V))
+    if math.isinf(v * v):
+        raise PreconditionError("coupling is too large for the float defect estimates: V^2 overflows")
     lam = (np.sqrt(v * v + 4) + abs(v)) / 2
     out = []
     for mult in (lam, -lam):

@@ -61,7 +61,7 @@ def unsplit_spectrum(t, tol, word: str, V) -> Spectrum:
 
 
 def dense_sector_matrices(word: str, V, anti: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The reflection sectors of `spectra._sector_matrices` as the dense
+    """The reflection sectors of `spectra._sector_paths` as the dense
     change of basis B^T H B: an n x n basis with columns e_j + sign e_Rj,
     even sector first, each in path order (the centre of w[:s], the pairs of
     w[:s] from the middle out, those of w[s:] from the outside in, the

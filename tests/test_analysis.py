@@ -321,5 +321,11 @@ def test_fast_butterfly_does_not_import_scipy():
 def test_butterfly_guards():
     with pytest.raises(PreconditionError):
         butterfly(0, V5)
+    # from 2^52 on, an ulp of the float V is at least the unit hopping
+    with pytest.raises(PreconditionError, match="2\\^52"):
+        butterfly(2, 2**52, backend="fast")
+    with pytest.raises(PreconditionError, match="2\\^52"):
+        butterfly(2, -(2**52), backend="fast")
+    assert len(butterfly(2, 2**52 - 1, backend="fast", include_defects=False).rows) == 3
     with pytest.raises(PreconditionError):
         butterfly(2, V5, backend="quick")

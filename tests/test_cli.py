@@ -118,6 +118,10 @@ def test_exit_codes():
     run("spectrum", "bands", "--r", "1/3", "--V", "1e400", expect=2)
     run("spectrum", "defects", "--r", "1/3", "--side", "plus", "--V", "1e400", expect=2)
     run("butterfly", "--Q", "2", "--V", "1e400", "--fast", expect=2)
+    # a coupling whose float square overflows the defect estimates, and one
+    # whose float ulp is at least the unit hopping of the fast backend
+    run("spectrum", "defects", "--r", "1/3", "--side", "plus", "--V", "1e300", expect=2)
+    run("butterfly", "--Q", "3", "--V", "1e300", "--fast", expect=2)
     run("butterfly", "--Q", "2", "--V", "5", "--fast", "--threads", "2", expect=2)
     # butterfly writes csv, json or svg; it has no text artifact
     run("butterfly", "--Q", "2", "--V", "5", "--fast", "--format", "text", expect=2)

@@ -25,7 +25,8 @@ from kohmoto.spectra import (
     band_classify,
     defect_spectrum,
     extension_traces,
-    _site_matrix,
+    _path_matrix,
+    _sector_paths,
     _trace_triples,
     floquet_edges,
     floquet_zeros,
@@ -59,6 +60,17 @@ from trace_oracle import power_extension_traces, power_trace_triples
 V5 = F(5)
 TOL9 = F(1, 10**9)
 TOL6 = F(1, 10**6)
+
+
+def closure_factors(word: str, V):
+    """`reflection_factors` of the periodic and the antiperiodic closure,
+    each from its own `_sector_paths`."""
+    return tuple(reflection_factors(word, V, _sector_paths(word, anti)) for anti in (False, True))
+
+
+def sector_matrices(word: str, V, anti: bool):
+    """The two sectors of one closure as `_path_matrix` floats."""
+    return [_path_matrix(word, float(V), path) for path in _sector_paths(word, anti)]
 
 
 def sqrt_enclosure(n: int, digits: int = 20) -> tuple[F, F]:
@@ -107,26 +119,35 @@ def test_trace_cyclic_invariance_random_words():
             assert t == trace_poly(w[j:] + w[:j], F(3, 2))
 
 
+def transfer_product(word: str, E, Vc):
+    """A(w_n)...A(w_1) for A(a) = [[E - V a, -1], [1, 0]], as a matrix
+    product over any ring that holds E and Vc."""
+    m = None
+    for ch in word:
+        a = [[E if ch == "0" else E - Vc, -1], [1, 0]]
+        m = a if m is None else [
+            [a[0][0] * m[0][0] + a[0][1] * m[1][0], a[0][0] * m[0][1] + a[0][1] * m[1][1]],
+            [a[1][0] * m[0][0] + a[1][1] * m[1][0], a[1][0] * m[0][1] + a[1][1] * m[1][1]],
+        ]
+    return m
+
+
 def test_transfer_determinant_symbolic():
     # multiply the site matrices symbolically for small words and check
     # det == 1 in Z[V][E]
-    E, Vs = symbolic_ring.E, symbolic_ring.V
     for w in ("0", "1", "01", "110", "10110"):
-        m = None
-        for ch in w:
-            a = _site_matrix(ch, E, Vs)
-            m = a if m is None else [
-                [
-                    a[0][0] * m[0][0] + a[0][1] * m[1][0],
-                    a[0][0] * m[0][1] + a[0][1] * m[1][1],
-                ],
-                [
-                    a[1][0] * m[0][0] + a[1][1] * m[1][0],
-                    a[1][0] * m[0][1] + a[1][1] * m[1][1],
-                ],
-            ]
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        assert det == 1
+        m = transfer_product(w, symbolic_ring.E, symbolic_ring.V)
+        assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
+
+
+def test_trace_poly_matches_the_matrix_product():
+    # the column recurrence of trace_poly against the 2 x 2 product
+    rng = random.Random(7)
+    for V in (V5, F(3, 2), F(-7, 3)):
+        for _ in range(20):
+            w = "".join(rng.choice("01") for _ in range(rng.randint(1, 16)))
+            m = transfer_product(w, RP([0, 1]), RP.const(V))
+            assert trace_poly(w, V) == m[0][0] + m[1][1], (w, V)
 
 
 def test_trace_cf_examples_and_word_agreement():
@@ -198,7 +219,7 @@ def test_trace_recursion_at_band_edges():
             if k > 9:
                 break
         # the edges where t_c = +2 are the roots of the two factors of t_c - 2
-        upper_polys = {tuple(primitive(f)) for f in reflection_factors(period_word(r), V5)[0]}
+        upper_polys = {tuple(primitive(f)) for f in closure_factors(period_word(r), V5)[0]}
         for lo_enc, hi_enc in spec.bands:
             for enc in (lo_enc, hi_enc):
                 sign_plus = enc.poly in upper_polys
@@ -289,7 +310,7 @@ def test_band_edges_certify_without_fallback(monkeypatch):
 
 def test_edges_of_one_spectrum_lie_on_four_reflection_factors():
     spec = spectrum_periodic(F(21, 34), V5, TOL9)
-    sides = reflection_factors(period_word(F(21, 34)), V5)
+    sides = closure_factors(period_word(F(21, 34)), V5)
     factors = [tuple(primitive(f)) for side in sides for f in side]
     assert len({id(enc.poly) for band in spec.bands for enc in band}) == 4
     assert {enc.poly for band in spec.bands for enc in band} == set(factors)
@@ -304,7 +325,7 @@ def _reduced(qmax: int):
 
 def _check_reflection_identities(word: str, t: RP, V) -> None:
     scale = V.denominator ** len(word)
-    for factors, target in zip(reflection_factors(word, V), (t - 2, t + 2)):
+    for factors, target in zip(closure_factors(word, V), (t - 2, t + 2)):
         assert [c * target.den for c in poly_mul(*factors)] == [c * scale for c in target.num]
 
 
@@ -360,8 +381,8 @@ def test_reflection_sectors_hold_the_roots_of_their_factors():
     for V in (V5, F(1, 2), F(-3)):
         for r in _reduced(21):
             word = period_word(r)
-            for anti, factors in zip((False, True), reflection_factors(word, V)):
-                for f, guesses in zip(factors, floquet_edges(word, V, anti)):
+            for anti, factors in zip((False, True), closure_factors(word, V)):
+                for f, guesses in zip(factors, floquet_edges(word, V, _sector_paths(word, anti))):
                     roots = [float(e.refined(F(1, 10**12)).lo) for e in isolate_roots(f)]
                     assert len(roots) == len(f) - 1 == len(guesses)
                     assert np.allclose(sorted(guesses), roots, rtol=0, atol=1e-9)
@@ -384,13 +405,14 @@ def test_floquet_edges_match_the_dense_basis_construction_bit_for_bit():
     for V in (V5, F(1, 2), F(-3)):
         for word in words:
             for anti in (False, True):
-                got = spectra._sector_matrices(word, V, anti)
+                got = sector_matrices(word, V, anti)
                 want = dense_sector_matrices(word, V, anti)
                 assert [(h.shape, h.tobytes()) for h in got] == [
                     (h.shape, np.ascontiguousarray(h).tobytes()) for h in want
                 ], (word, V, anti)
                 if word in few:
-                    assert [np.array(x).tobytes() for x in floquet_edges(word, V, anti)] == [
+                    edges = floquet_edges(word, V, _sector_paths(word, anti))
+                    assert [np.array(x).tobytes() for x in edges] == [
                         np.array(x).tobytes() for x in dense_floquet_edges(word, V, anti)
                     ], (word, V, anti)
 
@@ -423,7 +445,7 @@ def test_factored_band_edges_nest_with_the_unsplit_isolation():
 def test_sturm_chains_of_trace_polynomials_match_the_primitive_chain():
     for V in (V5, F(1, 2), F(-3)):
         for r in _reduced(40):
-            for factors in reflection_factors(period_word(r), V):
+            for factors in closure_factors(period_word(r), V):
                 assert all(chain_matches_oracle(f) for f in factors), (r, V)
         # D = t_u^2 - V^2 - 4 of every one-sided point
         for r in _reduced(12):
@@ -436,7 +458,7 @@ def test_sturm_chains_of_trace_polynomials_match_the_primitive_chain():
 def test_sturm_fallback_cases_match_the_primitive_chain():
     assert len(CLOSE_EDGE_CASES) == 18
     for r in CLOSE_EDGE_CASES:
-        for factors in reflection_factors(period_word(r), V5):
+        for factors in closure_factors(period_word(r), V5):
             assert all(chain_matches_oracle(f) for f in factors), r
     # two float guides of D = t_u^2 - V^2 - 4 coincide or lie 1e-14 apart,
     # so Sturm bisection isolates D's roots
@@ -495,6 +517,17 @@ def test_touching_bands_fail_fast():
     assert time.perf_counter() - t0 < 0.5
 
 
+def test_one_spectrum_folds_each_closure_once():
+    # the exact factors and the float guides of a closure share its paths
+    spectra.clear_memos()
+    try:
+        with mock.patch.object(spectra, "_sector_paths", wraps=spectra._sector_paths) as fold:
+            spectrum_periodic(F(34, 89), V5, TOL9)
+    finally:
+        spectra.clear_memos()
+    assert fold.call_count == 2
+
+
 def test_reflection_factors_are_checked_against_the_trace():
     # a word of the right length whose trace is another polynomial
     t = trace_poly_cf(cf_forms(F(2, 5))[0], V5)
@@ -542,7 +575,7 @@ def test_doubled_antiperiodic_sectors_hold_the_trace_zeros():
     # and each of its two sectors holds every zero of t once, for every
     # defect word of the fast Q = 25 butterfly
     cases = {
-        sk_words(digits)[-1]: (q, digits)
+        sk_words(digits)[-1]: digits
         for q in range(1, 26)
         for p in range(q + 1)
         for side in ("plus", "minus")
@@ -551,15 +584,13 @@ def test_doubled_antiperiodic_sectors_hold_the_trace_zeros():
     }
     assert len(cases) == 400
     for V in (V5, F(7, 3)):
-        for word, (q, digits) in cases.items():
+        for word, digits in cases.items():
             t = trace_poly_cf(digits, V)
-            # the transfer product costs cubic time in the length
-            if q <= 6:
-                assert trace_poly(word + word, V) + 2 == t * t
+            assert trace_poly(word + word, V) + 2 == t * t
             # exactly: each sector's b^n det(E - J) is b^n t
-            factors = reflection_factors(word + word, V)[1]
+            factors = reflection_factors(word + word, V, _sector_paths(word + word, True))
             assert all(RP(f, V.denominator ** len(word)) == t for f in factors)
-            even, odd = spectra._sector_matrices(word + word, V, True)
+            even, odd = sector_matrices(word + word, V, True)
             assert len(even) == len(odd) == len(word)
             zeros = floquet_zeros(word, V)
             assert np.max(np.abs(np.linalg.eigvalsh(odd) - zeros)) < 1e-10
@@ -580,6 +611,9 @@ def test_a_coupling_without_a_finite_float_is_a_precondition():
     ):
         with pytest.raises(PreconditionError, match="coupling"):
             call(F(10**400))
+    # a finite float whose square overflows the defect estimates
+    with pytest.raises(PreconditionError, match="coupling"):
+        defect_spectrum(F(1, 3), "plus", F(10**300), TOL6)
 
 
 def test_membership_examples():
