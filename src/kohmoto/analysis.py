@@ -554,11 +554,9 @@ def _fast_defects(r: Fraction, side: str, V: Fraction, base_bands) -> list[float
 
 # Caps on Q by backend, from measured CLI wall time at V = 5 on a 2-core
 # machine: the fast backend takes 6.5-6.7 s at Q = 60 and 8.1-8.4 s at
-# Q = 64, the certified one 8.1-8.8 s at Q = 24 and 11.9-12.3 s at Q = 25
-# (rows grow like Q^2, and each costs more with q; from Q = 17 on, most of
-# it is the Sturm bisection that isolates t^2 = V^2 + 4 at rows such as
-# 1/q and 2/q, where two float guides (nearly) coincide).
-MAX_Q = {"fast": 64, "certified": 24}
+# Q = 64, the certified one 4.9-6.8 s at Q = 38, 5.1-6.8 s at Q = 39 and
+# 6.0-9.5 s at Q = 40 (rows grow like Q^2, and each costs more with q).
+MAX_Q = {"fast": 64, "certified": 38}
 
 # The fast backend's rows are float eigenvalues of matrices with V on the
 # diagonal and unit hoppings; from |V| = 2^52 on, an ulp of V is at least 1

@@ -249,12 +249,6 @@ def variations_at(chain: Sequence[IntPoly], num: int, exp: int) -> int:
     return _variations([sign_at(q, num, 1 << exp) for q in chain])
 
 
-def count_roots(chain: Sequence[IntPoly], lo: int, hi: int, exp: int) -> int:
-    """Number of roots in (lo / 2^exp, hi / 2^exp); the ends must not be
-    roots."""
-    return variations_at(chain, lo, exp) - variations_at(chain, hi, exp)
-
-
 def cauchy_bound(p: Sequence[int]) -> int:
     lead = abs(p[-1])
     worst = max(abs(c) for c in p)
@@ -585,48 +579,25 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> IntPoly:
 
 
 def compare_roots(a: RootEnclosure, b: RootEnclosure) -> int:
-    """Exact order of two algebraic numbers given by enclosures, detecting
-    equality through the gcd of the defining polynomials."""
-    g = poly_gcd(list(a.poly), list(b.poly))
-    gchain = sturm_chain(g) if degree(g) > 0 else None
-    for _ in range(256):
+    """Exact order of two algebraic numbers given by enclosures.  The gcd g
+    of their polynomials has at most one root, a simple one, in either
+    isolating enclosure, so the roots are equal exactly when g vanishes at
+    an end of the closed intersection of the enclosures or changes sign
+    across it.  That is decided once; unequal roots are refined until their
+    enclosures are disjoint."""
+    for i in range(256):
         e = max(a.exp, b.exp)
         (alo, ahi), (blo, bhi) = a.ends_at(e), b.ends_at(e)
         if ahi < blo:
             return -1
         if bhi < alo:
             return 1
-        if alo == ahi == blo == bhi:
-            return 0
-        if (
-            gchain is not None
-            and _count_padded(g, gchain, min(alo, blo), max(ahi, bhi), e) == 1
-            and _count_roots_closed(g, gchain, a) == 1
-            and _count_roots_closed(g, gchain, b) == 1
-        ):
-            return 0
+        if i == 0:
+            g = poly_gcd(list(a.poly), list(b.poly))
+            if sign_at(g, max(alo, blo), 1 << e) * sign_at(g, min(ahi, bhi), 1 << e) <= 0:
+                return 0
         # refine each to a quarter of the narrower non-exact width
         shrink = min(w for w in (ahi - alo, bhi - blo) if w)
         a = a.bisected(_halvings(4 * (ahi - alo), shrink))
         b = b.bisected(_halvings(4 * (bhi - blo), shrink))
     raise PreconditionError("root comparison did not converge")
-
-
-def _count_roots_closed(g: IntPoly, gchain, enc: RootEnclosure) -> int:
-    if enc.is_exact():
-        return 1 if sign_at(g, enc.lo_num, 1 << enc.exp) == 0 else 0
-    return _count_padded(g, gchain, enc.lo_num, enc.hi_num, enc.exp)
-
-
-def _count_padded(g: IntPoly, gchain, lo: int, hi: int, exp: int) -> int:
-    """Roots of g in [lo / 2^exp, hi / 2^exp] padded by a 1024th of its
-    width, each end stepped outward off the roots of g.  The padding
-    shrinks with the interval, so a shrinking interval comes to exclude
-    every root of g outside it."""
-    pad, exp = hi - lo, exp + 10
-    lo_pt, hi_pt = (lo << 10) - pad, (hi << 10) + pad
-    while sign_at(g, lo_pt, 1 << exp) == 0:
-        lo_pt -= pad
-    while sign_at(g, hi_pt, 1 << exp) == 0:
-        hi_pt += pad
-    return count_roots(gchain, lo_pt, hi_pt, exp)

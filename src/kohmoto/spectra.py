@@ -19,21 +19,18 @@ edges of a band narrower than a cell, or isolates the edges when the
 estimates do not certify.  The float zeros of t, which mark the bands for
 the fast backend, are one sector of the doubled word's antiperiodic
 operator, of determinant t^2 (`floquet_zeros`).
-One-sided limit spectra add exactly q isolated eigenvalues.  With
-(t_v, t_u, t_uv) the traces of the last two words of the approach string and
-of their one-step extension, set P = t_u t_v - 2 t_uv, G+- = P -+ |V| t_v and
-D = t_u^2 - (V^2 + 4).  The trace-map invariant
-t_u^2 + t_v^2 + t_uv^2 - t_u t_v t_uv - 4 = V^2 gives G+ G- = D (t_v^2 - 4),
-so the points of the upper and the lower limit together are the 2q simple
-roots of D, isolated like band edges.  A root is a point of the chosen side
-when P = sign(t_u) |V| t_v there.  Exactly one of G+ and G- vanishes at
-each root, so gcd(D, G+) and gcd(D, G-) split D exactly; a root's factor is
-read from two exact signs of gcd(D, G+) across its cell, and its side from
-the sign of t_u on the cell.
+One-sided limit spectra add exactly q isolated eigenvalues: this side's q
+of the 2q simple roots of D = t_u^2 - (V^2 + 4), with t_u the trace over
+one period (`defect_spectrum`).  The trace-map invariant splits D into
+gcd(D, G+) and gcd(D, G-), one factor for each sign of t_u.  D < 0 inside
+the bands, so the band check points bracket the gaps, and exact signs of
+the two factors there, counted against their degrees, put each root alone
+in a known gap without a Sturm chain.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -56,6 +53,8 @@ from .polyring import RP
 from .rootfind import (
     IntPoly,
     RootEnclosure,
+    _dyadic_exponent,
+    cauchy_bound,
     compare_roots,
     degree,
     isolate_roots,
@@ -210,9 +209,9 @@ MAX_K = 64
 
 # Floor on the enclosure width tol.  Refinement costs about quadratically
 # in its digits, and below the accuracy of the float guides (about 1e-13)
-# the isolation falls back to Sturm bisection: on a 2-core sandbox,
-# `spectrum defects --r 34/89 --side plus --V 5` took 0.5 s at tol 1e-9,
-# 95 s at 1e-40 and 236 s at 1e-100.
+# band edges fall back to Sturm bisection: on a 2-core machine,
+# `spectrum defects --r 34/89 --side plus --V 5` took 0.3 s at tol 1e-9,
+# 1.4-1.7 s at 1e-20 and 2.5-3.1 s at 1e-40 (12 s at 1e-100 in process).
 MIN_TOL = Fraction(1, 10**40)
 
 
@@ -424,11 +423,7 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     factor, certify them.  A root shared by the two factors of a side
     (touching bands, e.g. coupling 0) raises DegeneracyError.
 
-    Each band is checked by |t| <= 2 at one point between the inner ends
-    of its edge enclosures, lo.hi and hi.lo: the dyadic with the fewest
-    bits strictly between them (`_short_point`), or their midpoint when
-    they are neighbours over 2^exp.  A short point keeps the Horner
-    integers, and the gcd of the Fraction, short."""
+    Each band is checked by |t| <= 2 at its `_band_point`."""
     tol = check_tol(tol)
     q = t.degree()
     if q < 1:
@@ -473,14 +468,23 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     bands = []
     for i in range(0, 2 * q, 2):
         lo, hi = edges[i], edges[i + 1]
-        exp = max(lo.exp, hi.exp)
-        a, b = lo.ends_at(exp)[1], hi.ends_at(exp)[0]
-        point = Fraction(_short_point(a, b), 1 << exp) if b - a > 1 else Fraction(a + b, 2 << exp)
-        value = t.eval(point)  # |t| <= 2 on its integers, without a new Fraction
+        num, exp = _band_point(lo, hi)
+        value = t.eval(Fraction(num, 1 << exp))  # |t| <= 2 on its integers, without a new Fraction
         if abs(value.numerator) > 2 * value.denominator:
             raise PrecisionError("band check point escaped the trace window")
         bands.append((lo, hi))
     return Spectrum(tuple(bands), (), tol)
+
+
+def _band_point(lo: RootEnclosure, hi: RootEnclosure) -> tuple[int, int]:
+    """The check point num / 2^exp of a band with edge enclosures lo and hi,
+    between their inner ends lo.hi and hi.lo: the dyadic with the fewest
+    bits strictly between them (`_short_point`), or their midpoint when
+    they are neighbours over 2^exp.  A short point keeps the Horner
+    integers, and the gcd of the Fraction, short."""
+    exp = max(lo.exp, hi.exp)
+    a, b = lo.ends_at(exp)[1], hi.ends_at(exp)[0]
+    return (_short_point(a, b), exp) if b - a > 1 else (a + b, exp + 1)
 
 
 def _short_point(a: int, b: int) -> int:
@@ -635,10 +639,14 @@ def defect_spectrum(r, side: str, V, tol) -> Spectrum:
     2q simple roots of D.  At each of them exactly one of G+ and G- vanishes
     (if both did, P = |V| t_v = 0 there, and G+ G- would vanish twice at a
     simple root of D, where t_v^2 - 4 = -4), so A = gcd(D, G+) and
-    C = gcd(D, G-) split D exactly, A C = +-D, which is checked.  A root in
-    an isolating cell of D is a root of A when A changes sign across the
-    cell (or vanishes at an exact enclosure [x, x]), and it belongs to this
-    side when that agrees with t_u > 0 on the cell."""
+    C = gcd(D, G-) split D exactly, A C = +-D, which is checked.
+
+    t_u is the trace of the base spectrum, so D <= -V^2 < 0 at each
+    `_band_point`, and the band points and -+ the Cauchy bound of D bracket
+    the q + 1 gaps; `_sign_change_gaps` puts each root of A and of C alone
+    in one of them.  t_u is positive on the top gap and changes sign across
+    each band, so this side's point in a gap is the root of A there when
+    t_u > 0 and of C when t_u < 0, enclosed by `_gap_root`."""
     r = check_rotation(as_fraction(r))
     V = check_coupling(V)
     tol = check_tol(tol)
@@ -658,26 +666,45 @@ def defect_spectrum(r, side: str, V, tol) -> Spectrum:
     # and equal lists make deg a + deg c = deg d
     if poly_mul(a, c) not in (d, [-x for x in d]):
         raise PrecisionError("G+ and G- do not split t^2 = V^2 + 4")
-    roots = isolate_roots(d, guide=floquet_defect_estimates(period_word(r), V), width=tol)
-    if len(roots) != 2 * q:
-        raise PrecisionError(f"t^2 = V^2 + 4 has {len(roots)} roots, wanted {2 * q}")
-    points = []
-    for enc in roots:
-        enc = enc.refined(tol)
-        # t_u^2 = V^2 + 4 at the root, so the halving ends with one sign of
-        # t_u on the cell; a cell holds at most one zero of t_u, as a gap
-        # with two roots of D lies between any two of them
-        while True:
-            lo, hi, den = enc.lo_num, enc.hi_num, 1 << enc.exp
-            s = sign_at(t_u.num, lo, den)
-            if s and s == sign_at(t_u.num, hi, den):
-                break
-            enc = enc.bisected(1)
-        # A is nonzero at the ends of a cell that is not exact
-        if (sign_at(a, lo, den) * sign_at(a, hi, den) <= 0) == (s > 0):
-            points.append(enc)
-    _check_point_placement(base, tuple(points), above=(side == "plus") == (V > 0))
-    return Spectrum(base.bands, tuple(points), tol)
+    marks = [_band_point(lo, hi) for lo, hi in base.bands]
+    grid = _dyadic_exponent(tol.numerator, tol.denominator)  # guide cells 2^grid <= tol wide
+    exp = max(-grid, *(e for _, e in marks))
+    bound, step = cauchy_bound(d) << exp, 1 << (exp + grid)
+    xs = [-bound, *(num << (exp - e) for num, e in marks), bound]
+    guides = (x.as_integer_ratio() for x in floquet_defect_estimates(period_word(r), V) if math.isfinite(x))
+    cells = sorted((n << exp) // m // step * step for n, m in guides)
+    # t_u > 0 on gap i, between xs[i] and xs[i + 1], when q - i is even
+    chosen = {i: f for f, odd in ((a, 0), (c, 1)) for i in _sign_change_gaps(f, xs, exp) if (q - i) % 2 == odd}
+    points = tuple(_gap_root(f, xs[i], xs[i + 1], exp, cells, step, tol) for i, f in sorted(chosen.items()))
+    _check_point_placement(base, points, above=(side == "plus") == (V > 0))
+    return Spectrum(base.bands, points, tol)
+
+
+def _sign_change_gaps(f: IntPoly, xs: list[int], exp: int) -> list[int]:
+    """The indices i of the brackets [xs[i], xs[i + 1]] (over 2^exp, xs
+    increasing) across which f changes sign: with deg f of them, each holds
+    one simple root and f has no other root; else PrecisionError."""
+    signs = [sign_at(f, x, 1 << exp) for x in xs]
+    gaps = [i for i in range(len(xs) - 1) if signs[i] * signs[i + 1] < 0]
+    if len(gaps) != degree(f):
+        raise PrecisionError(f"a factor of t^2 = V^2 + 4 changes sign {len(gaps)} times, wanted {degree(f)}")
+    return gaps
+
+
+def _gap_root(f: IntPoly, lo: int, hi: int, exp: int, cells: list[int], step: int, tol) -> RootEnclosure:
+    """The one root of f in the bracket (lo, hi) over 2^exp: the first
+    cell [k, k + step] of the guides' sorted cells inside the bracket
+    across which f changes sign, or at an end of which it vanishes, else
+    the bracket bisected down to width tol."""
+    poly, den = tuple(f), 1 << exp
+    for k in cells[bisect.bisect_left(cells, lo) : bisect.bisect_right(cells, hi - step)]:
+        s, t = sign_at(f, k, den), sign_at(f, k + step, den)
+        if s == 0 or t == 0:
+            k += step if s else 0
+            return RootEnclosure(poly, k, k, exp)
+        if s != t:
+            return RootEnclosure(poly, k, k + step, exp)
+    return RootEnclosure(poly, lo, hi, exp).refined(tol)
 
 
 def _check_point_placement(base: Spectrum, points, above: bool) -> None:
@@ -686,9 +713,11 @@ def _check_point_placement(base: Spectrum, points, above: bool) -> None:
     mirror this below each band; negative coupling reflects the picture
     (conjugation by (-1)^n sends H(V) to -H(-V)).
 
-    The points are root enclosures on t_u^2 - V^2 - 4.  A point's enclosure
-    may overlap or touch its edge's; `compare_roots` then decides the order
-    of the two roots exactly, whatever the tol."""
+    The gap brackets of `defect_spectrum` already put each point between
+    two band check points; this proves its place against the band edges
+    themselves.  A point's enclosure, on its factor of t_u^2 - V^2 - 4, may
+    overlap or touch its edge's; `compare_roots` then decides the order of
+    the two roots exactly, whatever the tol."""
     q = len(base.bands)
     if len(points) != q:
         raise PrecisionError(f"expected {q} defect points, found {len(points)}")

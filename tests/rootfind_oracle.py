@@ -1,10 +1,12 @@
-"""The primitive-remainder Sturm chain, the two-pass normal pseudo-remainder
-and the pass-and-resort `separate`, kept as oracles for `kohmoto.rootfind`.
+"""The primitive-remainder Sturm chain, the two-pass normal pseudo-remainder,
+the pass-and-resort `separate` and a Sturm root count, kept as oracles for
+`kohmoto.rootfind`.
 
 `rootfind.sturm_chain` builds its normal steps by subresultants; each of
 its elements must be a positive multiple of the element here.
 `rootfind._prem_normal` builds in one pass what two division steps build
 here.
+`count_roots` certifies that an enclosure holds one root and no other.
 `rootfind.separate` sorts again only the runs a pass refined; it must
 return what sorting everything on each pass returns, after the same signs.
 """
@@ -21,6 +23,7 @@ from kohmoto.rootfind import (
     primitive,
     strip,
     sturm_chain,
+    variations_at,
 )
 
 
@@ -42,6 +45,12 @@ def primitive_sturm_chain(p) -> list[list[int]]:
             "polynomial has a multiple root; band machinery requires simple roots"
         )
     return chain
+
+
+def count_roots(chain, lo: int, hi: int, exp: int) -> int:
+    """Number of roots in (lo / 2^exp, hi / 2^exp) by the Sturm chain of
+    the polynomial; the ends must not be roots."""
+    return variations_at(chain, lo, exp) - variations_at(chain, hi, exp)
 
 
 def two_pass_prem_normal(a: list[int], b: list[int]) -> list[int]:

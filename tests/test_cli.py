@@ -137,7 +137,7 @@ def test_exit_codes():
     run("analyze", "optimality", "--r", "2/3", "--side", "minus", "--V", "5", "--kmax", "65", expect=2)
     run("analyze", "measures", "--r", "0", "--V", "5", "--kmax", "65", expect=2)
     run("butterfly", "--Q", "65", "--V", "5", "--fast", expect=2)
-    run("butterfly", "--Q", "25", "--V", "5", expect=2)
+    run("butterfly", "--Q", "39", "--V", "5", expect=2)
     run("word", "show", "2/3+", "--lo", "0", "--hi", "100000", expect=2)
     run("word", "dict", "2/3", "--n", "257", expect=2)
     run("word", "complexity", "0+", "--n", "257", expect=2)
@@ -150,16 +150,14 @@ def test_exit_codes():
         env=env,
     )
     assert proc.returncode == 2
-    # root isolation that loses one root of t^2 = V^2 + 4 (degree 6 at 2/3;
-    # the band edges have degree 3) must surface as a certification failure
+    # a bracket count of t^2 = V^2 + 4 that loses a sign change must surface
+    # as a certification failure: without the upper Cauchy bound, the factor
+    # A = gcd(D, G+) of degree 4 at 2/3+ loses the root above the bands
     code = (
         "import sys\n"
         "from kohmoto import cli, spectra\n"
-        "isolate = spectra.isolate_roots\n"
-        "def short(p, **kw):\n"
-        "    roots = isolate(p, **kw)\n"
-        "    return roots[:-1] if len(roots) == 6 else roots\n"
-        "spectra.isolate_roots = short\n"
+        "gaps = spectra._sign_change_gaps\n"
+        "spectra._sign_change_gaps = lambda f, xs, exp: gaps(f, xs[:-1], exp)\n"
         "sys.exit(cli.main(['spectrum', 'defects', '--r', '2/3', '--side', 'plus', '--V', '5']))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -170,7 +168,7 @@ def test_exit_codes():
         env=dict(env, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 3, (proc.returncode, proc.stderr)
-    assert "wanted 6" in proc.stderr
+    assert "changes sign 3 times, wanted 4" in proc.stderr
 
 
 def test_formats_only_where_produced():

@@ -18,7 +18,6 @@ from kohmoto.polyring import RP
 from kohmoto.rootfind import (
     RootEnclosure,
     compare_roots,
-    count_roots,
     isolate_roots,
     poly_gcd,
     separate,
@@ -29,6 +28,7 @@ from kohmoto.rootfind import (
 import symbolic_ring
 from rootfind_oracle import (
     chain_matches_oracle,
+    count_roots,
     primitive_sturm_chain,
     resorting_separate,
     two_pass_prem_normal,
@@ -233,17 +233,18 @@ def test_compare_roots_equality_across_polynomials():
     assert compare_roots(sqrt3, sqrt2_b) == 1
 
 
-def test_compare_roots_padding_avoids_gcd_roots():
-    # (x - 1)(x^2 - 2) divides both polynomials, and the padded left end of
-    # the joint window, lo - (hi - lo)/1024, is its root 1
+def test_compare_roots_sees_only_the_gcd_root_in_the_intersection():
+    # the gcd (x - 1)(x^2 - 2) of both polynomials has its root 1 at
+    # lo - (hi - lo)/1024, just outside the shared enclosure of sqrt2: the
+    # sign change across the intersection is sqrt2's alone
     g = poly_mul([-1, 1], [-2, 0, 1])
     lo, hi = 1 + F(1, 2048), F(3, 2) + F(1, 2048)
     assert lo - (hi - lo) / 1024 == 1
     a = RootEnclosure(tuple(g), lo, hi)
     b = RootEnclosure(tuple(poly_mul(g, [5, 1])), lo, hi)
     assert compare_roots(a, b) == 0
-    # the gcd has a second root 1/1024 + 2^-31 above the shared root 1: a
-    # pad that does not shrink with the enclosures never excludes it
+    # the gcd has a second root 2^-10 + 2^-31 above the shared root 1, inside
+    # the narrow enclosure but not in its intersection [1, 1] with the exact one
     s = 1 + F(1, 1 << 10) + F(1, 1 << 31)
     h = poly_from_roots([1, s])
     exact = RootEnclosure(tuple(h), F(1), F(1))

@@ -19,7 +19,7 @@ from kohmoto.analysis import FAST_K
 from kohmoto.errors import DegeneracyError, PreconditionError, PrecisionError
 from kohmoto.farey import approach_digits, cf_forms
 from kohmoto.polyring import RP
-from kohmoto.rootfind import compare_roots, isolate_roots, poly_mul, primitive
+from kohmoto.rootfind import compare_roots, isolate_roots, poly_mul, primitive, sign_at
 from kohmoto.sets import EnclosedSet, lebesgue
 from kohmoto.spectra import (
     band_classify,
@@ -460,19 +460,37 @@ def test_sturm_fallback_cases_match_the_primitive_chain():
     for r in CLOSE_EDGE_CASES:
         for factors in closure_factors(period_word(r), V5):
             assert all(chain_matches_oracle(f) for f in factors), r
-    # two float guides of D = t_u^2 - V^2 - 4 coincide or lie 1e-14 apart,
-    # so Sturm bisection isolates D's roots
+
+
+def test_defect_points_build_no_sturm_chain():
+    # the gap brackets of the cached bands certify the roots of
+    # t_u^2 = V^2 + 4, also where two float guides coincide (2/17) or lie
+    # 1e-14 apart (1/21, 1/60): no Sturm chain, no Sturm bisection
+    cases = [(F(1, 60), "plus"), (F(1, 60), "minus"), (F(34, 89), "plus")]
+    cases += [(r, side) for r in (F(2, 17), F(1, 21), F(2, 19)) for side in ("plus", "minus")]
+    chain = mock.patch.object(rootfind, "sturm_chain", wraps=rootfind.sturm_chain)
     fallback = mock.patch.object(rootfind, "_sturm_bisection", wraps=rootfind._sturm_bisection)
-    spectra.clear_memos()
-    try:
-        for r in (F(2, 17), F(1, 21), F(2, 19)):
-            for side in ("plus", "minus"):
-                spectrum_periodic(r, V5, TOL9)
-                with fallback as spy:
-                    assert len(defect_spectrum(r, side, V5, TOL9).defects) == r.denominator
-                assert spy.call_count == 1, (r, side)
-    finally:
-        spectra.clear_memos()
+    for r, side in cases:
+        spectrum_periodic(r, V5, TOL9)
+        with chain as chains, fallback as bisections:
+            spec = spectra.defect_spectrum.__wrapped__(r, side, V5, TOL9)
+        assert len(spec.defects) == r.denominator
+        assert (chains.call_count, bisections.call_count) == (0, 0), (r, side)
+
+
+def test_a_bracket_count_that_misses_a_sign_change_is_refused(monkeypatch):
+    # (x + 3)(x - 1)(x - 2) changes sign 3 times across -4 < 0 < 3/2 < 3 < 4,
+    # but only once when 3/2 is missing: its two roots in (0, 3) go unseen
+    f = poly_mul(poly_mul([3, 1], [-1, 1]), [-2, 1])
+    assert spectra._sign_change_gaps(f, [-8, 0, 3, 6, 8], 1) == [0, 1, 2]
+    with pytest.raises(PrecisionError, match="changes sign 1 times, wanted 3"):
+        spectra._sign_change_gaps(f, [-4, 0, 3, 4], 0)
+    # without the upper Cauchy bound the top bracket of 2/3+ is lost, and A
+    # (degree 4) holds the root above the bands
+    real = spectra._sign_change_gaps
+    monkeypatch.setattr(spectra, "_sign_change_gaps", lambda f, xs, exp: real(f, xs[:-1], exp))
+    with pytest.raises(PrecisionError, match="changes sign 3 times, wanted 4"):
+        spectra.defect_spectrum.__wrapped__(F(2, 3), "plus", V5, TOL6)
 
 
 def test_separate_matches_resorting_every_pass_on_band_edges(monkeypatch):
@@ -832,17 +850,30 @@ def test_defect_points_match_approximant_oracle():
 
 
 def test_defect_split_matches_the_halving_oracle():
-    # the gcd split decides every root as the Lipschitz halving did, on
-    # wider (unhalved) enclosures that contain the oracle's; at 1/21+ and
-    # 2/23- (V = 5) bands narrower than tol put a zero of t_u in some
-    # points' cells, which are halved until t_u has one sign on them
+    # the gap brackets decide every root as the Lipschitz halving did, on
+    # tol-grid cells that contain the oracle's enclosures.  At 1/21+ and
+    # 2/23- (V = 5) the oracle isolates t_u^2 - V^2 - 4 by Sturm bisection,
+    # and 8 of its cells cross a tol-grid point: there t_u^2 - V^2 - 4 (the
+    # oracle's polynomial) and the point's own factor of it each vanish at
+    # an end of the closed intersection or change sign across it.  The
+    # factor's root lies in the oracle's cell, which isolates one root of
+    # t_u^2 - V^2 - 4, so it is the oracle's root.
     cases = [(r, side, V) for V in (V5, F(-3), F(1, 2)) for r, side in _one_sided_points(12)]
+    crossing = []
     for r, side, V in cases + [(F(1, 21), "plus", V5), (F(2, 23), "minus", V5)]:
         points = defect_spectrum(r, side, V, TOL6).defects
         oracle = halving_defect_points(r, side, V, TOL6)
         assert len(points) == len(oracle) == r.denominator
         for enc, old in zip(points, oracle):
-            assert enc.lo <= old.lo and old.hi <= enc.hi
+            if enc.lo <= old.lo and old.hi <= enc.hi:
+                continue
+            crossing.append((r, side))
+            lo, hi = max(enc.lo, old.lo), min(enc.hi, old.hi)
+            assert lo <= hi, (r, side)
+            for poly in (old.poly, enc.poly):
+                signs = [sign_at(poly, x.numerator, x.denominator) for x in (lo, hi)]
+                assert signs[0] * signs[1] <= 0, (r, side)
+    assert len(crossing) == 8 and set(crossing) == {(F(1, 21), "plus"), (F(2, 23), "minus")}
 
 
 def test_defect_spectrum_checks_the_trace_invariant(monkeypatch):
@@ -884,8 +915,8 @@ def test_defect_spectrum_checks_the_gcd_split(monkeypatch):
 
 
 def test_defect_spectrum_without_float_guides(monkeypatch):
-    # the guides only place grid cells: without them Sturm bisection
-    # isolates the roots, and the points are refined to the same tolerance
+    # the guides only place grid cells: without them each root is found by
+    # bisection of its gap bracket, down to the same tolerance
     from kohmoto import spectra
 
     for r, side in ((F(2, 3), "plus"), (F(3, 5), "minus")):
