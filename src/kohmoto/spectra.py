@@ -699,9 +699,9 @@ def _gap_root(f: IntPoly, lo: int, hi: int, exp: int, cells: list[int], step: in
     poly, den = tuple(f), 1 << exp
     for k in cells[bisect.bisect_left(cells, lo) : bisect.bisect_right(cells, hi - step)]:
         s, t = sign_at(f, k, den), sign_at(f, k + step, den)
-        if s == 0 or t == 0:
-            k += step if s else 0
-            return RootEnclosure(poly, k, k, exp)
+        if s == 0 or t == 0:  # a grid point is the root
+            x = k if s == 0 else k + step
+            return RootEnclosure(poly, x, x, exp)
         if s != t:
             return RootEnclosure(poly, k, k + step, exp)
     return RootEnclosure(poly, lo, hi, exp).refined(tol)
