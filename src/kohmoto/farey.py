@@ -388,13 +388,21 @@ def as_point(x) -> FareyPoint:
 
 def cmp_point_rational(x: FareyPoint, s: Fraction) -> int:
     """Compare a completion point with a rational, in completion order."""
+    return _cmp_point_ratio(x, s.numerator, s.denominator)
+
+
+def _cmp_point_ratio(x: FareyPoint, n: int, m: int) -> int:
+    """Compare a completion point with n/m for m > 0, in completion order;
+    a rational base value by integer cross-multiplication, without a
+    Fraction."""
     if x.kind == "irrational":
-        return x.irr.cmp_fraction(s)
+        return x.irr.cmp_fraction(Fraction(n, m))
+    u, v = x.r.numerator * m, n * x.r.denominator  # x.r and n/m, both times m x.r.denominator
     if x.kind == "exact":
-        return (x.r > s) - (x.r < s)
+        return (u > v) - (u < v)
     if x.kind == "plus":
-        return 1 if s <= x.r else -1
-    return 1 if s < x.r else -1  # minus
+        return 1 if v <= u else -1
+    return 1 if v < u else -1  # minus
 
 
 def compare_points(x, y) -> int:
@@ -438,9 +446,9 @@ def simplest_rational_between(lo, hi) -> Fraction:
     # j, and (j a + c) / (j b + d) fall
     a, b, c, d = 0, 1, 1, 1
     while True:
-        k = _run_length(lambda j: cmp_point_rational(lo, Fraction(a + j * c, b + j * d)) > 0)
+        k = _run_length(lambda j: _cmp_point_ratio(lo, a + j * c, b + j * d) > 0)
         a, b = a + k * c, b + k * d
-        k = _run_length(lambda j: cmp_point_rational(hi, Fraction(j * a + c, j * b + d)) < 0)
+        k = _run_length(lambda j: _cmp_point_ratio(hi, j * a + c, j * b + d) < 0)
         if not k:
             return Fraction(a + c, b + d)
         c, d = k * a + c, k * b + d

@@ -14,8 +14,11 @@ Every enclosure end is dyadic: grid points, bisection midpoints and Sturm
 bisection inside the integer Cauchy bound have power-of-two denominators.
 A `RootEnclosure` stores its ends as integers over one 2^exp, two of them
 meet over a common denominator by a shift, and every loop here runs on
-those integers; the `lo` and `hi` Fractions are for output.  Every exact
-sign is `sign_at(p, num, den)`.
+those integers; the `lo` and `hi` Fractions are for output.  A float
+guess finds its grid cell by an exact scaling by a power of two
+(`grid_cell`).  The signs at the ends of the guesses' cells come from one
+Horner sweep per polynomial (`_grid_signs`); every other exact sign is
+`sign_at(p, num, den)`.
 """
 
 from __future__ import annotations
@@ -132,7 +135,8 @@ def _eval_homogeneous(p: Sequence[int], num: int, den: int) -> int:
 
 
 def sign_at(p: Sequence[int], num: int, den: int) -> int:
-    """Sign of p(num/den) for den > 0; every exact sign goes through here."""
+    """Sign of p(num/den) for den > 0: every exact sign at a single point
+    (`_grid_signs` sweeps many grid points at once)."""
     v = _eval_homogeneous(p, num, den)
     return (v > 0) - (v < 0)
 
@@ -317,6 +321,14 @@ class RootEnclosure:
         return RootEnclosure(p, lo, hi, e)
 
 
+def _reduced(poly: tuple[int, ...], lo_num: int, hi_num: int, exp: int) -> RootEnclosure:
+    """The RootEnclosure of ends that are already reduced (one of them odd,
+    or exp = 0), without folding them again."""
+    enc = object.__new__(RootEnclosure)
+    enc.poly, enc.lo_num, enc.hi_num, enc.exp = poly, lo_num, hi_num, exp
+    return enc
+
+
 def _halvings(x: int, y: int) -> int:
     """The fewest halvings that bring a width x down to y > 0: the smallest
     n >= 0 with x <= y * 2^n."""
@@ -342,11 +354,13 @@ def isolate_roots(
 
     One Sturm chain gives the number of real roots.  Floating guesses (one
     per root) then place each root in a cell of a dyadic grid whose
-    spacing is at most width and at most a third of the smallest gap
-    between guesses; a sign change across each of as many disjoint cells
-    as there are roots certifies them all.  When the guesses do not yield
-    such cells, Sturm bisection inside the Cauchy bound isolates the roots
-    instead."""
+    spacing 2^e is at most width and at most a third of the smallest gap
+    between guesses: the cell floor(g / 2^e) of a guess g, or the cell
+    next to it on the side of its midpoint that g lies on (`_grid_cells`).
+    A sign change across each of as many disjoint cells as there are roots
+    certifies them all.  When the guesses do not yield such cells, or a
+    guess has no exact cell index, Sturm bisection inside the Cauchy bound
+    isolates the roots instead."""
     p = primitive(p)
     if degree(p) == 0:
         return []
@@ -369,32 +383,66 @@ def isolate_roots(
     return roots
 
 
-def _guess_numerators(guide: Sequence[float]) -> Optional[tuple[list[int], int]]:
-    """The sorted guesses as exact integers over one power-of-two
-    denominator, or None when one is not finite."""
-    if not all(math.isfinite(g) for g in guide):
+def grid_cell(g: float, e: int) -> Optional[tuple[int, bool]]:
+    """The cell k = floor(g / 2^e) that holds the float g on the grid of
+    spacing 2^e, and whether g lies on or above the cell's midpoint; None
+    when g / 2^e is no float (g not finite, an overflow, or an underflow
+    that loses a bit), so that no cell is certain.
+
+    Scaling by a power of two is exact whenever the result is a float, and
+    the round trip back to g checks that it is.  Then y - k is the exact
+    fraction of y = g / 2^e, or 1 - |y| rounded for -1 < y < 0, where
+    rounding is monotone and keeps the comparison with the float 1/2."""
+    try:
+        y = math.ldexp(g, -e)
+        if not math.isfinite(y) or math.ldexp(y, e) != g:
+            return None
+    except OverflowError:
         return None
-    ratios = [g.as_integer_ratio() for g in sorted(guide)]
-    den = max(d for _, d in ratios)
-    return [n * (den // d) for n, d in ratios], den
+    k = math.floor(y)
+    return k, y - k >= 0.5
 
 
-def _grid_exponent(
-    xs: Sequence[int], den: int, window: int, width: Optional[Fraction]
-) -> Optional[int]:
+def _grid_exponent(guesses: Sequence[float], window: int, width: Optional[Fraction]) -> Optional[int]:
     """The exponent of the grid spacing: the largest power of two at most
     the window, at most width and at most a third of the smallest gap
-    between the guesses xs / den; None when two guesses coincide."""
-    gaps = [b - a for a, b in zip(xs, xs[1:])]
-    if 0 in gaps:
-        return None
+    between the sorted finite guesses; None when two guesses coincide.
+
+    A float difference is correctly rounded, and rounding is monotone, so
+    the smallest float gap m settles the gap's exponent g unless m is
+    3 * 2^g itself (the exact gap may lie just below it) or overflows;
+    then the exact gaps decide."""
     # 2^e <= x is monotone in x, so the smallest cap has the smallest exponent
     e = _dyadic_exponent(window, 1)
-    if gaps:
-        e = min(e, _dyadic_exponent(min(gaps), 3 * den))
     if width is not None:
         e = min(e, _dyadic_exponent(width.numerator, width.denominator))
-    return e
+    if len(guesses) < 2:
+        return e
+    pairs = list(zip(guesses, guesses[1:]))
+    m = min([b - a for a, b in pairs])
+    if m == 0:
+        return None
+    if math.isfinite(m):
+        n, d = m.as_integer_ratio()
+        g = _dyadic_exponent(n, 3 * d)
+    if not math.isfinite(m) or m == math.ldexp(3.0, g):
+        exact = min(Fraction(b) - Fraction(a) for a, b in pairs)
+        g = _dyadic_exponent(exact.numerator, 3 * exact.denominator)
+    return min(e, g)
+
+
+def _grid_signs(poly: tuple[int, ...], ks: Sequence[int], e: int) -> list[int]:
+    """The signs of poly at the grid points k * 2^e for k in ks, by one
+    Horner sweep: `_eval_homogeneous` at every point at once, one list
+    comprehension per coefficient, each coefficient shifted once."""
+    xs, k = (ks, -e) if e < 0 else ([x << e for x in ks], 0)
+    acc = [poly[-1]] * len(xs)
+    shift = 0
+    for c in reversed(poly[:-1]):
+        shift += k
+        c <<= shift
+        acc = [a * x + c for a, x in zip(acc, xs)]
+    return [(v > 0) - (v < 0) for v in acc]
 
 
 def _grid_cells(
@@ -405,20 +453,26 @@ def _grid_cells(
     grid point where the polynomial vanishes is returned as the exact
     enclosure [x, x].
 
-    Grid point k is k * hn / hd with hn, hd powers of two, and the guesses
-    are exact integers over one power-of-two denominator, so cells are
-    found by integer division."""
-    guesses = _guess_numerators(guide)
-    if guesses is None:
+    Grid point k is k * 2^e, and `grid_cell` places each guess in its cell
+    k and on one side of the cell's midpoint; the cell next to k on that
+    side (the one above on a tie) is the second choice.  Guesses lie at
+    least three cells apart, so the ends of the first-choice cells are
+    distinct points, and one `_grid_signs` sweep reads them all; a second
+    choice reads its one new end by `sign_at`."""
+    guesses = sorted(guide)
+    if not all(map(math.isfinite, guesses)):
         return None
-    xs, den = guesses
-    e = _grid_exponent(xs, den, 2 * bound, width)
+    e = _grid_exponent(guesses, 2 * bound, width)
     if e is None:
+        return None
+    places = [grid_cell(g, e) for g in guesses]
+    if None in places:
         return None
     hn, hd = (1 << e, 1) if e >= 0 else (1, 1 << -e)
     # the grid points inside the window are -kmax..kmax
     kmax = bound * hd // hn
-    signs: dict[int, int] = {}
+    ends = [x for k, _ in places for x in (k, k + 1)]
+    signs = dict(zip(ends, _grid_signs(poly, ends, e)))
 
     def sign(k: int) -> int:
         if k not in signs:
@@ -426,7 +480,6 @@ def _grid_cells(
         return signs[k]
 
     def cell(k: int) -> Optional[tuple[int, int]]:
-        # each sign is read once, the one at k + 1 only when k is no root
         lo = sign(k)
         if lo == 0:
             return k, k
@@ -436,19 +489,20 @@ def _grid_cells(
         return (k, k + 1) if lo != hi else None
 
     cells = []
-    step = den * hn  # a guess x/den lies in cell k = floor(x / step * hd)
-    for x in xs:
-        k = (x * hd) // step
-        # on a tie the guess sits on the cell midpoint and the cell above wins
-        near = k - 1 if 2 * x * hd < (2 * k + 1) * step else k + 1
-        c = cell(k) or cell(near)
+    for k, upper in places:
+        c = cell(k) or cell(k + 1 if upper else k - 1)
         if c is None or c[0] < -kmax or c[1] > kmax:
             return None
         cells.append(c)
     cells.sort()
     if any(a[1] >= b[0] for a, b in zip(cells, cells[1:])):
         return None
-    return [RootEnclosure(poly, a * hn, b * hn, max(-e, 0)) for a, b in cells]
+    # k and k + 1 share no trailing zero bit, so a cell's ends are reduced
+    exp = max(-e, 0)
+    return [
+        _reduced(poly, a * hn, b * hn, exp) if a != b else RootEnclosure(poly, a * hn, a * hn, exp)
+        for a, b in cells
+    ]
 
 
 def _sturm_bisection(
@@ -583,21 +637,34 @@ def compare_roots(a: RootEnclosure, b: RootEnclosure) -> int:
     of their polynomials has at most one root, a simple one, in either
     isolating enclosure, so the roots are equal exactly when g vanishes at
     an end of the closed intersection of the enclosures or changes sign
-    across it.  That is decided once; unequal roots are refined until their
-    enclosures are disjoint."""
-    for i in range(256):
+    across it.  That is decided once, when the enclosures overlap; unequal
+    roots go to `compare_distinct_roots`."""
+    e = max(a.exp, b.exp)
+    (alo, ahi), (blo, bhi) = a.ends_at(e), b.ends_at(e)
+    if ahi < blo:
+        return -1
+    if bhi < alo:
+        return 1
+    g = poly_gcd(list(a.poly), list(b.poly))
+    if sign_at(g, max(alo, blo), 1 << e) * sign_at(g, min(ahi, bhi), 1 << e) <= 0:
+        return 0
+    return compare_distinct_roots(a, b)
+
+
+def compare_distinct_roots(a: RootEnclosure, b: RootEnclosure) -> int:
+    """Exact order of two algebraic numbers known to differ, given by
+    enclosures: while they overlap, each is refined to a quarter of the
+    narrower non-exact width."""
+    for _ in range(256):
         e = max(a.exp, b.exp)
         (alo, ahi), (blo, bhi) = a.ends_at(e), b.ends_at(e)
         if ahi < blo:
             return -1
         if bhi < alo:
             return 1
-        if i == 0:
-            g = poly_gcd(list(a.poly), list(b.poly))
-            if sign_at(g, max(alo, blo), 1 << e) * sign_at(g, min(ahi, bhi), 1 << e) <= 0:
-                return 0
-        # refine each to a quarter of the narrower non-exact width
-        shrink = min(w for w in (ahi - alo, bhi - blo) if w)
+        shrink = min((w for w in (ahi - alo, bhi - blo) if w), default=0)
+        if not shrink:
+            raise DegeneracyError("two roots said to differ have equal exact enclosures")
         a = a.bisected(_halvings(4 * (ahi - alo), shrink))
         b = b.bisected(_halvings(4 * (bhi - blo), shrink))
     raise PreconditionError("root comparison did not converge")

@@ -35,7 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -54,9 +54,12 @@ from .rootfind import (
     IntPoly,
     RootEnclosure,
     _dyadic_exponent,
+    _halvings,
     cauchy_bound,
+    compare_distinct_roots,
     compare_roots,
     degree,
+    grid_cell,
     isolate_roots,
     poly_gcd,
     poly_mul,
@@ -671,8 +674,8 @@ def defect_spectrum(r, side: str, V, tol) -> Spectrum:
     exp = max(-grid, *(e for _, e in marks))
     bound, step = cauchy_bound(d) << exp, 1 << (exp + grid)
     xs = [-bound, *(num << (exp - e) for num, e in marks), bound]
-    guides = (x.as_integer_ratio() for x in floquet_defect_estimates(period_word(r), V) if math.isfinite(x))
-    cells = sorted((n << exp) // m // step * step for n, m in guides)
+    guides = (grid_cell(x, grid) for x in floquet_defect_estimates(period_word(r), V))
+    cells = sorted(k * step for k, _ in filter(None, guides))
     # t_u > 0 on gap i, between xs[i] and xs[i + 1], when q - i is even
     chosen = {i: f for f, odd in ((a, 0), (c, 1)) for i in _sign_change_gaps(f, xs, exp) if (q - i) % 2 == odd}
     points = tuple(_gap_root(f, xs[i], xs[i + 1], exp, cells, step, tol) for i, f in sorted(chosen.items()))
@@ -693,18 +696,39 @@ def _sign_change_gaps(f: IntPoly, xs: list[int], exp: int) -> list[int]:
 
 def _gap_root(f: IntPoly, lo: int, hi: int, exp: int, cells: list[int], step: int, tol) -> RootEnclosure:
     """The one root of f in the bracket (lo, hi) over 2^exp: the first
-    cell [k, k + step] of the guides' sorted cells inside the bracket
-    across which f changes sign, or at an end of which it vanishes, else
-    the bracket bisected down to width tol."""
-    poly, den = tuple(f), 1 << exp
-    for k in cells[bisect.bisect_left(cells, lo) : bisect.bisect_right(cells, hi - step)]:
-        s, t = sign_at(f, k, den), sign_at(f, k + step, den)
-        if s == 0 or t == 0:  # a grid point is the root
-            x = k if s == 0 else k + step
-            return RootEnclosure(poly, x, x, exp)
-        if s != t:
-            return RootEnclosure(poly, k, k + step, exp)
+    cell [k, k + step] of the guides' sorted cells inside the bracket that
+    holds it, else the bracket bisected down to width tol.
+
+    That bisection ends in the one of the bracket's 2^n equal cells, each
+    at most tol wide, that holds the root, or at the root when it is an end
+    of one.  A guide cell that crosses an end of the bracket meets a few of
+    these cells; the first of them that holds the root is the bisection's
+    answer, found without bisecting."""
+    poly = tuple(f)
+    meeting = cells[bisect.bisect_right(cells, lo - step) : bisect.bisect_left(cells, hi)]
+    for k in meeting:
+        if lo <= k <= hi - step and (enc := _cell_root(poly, k, k + step, exp)):
+            return enc
+    n, w = _halvings((hi - lo) * tol.denominator, tol.numerator << exp), hi - lo
+    for k in meeting:
+        if k < lo or k > hi - step:
+            # the bisection's cells [lo + j w / 2^n, lo + (j + 1) w / 2^n]
+            # that meet the guide's, for j from first to last
+            first, last = max(((k - lo) << n) // w, 0), min(((k + step - lo) << n) // w, (1 << n) - 1)
+            for a in range((lo << n) + first * w, (lo << n) + (last + 1) * w, w):
+                if enc := _cell_root(poly, a, a + w, exp + n):
+                    return enc
     return RootEnclosure(poly, lo, hi, exp).refined(tol)
+
+
+def _cell_root(poly: tuple[int, ...], a: int, b: int, exp: int) -> Optional[RootEnclosure]:
+    """The root of poly in [a, b] over 2^exp when poly changes sign across
+    it, or [x, x] when poly vanishes at an end x; else None."""
+    s, t = sign_at(poly, a, 1 << exp), sign_at(poly, b, 1 << exp)
+    if s == 0 or t == 0:
+        x = a if s == 0 else b
+        return RootEnclosure(poly, x, x, exp)
+    return RootEnclosure(poly, a, b, exp) if s != t else None
 
 
 def _check_point_placement(base: Spectrum, points, above: bool) -> None:
@@ -715,20 +739,20 @@ def _check_point_placement(base: Spectrum, points, above: bool) -> None:
 
     The gap brackets of `defect_spectrum` already put each point between
     two band check points; this proves its place against the band edges
-    themselves.  A point's enclosure, on its factor of t_u^2 - V^2 - 4, may
-    overlap or touch its edge's; `compare_roots` then decides the order of
-    the two roots exactly, whatever the tol."""
+    themselves.  A point is a root of t_u^2 - V^2 - 4 and an edge one of
+    t_u -+ 2, and with V != 0 no energy is both, so
+    `compare_distinct_roots` orders the two by refinement alone, whatever
+    the tol."""
     q = len(base.bands)
     if len(points) != q:
         raise PrecisionError(f"expected {q} defect points, found {len(points)}")
-    edges = _edges([*(e for band in base.bands for e in band), *points])
-    lower, upper = edges[0 : 2 * q : 2], edges[1 : 2 * q : 2]
+    lower, upper = [lo for lo, _ in base.bands], [hi for _, hi in base.bands]
     # the edge the point lies beside, and the edge across its gap
     side, near, far = (1, upper, lower) if above else (-1, lower, upper)
-    for j, point in enumerate(edges[2 * q :]):
-        if _cmp(point, near[j]) != side:
+    for j, point in enumerate(points):
+        if compare_distinct_roots(point, near[j]) != side:
             raise PrecisionError(f"defect point is not {'above' if above else 'below'} its band")
-        if 0 <= j + side < q and _cmp(point, far[j + side]) != -side:
+        if 0 <= j + side < q and compare_distinct_roots(point, far[j + side]) != -side:
             raise PrecisionError("defect point escaped its gap")
 
 

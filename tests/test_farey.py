@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kohmoto import farey
 from kohmoto.errors import PreconditionError
 from kohmoto.farey import (
     FareyPoint as P,
@@ -243,6 +244,19 @@ def test_simplest_rational_matches_the_unit_step_walk():
         assert simplest_rational_between(x, y) == simplest_rational_unit_steps(x, y), (x, y)
         pairs += 1
     assert pairs > 800
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_point_pool()), st.integers(1, 10**6), st.integers(-1, 1), st.integers(1, 3), st.data()
+)
+def test_point_against_a_ratio_matches_the_fraction_form(x, m, nudge, scale, data):
+    # a probe n/m of the walk is compared by cross-multiplication, here
+    # also unreduced; the Fraction form reduces it.  Half the probes lie
+    # next to the point.
+    near = round((float(x.irr) if x.kind == "irrational" else x.r) * m) + nudge
+    n = min(max(near, 0), m) if data.draw(st.booleans()) else data.draw(st.integers(0, m))
+    assert farey._cmp_point_ratio(x, scale * n, scale * m) == compare_points(x, P.exact(F(n, m)))
 
 
 def test_distance_examples():

@@ -666,7 +666,107 @@ def test_grid_tie_break_matches_fraction_rule(roots, data):
         nudge = data.draw(st.sampled_from([0, -np.inf, np.inf]))
         guide.append(float(np.nextafter(g, nudge)) if nudge else g)
     seen, want = [], []
-    with recording_sign_at(seen):
+    with recording_sign_at(seen), recording_grid_signs(seen):
         got = rootfind._grid_cells(p, guide, bound, width)
     assert ends(got) == ends(grid_cells_ref(p, guide, -bound, bound, width, want))
-    assert seen == want
+    # the sweep also reads the upper end of a cell whose lower end is a root
+    assert set(want) <= set(seen)
+
+
+def recording_grid_signs(seen):
+    """Record the grid points of every `_grid_signs` sweep."""
+    sweep = rootfind._grid_signs
+
+    def wrapped(poly, ks, e):
+        seen.extend(k * F(2) ** e for k in ks)
+        return sweep(poly, ks, e)
+
+    return mock.patch.object(rootfind, "_grid_signs", wrapped)
+
+
+def dyadic_floor(m):
+    """The largest power of two at most m > 0."""
+    h = F(2) ** (m.numerator.bit_length() - m.denominator.bit_length())
+    return h / 2 if h > m else h
+
+
+SMALLEST = 5e-324  # the smallest subnormal float
+special_floats = st.sampled_from(
+    [0.0, -0.0, SMALLEST, -SMALLEST, 3 * SMALLEST, 2.0**-1022]
+    + [2.0**53, 2.0**53 + 2, -(2.0**60) - 2**8, 1e300, -1e308]
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False) | special_floats, st.integers(-140, 10))
+def test_grid_cell_matches_the_fraction_floor_and_tie_rule(g, e):
+    h = F(2) ** e
+    y = F(g) / h
+    try:
+        exact = float(y) == y
+    except OverflowError:
+        exact = False
+    got = rootfind.grid_cell(g, e)
+    if not exact:  # g / 2^e overflows, or underflows past the last subnormal bit
+        assert got is None
+        return
+    k = math.floor(y)
+    assert got == (k, 2 * (F(g) - k * h) >= h)
+
+
+def test_grid_cell_at_the_float_limits():
+    assert rootfind.grid_cell(1e300, -140) is None  # overflow
+    assert rootfind.grid_cell(3 * SMALLEST, 1) is None  # 1.5 times the smallest subnormal
+    assert rootfind.grid_cell(SMALLEST, 1) is None  # underflow to zero
+    assert rootfind.grid_cell(2 * SMALLEST, 1) == (0, False)
+    assert rootfind.grid_cell(-2 * SMALLEST, 1) == (-1, True)
+    assert rootfind.grid_cell(-0.0, -140) == (0, False)
+    assert rootfind.grid_cell(2.0**53 + 2, 1) == (2**52 + 1, False)
+    assert rootfind.grid_cell(-2.5, 0) == (-3, True)  # a tie goes to the cell above
+    for g in (math.inf, -math.inf, math.nan):
+        assert rootfind.grid_cell(g, 0) is None
+
+
+@st.composite
+def near_tie_guides(draw):
+    """Sorted finite guesses whose smallest float gap is 3 * 2^g while the
+    exact gap lies below it (a tiny guess a > 0 below b = 3 * 2^g), on it
+    (a = 0) or above it (a < 0)."""
+    g = draw(st.integers(-60, 20))
+    a = math.ldexp(draw(st.sampled_from([-1.0, 0.0, 1.0])), g - draw(st.integers(1, 80)))
+    rest = draw(st.lists(st.floats(-1e7, 1e7), max_size=2))
+    return sorted([a, math.ldexp(3.0, g), *rest])
+
+
+@PROPERTY
+@given(
+    near_tie_guides()
+    | st.lists(st.floats(-1e300, 1e300) | special_floats, min_size=1, max_size=6).map(sorted),
+    st.integers(1, 2**2000),
+    st.none() | all_widths,
+)
+def test_grid_exponent_matches_the_exact_gaps(guesses, window, width):
+    xs = [F(g) for g in guesses]
+    gaps = [b - a for a, b in zip(xs, xs[1:])]
+    want = None
+    if 0 not in gaps:
+        caps = [F(window), *(min(gaps) / 3 for _ in gaps[:1]), *([width] if width else [])]
+        want = dyadic_floor(min(caps))
+    got = rootfind._grid_exponent(guesses, window, width)
+    assert (got if got is None else F(2) ** got) == want
+
+
+@PROPERTY
+@given(rational_roots, st.lists(st.integers(-(2**40), 2**40), max_size=8), st.integers(-40, 40))
+def test_grid_sweep_matches_single_point_signs(roots, ks, e):
+    p = tuple(poly_from_roots(roots))
+    assert rootfind._grid_signs(p, ks, e) == [sign(p, k * F(2) ** e) for k in ks]
+
+
+def test_grid_exponent_rounds_no_gap_up_to_its_cap():
+    # 0.75 - 2^-60 rounds to the float 0.75 = 3 * 2^-2, but a third of the
+    # exact gap lies below 2^-2
+    assert rootfind._grid_exponent([2.0**-60, 0.75], 2, None) == -3
+    assert rootfind._grid_exponent([0.0, 0.75], 2, None) == -2
+    # the one float gap overflows
+    assert rootfind._grid_exponent([-1e308, 1e308], 2**2000, None) == 1022  # 2^1022 < 2e308 / 3

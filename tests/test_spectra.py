@@ -478,6 +478,38 @@ def test_defect_points_build_no_sturm_chain():
         assert (chains.call_count, bisections.call_count) == (0, 0), (r, side)
 
 
+def test_guide_cells_across_a_bracket_end_need_no_bisection(monkeypatch):
+    # at 1/30+ (V = 5) the top two roots of t_u^2 = V^2 + 4 lie within a
+    # tol cell of the narrow top band, so their guide cells cross the band
+    # check points that end their brackets: each is found in the
+    # bisection's own cell, with no bisection and the same bytes
+    r = F(1, 30)
+    spectrum_periodic(r, V5, TOL9)
+    refined = mock.patch.object(
+        rootfind.RootEnclosure, "refined", autospec=True, side_effect=rootfind.RootEnclosure.refined
+    )
+    with refined as bisections:
+        guided = spectra.defect_spectrum.__wrapped__(r, "plus", V5, TOL9)
+    assert bisections.call_count == 0
+    monkeypatch.setattr(spectra, "floquet_defect_estimates", lambda word, V: [])
+    bisected = spectra.defect_spectrum.__wrapped__(r, "plus", V5, TOL9)
+    assert guided.defects[28:] == bisected.defects[28:]
+
+
+def test_point_placement_takes_no_gcd():
+    # a root of t_u^2 - V^2 - 4 is never a root of t_u -+ 2 when V != 0, so
+    # refinement alone orders a point and an edge, also where their
+    # enclosures overlap (1/20+ at V = -3 lies 1.7e-10 from its edge)
+    r, V = F(1, 20), F(-3)
+    base, spec = spectrum_periodic(r, V, TOL9), defect_spectrum(r, "plus", V, TOL9)
+    edges = [e for band in base.bands for e in band]
+    assert any(p.lo <= e.hi and e.lo <= p.hi for p in spec.defects for e in edges)
+    gcd = mock.patch.object(rootfind, "poly_gcd", wraps=rootfind.poly_gcd)
+    with gcd as gcds:
+        spectra._check_point_placement(base, spec.defects, above=False)
+    assert gcds.call_count == 0
+
+
 def test_a_bracket_count_that_misses_a_sign_change_is_refused(monkeypatch):
     # (x + 3)(x - 1)(x - 2) changes sign 3 times across -4 < 0 < 3/2 < 3 < 4,
     # but only once when 3/2 is missing: its two roots in (0, 3) go unseen
