@@ -27,7 +27,6 @@ from .spectra import (
     defect_spectrum,
     membership,
     spectrum_periodic,
-    trace_poly,
     trace_poly_cf,
 )
 from .tree import BoundaryPath, TreeNode, boundary_distance, children, path_of, represent, weight
@@ -82,7 +81,6 @@ __all__ = [
     "sk_words",
     "spectrum_periodic",
     "subshift_distance",
-    "trace_poly",
     "trace_poly_cf",
     "weight",
 ]

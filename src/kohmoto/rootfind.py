@@ -10,8 +10,14 @@ certify one root per cell; when the estimates do not yield such cells,
 bisection on Sturm counts isolates the roots instead.  Floating point only
 proposes cells: every certificate is an exact integer sign or count.
 
+One grid decides the bytes: guided and Sturm cells are all cells of dyadic
+grids, so a root with no other root in or next to its cell of the grid of
+spacing 2^floor(log2 width) comes out of `isolate_roots` and
+`refined(width)` as that cell, or as [x, x] at a grid point x, whichever
+route found it.
+
 Every enclosure end is dyadic: grid points, bisection midpoints and Sturm
-bisection inside the integer Cauchy bound have power-of-two denominators.
+bisection inside a power-of-two window have power-of-two denominators.
 A `RootEnclosure` stores its ends as integers over one 2^exp, two of them
 meet over a common denominator by a shift, and every loop here runs on
 those integers; the `lo` and `hi` Fractions are for output.  A float
@@ -31,6 +37,10 @@ from typing import Optional, Sequence
 from .errors import DegeneracyError, PreconditionError, PrecisionError
 
 IntPoly = list[int]
+
+# The finest grid float guides hit, about the accuracy of their eigenvalues
+# (1e-13 at moderate coupling); refinement goes on from there.
+GUIDE_GRID = Fraction(1, 2**40)
 
 
 def strip(p: Sequence[int]) -> IntPoly:
@@ -248,11 +258,6 @@ def _variations(signs: Sequence[int]) -> int:
     return out
 
 
-def variations_at(chain: Sequence[IntPoly], num: int, exp: int) -> int:
-    """Sign variations of the chain at num / 2^exp."""
-    return _variations([sign_at(q, num, 1 << exp) for q in chain])
-
-
 def cauchy_bound(p: Sequence[int]) -> int:
     lead = abs(p[-1])
     worst = max(abs(c) for c in p)
@@ -358,9 +363,11 @@ def isolate_roots(
     between guesses: the cell floor(g / 2^e) of a guess g, or the cell
     next to it on the side of its midpoint that g lies on (`_grid_cells`).
     A sign change across each of as many disjoint cells as there are roots
-    certifies them all.  When the guesses do not yield such cells, or a
-    guess has no exact cell index, Sturm bisection inside the Cauchy bound
-    isolates the roots instead."""
+    certifies them all; cells of a width finer than GUIDE_GRID that miss
+    are laid on GUIDE_GRID instead.  When the guesses do not yield such
+    cells, or a guess has no exact cell index, Sturm bisection
+    (`_sturm_bisection`) isolates the roots.  A cell may be wider than
+    width: `refined(width)` finishes it."""
     p = primitive(p)
     if degree(p) == 0:
         return []
@@ -376,6 +383,8 @@ def isolate_roots(
     roots = None
     if guide is not None and len(guide) == total:
         roots = _grid_cells(poly, guide, bound, width)
+        if roots is None and width is not None and width < GUIDE_GRID:
+            roots = _grid_cells(poly, guide, bound, GUIDE_GRID)
     if roots is None:
         roots = _sturm_bisection(poly, chain, bound)
     if len(roots) != total:
@@ -458,7 +467,8 @@ def _grid_cells(
     side (the one above on a tie) is the second choice.  Guesses lie at
     least three cells apart, so the ends of the first-choice cells are
     distinct points, and one `_grid_signs` sweep reads them all; a second
-    choice reads its one new end by `sign_at`."""
+    choice reads its one new end by `sign_at`.  Cells on a grid that close
+    guesses made finer go back to the coarser grid by `_widened`."""
     guesses = sorted(guide)
     if not all(map(math.isfinite, guesses)):
         return None
@@ -497,47 +507,58 @@ def _grid_cells(
     cells.sort()
     if any(a[1] >= b[0] for a, b in zip(cells, cells[1:])):
         return None
+    shift = _grid_exponent((), 2 * bound, width) - e
+    if shift:
+        cells = _widened(cells, shift)
     # k and k + 1 share no trailing zero bit, so a cell's ends are reduced
     exp = max(-e, 0)
     return [
-        _reduced(poly, a * hn, b * hn, exp) if a != b else RootEnclosure(poly, a * hn, a * hn, exp)
+        _reduced(poly, a * hn, b * hn, exp) if b - a == 1 else RootEnclosure(poly, a * hn, b * hn, exp)
         for a, b in cells
     ]
+
+
+def _widened(cells: list[tuple[int, int]], shift: int) -> list[tuple[int, int]]:
+    """The sorted certified cells (a, b) of `_grid_cells` (grid indices,
+    a = b at a root), each widened to its cell of the grid 2^shift times
+    coarser, the one Sturm bisection and `refined` give it, unless another
+    root lies in that cell or next to it."""
+    step = 1 << shift
+    wide = [(a // step * step, -(-b // step) * step) for a, b in cells]
+    below = [-math.inf] + [hi for _, hi in wide[:-1]]
+    above = [lo for lo, _ in wide[1:]] + [math.inf]
+    return [w if left < w[0] and w[1] < right else c for c, w, left, right in zip(cells, wide, below, above)]
 
 
 def _sturm_bisection(
     poly: tuple[int, ...], chain: Sequence[IntPoly], bound: int
 ) -> list[RootEnclosure]:
     """Isolating intervals for the roots in (-bound, bound) by bisection
-    on Sturm counts, sorted.  The stack holds [a / 2^e, b / 2^e] with the
-    variation counts at both ends."""
+    on Sturm counts inside [-2^w, 2^w] with 2^w >= bound, sorted: cells of
+    dyadic grids.  V(a) - V(b) counts the roots in (a, b] also where a or b is a
+    root (Sturm's theorem; Basu, Pollack and Roy, Algorithms in Real
+    Algebraic Geometry), so a midpoint that hits a root is kept as [m, m]
+    and both halves go on.  The stack holds [a / 2^e, b / 2^e] with the
+    sign of poly (chain[0]) and the variation count at both ends."""
+
+    def signs(x: int, e: int) -> tuple[int, int]:
+        s = [sign_at(q, x, 1 << e) for q in chain]
+        return s[0], _variations(s)
+
+    top = 1 << (bound - 1).bit_length()
     roots: list[RootEnclosure] = []
-    stack = [(-bound, bound, 0, variations_at(chain, -bound, 0), variations_at(chain, bound, 0))]
+    stack = [(-top, top, 0, *signs(-top, 0), *signs(top, 0))]
     while stack:
-        a, b, e, va, vb = stack.pop()
-        if va - vb == 1:
+        a, b, e, sa, va, sb, vb = stack.pop()
+        inside = va - vb - (sb == 0)  # the roots in (a, b)
+        if inside == 1 and sa and sb:
             roots.append(RootEnclosure(poly, a, b, e))
-        if va - vb <= 1:
-            continue
-        m, a, b, e = a + b, 2 * a, 2 * b, e + 1
-        if sign_at(poly, m, 1 << e) == 0:
-            roots.append(RootEnclosure(poly, m, m, e))
-            # step off the root by a quarter of the width, halving the step
-            # until both sides are off the roots and span this one alone
-            eps, m, a, b, e = b - a, m << 2, a << 2, b << 2, e + 2
-            while not (
-                a < m - eps
-                and m + eps < b
-                and sign_at(poly, m - eps, 1 << e)
-                and sign_at(poly, m + eps, 1 << e)
-                and variations_at(chain, m - eps, e) - variations_at(chain, m + eps, e) == 1
-            ):
-                m, a, b, e = 2 * m, 2 * a, 2 * b, e + 1
-            stack.append((a, m - eps, e, va, variations_at(chain, m - eps, e)))
-            stack.append((m + eps, b, e, variations_at(chain, m + eps, e), vb))
-            continue
-        vm = variations_at(chain, m, e)
-        stack += [(a, m, e, va, vm), (m, b, e, vm, vb)]
+        elif inside:
+            m, a, b, e = a + b, 2 * a, 2 * b, e + 1
+            sm, vm = signs(m, e)
+            if sm == 0:
+                roots.append(RootEnclosure(poly, m, m, e))
+            stack += [(a, m, e, sa, va, sm, vm), (m, b, e, sm, vm, sb, vb)]
     exp = max((r.exp for r in roots), default=0)
     roots.sort(key=lambda r: r.ends_at(exp))
     return roots

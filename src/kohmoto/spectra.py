@@ -14,11 +14,10 @@ products are checked against the trace), and the float sector matrix
 whose eigenvalues guide the isolation of that factor's roots
 (`floquet_edges`).  The roots are certified in cells of a dyadic grid laid
 from the factor's own guides: exact sign changes across as many cells as
-a Sturm count over exact integers finds.  Bisection only splits the two
-edges of a band narrower than a cell, or isolates the edges when the
-estimates do not certify.  The float zeros of t, which mark the bands for
-the fast backend, are one sector of the doubled word's antiperiodic
-operator, of determinant t^2 (`floquet_zeros`).
+a Sturm count over exact integers finds.  When the estimates do not
+certify, Sturm bisection isolates the edges instead.  The float zeros of
+t, which mark the bands for the fast backend, are one sector of the
+doubled word's antiperiodic operator, of determinant t^2 (`floquet_zeros`).
 One-sided limit spectra add exactly q isolated eigenvalues: this side's q
 of the 2q simple roots of D = t_u^2 - (V^2 + 4), with t_u the trace over
 one period (`defect_spectrum`).  The trace-map invariant splits D into
@@ -26,6 +25,13 @@ gcd(D, G+) and gcd(D, G-), one factor for each sign of t_u.  D < 0 inside
 the bands, so the band check points bracket the gaps, and exact signs of
 the two factors there, counted against their degrees, put each root alone
 in a known gap without a Sturm chain.
+
+One grid decides every certified enclosure: the root's cell of the grid
+of spacing 2^floor(log2 tol), [x, x] at a grid point x, split further by
+`separate` only where two band edges share a cell and clipped to its gap
+for a defect point.  The guides, the Sturm fallback and the grid search
+decide how fast it is found, not its bytes (but for two roots of one
+reflection factor in one cell or in neighbouring ones).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -51,10 +57,10 @@ from .farey import (
 )
 from .polyring import RP
 from .rootfind import (
+    GUIDE_GRID,
     IntPoly,
     RootEnclosure,
     _dyadic_exponent,
-    _halvings,
     cauchy_bound,
     compare_distinct_roots,
     compare_roots,
@@ -71,42 +77,6 @@ from .words import period_word, sk_words
 
 # ---------------------------------------------------------------------------
 # Transfer-matrix traces
-
-
-def trace_poly(word: str, V) -> RP:
-    """Trace of the ordered transfer product A(w_n)...A(w_1), with
-    A(a) = [[E - V a, -1], [1, 0]], as an exact polynomial in the energy.
-
-    Column c of the product is (x_n, x_(n-1)) for the solution of
-    x_j = (E - V w_j) x_(j-1) - x_(j-2) from (x_0, x_(-1)) = e_c.  With
-    V = a/b, X_j = b^(j+1) x_j is an integer polynomial with
-    X_j = (bE - a w_j) X_(j-1) - b^2 X_(j-2).  As in `_path_determinant`
-    the loop runs on the values at E = 2^w, a shift and small products per
-    letter and column, so it takes O(n) integer operations.  The trace is
-    x0_n + x1_(n-1), and the determinant, the Casoratian
-    x0_n x1_(n-1) - x1_n x0_(n-1), is checked to be 1.  Both are read at
-    2^w: with N_j = (b + |c_j|) N_(j-1) + b^2 N_(j-2) the bound on the L1
-    norm of X_j, every coefficient of either lies below 2 N_n^2 < 2^(w - 1)
-    in absolute value, so its value at 2^w fixes it."""
-    if not word:
-        raise PreconditionError("transfer product needs a non-empty word")
-    if set(word) - {"0", "1"}:
-        raise PreconditionError(f"word {word!r} is not over {{0,1}}")
-    V = as_fraction(V)
-    a, b, n = V.numerator, V.denominator, len(word)
-    cs = [a if letter == "1" else 0 for letter in word]
-    b2 = b * b
-    lo, hi = 1, b
-    for c in cs:
-        lo, hi = hi, (b + abs(c)) * hi + b2 * lo
-    w = (hi * hi).bit_length() + 2
-    x0_prev, x0, x1_prev, x1 = 0, b, 1, 0
-    for c in cs:
-        x0_prev, x0 = x0, ((x0 * b) << w) - c * x0 - b2 * x0_prev
-        x1_prev, x1 = x1, ((x1 * b) << w) - c * x1 - b2 * x1_prev
-    if x0 * x1_prev - x1 * x0_prev != b ** (2 * n + 1):
-        raise PrecisionError("transfer product determinant is not 1")
-    return RP(unpack(x0 + b * x1_prev, w, n + 1), b ** (n + 1))
 
 
 def _step_traces(A, B, C, e: int):
@@ -210,11 +180,10 @@ class Spectrum:
 # approximant trace degree grows with k.
 MAX_K = 64
 
-# Floor on the enclosure width tol.  Refinement costs about quadratically
-# in its digits, and below the accuracy of the float guides (about 1e-13)
-# band edges fall back to Sturm bisection: on a 2-core machine,
-# `spectrum defects --r 34/89 --side plus --V 5` took 0.3 s at tol 1e-9,
-# 1.4-1.7 s at 1e-20 and 2.5-3.1 s at 1e-40 (12 s at 1e-100 in process).
+# Floor on the enclosure width tol.  Below GUIDE_GRID every digit is exact
+# bisection, at a cost about quadratic in the digits: on a 2-core machine,
+# `spectrum defects --r 34/89 --side plus --V 5` took 0.4-0.5 s at tol 1e-9,
+# 0.8-0.9 s at 1e-20 and 2.5-2.8 s at 1e-40 (18 s at 1e-100 in process).
 MIN_TOL = Fraction(1, 10**40)
 
 
@@ -423,8 +392,9 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     eigenvalues of the reflection sectors of `floquet_edges` guide the
     factors they belong to, each on a grid laid from its own guides and
     tol.  Exact signs across the cells, counted against one Sturm chain per
-    factor, certify them.  A root shared by the two factors of a side
-    (touching bands, e.g. coupling 0) raises DegeneracyError.
+    factor, certify them.  Each edge is refined to its tol-grid cell before
+    `separate`.  A root shared by the two factors of a side (touching
+    bands, e.g. coupling 0) raises DegeneracyError.
 
     Each band is checked by |t| <= 2 at its `_band_point`."""
     tol = check_tol(tol)
@@ -448,7 +418,7 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
             if [c * t.den for c in poly_mul(*factors)] != [c * scale for c in target]:
                 raise PrecisionError(f"reflection factors do not multiply to {name}")
             roots = [
-                enc
+                enc.refined(tol)
                 for f, guide in zip(factors, floquet_edges(word, V, paths))
                 for enc in isolate_roots(f, guide=guide, width=tol)
             ]
@@ -465,9 +435,7 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
             f"expected {q} simple edges per side, found "
             f"{len(roots_upper)}/{len(roots_lower)}"
         )
-    # refining keeps each edge inside its enclosure, so the edges stay
-    # disjoint and in order
-    edges = [e.refined(tol) for e in separate(roots_upper + roots_lower)]
+    edges = separate(roots_upper + roots_lower)
     bands = []
     for i in range(0, 2 * q, 2):
         lo, hi = edges[i], edges[i + 1]
@@ -670,15 +638,18 @@ def defect_spectrum(r, side: str, V, tol) -> Spectrum:
     if poly_mul(a, c) not in (d, [-x for x in d]):
         raise PrecisionError("G+ and G- do not split t^2 = V^2 + 4")
     marks = [_band_point(lo, hi) for lo, hi in base.bands]
-    grid = _dyadic_exponent(tol.numerator, tol.denominator)  # guide cells 2^grid <= tol wide
+    # the tol grid, cells 2^grid <= tol wide, and the guides' grid over it
+    coarse = max(tol, GUIDE_GRID)
+    grid, guide_grid = (_dyadic_exponent(x.numerator, x.denominator) for x in (tol, coarse))
     exp = max(-grid, *(e for _, e in marks))
-    bound, step = cauchy_bound(d) << exp, 1 << (exp + grid)
+    bound, step, width = cauchy_bound(d) << exp, 1 << (exp + grid), 1 << (exp + guide_grid)
     xs = [-bound, *(num << (exp - e) for num, e in marks), bound]
-    guides = (grid_cell(x, grid) for x in floquet_defect_estimates(period_word(r), V))
-    cells = sorted(k * step for k, _ in filter(None, guides))
+    guides = filter(None, (grid_cell(x, guide_grid) for x in floquet_defect_estimates(period_word(r), V)))
+    # each guide's cell, and the cell next to it on the guide's side
+    cells = sorted((k * width, (k + 1 if upper else k - 1) * width) for k, upper in guides)
     # t_u > 0 on gap i, between xs[i] and xs[i + 1], when q - i is even
     chosen = {i: f for f, odd in ((a, 0), (c, 1)) for i in _sign_change_gaps(f, xs, exp) if (q - i) % 2 == odd}
-    points = tuple(_gap_root(f, xs[i], xs[i + 1], exp, cells, step, tol) for i, f in sorted(chosen.items()))
+    points = tuple(_gap_root(f, xs[i], xs[i + 1], exp, cells, width, step) for i, f in sorted(chosen.items()))
     _check_point_placement(base, points, above=(side == "plus") == (V > 0))
     return Spectrum(base.bands, points, tol)
 
@@ -694,41 +665,47 @@ def _sign_change_gaps(f: IntPoly, xs: list[int], exp: int) -> list[int]:
     return gaps
 
 
-def _gap_root(f: IntPoly, lo: int, hi: int, exp: int, cells: list[int], step: int, tol) -> RootEnclosure:
-    """The one root of f in the bracket (lo, hi) over 2^exp: the first
-    cell [k, k + step] of the guides' sorted cells inside the bracket that
-    holds it, else the bracket bisected down to width tol.
-
-    That bisection ends in the one of the bracket's 2^n equal cells, each
-    at most tol wide, that holds the root, or at the root when it is an end
-    of one.  A guide cell that crosses an end of the bracket meets a few of
-    these cells; the first of them that holds the root is the bisection's
-    answer, found without bisecting."""
+def _gap_root(
+    f: IntPoly, lo: int, hi: int, exp: int, cells: list[tuple[int, int]], width: int, step: int
+) -> RootEnclosure:
+    """The one root of f in the bracket (lo, hi) over 2^exp, where f has
+    opposite nonzero signs at lo and hi, by `_grid_search`.  The guides
+    only narrow the bracket: `cells` holds the sorted starts of each
+    guide's cell, width wide, and of the cell next to it on the guide's
+    side; the first of these cells near the bracket (own cells first)
+    across which f changes sign, clipped to it, is the new bracket."""
     poly = tuple(f)
-    meeting = cells[bisect.bisect_right(cells, lo - step) : bisect.bisect_left(cells, hi)]
-    for k in meeting:
-        if lo <= k <= hi - step and (enc := _cell_root(poly, k, k + step, exp)):
-            return enc
-    n, w = _halvings((hi - lo) * tol.denominator, tol.numerator << exp), hi - lo
-    for k in meeting:
-        if k < lo or k > hi - step:
-            # the bisection's cells [lo + j w / 2^n, lo + (j + 1) w / 2^n]
-            # that meet the guide's, for j from first to last
-            first, last = max(((k - lo) << n) // w, 0), min(((k + step - lo) << n) // w, (1 << n) - 1)
-            for a in range((lo << n) + first * w, (lo << n) + (last + 1) * w, w):
-                if enc := _cell_root(poly, a, a + w, exp + n):
-                    return enc
-    return RootEnclosure(poly, lo, hi, exp).refined(tol)
+    near = cells[bisect.bisect_left(cells, (lo - 2 * width + 1,)) : bisect.bisect_left(cells, (hi + width,))]
+    for k in [k for k, _ in near] + [k for _, k in near]:
+        a, b = max(k, lo), min(k + width, hi)
+        if a < b:
+            s_a, s_b = sign_at(poly, a, 1 << exp), sign_at(poly, b, 1 << exp)
+            if s_a == 0 or s_b == 0:
+                x = a if s_a == 0 else b
+                return RootEnclosure(poly, x, x, exp)
+            if s_a != s_b:
+                return _grid_search(poly, a, b, exp, step, s_a)
+    return _grid_search(poly, lo, hi, exp, step, sign_at(poly, lo, 1 << exp))
 
 
-def _cell_root(poly: tuple[int, ...], a: int, b: int, exp: int) -> Optional[RootEnclosure]:
-    """The root of poly in [a, b] over 2^exp when poly changes sign across
-    it, or [x, x] when poly vanishes at an end x; else None."""
-    s, t = sign_at(poly, a, 1 << exp), sign_at(poly, b, 1 << exp)
-    if s == 0 or t == 0:
-        x = a if s == 0 else b
-        return RootEnclosure(poly, x, x, exp)
-    return RootEnclosure(poly, a, b, exp) if s != t else None
+def _grid_search(poly: tuple[int, ...], lo: int, hi: int, exp: int, step: int, s_lo: int) -> RootEnclosure:
+    """The one root of poly in (lo, hi) over 2^exp, where poly has the
+    nonzero sign s_lo at lo and the other at hi: bisection over the grid
+    points k * step strictly between them, down to the root's grid cell
+    clipped to [lo, hi], or [x, x] at a grid point x where poly vanishes.
+    Each split is at the point with the fewest bits (`_short_point`), read
+    over its own denominator, so the search runs down the dyadic grids as
+    bisection does, on short integers until its last steps."""
+    a, b = lo // step, -(-hi // step)  # a * step <= lo and hi <= b * step
+    while b - a > 1:
+        m = _short_point(a, b)
+        x = m * step
+        shift = min((x & -x).bit_length() - 1, exp) if x else exp
+        s = sign_at(poly, x >> shift, 1 << (exp - shift))
+        if s == 0:
+            return RootEnclosure(poly, x, x, exp)
+        a, b = (m, b) if s == s_lo else (a, m)
+    return RootEnclosure(poly, max(a * step, lo), min(b * step, hi), exp)
 
 
 def _check_point_placement(base: Spectrum, points, above: bool) -> None:

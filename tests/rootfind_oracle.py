@@ -18,12 +18,13 @@ from kohmoto.rootfind import (
     RootEnclosure,
     _halvings,
     _pseudo_rem_signed,
+    _variations,
     degree,
     derivative,
     primitive,
+    sign_at,
     strip,
     sturm_chain,
-    variations_at,
 )
 
 
@@ -45,6 +46,11 @@ def primitive_sturm_chain(p) -> list[list[int]]:
             "polynomial has a multiple root; band machinery requires simple roots"
         )
     return chain
+
+
+def variations_at(chain, num: int, exp: int) -> int:
+    """Sign variations of the chain at num / 2^exp."""
+    return _variations([sign_at(q, num, 1 << exp) for q in chain])
 
 
 def count_roots(chain, lo: int, hi: int, exp: int) -> int:

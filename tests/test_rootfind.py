@@ -439,6 +439,21 @@ def test_grid_cells_do_not_depend_on_last_bits_of_guesses(roots, width, data):
     assert [(e.lo, e.hi) for e in encs] == [(e.lo, e.hi) for e in again]
 
 
+def test_close_guesses_leave_the_other_roots_on_the_width_grid():
+    # two roots 2^-20 apart make the guided grid finer than width; the root
+    # far from them is widened back to its cell of the width grid, the one
+    # that Sturm bisection and `refined` give it, while the close pair
+    # keeps its finer cells
+    width = F(1, 2**10)
+    roots = [F(1, 10), F(1, 10) + F(1, 2**20), F(1, 2) + F(1, 3000)]
+    p = poly_from_roots(roots)
+    guided = isolate_roots(p, guide=[float(r) for r in roots], width=width)
+    bisected = [e.refined(width) for e in isolate_roots(p, width=width)]
+    assert guided[2] == bisected[2] and (guided[2].lo, guided[2].hi) == (F(512, 1024), F(513, 1024))
+    assert all(e.hi - e.lo < width for e in guided[:2])
+    check_certified(p, roots, guided)
+
+
 @PROPERTY
 @given(rational_roots, st.integers(-(2**12), 2**12), st.data())
 def test_root_on_a_grid_point_is_exact(roots, k, data):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -19,7 +20,7 @@ from kohmoto.analysis import FAST_K
 from kohmoto.errors import DegeneracyError, PreconditionError, PrecisionError
 from kohmoto.farey import approach_digits, cf_forms
 from kohmoto.polyring import RP
-from kohmoto.rootfind import compare_roots, isolate_roots, poly_mul, primitive, sign_at
+from kohmoto.rootfind import compare_roots, isolate_roots, poly_mul, primitive
 from kohmoto.sets import EnclosedSet, lebesgue
 from kohmoto.spectra import (
     band_classify,
@@ -34,7 +35,6 @@ from kohmoto.spectra import (
     reflection_factors,
     spectrum_from_trace,
     spectrum_periodic,
-    trace_poly,
     trace_poly_cf,
     trace_triples,
 )
@@ -55,7 +55,7 @@ from defect_oracle import (
 )
 from rootfind_oracle import chain_matches_oracle, resorting_separate
 from set_helpers import certainly_disjoint_triple, covers_at_resolution, union
-from trace_oracle import power_extension_traces, power_trace_triples
+from trace_oracle import power_extension_traces, power_trace_triples, trace_poly
 
 V5 = F(5)
 TOL9 = F(1, 10**9)
@@ -462,6 +462,22 @@ def test_sturm_fallback_cases_match_the_primitive_chain():
             assert all(chain_matches_oracle(f) for f in factors), r
 
 
+def test_sturm_bisection_keeps_a_root_hit_by_a_midpoint():
+    # the odd antiperiodic factor of 1/6 at V = 5 is E^3 - 3E, and the
+    # window's first midpoint is its root 0: kept as [0, 0], while the
+    # half-open count V(a) - V(b) goes on in both halves, past the root
+    # end of [0, 4], to cells of dyadic grids that `refined` takes down to
+    # the tol-grid cells of -+sqrt3
+    word = period_word(F(1, 6))
+    f = primitive(reflection_factors(word, V5, _sector_paths(word, True))[1])
+    assert f == [0, -3, 0, 1]
+    roots = rootfind._sturm_bisection(tuple(f), rootfind.sturm_chain(f), rootfind.cauchy_bound(f))
+    assert [(e.lo, e.hi) for e in roots] == [(-2, -1), (0, 0), (1, 2)]
+    k = math.isqrt(3 << 60)  # floor(sqrt3 * 2^30)
+    cells = [(e.refined(TOL9).lo_num, e.refined(TOL9).hi_num) for e in (roots[0], roots[2])]
+    assert cells == [(-k - 1, -k), (k, k + 1)]
+
+
 def test_defect_points_build_no_sturm_chain():
     # the gap brackets of the cached bands certify the roots of
     # t_u^2 = V^2 + 4, also where two float guides coincide (2/17) or lie
@@ -481,8 +497,8 @@ def test_defect_points_build_no_sturm_chain():
 def test_guide_cells_across_a_bracket_end_need_no_bisection(monkeypatch):
     # at 1/30+ (V = 5) the top two roots of t_u^2 = V^2 + 4 lie within a
     # tol cell of the narrow top band, so their guide cells cross the band
-    # check points that end their brackets: each is found in the
-    # bisection's own cell, with no bisection and the same bytes
+    # check points that end their brackets: clipped to the brackets, those
+    # cells hold them, with the bytes of the guides-withheld grid search
     r = F(1, 30)
     spectrum_periodic(r, V5, TOL9)
     refined = mock.patch.object(
@@ -494,6 +510,86 @@ def test_guide_cells_across_a_bracket_end_need_no_bisection(monkeypatch):
     monkeypatch.setattr(spectra, "floquet_defect_estimates", lambda word, V: [])
     bisected = spectra.defect_spectrum.__wrapped__(r, "plus", V5, TOL9)
     assert guided.defects[28:] == bisected.defects[28:]
+
+
+def withheld_guides(monkeypatch):
+    """No float guides: every band factor takes Sturm bisection and every
+    defect point the grid search of its gap bracket."""
+    monkeypatch.setattr(spectra, "floquet_edges", lambda word, V, paths: ([], []))
+    monkeypatch.setattr(spectra, "floquet_defect_estimates", lambda word, V: [])
+
+
+def guided_and_withheld(monkeypatch, compute):
+    """compute() as JSON with the float guides and without them."""
+    spectra.clear_memos()
+    try:
+        guided = json.dumps(compute().to_json_obj())
+        with monkeypatch.context() as m:
+            withheld_guides(m)
+            spectra.clear_memos()
+            withheld = json.dumps(compute().to_json_obj())
+    finally:
+        spectra.clear_memos()
+    return guided, withheld
+
+
+def test_certified_bytes_do_not_depend_on_the_float_guides(monkeypatch):
+    # every enclosure is its root's tol-grid cell (clipped to its gap for a
+    # defect point), however it was found: guided cells, the Sturm
+    # fallback (3/25 at V = 100), cells widened back from a grid that close
+    # guides made finer (3/14 at V = 1000) or the grid search of a bracket
+    cases = [(r, V) for V in (V5, F(1, 2), F(-3), F(7, 3)) for r in _reduced(16)]
+    for r, V in cases + [(F(3, 25), F(100)), (F(3, 14), F(1000))]:
+        guided, withheld = guided_and_withheld(monkeypatch, lambda: spectra.spectrum_periodic(r, V, TOL9))
+        assert guided == withheld, (r, V)
+    for V in (V5, F(1, 2), F(-3), F(7, 3)):
+        for r, side in _one_sided_points(16):
+            guided, withheld = guided_and_withheld(monkeypatch, lambda: spectra.defect_spectrum(r, side, V, TOL9))
+            assert guided == withheld, (r, side, V)
+
+
+def test_guides_finer_than_their_accuracy_move_to_the_guide_grid(monkeypatch):
+    # at tol 1e-20 the guides miss their tol-grid cells; they place the
+    # roots on GUIDE_GRID = 2^-40 instead, and refinement and the grid
+    # search go on to tol: no Sturm bisection, and the bytes of Sturm
+    # bisection and of the grid search of whole brackets
+    r, tol = F(34, 89), F(1, 10**20)
+    fallback = mock.patch.object(rootfind, "_sturm_bisection", wraps=rootfind._sturm_bisection)
+    for compute in (
+        lambda: spectra.spectrum_periodic(r, V5, tol),
+        lambda: spectra.defect_spectrum(r, "plus", V5, tol),
+    ):
+        with fallback as spy:
+            guided, withheld = guided_and_withheld(monkeypatch, compute)
+        assert guided == withheld
+        assert spy.call_count == 4  # the four reflection factors, all withheld
+
+
+def test_a_guide_in_the_cell_next_to_its_root_narrows_the_bracket(monkeypatch):
+    # at 15/28+ (V = 7/3, tol 1e-9) a guide lies 2.3e-10 from its root but
+    # in the next tol-grid cell; that neighbour holds the root, so no grid
+    # search bisects the bracket
+    r, V = F(15, 28), F(7, 3)
+    spectrum_periodic(r, V, TOL9)
+    searches = []
+    real = spectra._grid_search
+
+    def search(poly, lo, hi, exp, step, s_lo):
+        searches.append(hi - lo <= step)
+        return real(poly, lo, hi, exp, step, s_lo)
+
+    monkeypatch.setattr(spectra, "_grid_search", search)
+    points = spectra.defect_spectrum.__wrapped__(r, "plus", V, TOL9).defects
+    assert len(searches) == 28 and all(searches)
+    grid = rootfind._dyadic_exponent(TOL9.numerator, TOL9.denominator)
+    estimates, step = spectra.floquet_defect_estimates(period_word(r), V), F(2) ** grid
+    missed = []
+    for p in points:
+        k, upper = rootfind.grid_cell(min(estimates, key=lambda g: abs(g - float(p.lo))), grid)
+        if not k * step <= p.lo <= p.hi <= (k + 1) * step:
+            missed.append((p, k + 1 if upper else k - 1))
+    ((p, k),) = missed
+    assert (p.lo, p.hi) == (k * step, (k + 1) * step)
 
 
 def test_point_placement_takes_no_gcd():
@@ -882,30 +978,18 @@ def test_defect_points_match_approximant_oracle():
 
 
 def test_defect_split_matches_the_halving_oracle():
-    # the gap brackets decide every root as the Lipschitz halving did, on
-    # tol-grid cells that contain the oracle's enclosures.  At 1/21+ and
-    # 2/23- (V = 5) the oracle isolates t_u^2 - V^2 - 4 by Sturm bisection,
-    # and 8 of its cells cross a tol-grid point: there t_u^2 - V^2 - 4 (the
-    # oracle's polynomial) and the point's own factor of it each vanish at
-    # an end of the closed intersection or change sign across it.  The
-    # factor's root lies in the oracle's cell, which isolates one root of
-    # t_u^2 - V^2 - 4, so it is the oracle's root.
+    # the gap brackets decide every root as the Lipschitz halving did.  The
+    # oracle's cells are cells of dyadic grids, guided or from Sturm
+    # bisection on a power-of-two window, and each point is its tol-grid
+    # cell clipped to its gap, so the two nest for every point, also at
+    # 1/21+ and 2/23- (V = 5), where the oracle takes Sturm bisection
     cases = [(r, side, V) for V in (V5, F(-3), F(1, 2)) for r, side in _one_sided_points(12)]
-    crossing = []
     for r, side, V in cases + [(F(1, 21), "plus", V5), (F(2, 23), "minus", V5)]:
         points = defect_spectrum(r, side, V, TOL6).defects
         oracle = halving_defect_points(r, side, V, TOL6)
         assert len(points) == len(oracle) == r.denominator
         for enc, old in zip(points, oracle):
-            if enc.lo <= old.lo and old.hi <= enc.hi:
-                continue
-            crossing.append((r, side))
-            lo, hi = max(enc.lo, old.lo), min(enc.hi, old.hi)
-            assert lo <= hi, (r, side)
-            for poly in (old.poly, enc.poly):
-                signs = [sign_at(poly, x.numerator, x.denominator) for x in (lo, hi)]
-                assert signs[0] * signs[1] <= 0, (r, side)
-    assert len(crossing) == 8 and set(crossing) == {(F(1, 21), "plus"), (F(2, 23), "minus")}
+            assert (enc.lo <= old.lo and old.hi <= enc.hi) or (old.lo <= enc.lo and enc.hi <= old.hi), (r, side, V)
 
 
 def test_defect_spectrum_checks_the_trace_invariant(monkeypatch):
