@@ -8,7 +8,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import PreconditionError, PrecisionError, UnsupportedRegimeError
 from .farey import (
@@ -337,27 +337,60 @@ class ButterflyRow:
     error: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ButterflyDataset:
+    """The intervals of every row p/q, held as numbers only.  `ends` holds
+    the ends of all intervals, two per interval in row order (each row's
+    bands, then its plus and minus points): exact Fractions for the
+    certified backend, and for the fast one a float64 array of the values
+    its `~` strings print (the float ends widened by FAST_SLOP).  `layout`
+    gives each row's q, p, its numbers of bands, plus and minus points, and
+    its error text or None.  Each artifact formats or draws straight from
+    `ends`; `rows` formats them anew on each access."""
+
     Q: int
     V: Fraction
     backend: str
     include_defects: bool
-    rows: tuple[ButterflyRow, ...]
-    # each interval end of rows as the float its string was formatted from,
-    # two per interval in row order: what to_svg draws
-    ends: np.ndarray = field(repr=False, compare=False)
+    layout: tuple
+    ends: Union[np.ndarray, tuple] = field(repr=False)
+
+    def _row_parts(self):
+        """Each row's q, p and error text, with the slices of `ends` that
+        hold its bands, its plus points and its minus points."""
+        i = 0
+        for q, p, counts, error in self.layout:
+            parts = []
+            for n in counts:
+                parts.append(slice(i, i + 2 * n))
+                i += 2 * n
+            yield q, p, error, parts
+
+    def _format_args(self) -> tuple[str, list]:
+        """The %-format of one interval end, and the values of `ends` it
+        formats."""
+        if self.backend == "fast":
+            return "~%.12e", self.ends.tolist()
+        return "%s", [format_rational(x) for x in self.ends]
+
+    @property
+    def rows(self) -> tuple[ButterflyRow, ...]:
+        """The rows with each interval end as the artifacts print it."""
+        fmt, values = self._format_args()
+        strs = [fmt % x for x in values]
+        return tuple(
+            ButterflyRow(q, p, *(tuple(zip(strs[s][0::2], strs[s][1::2])) for s in parts), error=error)
+            for q, p, error, parts in self._row_parts()
+        )
 
     def to_csv(self) -> str:
-        lines = ["q,p,kind,lo,hi"]
-        for row in self.rows:
-            for lo, hi in row.bands:
-                lines.append(f"{row.q},{row.p},band,{lo},{hi}")
-            for lo, hi in row.defects_plus:
-                lines.append(f"{row.q},{row.p},defect_plus,{lo},{hi}")
-            for lo, hi in row.defects_minus:
-                lines.append(f"{row.q},{row.p},defect_minus,{lo},{hi}")
-        return "\n".join(lines) + "\n"
+        fmt, values = self._format_args()
+        out = ["q,p,kind,lo,hi\n"]
+        for q, p, _, parts in self._row_parts():
+            for kind, s in zip(("band", "defect_plus", "defect_minus"), parts):
+                line = f"{q},{p},{kind},{fmt},{fmt}\n"
+                out.append(line * ((s.stop - s.start) // 2) % tuple(values[s]))
+        return "".join(out)
 
     def to_json_obj(self) -> dict:
         return {
@@ -383,7 +416,7 @@ class ButterflyDataset:
         row whose `error` is set is preceded by the comment
         `<!-- p/q failed: message -->` of `xml_comment`, so a figure with
         missing parts says so."""
-        ends = self.ends
+        ends = np.asarray(self.ends, dtype=float)
         e_lo, e_hi = (ends.min(), ends.max()) if len(ends) else (0.0, 1.0)
         pad = 0.05 * (e_hi - e_lo) or 1.0
         e_lo, e_hi = e_lo - pad, e_hi + pad
@@ -397,22 +430,19 @@ class ButterflyDataset:
             f'viewBox="0 0 {width} {height}">',
             f'<rect width="{width}" height="{height}" fill="white"/>',
         ]
-        i = 0  # the row's first interval
-        for row in self.rows:
-            if row.error:
-                out.append(xml_comment(f"{row.p}/{row.q} failed: {row.error}"))
-            y = f"{height - 30 - (height - 60) * (row.p / row.q):.2f}"
-            xs = x_end[2 * i : 2 * (i + len(row.bands))].tolist()
+        for q, p, error, (bands, plus, minus) in self._row_parts():
+            if error:
+                out.append(xml_comment(f"{p}/{q} failed: {error}"))
+            y = f"{height - 30 - (height - 60) * (p / q):.2f}"
+            xs = x_end[bands].tolist()
             for x1, x2 in zip(xs[0::2], xs[1::2]):
                 out.append(
                     f'<line x1="{x1:.2f}" y1="{y}" x2="{x2:.2f}" y2="{y}" '
                     f'stroke="black" stroke-width="1.2"/>'
                 )
-            i += len(row.bands)
-            for points, color in ((row.defects_plus, "#cc0000"), (row.defects_minus, "#0044cc")):
-                for x in x_mid[i : i + len(points)].tolist():
+            for s, color in ((plus, "#cc0000"), (minus, "#0044cc")):
+                for x in x_mid[s.start // 2 : s.stop // 2].tolist():
                     out.append(f'<circle cx="{x:.2f}" cy="{y}" r="1.2" fill="{color}"/>')
-                i += len(points)
         out.append("</svg>")
         return "\n".join(out) + "\n"
 
@@ -423,10 +453,6 @@ def xml_comment(text: str) -> str:
     requires."""
     text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return f"<!-- {re.sub('-(?=-)', '- ', text)} -->"
-
-
-def _fmt_fast(x: float) -> str:
-    return f"~{x:.12e}"
 
 
 FAST_SLOP = 2.0**-40
@@ -462,33 +488,13 @@ class _RowValues:
         errors = {swap.get(part, part): msg for part, msg in self.errors.items()}
         return _RowValues(flip(self.bands), flip(self.minus), flip(self.plus), errors)
 
-    def ends(self, backend: str) -> np.ndarray:
-        """The ends of the row's intervals as the strings print them, one
-        (lo, hi) row each: bands, then plus and minus points."""
-        ends = np.array(self.bands + self.plus + self.minus, dtype=float).reshape(-1, 2)
-        if backend == "fast":
-            ends += (-FAST_SLOP, FAST_SLOP)
-        return ends
-
-    def formatted(self, r: Fraction, fmt) -> ButterflyRow:
-        def strs(intervals) -> tuple:
-            return tuple(fmt(lo, hi) for lo, hi in intervals)
-
-        error = "; ".join(
+    def error_text(self) -> Optional[str]:
+        text = "; ".join(
             f"{part}: {self.errors[part]}"
             for part in ("bands", "defect_plus", "defect_minus")
             if part in self.errors
         )
-        return ButterflyRow(
-            r.denominator, r.numerator, strs(self.bands), strs(self.plus),
-            strs(self.minus), error=error or None,
-        )
-
-
-_FORMATS = {
-    "certified": lambda lo, hi: (format_rational(lo), format_rational(hi)),
-    "fast": lambda lo, hi: (_fmt_fast(lo - FAST_SLOP), _fmt_fast(hi + FAST_SLOP)),
-}
+        return text or None
 
 
 def _butterfly_row(r: Fraction, V: Fraction, backend: str, include_defects: bool, tol) -> _RowValues:
@@ -553,9 +559,10 @@ def _fast_defects(r: Fraction, side: str, V: Fraction, base_bands) -> list[float
 
 
 # Caps on Q by backend, from measured CLI wall time at V = 5 on a 2-core
-# machine: the fast backend takes 6.5-6.7 s at Q = 60 and 8.1-8.4 s at
-# Q = 64, the certified one 4.9-6.8 s at Q = 38, 5.1-6.8 s at Q = 39 and
-# 6.0-9.5 s at Q = 40 (rows grow like Q^2, and each costs more with q).
+# machine: the fast backend takes 4.5-5.1 s and 68 MB peak RSS at Q = 60
+# and 6.0-6.3 s and 75 MB at Q = 64 (CSV), the certified one 4.9-6.8 s at
+# Q = 38, 5.1-6.8 s at Q = 39 and 6.0-9.5 s at Q = 40 (rows grow like Q^2,
+# and each costs more with q).
 MAX_Q = {"fast": 64, "certified": 38}
 
 # The fast backend's rows are float eigenvalues of matrices with V on the
@@ -595,9 +602,8 @@ def butterfly(
         for p in range(0, q + 1)
         if math.gcd(p, q) == 1
     ]
-    fmt = _FORMATS[backend]
     lower = {}  # fast rows of 0 < r < 1/2, until their mirror row is due
-    rows, ends = [], []
+    layout, ends = [], []
     for r in rationals:
         if 1 - r in lower:
             values = lower.pop(1 - r).mirrored(float(V))
@@ -605,8 +611,11 @@ def butterfly(
             values = _butterfly_row(r, V, backend, include_defects, tol)
             if backend == "fast" and 0 < 2 * r < 1:
                 lower[r] = values
-        rows.append(values.formatted(r, fmt))
-        ends.append(values.ends(backend))
-    return ButterflyDataset(
-        Q, V, backend, include_defects, tuple(rows), np.concatenate(ends).ravel()
-    )
+        parts = (values.bands, values.plus, values.minus)
+        layout.append((r.denominator, r.numerator, tuple(map(len, parts)), values.error_text()))
+        ends.extend(x for part in parts for pair in part for x in pair)
+    if backend == "certified":
+        ends = tuple(ends)
+    else:
+        ends = (np.array(ends, dtype=float).reshape(-1, 2) + (-FAST_SLOP, FAST_SLOP)).ravel()
+    return ButterflyDataset(Q, V, backend, include_defects, tuple(layout), ends)

@@ -50,21 +50,12 @@ class RP:
         return out
 
     @staticmethod
-    def from_fractions(coeffs) -> "RP":
-        coeffs = [Fraction(c) for c in coeffs] or [Fraction(0)]
-        den = math.lcm(*[c.denominator for c in coeffs])
-        return RP([c.numerator * (den // c.denominator) for c in coeffs], den)
-
-    @staticmethod
     def const(c) -> "RP":
         c = Fraction(c)
         return RP([c.numerator], c.denominator)
 
     def degree(self) -> int:
         return len(self.num) - 1
-
-    def is_zero(self) -> bool:
-        return self.num == [0]
 
     def coeffs(self) -> list[Fraction]:
         return [Fraction(x, self.den) for x in self.num]

@@ -1,7 +1,9 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 from pathlib import Path
@@ -13,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohmoto.analysis import (
-    _FORMATS,
+    FAST_SLOP,
     ButterflyDataset,
-    ButterflyRow,
     _butterfly_row,
     _outside_bands,
     butterfly,
@@ -252,8 +253,8 @@ def test_svg_matches_the_string_parsing_render(Q, backend, V):
 
 def test_svg_comment_of_a_failed_row_cannot_end_the_comment_or_draw():
     message = "defect_plus: <line x1='0'/> --> <circle r='1'/> a---b & c-"
-    row = ButterflyRow(3, 1, (), (), (), error=message)
-    ds = ButterflyDataset(3, V5, "fast", True, (row,), np.zeros(0))
+    # the row 1/3 with no band or point, and the message as its error text
+    ds = ButterflyDataset(3, V5, "fast", True, ((3, 1, (0, 0, 0), message),), np.zeros(0))
     svg = ds.to_svg()
     assert svg == string_parsing_svg(ds)
     comments = [line for line in svg.splitlines() if line.startswith("<!--")]
@@ -263,23 +264,75 @@ def test_svg_comment_of_a_failed_row_cannot_end_the_comment_or_draw():
     assert [el.tag for el in ET.fromstring(svg)] == ["{http://www.w3.org/2000/svg}rect"]
 
 
+def stored_rows(ds) -> dict:
+    """(q, p) -> (error text, [bands, plus points, minus points]) of a
+    dataset, each part a list of (lo, hi) pairs of the numbers it stores."""
+    return {
+        (q, p): (error, [list(zip(ds.ends[s][0::2], ds.ends[s][1::2])) for s in parts])
+        for q, p, error, parts in ds._row_parts()
+    }
+
+
 # at V = 8 the fast backend drops defect points of 1/12+ and so of 11/12-
 @pytest.mark.parametrize("V, failed", [(V5, 0), (F(2), 0), (F(1, 2), 0), (F(8), 1)])
 def test_butterfly_fast_mirrored_rows_match_direct_rows(V, failed):
     ds = butterfly(12, V, "fast", True)
-    mirrored = [row for row in ds.rows if 2 * row.p > row.q > 2]
+    mirrored = {(q, p): row for (q, p), row in stored_rows(ds).items() if 2 * p > q > 2}
     assert len(mirrored) == 22
-    assert sum(row.error is not None for row in mirrored) == failed
-    for row in mirrored:
-        r = F(row.p, row.q)
-        direct = _butterfly_row(r, V, "fast", True, None).formatted(r, _FORMATS["fast"])
-        assert row.error == direct.error
-        for kind in ("bands", "defects_plus", "defects_minus"):
-            got, want = getattr(row, kind), getattr(direct, kind)
+    assert sum(error is not None for error, _ in mirrored.values()) == failed
+    for (q, p), (error, parts) in mirrored.items():
+        direct = _butterfly_row(F(p, q), V, "fast", True, None)
+        assert error == direct.error_text()
+        for got, want in zip(parts, (direct.bands, direct.plus, direct.minus)):
             assert len(got) == len(want)
-            for pair, pair_want in zip(got, want):
-                for s, t in zip(pair, pair_want):
-                    assert abs(float(s[1:]) - float(t[1:])) <= 2e-12
+            for pair, (lo, hi) in zip(got, want):
+                # the stored ends are widened by the slop the strings print
+                for s, t in zip(pair, (lo - FAST_SLOP, hi + FAST_SLOP)):
+                    assert abs(s - t) <= 2e-12
+
+
+def test_butterfly_rows_are_formatted_on_access_as_every_artifact_prints_them():
+    ds = butterfly(12, F(8), "fast")
+    rows = ds.rows
+    assert rows == ds.rows and rows is not ds.rows and "rows" not in vars(ds)
+    assert any(row.error for row in rows)
+    printed = [
+        f"{row.q},{row.p},{kind},{lo},{hi}"
+        for row in rows
+        for kind, part in (
+            ("band", row.bands), ("defect_plus", row.defects_plus), ("defect_minus", row.defects_minus)
+        )
+        for lo, hi in part
+    ]
+    assert ds.to_csv().splitlines() == ["q,p,kind,lo,hi", *printed]
+    assert ds.to_json_obj()["rows"] == [
+        {
+            "q": row.q,
+            "p": row.p,
+            "bands": [list(b) for b in row.bands],
+            "defects_plus": [list(b) for b in row.defects_plus],
+            "defects_minus": [list(b) for b in row.defects_minus],
+            "error": row.error,
+        }
+        for row in rows
+    ]
+
+
+def test_fast_butterfly_keeps_its_values_as_numbers_only():
+    # the float64 ends and the row layout take about 0.2 MB at Q = 25; a
+    # ~%.12e string kept per interval end would add about 1.9 MB
+    butterfly(25, V5, "fast")  # any memo the rows fill stays out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = butterfly(25, V5, "fast")
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000
+    assert len(ds.rows) == 201
 
 
 # rows of the fast backend that drop defect points, at the benchmark's Q = 25

@@ -22,6 +22,10 @@ CERTIFIED_OUTPUTS = {
     "analyze optimality --r 2/3 --side minus --V 5 --kmax 20 --format json": "4aa6750f2b1f3f4111826c018b633cede8c35ba55d48f7ececd73db46fffa9d1",
     "butterfly --Q 8 --V 5 --format json": "d047d3ffddd6edb6876d44496fb832bc79f54149d3585bc02f2acdf12249f940",
     "butterfly --Q 8 --V -3 --format json": "0b136404e532d7a0cb2d19a276a6921b5c2a7ed6769f6582895980c58b58fb80",
+    # the CSV formats the exact ends by its own path, not the JSON's; and a
+    # butterfly at a coupling that is not dyadic
+    "butterfly --Q 8 --V 5 --format csv": "efde872ce77c44a88f1b3af7d6cdd8949b8db204ad9b660c328d6aecfc6c34bd",
+    "butterfly --Q 8 --V 7/3 --format json": "bdeb3f95d9fd84aa13de3911813582b67a84bd6fc44372698349902f9de35bb1",
     # set metrics on spots at both sides of a pair, then intersection and
     # measure
     "analyze lipschitz --pair 1/3+:2/5- --pair 0+:1/7 --pair 1/2-:3/5+ --V 5 --tol 1e-9 --format json": "5cf643486015ddb0caae0cabdc70e2bc933ffcff10abcfc2b56d6d0e373f5cd9",
