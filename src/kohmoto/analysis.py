@@ -592,7 +592,8 @@ def butterfly(
         raise PreconditionError("backend must be certified or fast")
     if Q > MAX_Q[backend]:
         raise PreconditionError(f"Q must be <= {MAX_Q[backend]} with the {backend} backend")
-    V = check_coupling(V)
+    # the fast backend reads V only as a float
+    V = check_coupling(V) if backend == "certified" else as_fraction(V)
     if backend == "fast" and abs(V) >= MAX_FAST_V:
         raise PreconditionError("the fast backend needs a coupling |V| < 2^52")
     tol = check_tol(tol)

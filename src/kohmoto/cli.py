@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import analysis, spectra, tree, words
 from .errors import KohmotoError, PreconditionError
@@ -25,14 +24,6 @@ from .farey import (
     mediant,
     simplest_rational_between,
 )
-
-
-def _parse_tol(text: str) -> Fraction:
-    return Fraction(text)  # accepts "p/q", decimals, and scientific notation
-
-
-def _parse_rational(text: str) -> Fraction:
-    return as_fraction(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,16 +203,16 @@ def _run(args: argparse.Namespace) -> None:
             d = farey_distance(FareyPoint.parse(args.x), FareyPoint.parse(args.y))
             payload = format_rational(d)
         elif subcmd == "neighbors":
-            lo, hi = farey_neighbors(_parse_rational(args.r), args.m)
+            lo, hi = farey_neighbors(as_fraction(args.r), args.m)
             pair = [None if v is None else format_rational(v) for v in (lo, hi)]
             payload = pair if fmt == "json" else f"{pair[0]} {pair[1]}"
         elif subcmd == "mediant":
-            payload = format_rational(mediant(_parse_rational(args.a), _parse_rational(args.b)))
+            payload = format_rational(mediant(as_fraction(args.a), as_fraction(args.b)))
         elif subcmd == "between":
             s = simplest_rational_between(FareyPoint.parse(args.lo), FareyPoint.parse(args.hi))
             payload = format_rational(s)
         else:  # cf
-            short, long = cf_forms(_parse_rational(args.r))
+            short, long = cf_forms(as_fraction(args.r))
             if fmt == "json":
                 payload = {"short": list(short), "long": list(long)}
             else:
@@ -245,7 +236,7 @@ def _run(args: argparse.Namespace) -> None:
 
     if cmd == "word":
         if subcmd == "defect":
-            cfg = words.defect_config(_parse_rational(args.r), args.side)
+            cfg = words.defect_config(as_fraction(args.r), args.side)
             payload = cfg.render()
         elif subcmd == "show":
             words.check_window(args.lo, args.hi)
@@ -273,24 +264,24 @@ def _run(args: argparse.Namespace) -> None:
         return
 
     if cmd == "spectrum":
-        V = _parse_rational(args.V)
+        V = as_fraction(args.V)
         if subcmd == "bands":
-            spec = spectra.spectrum_periodic(_parse_rational(args.r), V, _parse_tol(args.tol))
+            spec = spectra.spectrum_periodic(as_fraction(args.r), V, as_fraction(args.tol))
             payload = spec.to_json_obj() if fmt == "json" else _spectrum_text(spec)
         elif subcmd == "defects":
             spec = spectra.defect_spectrum(
-                _parse_rational(args.r), args.side, V, _parse_tol(args.tol)
+                as_fraction(args.r), args.side, V, as_fraction(args.tol)
             )
             payload = spec.to_json_obj() if fmt == "json" else _spectrum_text(spec)
         else:  # member
-            inside = spectra.membership(_parse_rational(args.E), _parse_rational(args.r), V)
+            inside = spectra.membership(as_fraction(args.E), as_fraction(args.r), V)
             payload = "true" if inside else "false"
         emit(payload, fmt, inv, args.out)
         return
 
     if cmd == "analyze":
-        V = _parse_rational(args.V)
-        tol = _parse_tol(args.tol)
+        V = as_fraction(args.V)
+        tol = as_fraction(args.tol)
         if subcmd == "lipschitz":
             pairs = []
             for chunk in args.pair:
@@ -317,13 +308,13 @@ def _run(args: argparse.Namespace) -> None:
                 payload = json.dumps(payload, indent=2, sort_keys=True)
         elif subcmd == "optimality":
             rep = analysis.optimality_certificate(
-                _parse_rational(args.r), args.side, V, args.kmax, tol
+                as_fraction(args.r), args.side, V, args.kmax, tol
             )
             payload = rep.to_json_obj()
             if fmt == "text":
                 payload = json.dumps(payload, indent=2, sort_keys=True)
         else:  # measures
-            rep = analysis.measure_experiments(_parse_rational(args.r), V, args.kmax, tol)
+            rep = analysis.measure_experiments(as_fraction(args.r), V, args.kmax, tol)
             payload = rep.to_json_obj()
             if fmt == "text":
                 payload = json.dumps(payload, indent=2, sort_keys=True)
@@ -331,13 +322,13 @@ def _run(args: argparse.Namespace) -> None:
         return
 
     if cmd == "butterfly":
-        V = _parse_rational(args.V)
+        V = as_fraction(args.V)
         ds = analysis.butterfly(
             args.Q,
             V,
             backend="fast" if args.fast else "certified",
             include_defects=not args.no_defects,
-            tol=_parse_tol(args.tol),
+            tol=as_fraction(args.tol),
         )
         if fmt == "svg":
             payload = ds.to_svg()

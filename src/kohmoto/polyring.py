@@ -57,9 +57,6 @@ class RP:
     def degree(self) -> int:
         return len(self.num) - 1
 
-    def coeffs(self) -> list[Fraction]:
-        return [Fraction(x, self.den) for x in self.num]
-
     def _coerce(self, other):
         if isinstance(other, RP):
             return other
@@ -114,9 +111,6 @@ class RP:
         if other is NotImplemented:
             return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((tuple(self.num), self.den))
 
     def eval(self, x) -> Fraction:
         if not isinstance(x, Fraction):

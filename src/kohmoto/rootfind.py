@@ -10,14 +10,20 @@ certify one root per cell; when the estimates do not yield such cells,
 bisection on Sturm counts isolates the roots instead.  Floating point only
 proposes cells: every certificate is an exact integer sign or count.
 
+One loop narrows every enclosure: `RootEnclosure.refined(grid)` splits at
+the grid point with the fewest bits, down to the root's cell of the grid
+of spacing 2^grid clipped to the enclosure, or [x, x] at a grid point x.
+On a cell of a dyadic grid that point is the midpoint, so a cell is
+halved.  `separate`, `compare_distinct_roots` and the defect points' gap
+brackets narrow by it too; only Sturm bisection splits by counts.
+
 One grid decides the bytes: guided and Sturm cells are all cells of dyadic
 grids, so a root with no other root in or next to its cell of the grid of
-spacing 2^floor(log2 width) comes out of `isolate_roots` and
-`refined(width)` as that cell, or as [x, x] at a grid point x, whichever
-route found it.
+spacing 2^grid <= width comes out of `isolate_roots` and `refined(grid)`
+as that cell, or as [x, x] at a grid point x, whichever route found it.
 
-Every enclosure end is dyadic: grid points, bisection midpoints and Sturm
-bisection inside a power-of-two window have power-of-two denominators.
+Every enclosure end is dyadic: grid points and Sturm bisection inside a
+power-of-two window have power-of-two denominators.
 A `RootEnclosure` stores its ends as integers over one 2^exp, two of them
 meet over a common denominator by a shift, and every loop here runs on
 those integers; the `lo` and `hi` Fractions are for output.  A float
@@ -268,8 +274,7 @@ def cauchy_bound(p: Sequence[int]) -> int:
 class RootEnclosure:
     """Isolating interval [lo_num / 2^exp, hi_num / 2^exp] for one simple
     real root of poly, nonzero at both ends unless they coincide at the
-    root.  Dyadic rational ends are folded into exp (any other end raises
-    PreconditionError), and the ends are kept reduced."""
+    root.  The ends are kept reduced."""
 
     poly: tuple[int, ...]
     lo_num: int
@@ -278,12 +283,6 @@ class RootEnclosure:
 
     def __post_init__(self):
         lo, hi, e = self.lo_num, self.hi_num, self.exp
-        if type(lo) is not int or type(hi) is not int:
-            lo, hi = Fraction(lo), Fraction(hi)
-            d = lo.denominator * hi.denominator
-            if d & (d - 1):
-                raise PreconditionError(f"enclosure [{lo}, {hi}] has an end that is not dyadic")
-            lo, hi, e = int(lo * d), int(hi * d), e + d.bit_length() - 1
         low = (lo | hi) & -(lo | hi)  # the lowest set bit of either end
         shift = min(low.bit_length() - 1, e) if low else e
         self.lo_num, self.hi_num, self.exp = lo >> shift, hi >> shift, e - shift
@@ -304,26 +303,34 @@ class RootEnclosure:
     def is_exact(self) -> bool:
         return self.lo_num == self.hi_num
 
-    def refined(self, max_width: Fraction) -> "RootEnclosure":
-        """The same root enclosed at most max_width wide."""
-        wn, wd = max_width.numerator, max_width.denominator
-        return self.bisected(_halvings((self.hi_num - self.lo_num) * wd, wn << self.exp))
-
-    def bisected(self, steps: int) -> "RootEnclosure":
-        """The same root after steps halvings of the enclosure, or its exact
-        enclosure when a midpoint hits it."""
-        if steps <= 0 or self.is_exact():
-            return self
+    def refined(self, grid: int) -> "RootEnclosure":
+        """The root's cell of the dyadic grid of spacing 2^grid, clipped to
+        the enclosure, or [x, x] at a grid point x where poly vanishes; the
+        enclosure itself when it is no wider than one cell.  Each split is
+        at the grid point with the fewest bits strictly inside the grid
+        cells that cover what is left (`_short_point`), read over its own
+        denominator: the midpoint of a cell of a dyadic grid, so such a
+        cell is halved."""
         p, lo, hi, e = self.poly, self.lo_num, self.hi_num, self.exp
-        s_lo = sign_at(p, lo, 1 << e)
-        for _ in range(steps):
-            m = lo + hi
-            lo, hi, e = 2 * lo, 2 * hi, e + 1
-            s_m = sign_at(p, m, 1 << e)
-            if s_m == 0:
-                return RootEnclosure(p, m, m, e)
-            lo, hi = (m, hi) if s_m == s_lo else (lo, m)
-        return RootEnclosure(p, lo, hi, e)
+        if e < -grid:
+            lo, hi, e = lo << (-grid - e), hi << (-grid - e), -grid
+        k = e + grid  # the grid points are the multiples of 2^k over 2^e
+        if hi - lo <= 1 << k:
+            return self
+        s_lo = sign_at(p, self.lo_num, 1 << self.exp)
+        a, b = lo >> k, -(-hi >> k)  # grid points a * 2^k <= lo and hi <= b * 2^k
+        while b - a > 1:
+            m = _short_point(a, b)
+            # the point m * 2^k over 2^e, reduced: strip its trailing zero bits
+            z = min((m & -m).bit_length() - 1 + k, e) if m else e
+            s = sign_at(p, m << k >> z, 1 << (e - z))
+            if s == 0:
+                return RootEnclosure(p, m << k, m << k, e)
+            if s == s_lo:
+                a = m
+            else:
+                b = m
+        return RootEnclosure(p, max(a << k, lo), min(b << k, hi), e)
 
 
 def _reduced(poly: tuple[int, ...], lo_num: int, hi_num: int, exp: int) -> RootEnclosure:
@@ -334,10 +341,15 @@ def _reduced(poly: tuple[int, ...], lo_num: int, hi_num: int, exp: int) -> RootE
     return enc
 
 
-def _halvings(x: int, y: int) -> int:
-    """The fewest halvings that bring a width x down to y > 0: the smallest
-    n >= 0 with x <= y * 2^n."""
-    return 0 if x <= y else -_dyadic_exponent(y, x)
+def _short_point(a: int, b: int) -> int:
+    """The integer strictly between a and b > a + 1 with the most trailing
+    zero bits: 0 when a < 0 < b, else b - 1 with the bits below its
+    highest difference from a cleared (a has a 0 there and b - 1 a 1, in
+    two's complement, so it lies above a)."""
+    if a < 0 < b:
+        return 0
+    k = (a ^ (b - 1)).bit_length() - 1
+    return ((b - 1) >> k) << k
 
 
 def _dyadic_exponent(n: int, d: int) -> int:
@@ -367,7 +379,7 @@ def isolate_roots(
     are laid on GUIDE_GRID instead.  When the guesses do not yield such
     cells, or a guess has no exact cell index, Sturm bisection
     (`_sturm_bisection`) isolates the roots.  A cell may be wider than
-    width: `refined(width)` finishes it."""
+    width: `refined` finishes it."""
     p = primitive(p)
     if degree(p) == 0:
         return []
@@ -569,8 +581,9 @@ def separate(enclosures: list[RootEnclosure]) -> list[RootEnclosure]:
     intervals are pairwise disjoint, and return them sorted.
 
     The family is kept sorted by (midpoint, lo), and each pass compares
-    neighbouring pairs over the larger of their two exponents; an
-    overlapping pair is refined to a quarter of its summed widths.  A pass
+    neighbouring pairs over the larger of their two exponents; both members
+    of an overlapping pair are refined to their cells of the dyadic grid of
+    spacing at most a quarter of the pair's summed widths.  A pass
     without overlaps leaves them sorted; two equal exact enclosures are
     DegeneracyError.
 
@@ -596,8 +609,8 @@ def separate(enclosures: list[RootEnclosure]) -> list[RootEnclosure]:
             total = ahi - alo + bhi - blo
             if not total:
                 raise DegeneracyError("two equal roots with exact enclosures")
-            out[i] = a.bisected(_halvings(4 * (ahi - alo), total))
-            out[i + 1] = b.bisected(_halvings(4 * (bhi - blo), total))
+            grid = _dyadic_exponent(total, 4) - e
+            out[i], out[i + 1] = a.refined(grid), b.refined(grid)
             if runs and runs[-1][1] == i:
                 runs[-1][1] = i + 1
             else:
@@ -674,8 +687,9 @@ def compare_roots(a: RootEnclosure, b: RootEnclosure) -> int:
 
 def compare_distinct_roots(a: RootEnclosure, b: RootEnclosure) -> int:
     """Exact order of two algebraic numbers known to differ, given by
-    enclosures: while they overlap, each is refined to a quarter of the
-    narrower non-exact width."""
+    enclosures: while they overlap, each is refined to its cell of the
+    dyadic grid of spacing at most a quarter of the narrower non-exact
+    width."""
     for _ in range(256):
         e = max(a.exp, b.exp)
         (alo, ahi), (blo, bhi) = a.ends_at(e), b.ends_at(e)
@@ -686,6 +700,6 @@ def compare_distinct_roots(a: RootEnclosure, b: RootEnclosure) -> int:
         shrink = min((w for w in (ahi - alo, bhi - blo) if w), default=0)
         if not shrink:
             raise DegeneracyError("two roots said to differ have equal exact enclosures")
-        a = a.bisected(_halvings(4 * (ahi - alo), shrink))
-        b = b.bisected(_halvings(4 * (bhi - blo), shrink))
+        grid = _dyadic_exponent(shrink, 4) - e
+        a, b = a.refined(grid), b.refined(grid)
     raise PreconditionError("root comparison did not converge")

@@ -29,9 +29,10 @@ in a known gap without a Sturm chain.
 One grid decides every certified enclosure: the root's cell of the grid
 of spacing 2^floor(log2 tol), [x, x] at a grid point x, split further by
 `separate` only where two band edges share a cell and clipped to its gap
-for a defect point.  The guides, the Sturm fallback and the grid search
-decide how fast it is found, not its bytes (but for two roots of one
-reflection factor in one cell or in neighbouring ones).
+for a defect point.  One loop, `RootEnclosure.refined`, narrows band
+edges and defect points alike to that cell; the guides and the Sturm
+fallback decide how fast it is found, not its bytes (but for two roots of
+one reflection factor in one cell or in neighbouring ones).
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .rootfind import (
     IntPoly,
     RootEnclosure,
     _dyadic_exponent,
+    _short_point,
     cauchy_bound,
     compare_distinct_roots,
     compare_roots,
@@ -195,13 +197,24 @@ def check_tol(tol) -> Fraction:
     return tol
 
 
+# Caps on the bits of the coupling's numerator and denominator: the exact
+# run time grows with both.  On a 2-core machine `spectrum bands --r 55/89`
+# took 6.5 s at V = 1000, 15 s at 2^14 - 1 and 22 s at 2^16 - 1, and
+# `spectrum bands --r 21/34` 1.8 s at V = 1e-100, 8.9 s at 1e-200 and 23 s at
+# 1/2^1024 (48 s at 1e-400).  Every capped V has a finite float.
+MAX_COUPLING_BITS = 16
+MAX_COUPLING_DENOMINATOR_BITS = 1024
+
+
 def check_coupling(V) -> Fraction:
-    """V as a Fraction; PreconditionError unless it has a finite float."""
+    """V as a Fraction; PreconditionError unless its numerator has at most
+    MAX_COUPLING_BITS bits and its denominator at most
+    MAX_COUPLING_DENOMINATOR_BITS."""
     V = as_fraction(V)
-    try:
-        float(V)
-    except OverflowError:
-        raise PreconditionError("coupling is too large for a float") from None
+    if V.numerator.bit_length() > MAX_COUPLING_BITS:
+        raise PreconditionError(f"coupling numerator must have at most {MAX_COUPLING_BITS} bits")
+    if V.denominator.bit_length() > MAX_COUPLING_DENOMINATOR_BITS:
+        raise PreconditionError(f"coupling denominator must have at most {MAX_COUPLING_DENOMINATOR_BITS} bits")
     return V
 
 
@@ -406,6 +419,7 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     if len(word) != q:
         raise PreconditionError("word length must match the trace degree")
     scale = check_coupling(V).denominator ** q
+    grid = _dyadic_exponent(tol.numerator, tol.denominator)
     found = []
     try:
         for anti in (False, True):
@@ -418,7 +432,7 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
             if [c * t.den for c in poly_mul(*factors)] != [c * scale for c in target]:
                 raise PrecisionError(f"reflection factors do not multiply to {name}")
             roots = [
-                enc.refined(tol)
+                enc.refined(grid)
                 for f, guide in zip(factors, floquet_edges(word, V, paths))
                 for enc in isolate_roots(f, guide=guide, width=tol)
             ]
@@ -456,17 +470,6 @@ def _band_point(lo: RootEnclosure, hi: RootEnclosure) -> tuple[int, int]:
     exp = max(lo.exp, hi.exp)
     a, b = lo.ends_at(exp)[1], hi.ends_at(exp)[0]
     return (_short_point(a, b), exp) if b - a > 1 else (a + b, exp + 1)
-
-
-def _short_point(a: int, b: int) -> int:
-    """The integer strictly between a and b > a + 1 with the most trailing
-    zero bits: 0 when a < 0 < b, else b - 1 with the bits below its
-    highest difference from a cleared (a has a 0 there and b - 1 a 1, in
-    two's complement, so it lies above a)."""
-    if a < 0 < b:
-        return 0
-    k = (a ^ (b - 1)).bit_length() - 1
-    return ((b - 1) >> k) << k
 
 
 @functools.lru_cache(maxsize=128)
@@ -641,15 +644,15 @@ def defect_spectrum(r, side: str, V, tol) -> Spectrum:
     # the tol grid, cells 2^grid <= tol wide, and the guides' grid over it
     coarse = max(tol, GUIDE_GRID)
     grid, guide_grid = (_dyadic_exponent(x.numerator, x.denominator) for x in (tol, coarse))
-    exp = max(-grid, *(e for _, e in marks))
-    bound, step, width = cauchy_bound(d) << exp, 1 << (exp + grid), 1 << (exp + guide_grid)
+    exp = max(-guide_grid, *(e for _, e in marks))
+    bound, width = cauchy_bound(d) << exp, 1 << (exp + guide_grid)
     xs = [-bound, *(num << (exp - e) for num, e in marks), bound]
     guides = filter(None, (grid_cell(x, guide_grid) for x in floquet_defect_estimates(period_word(r), V)))
     # each guide's cell, and the cell next to it on the guide's side
     cells = sorted((k * width, (k + 1 if upper else k - 1) * width) for k, upper in guides)
     # t_u > 0 on gap i, between xs[i] and xs[i + 1], when q - i is even
     chosen = {i: f for f, odd in ((a, 0), (c, 1)) for i in _sign_change_gaps(f, xs, exp) if (q - i) % 2 == odd}
-    points = tuple(_gap_root(f, xs[i], xs[i + 1], exp, cells, width, step) for i, f in sorted(chosen.items()))
+    points = tuple(_gap_root(f, xs[i], xs[i + 1], exp, cells, width, grid) for i, f in sorted(chosen.items()))
     _check_point_placement(base, points, above=(side == "plus") == (V > 0))
     return Spectrum(base.bands, points, tol)
 
@@ -666,14 +669,16 @@ def _sign_change_gaps(f: IntPoly, xs: list[int], exp: int) -> list[int]:
 
 
 def _gap_root(
-    f: IntPoly, lo: int, hi: int, exp: int, cells: list[tuple[int, int]], width: int, step: int
+    f: IntPoly, lo: int, hi: int, exp: int, cells: list[tuple[int, int]], width: int, grid: int
 ) -> RootEnclosure:
     """The one root of f in the bracket (lo, hi) over 2^exp, where f has
-    opposite nonzero signs at lo and hi, by `_grid_search`.  The guides
-    only narrow the bracket: `cells` holds the sorted starts of each
-    guide's cell, width wide, and of the cell next to it on the guide's
-    side; the first of these cells near the bracket (own cells first)
-    across which f changes sign, clipped to it, is the new bracket."""
+    opposite nonzero signs at lo and hi: its cell of the grid of spacing
+    2^grid clipped to the bracket, or [x, x] at a grid point x, by
+    `refined`.  The guides only narrow the bracket: `cells` holds the
+    sorted starts of each guide's cell, width wide, and of the cell next
+    to it on the guide's side; the first of these cells near the bracket
+    (own cells first) across which f changes sign, clipped to it, is the
+    new bracket."""
     poly = tuple(f)
     near = cells[bisect.bisect_left(cells, (lo - 2 * width + 1,)) : bisect.bisect_left(cells, (hi + width,))]
     for k in [k for k, _ in near] + [k for _, k in near]:
@@ -684,28 +689,8 @@ def _gap_root(
                 x = a if s_a == 0 else b
                 return RootEnclosure(poly, x, x, exp)
             if s_a != s_b:
-                return _grid_search(poly, a, b, exp, step, s_a)
-    return _grid_search(poly, lo, hi, exp, step, sign_at(poly, lo, 1 << exp))
-
-
-def _grid_search(poly: tuple[int, ...], lo: int, hi: int, exp: int, step: int, s_lo: int) -> RootEnclosure:
-    """The one root of poly in (lo, hi) over 2^exp, where poly has the
-    nonzero sign s_lo at lo and the other at hi: bisection over the grid
-    points k * step strictly between them, down to the root's grid cell
-    clipped to [lo, hi], or [x, x] at a grid point x where poly vanishes.
-    Each split is at the point with the fewest bits (`_short_point`), read
-    over its own denominator, so the search runs down the dyadic grids as
-    bisection does, on short integers until its last steps."""
-    a, b = lo // step, -(-hi // step)  # a * step <= lo and hi <= b * step
-    while b - a > 1:
-        m = _short_point(a, b)
-        x = m * step
-        shift = min((x & -x).bit_length() - 1, exp) if x else exp
-        s = sign_at(poly, x >> shift, 1 << (exp - shift))
-        if s == 0:
-            return RootEnclosure(poly, x, x, exp)
-        a, b = (m, b) if s == s_lo else (a, m)
-    return RootEnclosure(poly, max(a * step, lo), min(b * step, hi), exp)
+                return RootEnclosure(poly, a, b, exp).refined(grid)
+    return RootEnclosure(poly, lo, hi, exp).refined(grid)
 
 
 def _check_point_placement(base: Spectrum, points, above: bool) -> None:

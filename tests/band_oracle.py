@@ -22,6 +22,8 @@ from kohmoto.farey import as_fraction
 from kohmoto.rootfind import _grid_cells, cauchy_bound, degree, isolate_roots, primitive, separate
 from kohmoto.spectra import Spectrum, _bloch_matrix, _reflection
 
+from rootfind_oracle import grid_of
+
 
 def ring_eigenvalues(word: str, V, anti: bool) -> list[float]:
     m = _bloch_matrix(word, float(as_fraction(V)), -1.0 if anti else 1.0)
@@ -50,7 +52,7 @@ def unsplit_spectrum(t, tol, word: str, V) -> Spectrum:
         (t + 2).int_poly(), ring_eigenvalues(word, V, anti=True), tol
     )
     assert len(roots_upper) == q and len(roots_lower) == q
-    edges = [e.refined(tol) for e in separate(roots_upper + roots_lower)]
+    edges = [e.refined(grid_of(tol)) for e in separate(roots_upper + roots_lower)]
     bands = []
     for i in range(0, 2 * q, 2):
         lo, hi = edges[i], edges[i + 1]

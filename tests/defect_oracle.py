@@ -33,6 +33,8 @@ from kohmoto.spectra import (
 )
 from kohmoto.words import Configuration, period_word, sk_words
 
+from rootfind_oracle import grid_of, halved
+
 
 def approximant_defect_points(r, side: str, V, tol) -> tuple:
     """The q defect point enclosures of the one-sided limit of r, from the
@@ -102,7 +104,7 @@ def halving_defect_points(r, side: str, V, tol) -> list[RootEnclosure]:
     )
     points = []
     for enc in roots:
-        enc = enc.refined(tol)
+        enc = enc.refined(grid_of(tol))
         for _ in range(256):
             lo, hi, exp = enc.lo_num, enc.hi_num, enc.exp
             s = sign_at(t_u.num, lo, 1 << exp)
@@ -115,7 +117,7 @@ def halving_defect_points(r, side: str, V, tol) -> list[RootEnclosure]:
                     break
             if enc.is_exact():
                 raise PrecisionError("G+ and G- both vanish at an exact defect root")
-            enc = enc.bisected(1)
+            enc = halved(enc, 1)
         else:
             raise PrecisionError("side of a defect root not decided after 256 halvings")
     return points

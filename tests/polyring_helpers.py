@@ -16,3 +16,8 @@ def from_fractions(coeffs) -> RP:
 
 def is_zero(p: RP) -> bool:
     return p.num == [0]
+
+
+def coeffs(p: RP) -> list[Fraction]:
+    """The coefficients of p as Fractions, lowest degree first."""
+    return [Fraction(x, p.den) for x in p.num]

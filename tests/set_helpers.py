@@ -5,8 +5,9 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from kohmoto.errors import PreconditionError
-from kohmoto.rootfind import RootEnclosure
 from kohmoto.sets import EnclosedSet, _directed, intersect, normalize
+
+from rootfind_oracle import enclosure
 
 
 def directed_hausdorff(a, b) -> Fraction:
@@ -16,7 +17,7 @@ def directed_hausdorff(a, b) -> Fraction:
         return Fraction(0)
     if not b:
         raise PreconditionError("directed distance to an empty set")
-    encs = [RootEnclosure((), lo, hi) for lo, hi in [*a, *b]]
+    encs = [enclosure((), lo, hi) for lo, hi in [*a, *b]]
     exp = max(e.exp for e in encs)
     ends = [e.ends_at(exp) for e in encs]
     # _directed gives twice the distance
@@ -36,8 +37,8 @@ def enclosed_set(bands=(), spots=()) -> EnclosedSet:
     band is a pair of edge enclosures ((lo, hi), (lo, hi)) and each spot the
     enclosure (lo, hi) of one point, all with dyadic ends."""
     spec = SimpleNamespace(
-        bands=[(RootEnclosure((), *lo), RootEnclosure((), *hi)) for lo, hi in bands],
-        defects=[RootEnclosure((), *spot) for spot in spots],
+        bands=[(enclosure((), *lo), enclosure((), *hi)) for lo, hi in bands],
+        defects=[enclosure((), *spot) for spot in spots],
     )
     return EnclosedSet.from_spectrum(spec)
 

@@ -32,6 +32,10 @@ CERTIFIED_OUTPUTS = {
     "analyze measures --r 3/5 --V 5 --kmax 8 --format json": "3ebdc375953f9c94683100efc519d4792edd2d13e08ac8aedc28bed7729bea20",
     # a coupling that is not dyadic: reflection factors scaled by powers of 3
     "spectrum bands --r 21/34 --V 7/3 --tol 1e-9 --format json": "dfbcaa0a17076a380f92afaa00b16dc067cf7941eca25ca16420dfeb402c0b39",
+    # the Sturm fallback's windows refined to the tol grid, and gap brackets
+    # refined below the guides' grid
+    "spectrum bands --r 3/25 --V 100 --format json": "f8f2f5de7d615c0ade9d846498cc877219732a30a678701f031c284d084cb9b5",
+    "spectrum defects --r 34/89 --side plus --V 5 --tol 1e-20 --format json": "8c3622b93cc81bec32ee94abc8623ad80c0195c3ef9bed818019399e6df51a43",
 }
 
 
@@ -122,10 +126,19 @@ def test_exit_codes():
     run("spectrum", "bands", "--r", "1/3", "--V", "1e400", expect=2)
     run("spectrum", "defects", "--r", "1/3", "--side", "plus", "--V", "1e400", expect=2)
     run("butterfly", "--Q", "2", "--V", "1e400", "--fast", expect=2)
-    # a coupling whose float square overflows the defect estimates, and one
-    # whose float ulp is at least the unit hopping of the fast backend
+    # a coupling whose float square would overflow the defect estimates, and
+    # one whose float ulp is at least the unit hopping of the fast backend
     run("spectrum", "defects", "--r", "1/3", "--side", "plus", "--V", "1e300", expect=2)
     run("butterfly", "--Q", "3", "--V", "1e300", "--fast", expect=2)
+    # exact run time grows with the bits of the coupling's numerator (at
+    # most 16) and denominator (at most 1024)
+    run("spectrum", "bands", "--r", "1/3", "--V", str(2**16 - 1))
+    run("spectrum", "bands", "--r", "1/3", "--V", str(2**16), expect=2)
+    run("spectrum", "defects", "--r", "1/3", "--side", "plus", "--V", str(-(2**16)), expect=2)
+    run("spectrum", "bands", "--r", "1/3", "--V", f"3/{2**1024 - 1}")
+    run("spectrum", "bands", "--r", "1/3", "--V", f"3/{2**1024}", expect=2)
+    run("butterfly", "--Q", "2", "--V", str(2**16), expect=2)
+    run("butterfly", "--Q", "2", "--V", str(2**16), "--fast")
     run("butterfly", "--Q", "2", "--V", "5", "--fast", "--threads", "2", expect=2)
     # butterfly writes csv, json or svg; it has no text artifact
     run("butterfly", "--Q", "2", "--V", "5", "--fast", "--format", "text", expect=2)

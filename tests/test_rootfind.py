@@ -26,10 +26,15 @@ from kohmoto.rootfind import (
 )
 
 import symbolic_ring
-from polyring_helpers import from_fractions, is_zero
+from polyring_helpers import coeffs, from_fractions, is_zero
 from rootfind_oracle import (
     chain_matches_oracle,
     count_roots,
+    enclosure,
+    grid_of,
+    grid_search,
+    halved,
+    halvings,
     primitive_sturm_chain,
     resorting_separate,
     two_pass_prem_normal,
@@ -67,7 +72,7 @@ def test_sturm_chain_counts():
 
 
 def test_enclosure_ends_are_dyadic():
-    enc = RootEnclosure((-3, 4), F(3, 4), F(7, 8))
+    enc = enclosure((-3, 4), F(3, 4), F(7, 8))
     assert (enc.lo_num, enc.hi_num, enc.exp) == (6, 7, 3)
     assert (enc.lo, enc.hi) == (F(3, 4), F(7, 8))
     # integer ends are reduced, so equal intervals compare equal
@@ -75,7 +80,7 @@ def test_enclosure_ends_are_dyadic():
     assert enc.ends_at(5) == (24, 28)
     for lo, hi in ((F(1, 3), F(1, 2)), (F(1, 2), F(7, 10)), (F(1, 10**9), F(1))):
         with pytest.raises(PreconditionError, match="not dyadic"):
-            RootEnclosure((-3, 4), lo, hi)
+            enclosure((-3, 4), lo, hi)
 
 
 def test_isolation_random_integer_roots():
@@ -88,7 +93,7 @@ def test_isolation_random_integer_roots():
         assert len({id(enc.poly) for enc in encs}) == 1
         for enc, want in zip(encs, roots):
             assert enc.lo <= want <= enc.hi
-            tight = enc.refined(F(1, 10**6))
+            tight = enc.refined(-20)  # 2^-20 <= 1e-6
             assert tight.hi - tight.lo <= F(1, 10**6)
             assert tight.lo <= want <= tight.hi
 
@@ -107,7 +112,7 @@ def test_isolation_with_float_guides():
 def test_exact_rational_roots_detected():
     encs = isolate_roots([0, -5, 1])  # x(x - 5)
     assert len(encs) == 2
-    refined = [e.refined(F(1, 1000)) for e in encs]
+    refined = [e.refined(-10) for e in encs]  # 2^-10 <= 1/1000
     assert refined[0].lo <= 0 <= refined[0].hi
     assert refined[1].lo <= 5 <= refined[1].hi
     assert any(e.is_exact() for e in refined)
@@ -241,25 +246,23 @@ def test_compare_roots_sees_only_the_gcd_root_in_the_intersection():
     g = poly_mul([-1, 1], [-2, 0, 1])
     lo, hi = 1 + F(1, 2048), F(3, 2) + F(1, 2048)
     assert lo - (hi - lo) / 1024 == 1
-    a = RootEnclosure(tuple(g), lo, hi)
-    b = RootEnclosure(tuple(poly_mul(g, [5, 1])), lo, hi)
+    a = enclosure(g, lo, hi)
+    b = enclosure(poly_mul(g, [5, 1]), lo, hi)
     assert compare_roots(a, b) == 0
     # the gcd has a second root 2^-10 + 2^-31 above the shared root 1, inside
     # the narrow enclosure but not in its intersection [1, 1] with the exact one
     s = 1 + F(1, 1 << 10) + F(1, 1 << 31)
     h = poly_from_roots([1, s])
-    exact = RootEnclosure(tuple(h), F(1), F(1))
-    narrow = RootEnclosure(
-        tuple(poly_from_roots([1, s, -3])), 1 - F(1, 1 << 31), 1 + F(1, 1 << 31)
-    )
+    exact = enclosure(h, 1, 1)
+    narrow = enclosure(poly_from_roots([1, s, -3]), 1 - F(1, 1 << 31), 1 + F(1, 1 << 31))
     assert compare_roots(exact, narrow) == 0
     assert compare_roots(narrow, exact) == 0
 
 
 def test_compare_roots_exact_against_narrow_enclosure_of_another_root():
     y = 1 + F(1, 1 << 40)
-    exact = RootEnclosure((-1, 1), F(1), F(1))
-    narrow = RootEnclosure(tuple(poly_from_roots([y])), 1 - F(1, 1 << 31), 1 + F(1, 1 << 31))
+    exact = enclosure((-1, 1), 1, 1)
+    narrow = enclosure(poly_from_roots([y]), 1 - F(1, 1 << 31), 1 + F(1, 1 << 31))
     assert compare_roots(exact, narrow) == -1
     assert compare_roots(narrow, exact) == 1
 
@@ -285,13 +288,13 @@ def test_sign_at():
 def test_rp_arithmetic():
     E, V = RP([0, 1]), RP.const(5)
     t = E * E - V * E - 2
-    assert t.coeffs() == [F(-2), F(-5), F(1)]
+    assert coeffs(t) == [F(-2), F(-5), F(1)]
     assert t.eval(F(0)) == -2
     assert t.eval(F(-7, 3)) == F(49, 9) + F(35, 3) - 2
     assert (t * F(1, 6)).eval(F(1, 2)) == (F(1, 4) - F(5, 2) - 2) / 6
     assert is_zero(t - t)
     half = RP.const(F(1, 2))
-    assert (half + half).coeffs() == [F(1)]
+    assert coeffs(half + half) == [F(1)]
     assert (E * half * 2) == E
 
 
@@ -308,7 +311,7 @@ int_coefficients = st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size
 def test_rp_integer_paths_match_fraction_coefficients(a, b, k, scale):
     # denominator-1 operands take the integer paths; a scaled copy the
     # general ones; both must give the coefficients of Fraction arithmetic
-    def coeffs(x, y, op):
+    def termwise(x, y, op):
         n = max(len(x), len(y))
         x, y = x + [0] * (n - len(x)), y + [0] * (n - len(y))
         return [op(F(u), F(v)) for u, v in zip(x, y)]
@@ -319,13 +322,13 @@ def test_rp_integer_paths_match_fraction_coefficients(a, b, k, scale):
             product[i + j] += x * y
     A, B = RP(a), RP(b)
     for x, y, s in ((A, B, F(1)), (A * scale, B * scale, scale)):
-        assert x + y == from_fractions(coeffs(a, b, lambda u, v: (u + v) * s))
-        assert x - y == from_fractions(coeffs(a, b, lambda u, v: (u - v) * s))
+        assert x + y == from_fractions(termwise(a, b, lambda u, v: (u + v) * s))
+        assert x - y == from_fractions(termwise(a, b, lambda u, v: (u - v) * s))
         assert x * y == from_fractions([c * s * s for c in product])
         assert -x == from_fractions([-F(c) * s for c in a])
-        assert x + k == k + x == from_fractions(coeffs(a, [k], lambda u, v: u * s + v))
+        assert x + k == k + x == from_fractions(termwise(a, [k], lambda u, v: u * s + v))
         assert x * k == k * x == from_fractions([c * s * k for c in a])
-        assert k - x == from_fractions(coeffs(a, [k], lambda u, v: v - u * s))
+        assert k - x == from_fractions(termwise(a, [k], lambda u, v: v - u * s))
     for x in (A + B, A - B, A * B, -A, A + k, k - A, A * k):
         assert x.den == 1 and (len(x.num) == 1 or x.num[-1] != 0)
 
@@ -337,7 +340,7 @@ def test_bp_symbolic_arithmetic():
     tn = En * En - Vn * En - 2
     # substitute V = 7 row by row: c[i][j] is the coefficient of E^i V^j
     subbed = [F(sum(c * 7**j for j, c in enumerate(row))) for row in t.c]
-    assert subbed == tn.coeffs()
+    assert subbed == coeffs(tn)
     assert (t * t - t * t).is_zero()
     assert V * V == BP([[0, 0, 1]])
     # products with large and negative coefficients against the schoolbook
@@ -449,7 +452,7 @@ def test_close_guesses_leave_the_other_roots_on_the_width_grid():
     roots = [F(1, 10), F(1, 10) + F(1, 2**20), F(1, 2) + F(1, 3000)]
     p = poly_from_roots(roots)
     guided = isolate_roots(p, guide=[float(r) for r in roots], width=width)
-    bisected = [e.refined(width) for e in isolate_roots(p, width=width)]
+    bisected = [e.refined(grid_of(width)) for e in isolate_roots(p, width=width)]
     assert guided[2] == bisected[2] and (guided[2].lo, guided[2].hi) == (F(512, 1024), F(513, 1024))
     assert all(e.hi - e.lo < width for e in guided[:2])
     check_certified(p, roots, guided)
@@ -469,8 +472,9 @@ def test_root_on_a_grid_point_is_exact(roots, k, data):
 
 
 # --- integer loops against plain-Fraction references (property tests) --------
-# Each reference is the Fraction form of the rule the integer loop runs; both
-# must return the same enclosures after the same exact signs at the same points.
+# Each reference is the Fraction form of the rule the integer loop runs, or an
+# oracle of rootfind_oracle; both must return the same enclosures after the
+# same exact signs at the same points.
 
 
 def recording_sign_at(seen):
@@ -495,12 +499,12 @@ def refined_ref(enc, max_width, seen):
         m = (lo + hi) / 2
         s_m = s(m)
         if s_m == 0:
-            return RootEnclosure(enc.poly, m, m)
+            return enclosure(enc.poly, m, m)
         if s_m == s_lo:
             lo = m
         else:
             hi = m
-    return RootEnclosure(enc.poly, lo, hi)
+    return enclosure(enc.poly, lo, hi)
 
 
 def separate_ref(encs, seen):
@@ -539,9 +543,9 @@ def grid_cells_ref(poly, guide, lo_all, hi_all, width, seen):
     def cell(k):
         for j in (k, k + 1):
             if s(j) == 0:
-                return RootEnclosure(poly, j * h, j * h)
+                return enclosure(poly, j * h, j * h)
         if s(k) != s(k + 1):
-            return RootEnclosure(poly, k * h, (k + 1) * h)
+            return enclosure(poly, k * h, (k + 1) * h)
         return None
 
     roots = []
@@ -576,41 +580,95 @@ shares = st.builds(
     st.sampled_from([2, 4, 8, 16, 128, 1024]),
 )
 all_widths = st.sampled_from([F(1, 3), F(1, 2**10), F(1, 10**6), F(1, 2**30), F(1, 10**12)])
+grids = st.integers(-42, 6)
 
 
 @st.composite
 def isolating_enclosures(draw):
     """Enclosures of every root of a polynomial with dyadic roots, each
     reaching a share of the way to the neighbouring roots (so neighbours
-    may overlap), some exact."""
+    may overlap), some exact: brackets on no grid."""
     roots = sorted(draw(dyadic_roots))
     p = tuple(poly_from_roots(roots))
     encs = []
     for i, r in enumerate(roots):
         if draw(st.integers(0, 5)) == 0:
-            encs.append(RootEnclosure(p, r, r))
+            encs.append(enclosure(p, r, r))
             continue
         left = r - roots[i - 1] if i else F(1)
         right = roots[i + 1] - r if i + 1 < len(roots) else F(1)
-        encs.append(RootEnclosure(p, r - left * draw(shares), r + right * draw(shares)))
+        encs.append(enclosure(p, r - left * draw(shares), r + right * draw(shares)))
     return draw(st.permutations(encs))
 
 
+@st.composite
+def aligned_cells(draw):
+    """The enclosures that isolation makes, around distinct rational roots,
+    each on its own linear polynomial: a cell [k 2^c, (k + 1) 2^c] of a
+    dyadic grid, a power-of-two window [-2^c, 2^c] (Sturm bisection's
+    first), or [r, r] at a dyadic root; they nest in and chain across each
+    other."""
+    roots = st.builds(F, st.integers(-300, 300), st.sampled_from([1, 2, 4, 8, 32, 3, 5, 12, 1024]))
+    encs = []
+    for r in draw(st.lists(roots, min_size=1, max_size=8, unique=True)):
+        p = (-r.numerator, r.denominator)
+        h = F(2) ** draw(st.integers(-12, 9))
+        lo = math.floor(r / h) * h
+        if lo == r:
+            encs.append(enclosure(p, r, r))
+        elif abs(r) < h and draw(st.booleans()):
+            encs.append(enclosure(p, -h, h))
+        else:
+            encs.append(enclosure(p, lo, lo + h))
+    return draw(st.permutations(encs))
+
+
+def cell_of(enc, grid):
+    """The ends of enc and the grid spacing, all over 2^max(enc.exp, -grid)."""
+    e = max(enc.exp, -grid)
+    return (*enc.ends_at(e), e, 1 << (e + grid))
+
+
 @PROPERTY
-@given(isolating_enclosures(), all_widths, st.integers(0, 6))
-def test_integer_refined_matches_fraction_bisection(encs, width, halvings):
+@given(aligned_cells(), grids)
+def test_integer_refined_matches_fraction_bisection(encs, grid):
+    # the grid point with the fewest bits inside a cell of a dyadic grid,
+    # or inside a power-of-two window, is its midpoint: refined halves it
+    # as the halving oracle and plain Fraction bisection do
     for enc in encs:
-        # a width the bisection hits exactly tests where it stops
-        for w in (width, (enc.hi - enc.lo) / 2**halvings):
+        lo, hi, e, step = cell_of(enc, grid)
+        seen, halving, want = [], [], []
+        with recording_sign_at(seen):
+            got = enc.refined(grid)
+        with recording_sign_at(halving):
+            assert got == halved(enc, halvings(hi - lo, step))
+        assert ends([got]) == ends([refined_ref(enc, F(2) ** grid, want)])
+        assert seen == halving == want
+
+
+@PROPERTY
+@given(isolating_enclosures(), grids, st.integers(0, 6))
+def test_refined_is_the_grid_search_on_any_bracket(encs, grid, steps):
+    for enc in encs:
+        # a grid that divides the width exactly tests where the search stops
+        for g in (grid, grid_of(enc.hi - enc.lo) - steps) if not enc.is_exact() else (grid,):
+            lo, hi, e, step = cell_of(enc, g)
             seen, want = [], []
             with recording_sign_at(seen):
-                got = enc.refined(w)
-            assert ends([got]) == ends([refined_ref(enc, w, want)])
+                got = enc.refined(g)
+            if hi - lo <= step:
+                assert got is enc and seen == []
+                continue
+            with recording_sign_at(want):
+                s_lo = rootfind.sign_at(enc.poly, enc.lo_num, 1 << enc.exp)
+                assert got == grid_search(enc.poly, lo, hi, e, step, s_lo)
             assert seen == want
+            assert got.lo <= got.hi and enc.lo <= got.lo and got.hi <= enc.hi
+            assert got.is_exact() or got.hi - got.lo <= F(2) ** g
 
 
 @PROPERTY
-@given(isolating_enclosures())
+@given(aligned_cells())
 def test_integer_separate_matches_fraction_separate(encs):
     seen, want = [], []
     with recording_sign_at(seen):
@@ -628,13 +686,13 @@ def nested_enclosures(draw):
     for r in draw(dyadic_roots):
         p = (-r.numerator, r.denominator)
         if draw(st.integers(0, 5)) == 0:
-            encs.append(RootEnclosure(p, r, r))
+            encs.append(enclosure(p, r, r))
             continue
         left, right = (
             F(draw(st.integers(1, 4096)), draw(st.sampled_from([1, 8, 64, 1024])))
             for _ in range(2)
         )
-        encs.append(RootEnclosure(p, r - left, r + right))
+        encs.append(enclosure(p, r - left, r + right))
     return draw(st.permutations(encs))
 
 
@@ -651,12 +709,13 @@ def test_separate_matches_resorting_every_pass(encs):
 
 def test_separate_sorts_everything_when_a_refined_run_crosses_its_neighbour():
     # [0, 10] around 17/2 and [4, 6] around 5 overlap, and [7, 8] around
-    # 15/2 lies beyond [4, 6]; refining [0, 10] to [15/2, 10] moves it past
-    # [7, 8], which only a sort of the whole family puts in order
+    # 15/2 lies beyond [4, 6]; refining [0, 10] to its cell [8, 10] of the
+    # grid of spacing 2 moves it past [7, 8], which only a sort of the
+    # whole family puts in order
     encs = [
-        RootEnclosure((-17, 2), F(0), F(10)),
-        RootEnclosure((-5, 1), F(4), F(6)),
-        RootEnclosure((-15, 2), F(7), F(8)),
+        enclosure((-17, 2), 0, 10),
+        enclosure((-5, 1), 4, 6),
+        enclosure((-15, 2), 7, 8),
     ]
     sorts = mock.patch.object(rootfind, "_sort_by_midpoint", wraps=rootfind._sort_by_midpoint)
     with sorts as spy:

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kohmoto.errors import PreconditionError, PrecisionError
-from kohmoto.rootfind import RootEnclosure
 from kohmoto.sets import (
     EnclosedSet,
     _directed,
@@ -26,6 +25,7 @@ from set_helpers import (
     from_intervals,
     hausdorff_exact,
 )
+from rootfind_oracle import enclosure
 from set_oracle import (
     bisect_directed,
     copying_from_spectrum,
@@ -337,8 +337,8 @@ def spectrum_data(draw):
         bands.append(((v[0], v[1]), (v[2], v[3])) if draw(st.booleans()) else ((v[0], v[2]), (v[1], v[3])))
     spots = [tuple(sorted(draw(st.lists(dyadic, min_size=2, max_size=2)))) for _ in range(draw(st.integers(0, 3)))]
     return SimpleNamespace(
-        bands=[(RootEnclosure((), *lo), RootEnclosure((), *hi)) for lo, hi in bands],
-        defects=[RootEnclosure((), *spot) for spot in spots],
+        bands=[(enclosure((), *lo), enclosure((), *hi)) for lo, hi in bands],
+        defects=[enclosure((), *spot) for spot in spots],
     )
 
 

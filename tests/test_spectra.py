@@ -53,6 +53,7 @@ from defect_oracle import (
     finite_section_modes,
     halving_defect_points,
 )
+from polyring_helpers import coeffs
 from rootfind_oracle import chain_matches_oracle, resorting_separate
 from set_helpers import certainly_disjoint_triple, covers_at_resolution, union
 from trace_oracle import power_extension_traces, power_trace_triples, trace_poly
@@ -60,6 +61,8 @@ from trace_oracle import power_extension_traces, power_trace_triples, trace_poly
 V5 = F(5)
 TOL9 = F(1, 10**9)
 TOL6 = F(1, 10**6)
+# the exponents of the grids of spacing 2^-30 <= 1e-9 and 2^-40 <= 1e-12
+GRID9, GRID12 = -30, -40
 
 
 def closure_factors(word: str, V):
@@ -82,7 +85,7 @@ def sqrt_enclosure(n: int, digits: int = 20) -> tuple[F, F]:
 def interval_eval(poly: RP, lo: F, hi: F) -> tuple[F, F]:
     """Naive interval Horner; valid enclosure of poly([lo, hi])."""
     alo, ahi = F(0), F(0)
-    for c in reversed(poly.coeffs()):
+    for c in reversed(coeffs(poly)):
         cands = [alo * lo, alo * hi, ahi * lo, ahi * hi]
         alo, ahi = min(cands) + c, max(cands) + c
     return alo, ahi
@@ -92,10 +95,10 @@ def interval_eval(poly: RP, lo: F, hi: F) -> tuple[F, F]:
 
 
 def test_trace_examples():
-    assert trace_poly("0", V5).coeffs() == [F(0), F(1)]
-    assert trace_poly("01", V5).coeffs() == [F(-2), F(-5), F(1)]
+    assert coeffs(trace_poly("0", V5)) == [F(0), F(1)]
+    assert coeffs(trace_poly("01", V5)) == [F(-2), F(-5), F(1)]
     t = trace_poly("110", V5)
-    assert t.degree() == 3 and t.coeffs()[-1] == 1
+    assert t.degree() == 3 and coeffs(t)[-1] == 1
     assert t == trace_poly("101", V5) == trace_poly("011", V5)
     with pytest.raises(PreconditionError):
         trace_poly("", V5)
@@ -151,9 +154,9 @@ def test_trace_poly_matches_the_matrix_product():
 
 
 def test_trace_cf_examples_and_word_agreement():
-    assert trace_poly_cf((0, 0, 2), V5).coeffs() == [F(-2), F(-5), F(1)]
-    assert trace_poly_cf((0, 0), V5).coeffs() == [F(0), F(1)]
-    assert trace_poly_cf((0,), V5).coeffs() == [F(2)]
+    assert coeffs(trace_poly_cf((0, 0, 2), V5)) == [F(-2), F(-5), F(1)]
+    assert coeffs(trace_poly_cf((0, 0), V5)) == [F(0), F(1)]
+    assert coeffs(trace_poly_cf((0,), V5)) == [F(2)]
     for r in (F(1, 2), F(2, 3), F(7, 9), F(5, 8), F(11, 25)):
         short, long = cf_forms(r)
         assert trace_poly_cf(short, V5) == trace_poly(period_word(r), V5)
@@ -383,7 +386,7 @@ def test_reflection_sectors_hold_the_roots_of_their_factors():
             word = period_word(r)
             for anti, factors in zip((False, True), closure_factors(word, V)):
                 for f, guesses in zip(factors, floquet_edges(word, V, _sector_paths(word, anti))):
-                    roots = [float(e.refined(F(1, 10**12)).lo) for e in isolate_roots(f)]
+                    roots = [float(e.refined(GRID12).lo) for e in isolate_roots(f)]
                     assert len(roots) == len(f) - 1 == len(guesses)
                     assert np.allclose(sorted(guesses), roots, rtol=0, atol=1e-9)
             cases += 1
@@ -474,7 +477,7 @@ def test_sturm_bisection_keeps_a_root_hit_by_a_midpoint():
     roots = rootfind._sturm_bisection(tuple(f), rootfind.sturm_chain(f), rootfind.cauchy_bound(f))
     assert [(e.lo, e.hi) for e in roots] == [(-2, -1), (0, 0), (1, 2)]
     k = math.isqrt(3 << 60)  # floor(sqrt3 * 2^30)
-    cells = [(e.refined(TOL9).lo_num, e.refined(TOL9).hi_num) for e in (roots[0], roots[2])]
+    cells = [(e.refined(GRID9).lo_num, e.refined(GRID9).hi_num) for e in (roots[0], roots[2])]
     assert cells == [(-k - 1, -k), (k, k + 1)]
 
 
@@ -494,19 +497,32 @@ def test_defect_points_build_no_sturm_chain():
         assert (chains.call_count, bisections.call_count) == (0, 0), (r, side)
 
 
+def tol_grid_brackets(wide):
+    """Record, for each call of `refined` on the grid of TOL9 (the gap
+    roots'; point placement refines on finer grids), whether its enclosure
+    is wider than one cell, so that refined bisects it."""
+    real = rootfind.RootEnclosure.refined
+
+    def refined(enc, grid):
+        if grid == GRID9:
+            wide.append(enc.hi - enc.lo > F(2) ** grid)
+        return real(enc, grid)
+
+    return mock.patch.object(rootfind.RootEnclosure, "refined", refined)
+
+
 def test_guide_cells_across_a_bracket_end_need_no_bisection(monkeypatch):
     # at 1/30+ (V = 5) the top two roots of t_u^2 = V^2 + 4 lie within a
     # tol cell of the narrow top band, so their guide cells cross the band
     # check points that end their brackets: clipped to the brackets, those
-    # cells hold them, with the bytes of the guides-withheld grid search
+    # cells hold them, with the bytes of the guides-withheld refinement of
+    # whole brackets
     r = F(1, 30)
     spectrum_periodic(r, V5, TOL9)
-    refined = mock.patch.object(
-        rootfind.RootEnclosure, "refined", autospec=True, side_effect=rootfind.RootEnclosure.refined
-    )
-    with refined as bisections:
+    wide = []
+    with tol_grid_brackets(wide):
         guided = spectra.defect_spectrum.__wrapped__(r, "plus", V5, TOL9)
-    assert bisections.call_count == 0
+    assert not any(wide)
     monkeypatch.setattr(spectra, "floquet_defect_estimates", lambda word, V: [])
     bisected = spectra.defect_spectrum.__wrapped__(r, "plus", V5, TOL9)
     assert guided.defects[28:] == bisected.defects[28:]
@@ -565,27 +581,20 @@ def test_guides_finer_than_their_accuracy_move_to_the_guide_grid(monkeypatch):
         assert spy.call_count == 4  # the four reflection factors, all withheld
 
 
-def test_a_guide_in_the_cell_next_to_its_root_narrows_the_bracket(monkeypatch):
+def test_a_guide_in_the_cell_next_to_its_root_narrows_the_bracket():
     # at 15/28+ (V = 7/3, tol 1e-9) a guide lies 2.3e-10 from its root but
-    # in the next tol-grid cell; that neighbour holds the root, so no grid
-    # search bisects the bracket
+    # in the next tol-grid cell; that neighbour holds the root, so
+    # `refined` bisects no bracket
     r, V = F(15, 28), F(7, 3)
     spectrum_periodic(r, V, TOL9)
-    searches = []
-    real = spectra._grid_search
-
-    def search(poly, lo, hi, exp, step, s_lo):
-        searches.append(hi - lo <= step)
-        return real(poly, lo, hi, exp, step, s_lo)
-
-    monkeypatch.setattr(spectra, "_grid_search", search)
-    points = spectra.defect_spectrum.__wrapped__(r, "plus", V, TOL9).defects
-    assert len(searches) == 28 and all(searches)
-    grid = rootfind._dyadic_exponent(TOL9.numerator, TOL9.denominator)
-    estimates, step = spectra.floquet_defect_estimates(period_word(r), V), F(2) ** grid
+    wide = []
+    with tol_grid_brackets(wide):
+        points = spectra.defect_spectrum.__wrapped__(r, "plus", V, TOL9).defects
+    assert len(wide) == 28 and not any(wide)
+    estimates, step = spectra.floquet_defect_estimates(period_word(r), V), F(2) ** GRID9
     missed = []
     for p in points:
-        k, upper = rootfind.grid_cell(min(estimates, key=lambda g: abs(g - float(p.lo))), grid)
+        k, upper = rootfind.grid_cell(min(estimates, key=lambda g: abs(g - float(p.lo))), GRID9)
         if not k * step <= p.lo <= p.hi <= (k + 1) * step:
             missed.append((p, k + 1 if upper else k - 1))
     ((p, k),) = missed
@@ -645,7 +654,7 @@ def test_separate_matches_resorting_every_pass_on_band_edges(monkeypatch):
 @given(st.integers(-(2**70), 2**70), st.integers(2, 2**12) | st.integers(2, 2**80))
 def test_band_check_point_is_the_shortest_between_the_ends(a, gap):
     b = a + gap
-    m = spectra._short_point(a, b)
+    m = rootfind._short_point(a, b)
     assert a < m < b
     if gap <= 2**12:
         # no integer strictly between has more trailing zero bits
@@ -757,9 +766,26 @@ def test_a_coupling_without_a_finite_float_is_a_precondition():
     ):
         with pytest.raises(PreconditionError, match="coupling"):
             call(F(10**400))
-    # a finite float whose square overflows the defect estimates
+    # a finite float whose square overflows the defect estimates: beyond the
+    # numerator cap for the certified spectra, and refused by the estimates
     with pytest.raises(PreconditionError, match="coupling"):
         defect_spectrum(F(1, 3), "plus", F(10**300), TOL6)
+    with pytest.raises(PreconditionError, match="V\\^2 overflows"):
+        spectra.floquet_defect_estimates("001", F(10**300))
+
+
+def test_coupling_bits_are_capped():
+    # exact run time grows with the bits of V's numerator and denominator
+    for V in (F(2**16 - 1), F(-(2**16 - 1)), F(3, 2**1024 - 1), F(2**16 - 1, 2**1023)):
+        assert spectra.check_coupling(V) == V
+    for V in (F(2**16), F(-(2**16)), F(3, 2**1024), F(1, 3 << 1023)):
+        for call in (
+            spectra.check_coupling,
+            lambda V: spectrum_periodic(F(1, 3), V, TOL6),
+            lambda V: defect_spectrum(F(1, 3), "plus", V, TOL6),
+        ):
+            with pytest.raises(PreconditionError, match="coupling"):
+                call(V)
 
 
 def test_membership_examples():
@@ -868,7 +894,7 @@ def test_defect_points_near_a_band_edge_are_placed_exactly(tol, V, point):
     assert len(spec.defects) == q
     assert all(e.hi - e.lo <= tol for e in spec.defects)
     # refined far below tol, every point lies strictly inside its gap
-    fine = F(1, 2**100)
+    fine = -100
     edges = [e.refined(fine) for band in spec.bands for e in band]
     above = (side == "plus") == (V > 0)
     for j, enc in enumerate(spec.defects):
