@@ -199,7 +199,7 @@ def check_tol(tol) -> Fraction:
 
 # Caps on the bits of the coupling's numerator and denominator: the exact
 # run time grows with both.  On a 2-core machine `spectrum bands --r 55/89`
-# took 6.5 s at V = 1000, 15 s at 2^14 - 1 and 22 s at 2^16 - 1, and
+# took 7 s at V = 1000, 15 s at 2^14 - 1 and 22 s at 2^16 - 1, and
 # `spectrum bands --r 21/34` 1.8 s at V = 1e-100, 8.9 s at 1e-200 and 23 s at
 # 1/2^1024 (48 s at 1e-400).  Every capped V has a finite float.
 MAX_COUPLING_BITS = 16
