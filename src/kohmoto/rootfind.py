@@ -306,7 +306,7 @@ class RootEnclosure:
     def refined(self, grid: int) -> "RootEnclosure":
         """The root's cell of the dyadic grid of spacing 2^grid, clipped to
         the enclosure, or [x, x] at a grid point x where poly vanishes; the
-        enclosure itself when it is no wider than one cell.  Each split is
+        enclosure itself when it lies in one cell.  Each split is
         at the grid point with the fewest bits strictly inside the grid
         cells that cover what is left (`_short_point`), read over its own
         denominator: the midpoint of a cell of a dyadic grid, so such a
@@ -315,10 +315,10 @@ class RootEnclosure:
         if e < -grid:
             lo, hi, e = lo << (-grid - e), hi << (-grid - e), -grid
         k = e + grid  # the grid points are the multiples of 2^k over 2^e
-        if hi - lo <= 1 << k:
+        a, b = lo >> k, -(-hi >> k)  # grid points a * 2^k <= lo and hi <= b * 2^k
+        if b - a <= 1:
             return self
         s_lo = sign_at(p, self.lo_num, 1 << self.exp)
-        a, b = lo >> k, -(-hi >> k)  # grid points a * 2^k <= lo and hi <= b * 2^k
         while b - a > 1:
             m = _short_point(a, b)
             # the point m * 2^k over 2^e, reduced: strip its trailing zero bits

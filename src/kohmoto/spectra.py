@@ -197,22 +197,24 @@ def check_tol(tol) -> Fraction:
     return tol
 
 
-# Caps on the bits of the coupling's numerator and denominator: the exact
-# run time grows with both.  On a 2-core machine `spectrum bands --r 55/89`
-# took 7 s at V = 1000, 15 s at 2^14 - 1 and 22 s at 2^16 - 1, and
-# `spectrum bands --r 21/34` 1.8 s at V = 1e-100, 8.9 s at 1e-200 and 23 s at
-# 1/2^1024 (48 s at 1e-400).  Every capped V has a finite float.
-MAX_COUPLING_BITS = 16
-MAX_COUPLING_DENOMINATOR_BITS = 1024
+# Caps on the size of the coupling and on the bits of its denominator: the
+# exact run time grows with |V| and with the denominator's bits, not with
+# the numerator's bits as such.  On a 2-core machine `spectrum bands --r
+# 55/89` took 17 s at V = 10^4, 20 s at 65535 and at 65535/3, but 0.3-0.5 s
+# at 65535/65534, 65537/65536 and 3.14159; just below 2^16 it took 33 s
+# with a 16-bit denominator, 42 s with 64 bits and 61 s with 128 bits
+# (`spectrum defects --r 34/89 --side plus` 19, 27 and 55 s), and at
+# V = 1/(2^64 - 1) 1.8 s (defects 10 s).
+MAX_COUPLING_BITS = 16  # |V| < 2^16
+MAX_COUPLING_DENOMINATOR_BITS = 64
 
 
 def check_coupling(V) -> Fraction:
-    """V as a Fraction; PreconditionError unless its numerator has at most
-    MAX_COUPLING_BITS bits and its denominator at most
-    MAX_COUPLING_DENOMINATOR_BITS."""
+    """V as a Fraction; PreconditionError unless |V| < 2^MAX_COUPLING_BITS
+    and its denominator has at most MAX_COUPLING_DENOMINATOR_BITS bits."""
     V = as_fraction(V)
-    if V.numerator.bit_length() > MAX_COUPLING_BITS:
-        raise PreconditionError(f"coupling numerator must have at most {MAX_COUPLING_BITS} bits")
+    if abs(V.numerator) >= V.denominator << MAX_COUPLING_BITS:
+        raise PreconditionError(f"coupling must satisfy |V| < 2^{MAX_COUPLING_BITS}")
     if V.denominator.bit_length() > MAX_COUPLING_DENOMINATOR_BITS:
         raise PreconditionError(f"coupling denominator must have at most {MAX_COUPLING_DENOMINATOR_BITS} bits")
     return V

@@ -130,13 +130,14 @@ def test_exit_codes():
     # one whose float ulp is at least the unit hopping of the fast backend
     run("spectrum", "defects", "--r", "1/3", "--side", "plus", "--V", "1e300", expect=2)
     run("butterfly", "--Q", "3", "--V", "1e300", "--fast", expect=2)
-    # exact run time grows with the bits of the coupling's numerator (at
-    # most 16) and denominator (at most 1024)
+    # exact run time grows with |V| (below 2^16) and with the bits of the
+    # coupling's denominator (at most 64), not with its numerator's bits
     run("spectrum", "bands", "--r", "1/3", "--V", str(2**16 - 1))
+    run("spectrum", "bands", "--r", "1/3", "--V", "65537/65536")
     run("spectrum", "bands", "--r", "1/3", "--V", str(2**16), expect=2)
     run("spectrum", "defects", "--r", "1/3", "--side", "plus", "--V", str(-(2**16)), expect=2)
-    run("spectrum", "bands", "--r", "1/3", "--V", f"3/{2**1024 - 1}")
-    run("spectrum", "bands", "--r", "1/3", "--V", f"3/{2**1024}", expect=2)
+    run("spectrum", "bands", "--r", "1/3", "--V", f"3/{2**64 - 1}")
+    run("spectrum", "bands", "--r", "1/3", "--V", f"3/{2**64}", expect=2)
     run("butterfly", "--Q", "2", "--V", str(2**16), expect=2)
     run("butterfly", "--Q", "2", "--V", str(2**16), "--fast")
     run("butterfly", "--Q", "2", "--V", "5", "--fast", "--threads", "2", expect=2)

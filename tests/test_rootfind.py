@@ -486,8 +486,15 @@ def recording_sign_at(seen):
 
 
 def refined_ref(enc, max_width, seen):
+    """enc bisected at midpoints until it lies in one cell of the dyadic
+    grid of spacing 2^floor(log2 max_width)."""
+    h = F(2) ** grid_of(max_width)
+
+    def wide(lo, hi):
+        return math.ceil(hi / h) - math.floor(lo / h) > 1
+
     lo, hi = enc.lo, enc.hi
-    if hi - lo <= max_width:
+    if not wide(lo, hi):
         return enc
 
     def s(x):
@@ -495,7 +502,7 @@ def refined_ref(enc, max_width, seen):
         return sign(enc.poly, x)
 
     s_lo = s(lo)
-    while hi - lo > max_width:
+    while wide(lo, hi):
         m = (lo + hi) / 2
         s_m = s(m)
         if s_m == 0:
@@ -634,14 +641,17 @@ def cell_of(enc, grid):
 def test_integer_refined_matches_fraction_bisection(encs, grid):
     # the grid point with the fewest bits inside a cell of a dyadic grid,
     # or inside a power-of-two window, is its midpoint: refined halves it
-    # as the halving oracle and plain Fraction bisection do
+    # as the halving oracle and plain Fraction bisection do, down to one
+    # cell of the grid (a window [-2^c, 2^c] on a grid of spacing at least
+    # 2^(c + 1) lies across the grid point 0 and is halved once)
     for enc in encs:
         lo, hi, e, step = cell_of(enc, grid)
+        steps = halvings(hi - lo, step) or int(-(-hi // step) - lo // step > 1)
         seen, halving, want = [], [], []
         with recording_sign_at(seen):
             got = enc.refined(grid)
         with recording_sign_at(halving):
-            assert got == halved(enc, halvings(hi - lo, step))
+            assert got == halved(enc, steps)
         assert ends([got]) == ends([refined_ref(enc, F(2) ** grid, want)])
         assert seen == halving == want
 
@@ -656,13 +666,12 @@ def test_refined_is_the_grid_search_on_any_bracket(encs, grid, steps):
             seen, want = [], []
             with recording_sign_at(seen):
                 got = enc.refined(g)
-            if hi - lo <= step:
-                assert got is enc and seen == []
-                continue
             with recording_sign_at(want):
                 s_lo = rootfind.sign_at(enc.poly, enc.lo_num, 1 << enc.exp)
                 assert got == grid_search(enc.poly, lo, hi, e, step, s_lo)
-            assert seen == want
+            # refined reads the sign at lo only when a grid point lies
+            # strictly inside the bracket, that is when the search splits
+            assert seen == (want if len(want) > 1 else [])
             assert got.lo <= got.hi and enc.lo <= got.lo and got.hi <= enc.hi
             assert got.is_exact() or got.hi - got.lo <= F(2) ** g
 

@@ -500,12 +500,14 @@ def test_defect_points_build_no_sturm_chain():
 def tol_grid_brackets(wide):
     """Record, for each call of `refined` on the grid of TOL9 (the gap
     roots'; point placement refines on finer grids), whether its enclosure
-    is wider than one cell, so that refined bisects it."""
+    spans more than one cell, so that refined bisects it."""
     real = rootfind.RootEnclosure.refined
 
     def refined(enc, grid):
         if grid == GRID9:
-            wide.append(enc.hi - enc.lo > F(2) ** grid)
+            e = max(enc.exp, -grid)
+            lo, hi = enc.ends_at(e)
+            wide.append(-(-hi >> (e + grid)) - (lo >> (e + grid)) > 1)
         return real(enc, grid)
 
     return mock.patch.object(rootfind.RootEnclosure, "refined", refined)
@@ -767,7 +769,7 @@ def test_a_coupling_without_a_finite_float_is_a_precondition():
         with pytest.raises(PreconditionError, match="coupling"):
             call(F(10**400))
     # a finite float whose square overflows the defect estimates: beyond the
-    # numerator cap for the certified spectra, and refused by the estimates
+    # cap on |V| for the certified spectra, and refused by the estimates
     with pytest.raises(PreconditionError, match="coupling"):
         defect_spectrum(F(1, 3), "plus", F(10**300), TOL6)
     with pytest.raises(PreconditionError, match="V\\^2 overflows"):
@@ -775,10 +777,12 @@ def test_a_coupling_without_a_finite_float_is_a_precondition():
 
 
 def test_coupling_bits_are_capped():
-    # exact run time grows with the bits of V's numerator and denominator
-    for V in (F(2**16 - 1), F(-(2**16 - 1)), F(3, 2**1024 - 1), F(2**16 - 1, 2**1023)):
+    # exact run time grows with |V| and with the bits of V's denominator,
+    # not with the bits of its numerator as such (65537/65536, 3.14159)
+    den = 2**64 - 1
+    for V in (F(2**16 - 1), F(-(2**16 - 1)), F(65537, 65536), F("3.14159"), F(3, den), F((den << 16) - 1, den)):
         assert spectra.check_coupling(V) == V
-    for V in (F(2**16), F(-(2**16)), F(3, 2**1024), F(1, 3 << 1023)):
+    for V in (F(2**16), F(-(2**16)), F(2**32 + 1, 2**16), F(3, 2**64), F(1, 3 << 63)):
         for call in (
             spectra.check_coupling,
             lambda V: spectrum_periodic(F(1, 3), V, TOL6),
