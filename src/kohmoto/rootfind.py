@@ -1,9 +1,9 @@
 """Certified real-root isolation and refinement for integer polynomials.
 
-A Sturm chain over exact integers gives the number of roots in a window;
-for a monic polynomial it is the subresultant chain, whose normal steps
-divide exactly by the square of a leading coefficient instead of taking a
-gcd of every coefficient.
+A Sturm chain over exact integers gives the number of roots in a window.
+Every polynomial isolated here is b^k det(E - J) for a Jacobi matrix J,
+and its chain is the scaled leading minors of J (`sturm_chain`), which the
+same three-term recurrence builds with the polynomial as its head.
 Floating-point root estimates place each root in one cell of a dyadic grid,
 and exact sign changes across as many disjoint cells as the Sturm count
 certify one root per cell; when the estimates do not yield such cells,
@@ -58,12 +58,6 @@ def strip(p: Sequence[int]) -> IntPoly:
 
 def degree(p: Sequence[int]) -> int:
     return len(p) - 1
-
-
-def derivative(p: Sequence[int]) -> IntPoly:
-    if len(p) <= 1:
-        return [0]
-    return [i * c for i, c in enumerate(p)][1:]
 
 
 def content(p: Sequence[int]) -> int:
@@ -182,73 +176,27 @@ def _pseudo_rem_signed(a: IntPoly, b: IntPoly) -> tuple[IntPoly, int]:
     return r, sgn
 
 
-def _prem_normal(a: IntPoly, b: IntPoly) -> IntPoly:
-    """The pseudo-remainder lc(b)^2 a mod b for deg a = deg b + 1, stripped.
+def sturm_chain(diag: Sequence[int], beta: Sequence[int], b: int) -> list[IntPoly]:
+    """The scaled leading minors D_k, ..., D_0 of the k x k Jacobi matrix J
+    with diagonal entries c_j / b (c_j = diag[j]) and squared
+    off-diagonals beta, as integer polynomials in E: with D_0 = 1 and
+    D_-1 = 0, D_j = (bE - c_j) D_(j-1) - b^2 beta_(j-1) D_(j-2), so
+    D_j = b^j det(E - J_j) for the leading j x j block J_j.
 
-    With n = deg b, the first division step r = lb a - top x b cancels the
-    degree n + 1 term, and the second, lb r - r_n b, the degree n term, so
-    coefficient j is lb^2 a_j - lb top b_(j-1) - r_n b_j: one pass, three
-    products per coefficient, r_n = lb a_n - top b_(n-1) its only other
-    coefficient of r."""
-    lb, top, n = b[-1], a[-1], len(b) - 1
-    lb2, lbtop, rn = lb * lb, lb * top, lb * a[n] - top * b[n - 1]
-    # (a_j, b_(j-1), b_j) for j < n, with b_(-1) = 0
-    return strip([lb2 * x - lbtop * u - rn * v for x, u, v in zip(a, [0] + b, b[:n])])
-
-
-def sturm_chain(p: Sequence[int]) -> list[IntPoly]:
-    """Sign-correct Sturm chain.
-
-    For a monic polynomial (every trace factor at an integer coupling) the
-    normal steps, deg a = deg b + 1 >= 2, follow the subresultant chain
-    (Collins 1967, Brown and Traub 1971).  A normal step after a normal
-    step appends -prem(a, b) / lc(a)^2, an exact division that is checked;
-    any other normal step appends -prem(a, b).  prem multiplies a by
-    lc(b)^2 > 0.  Every other step, and every step for a polynomial that
-    is not monic, appends the primitive part of its signed
-    pseudo-remainder.  So each element is a positive multiple of the
-    element of the primitive chain, and every sign and count is the same,
-    without a gcd of every coefficient.  A large leading coefficient, such
-    as the power of b that leads a trace factor at coupling a/b, carries
-    into the subresultants and makes them several times longer than the
-    primitive elements, so such a polynomial keeps the primitive chain.
-
-    Raises DegeneracyError when the polynomial has a multiple real or
-    complex root (non-trivial gcd with its derivative)."""
-    p0 = primitive(p)
-    if degree(p0) == 0:
-        return [p0]
-    chain = [p0, primitive(derivative(p0))]
-    monic = abs(p0[-1]) == 1
-    while True:
-        a, b = chain[-2], chain[-1]
-        if monic and len(a) - len(b) == 1 and len(b) > 1:
-            r = _prem_normal(a, b)
-            if r == [0]:
-                break
-            if len(chain) > 2 and len(chain[-3]) - len(a) == 1:
-                # the step that made b was normal too: divide by lc(a)^2
-                d = a[-1] * a[-1]
-                quotients = []
-                for c in r:
-                    quo, rem = divmod(-c, d)
-                    if rem:
-                        raise PrecisionError("subresultant division left a remainder")
-                    quotients.append(quo)
-                chain.append(quotients)
-            else:
-                chain.append([-c for c in r])
-        else:
-            r, sgn = _pseudo_rem_signed(a, b)
-            if r == [0]:
-                break
-            chain.append(primitive([-sgn * c for c in r]))
-        if degree(chain[-1]) == 0:
-            break
-    if degree(chain[-1]) > 0:
-        raise DegeneracyError(
-            "polynomial has a multiple root; band machinery requires simple roots"
-        )
+    With every beta > 0 the roots of D_(j-1) strictly separate those of
+    D_j, and D_(j-1), D_(j+1) have opposite signs where D_j vanishes, so
+    the chain is a Sturm chain of its head D_k (Givens; Barth, Martin and
+    Wilkinson, Numer. Math. 9, 1967): its sign variations at x count the
+    eigenvalues of J above x, and every root is real and simple.  A beta
+    that is not positive raises PreconditionError."""
+    if any(y <= 0 for y in beta):
+        raise PreconditionError("a Jacobi path needs positive squared links")
+    lo, hi = [], [1]
+    chain = [hi]
+    for c, y in zip(diag, [0, *(b * b * x for x in beta)]):
+        lo, hi = hi, [b * u - c * v - y * w for u, v, w in zip([0, *hi], [*hi, 0], [*lo, 0, 0])]
+        chain.append(hi)
+    chain.reverse()
     return chain
 
 
@@ -300,17 +248,14 @@ class RootEnclosure:
         s = exp - self.exp
         return self.lo_num << s, self.hi_num << s
 
-    def is_exact(self) -> bool:
-        return self.lo_num == self.hi_num
-
     def refined(self, grid: int) -> "RootEnclosure":
         """The root's cell of the dyadic grid of spacing 2^grid, clipped to
         the enclosure, or [x, x] at a grid point x where poly vanishes; the
         enclosure itself when it lies in one cell.  Each split is
         at the grid point with the fewest bits strictly inside the grid
-        cells that cover what is left (`_short_point`), read over its own
-        denominator: the midpoint of a cell of a dyadic grid, so such a
-        cell is halved."""
+        cells that cover what is left (`_short_point`, inlined), read over
+        its own denominator: the midpoint of a cell of a dyadic grid, so
+        such a cell is halved."""
         p, lo, hi, e = self.poly, self.lo_num, self.hi_num, self.exp
         if e < -grid:
             lo, hi, e = lo << (-grid - e), hi << (-grid - e), -grid
@@ -320,17 +265,22 @@ class RootEnclosure:
             return self
         s_lo = sign_at(p, self.lo_num, 1 << self.exp)
         while b - a > 1:
-            m = _short_point(a, b)
-            # the point m * 2^k over 2^e, reduced: strip its trailing zero bits
-            z = min((m & -m).bit_length() - 1 + k, e) if m else e
-            s = sign_at(p, m << k >> z, 1 << (e - z))
+            if a < 0 < b:
+                m, s = 0, sign_at(p, 0, 1)
+            else:
+                # m = c 2^t, c odd, is the point c 2^(t + k) over 2^e
+                t = (a ^ (b - 1)).bit_length() - 1
+                c = (b - 1) >> t
+                m, z = c << t, e - t - k
+                s = sign_at(p, c, 1 << z) if z > 0 else sign_at(p, c << -z, 1)
             if s == 0:
                 return RootEnclosure(p, m << k, m << k, e)
             if s == s_lo:
                 a = m
             else:
                 b = m
-        return RootEnclosure(p, max(a << k, lo), min(b << k, hi), e)
+        a, b = a << k, b << k
+        return RootEnclosure(p, a if a > lo else lo, b if b < hi else hi, e)
 
 
 def _reduced(poly: tuple[int, ...], lo_num: int, hi_num: int, exp: int) -> RootEnclosure:
@@ -361,29 +311,29 @@ def _dyadic_exponent(n: int, d: int) -> int:
 
 
 def isolate_roots(
-    p: Sequence[int],
+    chain: Sequence[IntPoly],
     guide: Optional[Sequence[float]] = None,
     width: Optional[Fraction] = None,
 ) -> list[RootEnclosure]:
-    """All real roots of a square-free integer polynomial as isolating
-    intervals, sorted, that meet at most in a shared endpoint which is not
-    a root.
+    """All real roots of the head of a Sturm chain, a square-free integer
+    polynomial, as isolating intervals, sorted, that meet at most in a
+    shared endpoint which is not a root.
 
-    One Sturm chain gives the number of real roots.  Floating guesses (one
-    per root) then place each root in a cell of a dyadic grid whose
-    spacing 2^e is at most width and at most a third of the smallest gap
-    between guesses: the cell floor(g / 2^e) of a guess g, or the cell
+    The chain's signs at infinity give the number of real roots.  Floating
+    guesses (one per root) then place each root in a cell of a dyadic grid
+    whose spacing 2^e is at most width and at most a third of the smallest
+    gap between guesses: the cell floor(g / 2^e) of a guess g, or the cell
     next to it on the side of its midpoint that g lies on (`_grid_cells`).
     A sign change across each of as many disjoint cells as there are roots
     certifies them all; cells of a width finer than GUIDE_GRID that miss
     are laid on GUIDE_GRID instead.  When the guesses do not yield such
-    cells, or a guess has no exact cell index, Sturm bisection
+    cells, or a guess has no exact cell index, Sturm bisection on the chain
     (`_sturm_bisection`) isolates the roots.  A cell may be wider than
-    width: `refined` finishes it."""
-    p = primitive(p)
+    width: `refined` finishes it.  The enclosures carry the head's
+    primitive part."""
+    p = primitive(chain[0])
     if degree(p) == 0:
         return []
-    chain = sturm_chain(p)
     bound = cauchy_bound(p)
     # every real root lies inside the Cauchy bound, so count at infinity
     lead = [1 if q[-1] > 0 else -1 for q in chain]

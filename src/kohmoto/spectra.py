@@ -8,14 +8,15 @@ the periodic and antiperiodic one-period operators.  The period word is a
 rotation of its reversal, so its ring folds by that reflection, and each of
 H, H' splits into an even and an odd reflection sector.  Each sector is a
 path, a Jacobi matrix of about half the size (`_sector_paths`).  Its
-entries give both the exact reflection factor, b^k det(E - J) from the
-three-term recurrence of the leading minors (`reflection_factors`; the
-products are checked against the trace), and the float sector matrix
-whose eigenvalues guide the isolation of that factor's roots
-(`floquet_edges`).  The roots are certified in cells of a dyadic grid laid
-from the factor's own guides: exact sign changes across as many cells as
-a Sturm count over exact integers finds.  When the estimates do not
-certify, Sturm bisection isolates the edges instead.  The float zeros of
+entries give both the exact reflection factor and its Sturm chain, the
+leading minors of b^k det(E - J) from their three-term recurrence
+(`reflection_chains`; the products of the factors are checked against
+the trace), and the float sector matrix whose eigenvalues guide the
+isolation of that factor's roots (`floquet_edges`).  The roots are
+certified in cells of a dyadic grid laid from the factor's own guides:
+exact sign changes across as many cells as the chain counts.  When the
+estimates do not certify, bisection on the chain's counts isolates the
+edges instead.  The float zeros of
 t, which mark the bands for the fast backend, are one sector of the
 doubled word's antiperiodic operator, of determinant t^2 (`floquet_zeros`).
 One-sided limit spectra add exactly q isolated eigenvalues: this side's q
@@ -73,7 +74,7 @@ from .rootfind import (
     poly_mul,
     separate,
     sign_at,
-    unpack,
+    sturm_chain,
 )
 from .words import period_word, sk_words
 
@@ -220,6 +221,23 @@ def check_coupling(V) -> Fraction:
     return V
 
 
+# Cap on the rotation denominator q of the certified band and defect
+# spectra: the coupling caps bound the run time at a given q, not overall.
+# At their worst corner, V = ((2^64 - 1) 2^16 - 1) / (2^64 - 1), where the
+# float guides miss and Sturm bisection isolates the edges, `spectrum
+# bands` took 32 s at 55/89, 42 s at 57/92, 46 s at 59/95 and 47 s at
+# 61/98 on a 2-core machine (but 1.8 s at 44/89).
+MAX_DENOMINATOR = 89
+
+
+def check_denominator(r: Fraction) -> Fraction:
+    """r; PreconditionError unless its denominator is at most
+    MAX_DENOMINATOR."""
+    if r.denominator > MAX_DENOMINATOR:
+        raise PreconditionError(f"rotation denominator must be at most {MAX_DENOMINATOR}")
+    return r
+
+
 def _bloch_matrix(word: str, v: float, mult: float) -> np.ndarray:
     """The one-period operator of a word with Bloch multiplier mult: the
     corner from the last site back to the first carries mult, its partner
@@ -347,44 +365,25 @@ def floquet_zeros(word: str, V) -> list[float]:
     return np.linalg.eigvalsh(_path_matrix(doubled, float(as_fraction(V)), path)).tolist()
 
 
-def reflection_factors(word: str, V, paths: tuple[SectorPath, SectorPath]) -> tuple[IntPoly, IntPoly]:
-    """The reflection factors of t - 2 or t + 2 for the trace t of a word
-    that is a rotation of its reversal, as integer polynomials in E: for
-    each sector of `_sector_paths` for the periodic or the antiperiodic
-    closure, b^k det(E - J) by `_path_determinant`, with J its k x k
-    Jacobi matrix and b the denominator of V = a/b.  det(E - H) is t - 2
-    for the periodic operator H of the n sites and t + 2 for the
-    antiperiodic one, and H is the direct sum of its two sectors, so the
-    pair multiplies to b^n (t -+ 2).  The pair is ordered like the sectors
-    of `floquet_edges`."""
+def reflection_chains(
+    word: str, V, paths: tuple[SectorPath, SectorPath]
+) -> tuple[list[IntPoly], list[IntPoly]]:
+    """The Sturm chains of the reflection factors of t - 2 or t + 2 for the
+    trace t of a word that is a rotation of its reversal: for each sector
+    of `_sector_paths` for the periodic or the antiperiodic closure, the
+    scaled leading minors of its k x k Jacobi matrix J (`sturm_chain`),
+    headed by the factor b^k det(E - J), with b the denominator of
+    V = a/b.  det(E - H) is t - 2 for the periodic operator H of the n
+    sites and t + 2 for the antiperiodic one, and H is the direct sum of
+    its two sectors, so the two heads multiply to b^n (t -+ 2).  The pair
+    is ordered like the sectors of `floquet_edges`."""
     V = as_fraction(V)
     a, b = V.numerator, V.denominator
     even, odd = (
-        _path_determinant([a * (word[i] == "1") + b * x for i, x in zip(site, turn)], beta, b)
+        sturm_chain([a * (word[i] == "1") + b * x for i, x in zip(site, turn)], beta, b)
         for site, turn, _, beta in paths
     )
     return even, odd
-
-
-def _path_determinant(diag: list[int], beta: list[int], b: int) -> IntPoly:
-    """b^k det(E - J) for the k x k Jacobi matrix J with diagonal entries
-    c_j / b (c_j = diag[j]) and squared off-diagonals beta, as an integer
-    polynomial in E.
-
-    With D_0 = 1 and D_-1 = 0, the scaled leading minors obey
-    D_j = (bE - c_j) D_(j-1) - b^2 beta_(j-1) D_(j-2).  The loop runs on
-    their values at E = 2^w, one integer each, and `unpack` reads D_k back.
-    w is set by the bound N_j = (b + |c_j|) N_(j-1) + b^2 beta_(j-1) N_(j-2)
-    on the L1 norm of D_j, which bounds every coefficient."""
-    links = [0, *(b * b * y for y in beta)]
-    lo, hi = 0, 1
-    for c, y in zip(diag, links):
-        lo, hi = hi, (b + abs(c)) * hi + y * lo
-    w = hi.bit_length() + 1
-    lo, hi = 0, 1
-    for c, y in zip(diag, links):
-        lo, hi = hi, hi * ((b << w) - c) - y * lo
-    return unpack(hi, w, len(diag) + 1)
 
 
 def _share_a_root(roots: list[RootEnclosure], f: IntPoly, g: IntPoly) -> bool:
@@ -402,14 +401,15 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     q certified-disjoint closed bands, edges enclosed to width <= tol.
 
     The band edges are the roots of t - 2 and t + 2, isolated as the roots
-    of their reflection factors (`reflection_factors`, each of about half
-    the degree), with the exact product identities checked first.  The
-    eigenvalues of the reflection sectors of `floquet_edges` guide the
-    factors they belong to, each on a grid laid from its own guides and
-    tol.  Exact signs across the cells, counted against one Sturm chain per
-    factor, certify them.  Each edge is refined to its tol-grid cell before
-    `separate`.  A root shared by the two factors of a side (touching
-    bands, e.g. coupling 0) raises DegeneracyError.
+    of their reflection factors, each of about half the degree and the
+    head of its sector's chain of leading minors (`reflection_chains`),
+    with the exact product identities checked first.  The eigenvalues of
+    the reflection sectors of `floquet_edges` guide the factors they belong
+    to, each on a grid laid from its own guides and tol.  Exact signs
+    across the cells, counted against the factor's chain, certify them.
+    Each edge is refined to its tol-grid cell before `separate`.  A root
+    shared by the two factors of a side (touching bands, e.g. coupling 0)
+    raises DegeneracyError.
 
     Each band is checked by |t| <= 2 at its `_band_point`."""
     tol = check_tol(tol)
@@ -427,7 +427,8 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
         for anti in (False, True):
             # one fold of the ring per closure, for the factors and the guides
             paths = _sector_paths(word, anti)
-            factors = reflection_factors(word, V, paths)
+            chains = reflection_chains(word, V, paths)
+            factors = [chain[0] for chain in chains]
             # den * (t -+ 2)
             name, target = ("t + 2", 2) if anti else ("t - 2", -2)
             target = [t.num[0] + target * t.den] + t.num[1:]
@@ -435,8 +436,8 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
                 raise PrecisionError(f"reflection factors do not multiply to {name}")
             roots = [
                 enc.refined(grid)
-                for f, guide in zip(factors, floquet_edges(word, V, paths))
-                for enc in isolate_roots(f, guide=guide, width=tol)
+                for chain, guide in zip(chains, floquet_edges(word, V, paths))
+                for enc in isolate_roots(chain, guide=guide, width=tol)
             ]
             if _share_a_root(roots, *factors):
                 raise DegeneracyError(f"{name} has a multiple root")
@@ -478,7 +479,7 @@ def _band_point(lo: RootEnclosure, hi: RootEnclosure) -> tuple[int, int]:
 def spectrum_periodic(r, V, tol) -> Spectrum:
     """Certified spectrum of the periodic operator at rational rotation r:
     exactly q disjoint closed bands."""
-    r = check_rotation(as_fraction(r))
+    r = check_denominator(check_rotation(as_fraction(r)))
     V = check_coupling(V)
     tol = check_tol(tol)
     t = trace_poly_cf(cf_forms(r)[0], V)
@@ -623,7 +624,7 @@ def defect_spectrum(r, side: str, V, tol) -> Spectrum:
     in one of them.  t_u is positive on the top gap and changes sign across
     each band, so this side's point in a gap is the root of A there when
     t_u > 0 and of C when t_u < 0, enclosed by `_gap_root`."""
-    r = check_rotation(as_fraction(r))
+    r = check_denominator(check_rotation(as_fraction(r)))
     V = check_coupling(V)
     tol = check_tol(tol)
     if V == 0:

@@ -10,8 +10,8 @@ q disjoint sign-change cells of the grid that `isolate_roots` lays are a
 complete certificate: each holds a root, and there are no more.  The
 oracle builds no Sturm chain of full degree unless the cells fail.
 
-`list_path_determinant` is the oracle of `spectra._path_determinant`: the
-same three-term recurrence on plain coefficient lists."""
+`list_path_determinant` is the oracle of the head of `rootfind.sturm_chain`:
+the same three-term recurrence, one coefficient at a time."""
 
 from __future__ import annotations
 
@@ -19,10 +19,10 @@ import numpy as np
 
 from kohmoto.errors import PrecisionError
 from kohmoto.farey import as_fraction
-from kohmoto.rootfind import _grid_cells, cauchy_bound, degree, isolate_roots, primitive, separate
+from kohmoto.rootfind import _grid_cells, cauchy_bound, degree, primitive, separate
 from kohmoto.spectra import Spectrum, _bloch_matrix, _reflection
 
-from rootfind_oracle import grid_of
+from rootfind_oracle import grid_of, isolate
 
 
 def ring_eigenvalues(word: str, V, anti: bool) -> list[float]:
@@ -31,14 +31,14 @@ def ring_eigenvalues(word: str, V, anti: bool) -> list[float]:
 
 
 def isolate_real_rooted(p, guide: list[float], width):
-    """`isolate_roots` for a polynomial whose roots are all real: the same
+    """`isolate` for a polynomial whose roots are all real: the same
     cells when as many as its degree certify, from the same grid."""
     p = primitive(p)
     if len(guide) == degree(p):
         cells = _grid_cells(tuple(p), guide, cauchy_bound(p), width)
         if cells is not None:
             return cells
-    return isolate_roots(p, guide=guide, width=width)
+    return isolate(p, guide=guide, width=width)
 
 
 def unsplit_spectrum(t, tol, word: str, V) -> Spectrum:

@@ -21,7 +21,7 @@ from scipy.linalg import eigh_tridiagonal
 from kohmoto.errors import PreconditionError, PrecisionError
 from kohmoto.farey import approach_digits, as_fraction, check_rotation
 from kohmoto.polyring import RP
-from kohmoto.rootfind import RootEnclosure, _eval_homogeneous, isolate_roots, sign_at
+from kohmoto.rootfind import RootEnclosure, _eval_homogeneous, sign_at
 from kohmoto.spectra import (
     MAX_K,
     _split_escaping,
@@ -33,7 +33,7 @@ from kohmoto.spectra import (
 )
 from kohmoto.words import Configuration, period_word, sk_words
 
-from rootfind_oracle import grid_of, halved
+from rootfind_oracle import grid_of, halved, is_exact, isolate
 
 
 def approximant_defect_points(r, side: str, V, tol) -> tuple:
@@ -99,7 +99,7 @@ def halving_defect_points(r, side: str, V, tol) -> list[RootEnclosure]:
     P = t_u * t_v - 2 * t_uv
     D = t_u * t_u - (V * V + 4)
     g_plus, g_minus = P - abs(V) * t_v, P + abs(V) * t_v
-    roots = isolate_roots(
+    roots = isolate(
         D.int_poly(), guide=floquet_defect_estimates(period_word(r), V), width=tol
     )
     points = []
@@ -115,7 +115,7 @@ def halving_defect_points(r, side: str, V, tol) -> list[RootEnclosure]:
                     break
                 if certified_nonzero(g_same, lo, hi, exp):
                     break
-            if enc.is_exact():
+            if is_exact(enc):
                 raise PrecisionError("G+ and G- both vanish at an exact defect root")
             enc = halved(enc, 1)
         else:

@@ -1,13 +1,16 @@
-"""The primitive-remainder Sturm chain, the two-pass normal pseudo-remainder,
-the pass-and-resort `separate`, a Sturm root count, and the halving loop and
-the grid search that `RootEnclosure.refined` replaced, kept as oracles for
-`kohmoto.rootfind`; and `enclosure`, a RootEnclosure from dyadic Fraction
-ends.
+"""The remainder Sturm chains of a general integer polynomial, the
+two-pass normal pseudo-remainder, the pass-and-resort `separate`, a Sturm
+root count, and the halving loop and the grid search that
+`RootEnclosure.refined` replaced, kept as oracles for `kohmoto.rootfind`;
+`enclosure`, a RootEnclosure from dyadic Fraction ends; and `isolate`,
+`isolate_roots` on the remainder chain of any square-free polynomial.
 
-`rootfind.sturm_chain` builds its normal steps by subresultants; each of
-its elements must be a positive multiple of the element here.
-`rootfind._prem_normal` builds in one pass what two division steps build
-here.
+`rootfind.sturm_chain` builds the leading minors of a Jacobi matrix; its
+sign variations must equal those of `remainder_chain` of its head at
+every point.  `remainder_chain` takes its normal steps by subresultants
+for a monic polynomial; each of its elements must be a positive multiple
+of the element of `primitive_sturm_chain`.  `prem_normal` builds in one
+pass what two division steps build in `two_pass_prem_normal`.
 `count_roots` certifies that an enclosure holds one root and no other.
 `rootfind.separate` sorts again only the runs a pass refined; it must
 return what sorting everything on each pass returns, after the same signs.
@@ -20,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from kohmoto import rootfind
-from kohmoto.errors import DegeneracyError, PreconditionError
+from kohmoto.errors import DegeneracyError, PrecisionError, PreconditionError
 from kohmoto.rootfind import (
     RootEnclosure,
     _dyadic_exponent,
@@ -28,11 +31,10 @@ from kohmoto.rootfind import (
     _short_point,
     _variations,
     degree,
-    derivative,
+    isolate_roots,
     primitive,
     sign_at,
     strip,
-    sturm_chain,
 )
 
 
@@ -45,6 +47,17 @@ def enclosure(poly, lo, hi) -> RootEnclosure:
     if d & (d - 1):
         raise PreconditionError(f"enclosure [{lo}, {hi}] has an end that is not dyadic")
     return RootEnclosure(tuple(poly), int(lo * d), int(hi * d), d.bit_length() - 1)
+
+
+def is_exact(enc: RootEnclosure) -> bool:
+    """Whether the enclosure is a single point [x, x]."""
+    return enc.lo_num == enc.hi_num
+
+
+def isolate(p, guide=None, width=None) -> list[RootEnclosure]:
+    """`isolate_roots` on `remainder_chain(p)`: every real root of any
+    square-free integer polynomial."""
+    return isolate_roots(remainder_chain(p), guide=guide, width=width)
 
 
 def grid_of(width: Fraction) -> int:
@@ -65,7 +78,7 @@ def halvings(x: int, y: int) -> int:
 def halved(enc: RootEnclosure, steps: int) -> RootEnclosure:
     """The same root after steps halvings of the enclosure, or its exact
     enclosure when a midpoint hits it."""
-    if steps <= 0 or enc.is_exact():
+    if steps <= 0 or is_exact(enc):
         return enc
     p, lo, hi, e = enc.poly, enc.lo_num, enc.hi_num, enc.exp
     s_lo = rootfind.sign_at(p, lo, 1 << e)
@@ -97,6 +110,12 @@ def grid_search(poly, lo: int, hi: int, exp: int, step: int, s_lo: int) -> RootE
     return RootEnclosure(poly, max(a * step, lo), min(b * step, hi), exp)
 
 
+def derivative(p) -> list[int]:
+    if len(p) <= 1:
+        return [0]
+    return [i * c for i, c in enumerate(p)][1:]
+
+
 def primitive_sturm_chain(p) -> list[list[int]]:
     """Sign-correct Sturm chain of primitive pseudo-remainders."""
     p0 = primitive(p)
@@ -117,9 +136,86 @@ def primitive_sturm_chain(p) -> list[list[int]]:
     return chain
 
 
+def prem_normal(a: list[int], b: list[int]) -> list[int]:
+    """The pseudo-remainder lc(b)^2 a mod b for deg a = deg b + 1, stripped.
+
+    With n = deg b, the first division step r = lb a - top x b cancels the
+    degree n + 1 term, and the second, lb r - r_n b, the degree n term, so
+    coefficient j is lb^2 a_j - lb top b_(j-1) - r_n b_j: one pass, three
+    products per coefficient, r_n = lb a_n - top b_(n-1) its only other
+    coefficient of r."""
+    lb, top, n = b[-1], a[-1], len(b) - 1
+    lb2, lbtop, rn = lb * lb, lb * top, lb * a[n] - top * b[n - 1]
+    # (a_j, b_(j-1), b_j) for j < n, with b_(-1) = 0
+    return strip([lb2 * x - lbtop * u - rn * v for x, u, v in zip(a, [0] + b, b[:n])])
+
+
+def remainder_chain(p) -> list[list[int]]:
+    """Sign-correct Sturm chain of any integer polynomial by remainders.
+
+    For a monic polynomial the normal steps, deg a = deg b + 1 >= 2, follow
+    the subresultant chain (Collins 1967, Brown and Traub 1971).  A normal
+    step after a normal step appends -prem(a, b) / lc(a)^2, an exact
+    division that is checked; any other normal step appends -prem(a, b).
+    prem multiplies a by lc(b)^2 > 0.  Every other step, and every step
+    for a polynomial that is not monic, appends the primitive part of its
+    signed pseudo-remainder.  So each element is a positive multiple of the
+    element of the primitive chain, and every sign and count is the same.
+
+    Raises DegeneracyError when the polynomial has a multiple real or
+    complex root (non-trivial gcd with its derivative)."""
+    p0 = primitive(p)
+    if degree(p0) == 0:
+        return [p0]
+    chain = [p0, primitive(derivative(p0))]
+    monic = abs(p0[-1]) == 1
+    while True:
+        a, b = chain[-2], chain[-1]
+        if monic and len(a) - len(b) == 1 and len(b) > 1:
+            r = prem_normal(a, b)
+            if r == [0]:
+                break
+            if len(chain) > 2 and len(chain[-3]) - len(a) == 1:
+                # the step that made b was normal too: divide by lc(a)^2
+                d = a[-1] * a[-1]
+                quotients = []
+                for c in r:
+                    quo, rem = divmod(-c, d)
+                    if rem:
+                        raise PrecisionError("subresultant division left a remainder")
+                    quotients.append(quo)
+                chain.append(quotients)
+            else:
+                chain.append([-c for c in r])
+        else:
+            r, sgn = _pseudo_rem_signed(a, b)
+            if r == [0]:
+                break
+            chain.append(primitive([-sgn * c for c in r]))
+        if degree(chain[-1]) == 0:
+            break
+    if degree(chain[-1]) > 0:
+        raise DegeneracyError(
+            "polynomial has a multiple root; band machinery requires simple roots"
+        )
+    return chain
+
+
 def variations_at(chain, num: int, exp: int) -> int:
     """Sign variations of the chain at num / 2^exp."""
     return _variations([sign_at(q, num, 1 << exp) for q in chain])
+
+
+def variation_mismatches(chain, points) -> list[Fraction]:
+    """The dyadic points at which the sign variations of a Sturm chain
+    differ from those of `remainder_chain` of its head."""
+    oracle = remainder_chain(chain[0])
+    out = []
+    for x in map(Fraction, points):
+        exp = x.denominator.bit_length() - 1
+        if variations_at(chain, x.numerator, exp) != variations_at(oracle, x.numerator, exp):
+            out.append(x)
+    return out
 
 
 def count_roots(chain, lo: int, hi: int, exp: int) -> int:
@@ -171,16 +267,16 @@ def is_positive_multiple(a: list[int], b: list[int]) -> bool:
 
 
 def chain_matches_oracle(p) -> bool:
-    """Whether `sturm_chain(p)` has the length of the oracle's chain and
-    each element is a positive multiple of the oracle's, or both raise
-    DegeneracyError."""
+    """Whether `remainder_chain(p)` has the length of the primitive chain
+    and each element is a positive multiple of the primitive chain's, or
+    both raise DegeneracyError."""
     try:
         want = primitive_sturm_chain(p)
     except DegeneracyError:
         try:
-            sturm_chain(p)
+            remainder_chain(p)
         except DegeneracyError:
             return True
         return False
-    got = sturm_chain(p)
+    got = remainder_chain(p)
     return len(got) == len(want) and all(is_positive_multiple(a, b) for a, b in zip(got, want))

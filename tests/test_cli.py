@@ -141,6 +141,12 @@ def test_exit_codes():
     run("butterfly", "--Q", "2", "--V", str(2**16), expect=2)
     run("butterfly", "--Q", "2", "--V", str(2**16), "--fast")
     run("butterfly", "--Q", "2", "--V", "5", "--fast", "--threads", "2", expect=2)
+    # so does it with the rotation's denominator, capped at 89
+    run("spectrum", "bands", "--r", "1/90", "--V", "5", expect=2)
+    run("spectrum", "defects", "--r", "55/144", "--side", "plus", "--V", "5", expect=2)
+    run("analyze", "optimality", "--r", "1/90", "--side", "plus", "--V", "5", expect=2)
+    run("analyze", "measures", "--r", "1/90", "--V", "5", expect=2)
+    run("analyze", "lipschitz", "--pair", "1/90:1/3", "--V", "5", expect=2)
     # butterfly writes csv, json or svg; it has no text artifact
     run("butterfly", "--Q", "2", "--V", "5", "--fast", "--format", "text", expect=2)
     # inputs that can blow up time or memory are capped

@@ -18,7 +18,6 @@ from kohmoto.polyring import RP
 from kohmoto.rootfind import (
     RootEnclosure,
     compare_roots,
-    isolate_roots,
     poly_gcd,
     separate,
     sign_at,
@@ -35,7 +34,11 @@ from rootfind_oracle import (
     grid_search,
     halved,
     halvings,
+    is_exact,
+    isolate,
+    prem_normal,
     primitive_sturm_chain,
+    remainder_chain,
     resorting_separate,
     two_pass_prem_normal,
 )
@@ -64,8 +67,9 @@ def poly_mul(a, b):
 
 
 def test_sturm_chain_counts():
-    p = [-2, 0, 1]  # x^2 - 2
-    chain = sturm_chain(p)
+    # x^2 - 2 = det(E - J) for J = [[0, sqrt2], [sqrt2, 0]]
+    chain = sturm_chain([0, 0], [2], 1)
+    assert chain == [[-2, 0, 1], [0, 1], [1]]
     assert count_roots(chain, -2, 2, 0) == 2
     assert count_roots(chain, 0, 2, 0) == 1
     assert count_roots(chain, 3, 4, 1) == 0  # (3/2, 2)
@@ -88,7 +92,7 @@ def test_isolation_random_integer_roots():
     for _ in range(30):
         roots = sorted(rng.sample(range(-40, 40), rng.randint(1, 9)))
         p = poly_from_roots(roots)
-        encs = isolate_roots(p)
+        encs = isolate(p)
         assert len(encs) == len(roots)
         assert len({id(enc.poly) for enc in encs}) == 1
         for enc, want in zip(encs, roots):
@@ -102,27 +106,27 @@ def test_isolation_with_float_guides():
     roots = [-5, -1, 0, 2, 7]
     p = poly_from_roots(roots)
     guide = [float(x) for x in np.roots(p[::-1]).real]
-    encs = isolate_roots(p, guide=guide)
+    encs = isolate(p, guide=guide)
     assert len(encs) == 5
     # garbage guides must not break certification
-    encs = isolate_roots(p, guide=[-100.0, 0.1, 0.2, 0.3, 99.0])
+    encs = isolate(p, guide=[-100.0, 0.1, 0.2, 0.3, 99.0])
     assert len(encs) == 5
 
 
 def test_exact_rational_roots_detected():
-    encs = isolate_roots([0, -5, 1])  # x(x - 5)
+    encs = isolate([0, -5, 1])  # x(x - 5)
     assert len(encs) == 2
     refined = [e.refined(-10) for e in encs]  # 2^-10 <= 1/1000
     assert refined[0].lo <= 0 <= refined[0].hi
     assert refined[1].lo <= 5 <= refined[1].hi
-    assert any(e.is_exact() for e in refined)
+    assert any(is_exact(e) for e in refined)
 
 
 def test_multiple_root_raises():
     with pytest.raises(DegeneracyError):
-        sturm_chain([1, -2, 1])  # (x-1)^2
+        remainder_chain([1, -2, 1])  # (x-1)^2
     with pytest.raises(DegeneracyError):
-        isolate_roots([0, 0, 1])  # x^2
+        isolate([0, 0, 1])  # x^2
 
 
 def test_sturm_chain_matches_the_primitive_chain():
@@ -143,7 +147,7 @@ def test_sturm_chain_matches_the_primitive_chain():
 
 def test_multiple_roots_raise_in_both_chains():
     p = poly_mul(poly_mul([-1, 1], [-1, 1]), [2, 1])  # (x - 1)^2 (x + 2)
-    for chain in (sturm_chain, primitive_sturm_chain):
+    for chain in (remainder_chain, primitive_sturm_chain):
         with pytest.raises(DegeneracyError):
             chain(p)
 
@@ -171,7 +175,7 @@ wide_coefficients = st.one_of(
 def test_one_pass_prem_normal_matches_two_division_steps(a, b):
     b = b[:-1] + [b[-1] or 1]
     a = (a + [0] * len(b))[: len(b)] + [a[-1] or 1]
-    assert rootfind._prem_normal(a, b) == two_pass_prem_normal(a, b)
+    assert prem_normal(a, b) == two_pass_prem_normal(a, b)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -196,44 +200,43 @@ def test_packed_product_edge_cases():
 
 def test_subresultant_division_is_checked_under_python_O():
     # a remainder that lc(a)^2 does not divide must raise, also without
-    # asserts; the second step of the chain of x^5 - 5x^3 + 4x divides by
-    # 5^2
+    # asserts; the second step of the remainder chain of x^5 - 5x^3 + 4x
+    # divides by 5^2
     code = (
         "from unittest import mock\n"
-        "from kohmoto import rootfind\n"
-        "from kohmoto.errors import PrecisionError\n"
-        "prem = rootfind._prem_normal\n"
+        "import rootfind_oracle\n"
+        "prem = rootfind_oracle.prem_normal\n"
         "def off_by_one(a, b):\n"
         "    r = prem(a, b)\n"
         "    return [r[0] + 1] + r[1:]\n"
-        "with mock.patch.object(rootfind, '_prem_normal', off_by_one):\n"
+        "with mock.patch.object(rootfind_oracle, 'prem_normal', off_by_one):\n"
         "    try:\n"
-        "        rootfind.sturm_chain([0, 4, 0, -5, 0, 1])\n"
-        "    except PrecisionError as exc:\n"
+        "        rootfind_oracle.remainder_chain([0, 4, 0, -5, 0, 1])\n"
+        "    except rootfind_oracle.PrecisionError as exc:\n"
         "        print(exc)\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
+    here = Path(__file__).resolve().parent
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)])),
     )
     assert (proc.returncode, proc.stdout) == (0, "subresultant division left a remainder\n")
 
 
 def test_separate_orders_and_disjoins():
-    a = isolate_roots([-2, 0, 1])  # +-sqrt2
-    b = isolate_roots([-3, 0, 1])  # +-sqrt3
+    a = isolate([-2, 0, 1])  # +-sqrt2
+    b = isolate([-3, 0, 1])  # +-sqrt3
     out = separate(a + b)
     for x, y in zip(out, out[1:]):
         assert x.hi < y.lo
 
 
 def test_compare_roots_equality_across_polynomials():
-    sqrt2_a = isolate_roots([-2, 0, 1])[1]
-    sqrt2_b = isolate_roots([-4, 0, 0, 0, 1])[1]
-    sqrt3 = isolate_roots([-3, 0, 1])[1]
+    sqrt2_a = isolate([-2, 0, 1])[1]
+    sqrt2_b = isolate([-4, 0, 0, 0, 1])[1]
+    sqrt3 = isolate([-3, 0, 1])[1]
     assert compare_roots(sqrt2_a, sqrt2_b) == 0
     assert compare_roots(sqrt2_a, sqrt3) == -1
     assert compare_roots(sqrt3, sqrt2_b) == 1
@@ -380,11 +383,11 @@ def sign(p, x):
 def check_certified(p, roots, encs):
     """One enclosure per root, sorted with disjoint interiors, each holding
     its root and, by a Sturm count, no other."""
-    chain = sturm_chain(p)
+    chain = remainder_chain(p)
     assert len(encs) == len(roots)
     for enc, root in zip(encs, sorted(roots)):
         assert enc.lo <= root <= enc.hi
-        if enc.is_exact():
+        if is_exact(enc):
             assert sign(p, enc.lo) == 0
         else:
             assert sign(p, enc.lo) * sign(p, enc.hi) == -1
@@ -399,7 +402,7 @@ def test_grid_cells_certify_accurate_guesses(roots, width, data):
     p = poly_from_roots(roots)
     guide = [float(r) + data.draw(noise) for r in roots]
     with mock.patch.object(rootfind, "_sturm_bisection", side_effect=AssertionError):
-        encs = isolate_roots(p, guide=guide, width=width)
+        encs = isolate(p, guide=guide, width=width)
     check_certified(p, roots, encs)
     assert all(a.hi < b.lo for a, b in zip(encs, encs[1:]))
     assert all(enc.hi - enc.lo <= width for enc in encs)
@@ -419,9 +422,9 @@ def test_merged_or_garbage_guesses_fall_back(roots, width, garbage):
         rootfind, "_sturm_bisection", wraps=rootfind._sturm_bisection
     )
     with fallback as spy:
-        check_certified(p, roots, isolate_roots(p, guide=merged, width=width))
+        check_certified(p, roots, isolate(p, guide=merged, width=width))
     assert spy.call_count == 1
-    check_certified(p, roots, isolate_roots(p, guide=garbage, width=width))
+    check_certified(p, roots, isolate(p, guide=garbage, width=width))
 
 
 @PROPERTY
@@ -438,8 +441,8 @@ def test_grid_cells_do_not_depend_on_last_bits_of_guesses(roots, width, data):
             g = float(np.nextafter(g, toward))
         moved.append(g)
     with mock.patch.object(rootfind, "_sturm_bisection", side_effect=AssertionError):
-        encs = isolate_roots(p, guide=guide, width=width)
-        again = isolate_roots(p, guide=moved, width=width)
+        encs = isolate(p, guide=guide, width=width)
+        again = isolate(p, guide=moved, width=width)
     assert [(e.lo, e.hi) for e in encs] == [(e.lo, e.hi) for e in again]
 
 
@@ -451,8 +454,8 @@ def test_close_guesses_leave_the_other_roots_on_the_width_grid():
     width = F(1, 2**10)
     roots = [F(1, 10), F(1, 10) + F(1, 2**20), F(1, 2) + F(1, 3000)]
     p = poly_from_roots(roots)
-    guided = isolate_roots(p, guide=[float(r) for r in roots], width=width)
-    bisected = [e.refined(grid_of(width)) for e in isolate_roots(p, width=width)]
+    guided = isolate(p, guide=[float(r) for r in roots], width=width)
+    bisected = [e.refined(grid_of(width)) for e in isolate(p, width=width)]
     assert guided[2] == bisected[2] and (guided[2].lo, guided[2].hi) == (F(512, 1024), F(513, 1024))
     assert all(e.hi - e.lo < width for e in guided[:2])
     check_certified(p, roots, guided)
@@ -466,9 +469,9 @@ def test_root_on_a_grid_point_is_exact(roots, k, data):
     roots = [r for r in roots if abs(r - on_grid) > F(1, 30)] + [on_grid]
     p = poly_from_roots(roots)
     guide = [float(r) + data.draw(noise) for r in roots]
-    encs = isolate_roots(p, guide=guide, width=width)
+    encs = isolate(p, guide=guide, width=width)
     check_certified(p, roots, encs)
-    assert any(enc.is_exact() and enc.lo == on_grid for enc in encs)
+    assert any(is_exact(enc) and enc.lo == on_grid for enc in encs)
 
 
 # --- integer loops against plain-Fraction references (property tests) --------
@@ -521,7 +524,7 @@ def separate_ref(encs, seen):
         changed = False
         for i in range(len(out) - 1):
             a, b = out[i], out[i + 1]
-            if a.hi >= b.lo and not (a.is_exact() and b.is_exact()):
+            if a.hi >= b.lo and not (is_exact(a) and is_exact(b)):
                 width = (a.hi - a.lo + b.hi - b.lo) / 4
                 out[i] = refined_ref(a, width, seen)
                 out[i + 1] = refined_ref(b, width, seen)
@@ -661,7 +664,7 @@ def test_integer_refined_matches_fraction_bisection(encs, grid):
 def test_refined_is_the_grid_search_on_any_bracket(encs, grid, steps):
     for enc in encs:
         # a grid that divides the width exactly tests where the search stops
-        for g in (grid, grid_of(enc.hi - enc.lo) - steps) if not enc.is_exact() else (grid,):
+        for g in (grid, grid_of(enc.hi - enc.lo) - steps) if not is_exact(enc) else (grid,):
             lo, hi, e, step = cell_of(enc, g)
             seen, want = [], []
             with recording_sign_at(seen):
@@ -673,7 +676,7 @@ def test_refined_is_the_grid_search_on_any_bracket(encs, grid, steps):
             # strictly inside the bracket, that is when the search splits
             assert seen == (want if len(want) > 1 else [])
             assert got.lo <= got.hi and enc.lo <= got.lo and got.hi <= enc.hi
-            assert got.is_exact() or got.hi - got.lo <= F(2) ** g
+            assert is_exact(got) or got.hi - got.lo <= F(2) ** g
 
 
 @PROPERTY

@@ -20,7 +20,7 @@ from kohmoto.analysis import FAST_K
 from kohmoto.errors import DegeneracyError, PreconditionError, PrecisionError
 from kohmoto.farey import approach_digits, cf_forms
 from kohmoto.polyring import RP
-from kohmoto.rootfind import compare_roots, isolate_roots, poly_mul, primitive
+from kohmoto.rootfind import cauchy_bound, compare_roots, poly_mul, primitive, sturm_chain
 from kohmoto.sets import EnclosedSet, lebesgue
 from kohmoto.spectra import (
     band_classify,
@@ -32,7 +32,7 @@ from kohmoto.spectra import (
     floquet_edges,
     floquet_zeros,
     membership,
-    reflection_factors,
+    reflection_chains,
     spectrum_from_trace,
     spectrum_periodic,
     trace_poly_cf,
@@ -54,7 +54,7 @@ from defect_oracle import (
     halving_defect_points,
 )
 from polyring_helpers import coeffs
-from rootfind_oracle import chain_matches_oracle, resorting_separate
+from rootfind_oracle import isolate, resorting_separate, variation_mismatches
 from set_helpers import certainly_disjoint_triple, covers_at_resolution, union
 from trace_oracle import power_extension_traces, power_trace_triples, trace_poly
 
@@ -65,10 +65,15 @@ TOL6 = F(1, 10**6)
 GRID9, GRID12 = -30, -40
 
 
-def closure_factors(word: str, V):
-    """`reflection_factors` of the periodic and the antiperiodic closure,
+def closure_chains(word: str, V):
+    """`reflection_chains` of the periodic and the antiperiodic closure,
     each from its own `_sector_paths`."""
-    return tuple(reflection_factors(word, V, _sector_paths(word, anti)) for anti in (False, True))
+    return tuple(reflection_chains(word, V, _sector_paths(word, anti)) for anti in (False, True))
+
+
+def closure_factors(word: str, V):
+    """The reflection factors of each closure: the heads of its chains."""
+    return tuple(tuple(chain[0] for chain in side) for side in closure_chains(word, V))
 
 
 def sector_matrices(word: str, V, anti: bool):
@@ -353,28 +358,78 @@ def test_reflection_factors_multiply_to_t_minus_and_plus_2():
 wide_numerators = st.integers(-(2**2000), 2**2000) | st.integers(-3, 3)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(st.integers(0, 40), st.sampled_from([1, 2, 3, 7]), st.data())
-def test_packed_path_determinant_matches_the_list_recurrence(k, b, data):
+def diagonal_points(diag, b) -> set:
+    """The dyadic points at and beside each diagonal entry c / b: c / b,
+    the root of the first minor when c = diag[0], and c / b -+ 1, -+ 2,
+    the roots of the head of a link of two such entries with beta = 1 or
+    4, where these are dyadic; and the points of the quarter grid either
+    side of c / b."""
+    out = set()
+    for c in diag:
+        out.update((F(4 * c // b, 4), F(4 * c // b + 1, 4)))
+        if b & (b - 1) == 0:
+            out.update(F(c, b) + s for s in (-2, -1, 0, 1, 2))
+    return out
+
+
+def zero_counts(chain, points) -> tuple[int, int]:
+    """How many of the dyadic points are roots of the chain's head, and how
+    many are zeros of an element below it."""
+    zeros = [[rootfind.sign_at(q, x.numerator, x.denominator) == 0 for q in chain] for x in points]
+    return sum(z[0] for z in zeros), sum(any(z[1:]) for z in zeros)
+
+
+def check_minors_chain(diag, beta, b, points) -> tuple[int, int]:
+    """Check `sturm_chain` against the list recurrence and its sign
+    variations against the remainder chain of its head at the points and
+    at -+ the head's Cauchy bound; return how many points are roots of the
+    head and how many zeros of an element below it."""
+    chain = sturm_chain(diag, beta, b)
+    assert chain[0] == list_path_determinant(diag, beta, b)
+    assert [(len(q), q[-1]) for q in chain] == [(j + 1, b**j) for j in range(len(diag), -1, -1)]
+    bound = cauchy_bound(chain[0])
+    points = {*points, -bound, bound}
+    assert not variation_mismatches(chain, points), (diag, beta, b)
+    return zero_counts(chain, points)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(0, 8), st.sampled_from([1, 2, 3, 7]), st.data())
+def test_minors_chain_counts_like_the_remainder_chain(k, b, data):
+    # entries up to 2000 bits, and small ones that repeat, so that minors
+    # vanish at the points c / b; the remainder chain of a head of degree k
+    # with 2000-bit entries has elements of about 2000 k^2 bits, so k stays
+    # small
     diag = data.draw(st.lists(wide_numerators, min_size=k, max_size=k))
     links = max(k - 1, 0)
-    beta = data.draw(st.lists(st.sampled_from([0, 1, 2, 4]), min_size=links, max_size=links))
-    assert spectra._path_determinant(diag, beta, b) == list_path_determinant(diag, beta, b)
+    beta = data.draw(st.lists(st.sampled_from([1, 2, 4]), min_size=links, max_size=links))
+    check_minors_chain(diag, beta, b, diagonal_points(diag, b))
 
 
-def test_packed_path_determinant_edge_cases():
-    # the empty path, zero and all-negative diagonals that borrow through
-    # every slot, broken links, and one 2000-bit entry among small ones
+def test_minors_chain_edge_cases():
+    # the empty path; zero and constant diagonals, whose odd minors vanish
+    # at the centre c / b, where the heads of odd length have a root; two
+    # equal entries on a link, whose head has the roots c / b -+ sqrt(beta);
+    # and one 2000-bit entry among small ones.  A link that is not positive
+    # is no Jacobi path.
     n = 40
+    roots = inner = 0
     for diag, beta in (
         ([], []),
         ([0] * n, [1] * (n - 1)),
-        ([-1] * n, [4] * (n - 1)),
-        ([5, 0, 5, 0], [0, 2, 0]),
-        ([1] * (n - 1) + [-(1 << 1999)], [2] * (n - 1)),
+        ([-1] * (n - 1), [4] * (n - 2)),
+        ([5, 5], [1]),
+        ([5, 5], [4]),
+        ([5, 0, 5, 0, 5], [1, 2, 4, 2]),
+        ([1] * 11 + [-(1 << 1999)], [2] * 11),
     ):
         for b in (1, 2, 3, 7):
-            assert spectra._path_determinant(diag, beta, b) == list_path_determinant(diag, beta, b)
+            got = check_minors_chain(diag, beta, b, diagonal_points(diag, b))
+            roots, inner = roots + got[0], inner + got[1]
+    assert roots >= 8 and inner >= 8
+    for beta in ([0], [-1]):
+        with pytest.raises(PreconditionError, match="positive"):
+            sturm_chain([5, 0], beta, 1)
 
 
 def test_reflection_sectors_hold_the_roots_of_their_factors():
@@ -386,7 +441,7 @@ def test_reflection_sectors_hold_the_roots_of_their_factors():
             word = period_word(r)
             for anti, factors in zip((False, True), closure_factors(word, V)):
                 for f, guesses in zip(factors, floquet_edges(word, V, _sector_paths(word, anti))):
-                    roots = [float(e.refined(GRID12).lo) for e in isolate_roots(f)]
+                    roots = [float(e.refined(GRID12).lo) for e in isolate(f)]
                     assert len(roots) == len(f) - 1 == len(guesses)
                     assert np.allclose(sorted(guesses), roots, rtol=0, atol=1e-9)
             cases += 1
@@ -445,24 +500,38 @@ def test_factored_band_edges_nest_with_the_unsplit_isolation():
     assert compared > 2700
 
 
+def reflection_chain_points(word: str, V):
+    """Each reflection chain of the word's two closures at coupling V,
+    with the points at and beside the diagonal entries of its sector
+    (`diagonal_points`) and its float guides, which lie beside its roots."""
+    V = F(V)
+    for anti in (False, True):
+        paths = _sector_paths(word, anti)
+        for chain, guide, (site, turn, _, _) in zip(
+            reflection_chains(word, V, paths), floquet_edges(word, V, paths), paths
+        ):
+            diag = [V.numerator * (word[i] == "1") + V.denominator * x for i, x in zip(site, turn)]
+            yield chain, diagonal_points(diag, V.denominator) | set(map(F, guide))
+
+
 def test_sturm_chains_of_trace_polynomials_match_the_primitive_chain():
+    # the minors chain of every reflection factor counts like the remainder
+    # chain of the factor, also where the factor or a minor vanishes
+    roots = inner = 0
     for V in (V5, F(1, 2), F(-3)):
-        for r in _reduced(40):
-            for factors in closure_factors(period_word(r), V):
-                assert all(chain_matches_oracle(f) for f in factors), (r, V)
-        # D = t_u^2 - V^2 - 4 of every one-sided point
-        for r in _reduced(12):
-            for side in ("plus", "minus"):
-                if (side, r) not in (("plus", 1), ("minus", 0)):
-                    _, t_u, _ = trace_triples(approach_digits(r, side), V)[-1]
-                    assert chain_matches_oracle((t_u * t_u - (V * V + 4)).int_poly()), (r, side, V)
+        for r in _reduced(30):
+            for chain, points in reflection_chain_points(period_word(r), V):
+                assert not variation_mismatches(chain, points), (r, V)
+                got = zero_counts(chain, points)
+                roots, inner = roots + got[0], inner + got[1]
+    assert roots > 100 and inner > 1000
 
 
 def test_sturm_fallback_cases_match_the_primitive_chain():
     assert len(CLOSE_EDGE_CASES) == 18
     for r in CLOSE_EDGE_CASES:
-        for factors in closure_factors(period_word(r), V5):
-            assert all(chain_matches_oracle(f) for f in factors), r
+        for chain, points in reflection_chain_points(period_word(r), V5):
+            assert not variation_mismatches(chain, points), r
 
 
 def test_sturm_bisection_keeps_a_root_hit_by_a_midpoint():
@@ -472,9 +541,10 @@ def test_sturm_bisection_keeps_a_root_hit_by_a_midpoint():
     # end of [0, 4], to cells of dyadic grids that `refined` takes down to
     # the tol-grid cells of -+sqrt3
     word = period_word(F(1, 6))
-    f = primitive(reflection_factors(word, V5, _sector_paths(word, True))[1])
+    chain = reflection_chains(word, V5, _sector_paths(word, True))[1]
+    f = chain[0]
     assert f == [0, -3, 0, 1]
-    roots = rootfind._sturm_bisection(tuple(f), rootfind.sturm_chain(f), rootfind.cauchy_bound(f))
+    roots = rootfind._sturm_bisection(tuple(f), chain, rootfind.cauchy_bound(f))
     assert [(e.lo, e.hi) for e in roots] == [(-2, -1), (0, 0), (1, 2)]
     k = math.isqrt(3 << 60)  # floor(sqrt3 * 2^30)
     cells = [(e.refined(GRID9).lo_num, e.refined(GRID9).hi_num) for e in (roots[0], roots[2])]
@@ -487,7 +557,7 @@ def test_defect_points_build_no_sturm_chain():
     # 1e-14 apart (1/21, 1/60): no Sturm chain, no Sturm bisection
     cases = [(F(1, 60), "plus"), (F(1, 60), "minus"), (F(34, 89), "plus")]
     cases += [(r, side) for r in (F(2, 17), F(1, 21), F(2, 19)) for side in ("plus", "minus")]
-    chain = mock.patch.object(rootfind, "sturm_chain", wraps=rootfind.sturm_chain)
+    chain = mock.patch.object(spectra, "sturm_chain", wraps=spectra.sturm_chain)
     fallback = mock.patch.object(rootfind, "_sturm_bisection", wraps=rootfind._sturm_bisection)
     for r, side in cases:
         spectrum_periodic(r, V5, TOL9)
@@ -745,8 +815,8 @@ def test_doubled_antiperiodic_sectors_hold_the_trace_zeros():
             t = trace_poly_cf(digits, V)
             assert trace_poly(word + word, V) + 2 == t * t
             # exactly: each sector's b^n det(E - J) is b^n t
-            factors = reflection_factors(word + word, V, _sector_paths(word + word, True))
-            assert all(RP(f, V.denominator ** len(word)) == t for f in factors)
+            chains = reflection_chains(word + word, V, _sector_paths(word + word, True))
+            assert all(RP(chain[0], V.denominator ** len(word)) == t for chain in chains)
             even, odd = sector_matrices(word + word, V, True)
             assert len(even) == len(odd) == len(word)
             zeros = floquet_zeros(word, V)
@@ -790,6 +860,18 @@ def test_coupling_bits_are_capped():
         ):
             with pytest.raises(PreconditionError, match="coupling"):
                 call(V)
+
+
+def test_rotation_denominator_is_capped():
+    # the run time at the corner of the coupling caps grows fast with q
+    assert len(spectrum_periodic(F(1, spectra.MAX_DENOMINATOR), V5, TOL6).bands) == 89
+    for call in (
+        lambda r: spectrum_periodic(r, V5, TOL6),
+        lambda r: defect_spectrum(r, "plus", V5, TOL6),
+        lambda r: band_classify(r, 1, V5, TOL6),
+    ):
+        with pytest.raises(PreconditionError, match="denominator"):
+            call(F(1, 90))
 
 
 def test_membership_examples():

@@ -29,10 +29,9 @@ def trace_poly(word: str, V) -> RP:
     Column c of the product is (x_n, x_(n-1)) for the solution of
     x_j = (E - V w_j) x_(j-1) - x_(j-2) from (x_0, x_(-1)) = e_c.  With
     V = a/b, X_j = b^(j+1) x_j is an integer polynomial with
-    X_j = (bE - a w_j) X_(j-1) - b^2 X_(j-2).  As in
-    `kohmoto.spectra._path_determinant`
-    the loop runs on the values at E = 2^w, a shift and small products per
-    letter and column, so it takes O(n) integer operations.  The trace is
+    X_j = (bE - a w_j) X_(j-1) - b^2 X_(j-2).  The loop runs on the values
+    at E = 2^w, a shift and small products per letter and column, so it
+    takes O(n) integer operations.  The trace is
     x0_n + x1_(n-1), and the determinant, the Casoratian
     x0_n x1_(n-1) - x1_n x0_(n-1), is checked to be 1.  Both are read at
     2^w: with N_j = (b + |c_j|) N_(j-1) + b^2 N_(j-2) the bound on the L1
