@@ -1,36 +1,36 @@
 """Certified real-root isolation and refinement for integer polynomials.
 
-A Sturm chain over exact integers gives the number of roots in a window.
-Every polynomial isolated here is b^k det(E - J) for a Jacobi matrix J,
-and its chain is the scaled leading minors of J (`sturm_chain`), which the
-same three-term recurrence builds with the polynomial as its head.
-Floating-point root estimates place each root in one cell of a dyadic grid,
-and exact sign changes across as many disjoint cells as the Sturm count
-certify one root per cell; when the estimates do not yield such cells,
-bisection on Sturm counts isolates the roots instead.  Floating point only
-proposes cells: every certificate is an exact integer sign or count.
+Every polynomial isolated here is b^k det(E - J) for a Jacobi matrix J
+with positive squared links, the head of the recurrence of its leading
+minors (`sturm_chain`): its roots are real and simple, so its degree
+counts them.  Floating-point root estimates place each root in one cell of
+a dyadic grid, and exact sign changes across as many disjoint cells as the
+degree certify one root per cell; when the estimates do not yield such
+cells, bisection on the inertia of J (`_inertia`, the same recurrence at
+one point) isolates the roots instead.  Floating point only proposes
+cells: every certificate is an exact integer sign or count.
 
 One loop narrows every enclosure: `RootEnclosure.refined(grid)` splits at
 the grid point with the fewest bits, down to the root's cell of the grid
 of spacing 2^grid clipped to the enclosure, or [x, x] at a grid point x.
 On a cell of a dyadic grid that point is the midpoint, so a cell is
 halved.  `separate`, `compare_distinct_roots` and the defect points' gap
-brackets narrow by it too; only Sturm bisection splits by counts.
+brackets narrow by it too; only the inertia bisection splits by counts.
 
-One grid decides the bytes: guided and Sturm cells are all cells of dyadic
+One grid decides the bytes: guided and bisection cells are cells of dyadic
 grids, so a root with no other root in or next to its cell of the grid of
 spacing 2^grid <= width comes out of `isolate_roots` and `refined(grid)`
 as that cell, or as [x, x] at a grid point x, whichever route found it.
 
-Every enclosure end is dyadic: grid points and Sturm bisection inside a
+Every enclosure end is dyadic: grid points and bisection inside a
 power-of-two window have power-of-two denominators.
 A `RootEnclosure` stores its ends as integers over one 2^exp, two of them
 meet over a common denominator by a shift, and every loop here runs on
 those integers; the `lo` and `hi` Fractions are for output.  A float
 guess finds its grid cell by an exact scaling by a power of two
 (`grid_cell`).  The signs at the ends of the guesses' cells come from one
-Horner sweep per polynomial (`_grid_signs`); every other exact sign is
-`sign_at(p, num, den)`.
+Horner sweep per polynomial (`_grid_signs`); every other exact sign of a
+polynomial is `sign_at(p, num, den)`.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from typing import Optional, Sequence
 from .errors import DegeneracyError, PreconditionError, PrecisionError
 
 IntPoly = list[int]
+Jacobi = tuple[Sequence[int], Sequence[int], int]  # (diag, beta, b) of `sturm_chain`
 
 # The finest grid float guides hit, about the accuracy of their eigenvalues
 # (1e-13 at moderate coupling); refinement goes on from there.
@@ -200,16 +201,21 @@ def sturm_chain(diag: Sequence[int], beta: Sequence[int], b: int) -> list[IntPol
     return chain
 
 
-def _variations(signs: Sequence[int]) -> int:
-    out = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            out += 1
-        prev = s
-    return out
+def _inertia(jacobi: Jacobi, x: int, e: int) -> tuple[int, int]:
+    """The sign of the head D_k of `sturm_chain(*jacobi)` at x / 2^e
+    (e >= 0) and the sign variations of D_k, ..., D_0 there, which count
+    the eigenvalues of J above x / 2^e (Sylvester's law of inertia; Barth,
+    Martin and Wilkinson, Numer. Math. 9, 1967): the recurrence at the one
+    point, homogenized by 2^e, so that its j-th value is the integer
+    2^(ej) D_j(x / 2^e) that `sign_at` reads, in O(k) products."""
+    diag, beta, b = jacobi
+    bx, bb, e2 = b * x, b * b, 2 * e
+    lo, hi, last, count = 0, 1, 1, 0  # last: the sign of the last nonzero minor
+    for c, y in zip(diag, (0, *beta)):
+        lo, hi = hi, (bx - (c << e)) * hi - (bb * y * lo << e2)
+        if hi and (hi > 0) != (last > 0):
+            last, count = -last, count + 1
+    return (hi > 0) - (hi < 0), count
 
 
 def cauchy_bound(p: Sequence[int]) -> int:
@@ -311,46 +317,41 @@ def _dyadic_exponent(n: int, d: int) -> int:
 
 
 def isolate_roots(
-    chain: Sequence[IntPoly],
+    factor: Sequence[int],
+    jacobi: Jacobi,
     guide: Optional[Sequence[float]] = None,
     width: Optional[Fraction] = None,
 ) -> list[RootEnclosure]:
-    """All real roots of the head of a Sturm chain, a square-free integer
-    polynomial, as isolating intervals, sorted, that meet at most in a
-    shared endpoint which is not a root.
+    """All roots of b^k det(E - J), the head of `sturm_chain(*jacobi)`, as
+    isolating intervals, sorted, that meet at most in a shared endpoint
+    which is not a root.
 
-    The chain's signs at infinity give the number of real roots.  Floating
-    guesses (one per root) then place each root in a cell of a dyadic grid
-    whose spacing 2^e is at most width and at most a third of the smallest
-    gap between guesses: the cell floor(g / 2^e) of a guess g, or the cell
-    next to it on the side of its midpoint that g lies on (`_grid_cells`).
-    A sign change across each of as many disjoint cells as there are roots
-    certifies them all; cells of a width finer than GUIDE_GRID that miss
-    are laid on GUIDE_GRID instead.  When the guesses do not yield such
-    cells, or a guess has no exact cell index, Sturm bisection on the chain
-    (`_sturm_bisection`) isolates the roots.  A cell may be wider than
-    width: `refined` finishes it.  The enclosures carry the head's
-    primitive part."""
-    p = primitive(chain[0])
-    if degree(p) == 0:
-        return []
-    bound = cauchy_bound(p)
-    # every real root lies inside the Cauchy bound, so count at infinity
-    lead = [1 if q[-1] > 0 else -1 for q in chain]
-    at_minus = [-s if degree(q) % 2 else s for s, q in zip(lead, chain)]
-    total = _variations(at_minus) - _variations(lead)
+    Precondition: every root is real and simple, as for any J with every
+    beta > 0 (`sturm_chain` refuses any other), so the degree counts them.
+    Floating guesses (one per root) then place each root in a cell of a
+    dyadic grid whose spacing 2^e is at most width and at most a third of
+    the smallest gap between guesses: the cell floor(g / 2^e) of a guess g,
+    or the cell next to it on the side of its midpoint that g lies on
+    (`_grid_cells`).  A sign change across each of as many disjoint cells
+    as the degree certifies them all; cells of a width finer than
+    GUIDE_GRID that miss are laid on GUIDE_GRID instead.  When the guesses
+    do not yield such cells, or a guess has no exact cell index, bisection
+    on the inertia of J (`_sturm_bisection`) isolates the roots.  A cell
+    may be wider than width: `refined` finishes it.  The enclosures carry
+    the factor's primitive part."""
+    p = primitive(factor)
+    poly, bound, total = tuple(p), cauchy_bound(p), degree(p)
     if total == 0:
         return []
-    poly = tuple(p)
     roots = None
     if guide is not None and len(guide) == total:
         roots = _grid_cells(poly, guide, bound, width)
         if roots is None and width is not None and width < GUIDE_GRID:
             roots = _grid_cells(poly, guide, bound, GUIDE_GRID)
     if roots is None:
-        roots = _sturm_bisection(poly, chain, bound)
+        roots = _sturm_bisection(poly, jacobi, bound)
     if len(roots) != total:
-        raise PrecisionError(f"isolated {len(roots)} roots, Sturm count is {total}")
+        raise PrecisionError(f"isolated {len(roots)} roots of a factor of degree {total}")
     return roots
 
 
@@ -483,7 +484,7 @@ def _grid_cells(
 def _widened(cells: list[tuple[int, int]], shift: int) -> list[tuple[int, int]]:
     """The sorted certified cells (a, b) of `_grid_cells` (grid indices,
     a = b at a root), each widened to its cell of the grid 2^shift times
-    coarser, the one Sturm bisection and `refined` give it, unless another
+    coarser, the one the bisection and `refined` give it, unless another
     root lies in that cell or next to it."""
     step = 1 << shift
     wide = [(a // step * step, -(-b // step) * step) for a, b in cells]
@@ -492,24 +493,19 @@ def _widened(cells: list[tuple[int, int]], shift: int) -> list[tuple[int, int]]:
     return [w if left < w[0] and w[1] < right else c for c, w, left, right in zip(cells, wide, below, above)]
 
 
-def _sturm_bisection(
-    poly: tuple[int, ...], chain: Sequence[IntPoly], bound: int
-) -> list[RootEnclosure]:
-    """Isolating intervals for the roots in (-bound, bound) by bisection
-    on Sturm counts inside [-2^w, 2^w] with 2^w >= bound, sorted: cells of
-    dyadic grids.  V(a) - V(b) counts the roots in (a, b] also where a or b is a
-    root (Sturm's theorem; Basu, Pollack and Roy, Algorithms in Real
-    Algebraic Geometry), so a midpoint that hits a root is kept as [m, m]
-    and both halves go on.  The stack holds [a / 2^e, b / 2^e] with the
-    sign of poly (chain[0]) and the variation count at both ends."""
-
-    def signs(x: int, e: int) -> tuple[int, int]:
-        s = [sign_at(q, x, 1 << e) for q in chain]
-        return s[0], _variations(s)
-
+def _sturm_bisection(poly: tuple[int, ...], jacobi: Jacobi, bound: int) -> list[RootEnclosure]:
+    """Isolating intervals for the roots in (-bound, bound) of poly, the
+    primitive head of `sturm_chain(*jacobi)`, by bisection on the counts of
+    `_inertia` inside [-2^w, 2^w] with 2^w >= bound, sorted: cells of dyadic
+    grids.  The counts are the sign variations of a Sturm chain, so
+    V(a) - V(b) counts the roots in (a, b] also where a or b is a root
+    (Sturm's theorem; Basu, Pollack and Roy, Algorithms in Real Algebraic
+    Geometry), and a midpoint that hits a root is kept as [m, m] while both
+    halves go on.  The stack holds [a / 2^e, b / 2^e] with the sign of the
+    head and the count at both ends."""
     top = 1 << (bound - 1).bit_length()
     roots: list[RootEnclosure] = []
-    stack = [(-top, top, 0, *signs(-top, 0), *signs(top, 0))]
+    stack = [(-top, top, 0, *_inertia(jacobi, -top, 0), *_inertia(jacobi, top, 0))]
     while stack:
         a, b, e, sa, va, sb, vb = stack.pop()
         inside = va - vb - (sb == 0)  # the roots in (a, b)
@@ -517,7 +513,7 @@ def _sturm_bisection(
             roots.append(RootEnclosure(poly, a, b, e))
         elif inside:
             m, a, b, e = a + b, 2 * a, 2 * b, e + 1
-            sm, vm = signs(m, e)
+            sm, vm = _inertia(jacobi, m, e)
             if sm == 0:
                 roots.append(RootEnclosure(poly, m, m, e))
             stack += [(a, m, e, sa, va, sm, vm), (m, b, e, sm, vm, sb, vb)]

@@ -8,15 +8,15 @@ the periodic and antiperiodic one-period operators.  The period word is a
 rotation of its reversal, so its ring folds by that reflection, and each of
 H, H' splits into an even and an odd reflection sector.  Each sector is a
 path, a Jacobi matrix of about half the size (`_sector_paths`).  Its
-entries give both the exact reflection factor and its Sturm chain, the
-leading minors of b^k det(E - J) from their three-term recurrence
-(`reflection_chains`; the products of the factors are checked against
-the trace), and the float sector matrix whose eigenvalues guide the
-isolation of that factor's roots (`floquet_edges`).  The roots are
-certified in cells of a dyadic grid laid from the factor's own guides:
-exact sign changes across as many cells as the chain counts.  When the
-estimates do not certify, bisection on the chain's counts isolates the
-edges instead.  The float zeros of
+entries give both the exact reflection factor b^k det(E - J), by the
+three-term recurrence of the leading minors (`reflection_factors`; the
+products of the factors are checked against the trace), and the float
+sector matrix whose eigenvalues guide the isolation of that factor's roots
+(`floquet_edges`).  The roots are real and simple, so they are certified
+in cells of a dyadic grid laid from the factor's own guides: exact sign
+changes across as many cells as the factor's degree.  When the estimates
+do not certify, bisection on the inertia of the sector's Jacobi matrix
+isolates the edges instead.  The float zeros of
 t, which mark the bands for the fast backend, are one sector of the
 doubled word's antiperiodic operator, of determinant t^2 (`floquet_zeros`).
 One-sided limit spectra add exactly q isolated eigenvalues: this side's q
@@ -31,7 +31,7 @@ One grid decides every certified enclosure: the root's cell of the grid
 of spacing 2^floor(log2 tol), [x, x] at a grid point x, split further by
 `separate` only where two band edges share a cell and clipped to its gap
 for a defect point.  One loop, `RootEnclosure.refined`, narrows band
-edges and defect points alike to that cell; the guides and the Sturm
+edges and defect points alike to that cell; the guides and the bisection
 fallback decide how fast it is found, not its bytes (but for two roots of
 one reflection factor in one cell or in neighbouring ones).
 """
@@ -61,8 +61,10 @@ from .polyring import RP
 from .rootfind import (
     GUIDE_GRID,
     IntPoly,
+    Jacobi,
     RootEnclosure,
     _dyadic_exponent,
+    _grid_signs,
     _short_point,
     cauchy_bound,
     compare_distinct_roots,
@@ -223,10 +225,9 @@ def check_coupling(V) -> Fraction:
 
 # Cap on the rotation denominator q of the certified band and defect
 # spectra: the coupling caps bound the run time at a given q, not overall.
-# At their worst corner, V = ((2^64 - 1) 2^16 - 1) / (2^64 - 1), where the
-# float guides miss and Sturm bisection isolates the edges, `spectrum
-# bands` took 32 s at 55/89, 42 s at 57/92, 46 s at 59/95 and 47 s at
-# 61/98 on a 2-core machine (but 1.8 s at 44/89).
+# At their worst corner, V = ((2^64 - 1) 2^16 - 1) / (2^64 - 1), on a 2-core
+# machine, `spectrum bands` took 4.5 s at 55/89 and `spectrum defects
+# --side plus` 50 s at 59/89, 48 s at 59/90 and about 68 s at 65/98.
 MAX_DENOMINATOR = 89
 
 
@@ -365,25 +366,26 @@ def floquet_zeros(word: str, V) -> list[float]:
     return np.linalg.eigvalsh(_path_matrix(doubled, float(as_fraction(V)), path)).tolist()
 
 
-def reflection_chains(
+def reflection_factors(
     word: str, V, paths: tuple[SectorPath, SectorPath]
-) -> tuple[list[IntPoly], list[IntPoly]]:
-    """The Sturm chains of the reflection factors of t - 2 or t + 2 for the
-    trace t of a word that is a rotation of its reversal: for each sector
-    of `_sector_paths` for the periodic or the antiperiodic closure, the
-    scaled leading minors of its k x k Jacobi matrix J (`sturm_chain`),
-    headed by the factor b^k det(E - J), with b the denominator of
-    V = a/b.  det(E - H) is t - 2 for the periodic operator H of the n
-    sites and t + 2 for the antiperiodic one, and H is the direct sum of
-    its two sectors, so the two heads multiply to b^n (t -+ 2).  The pair
-    is ordered like the sectors of `floquet_edges`."""
+) -> tuple[tuple[IntPoly, Jacobi], tuple[IntPoly, Jacobi]]:
+    """The reflection factors of t - 2 or t + 2 for the trace t of a word
+    that is a rotation of its reversal, each with its sector's Jacobi
+    matrix: for each sector of `_sector_paths` for the periodic or the
+    antiperiodic closure, the factor b^k det(E - J) of its k x k Jacobi
+    matrix J, the head of `sturm_chain`, and J as (diag, beta, b), with b
+    the denominator of V = a/b.  det(E - H) is t - 2 for the periodic
+    operator H of the n sites and t + 2 for the antiperiodic one, and H is
+    the direct sum of its two sectors, so the two factors multiply to
+    b^n (t -+ 2).  The pair is ordered like the sectors of
+    `floquet_edges`."""
     V = as_fraction(V)
     a, b = V.numerator, V.denominator
-    even, odd = (
-        sturm_chain([a * (word[i] == "1") + b * x for i, x in zip(site, turn)], beta, b)
-        for site, turn, _, beta in paths
-    )
-    return even, odd
+    out = []
+    for site, turn, _, beta in paths:
+        diag = [a * (word[i] == "1") + b * x for i, x in zip(site, turn)]
+        out.append((sturm_chain(diag, beta, b)[0], (diag, beta, b)))
+    return out[0], out[1]
 
 
 def _share_a_root(roots: list[RootEnclosure], f: IntPoly, g: IntPoly) -> bool:
@@ -401,12 +403,13 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     q certified-disjoint closed bands, edges enclosed to width <= tol.
 
     The band edges are the roots of t - 2 and t + 2, isolated as the roots
-    of their reflection factors, each of about half the degree and the
-    head of its sector's chain of leading minors (`reflection_chains`),
-    with the exact product identities checked first.  The eigenvalues of
-    the reflection sectors of `floquet_edges` guide the factors they belong
-    to, each on a grid laid from its own guides and tol.  Exact signs
-    across the cells, counted against the factor's chain, certify them.
+    of their reflection factors, each of about half the degree and built
+    from its sector's Jacobi matrix (`reflection_factors`), with the exact
+    product identities checked first.  The eigenvalues of the reflection
+    sectors of `floquet_edges` guide the factors they belong to, each on a
+    grid laid from its own guides and tol.  Exact signs across the cells,
+    counted against the factor's degree, certify them; where they do not,
+    `isolate_roots` bisects on the sector's inertia.
     Each edge is refined to its tol-grid cell before `separate`.  A root
     shared by the two factors of a side (touching bands, e.g. coupling 0)
     raises DegeneracyError.
@@ -427,8 +430,8 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
         for anti in (False, True):
             # one fold of the ring per closure, for the factors and the guides
             paths = _sector_paths(word, anti)
-            chains = reflection_chains(word, V, paths)
-            factors = [chain[0] for chain in chains]
+            sectors = reflection_factors(word, V, paths)
+            factors = [f for f, _ in sectors]
             # den * (t -+ 2)
             name, target = ("t + 2", 2) if anti else ("t - 2", -2)
             target = [t.num[0] + target * t.den] + t.num[1:]
@@ -436,8 +439,8 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
                 raise PrecisionError(f"reflection factors do not multiply to {name}")
             roots = [
                 enc.refined(grid)
-                for chain, guide in zip(chains, floquet_edges(word, V, paths))
-                for enc in isolate_roots(chain, guide=guide, width=tol)
+                for (f, jacobi), guide in zip(sectors, floquet_edges(word, V, paths))
+                for enc in isolate_roots(f, jacobi, guide=guide, width=tol)
             ]
             if _share_a_root(roots, *factors):
                 raise DegeneracyError(f"{name} has a multiple root")
@@ -664,7 +667,7 @@ def _sign_change_gaps(f: IntPoly, xs: list[int], exp: int) -> list[int]:
     """The indices i of the brackets [xs[i], xs[i + 1]] (over 2^exp, xs
     increasing) across which f changes sign: with deg f of them, each holds
     one simple root and f has no other root; else PrecisionError."""
-    signs = [sign_at(f, x, 1 << exp) for x in xs]
+    signs = _grid_signs(f, xs, -exp)
     gaps = [i for i in range(len(xs) - 1) if signs[i] * signs[i + 1] < 0]
     if len(gaps) != degree(f):
         raise PrecisionError(f"a factor of t^2 = V^2 + 4 changes sign {len(gaps)} times, wanted {degree(f)}")

@@ -1,13 +1,16 @@
 """The remainder Sturm chains of a general integer polynomial, the
-two-pass normal pseudo-remainder, the pass-and-resort `separate`, a Sturm
-root count, and the halving loop and the grid search that
-`RootEnclosure.refined` replaced, kept as oracles for `kohmoto.rootfind`;
-`enclosure`, a RootEnclosure from dyadic Fraction ends; and `isolate`,
-`isolate_roots` on the remainder chain of any square-free polynomial.
+two-pass normal pseudo-remainder, the pass-and-resort `separate`, Sturm
+root counts, the bisection on a chain's counts, and the halving loop and
+the grid search that `RootEnclosure.refined` replaced, kept as oracles for
+`kohmoto.rootfind`; `enclosure`, a RootEnclosure from dyadic Fraction
+ends; and `isolate`, the isolation of any square-free polynomial by its
+remainder chain.
 
 `rootfind.sturm_chain` builds the leading minors of a Jacobi matrix; its
 sign variations must equal those of `remainder_chain` of its head at
-every point.  `remainder_chain` takes its normal steps by subresultants
+every point, and `rootfind._inertia` must read them without the chain, so
+that `rootfind._sturm_bisection` returns what `chain_bisection` on the
+minors does.  `remainder_chain` takes its normal steps by subresultants
 for a monic polynomial; each of its elements must be a positive multiple
 of the element of `primitive_sturm_chain`.  `prem_normal` builds in one
 pass what two division steps build in `two_pass_prem_normal`.
@@ -29,9 +32,8 @@ from kohmoto.rootfind import (
     _dyadic_exponent,
     _pseudo_rem_signed,
     _short_point,
-    _variations,
+    cauchy_bound,
     degree,
-    isolate_roots,
     primitive,
     sign_at,
     strip,
@@ -55,9 +57,81 @@ def is_exact(enc: RootEnclosure) -> bool:
 
 
 def isolate(p, guide=None, width=None) -> list[RootEnclosure]:
-    """`isolate_roots` on `remainder_chain(p)`: every real root of any
-    square-free integer polynomial."""
-    return isolate_roots(remainder_chain(p), guide=guide, width=width)
+    """Every real root of any square-free integer polynomial, as isolating
+    intervals, sorted: the real roots counted at infinity on
+    `remainder_chain(p)`, the guided cells of `rootfind._grid_cells` when
+    there is one guess per real root and they certify, else
+    `chain_bisection` on the remainder chain.  The enclosures carry p's
+    primitive part."""
+    chain = remainder_chain(p)
+    poly = tuple(chain[0])
+    total = real_root_count(chain) if degree(poly) else 0
+    if total == 0:
+        return []
+    bound = cauchy_bound(poly)
+    roots = None
+    if guide is not None and len(guide) == total:
+        roots = rootfind._grid_cells(poly, guide, bound, width)
+    if roots is None:
+        roots = chain_bisection(poly, chain, bound)
+    if len(roots) != total:
+        raise PrecisionError(f"isolated {len(roots)} roots, Sturm count is {total}")
+    return roots
+
+
+def variations(signs) -> int:
+    """The sign changes of a sequence of signs, zeros skipped."""
+    out = 0
+    prev = 0
+    for s in signs:
+        if s == 0:
+            continue
+        if prev and s != prev:
+            out += 1
+        prev = s
+    return out
+
+
+def real_root_count(chain) -> int:
+    """The real roots of the head of a Sturm chain: its sign variations at
+    -infinity less those at +infinity, read from the leading
+    coefficients."""
+    lead = [1 if q[-1] > 0 else -1 for q in chain]
+    at_minus = [-s if degree(q) % 2 else s for s, q in zip(lead, chain)]
+    return variations(at_minus) - variations(lead)
+
+
+def chain_bisection(poly, chain, bound: int) -> list[RootEnclosure]:
+    """Isolating intervals for the roots of poly in (-bound, bound) by
+    bisection on the counts of the Sturm chain, which poly heads up to a
+    positive factor, inside [-2^w, 2^w] with 2^w >= bound, sorted: cells of
+    dyadic grids.  V(a) - V(b) counts the roots in (a, b] also where a or b
+    is a root, so a midpoint that hits a root is kept as [m, m] and both
+    halves go on.  The stack holds [a / 2^e, b / 2^e] with the sign of
+    chain[0] and the variation count at both ends; every sign is one
+    `sign_at` of a chain element."""
+
+    def signs(x: int, e: int) -> tuple[int, int]:
+        s = [sign_at(q, x, 1 << e) for q in chain]
+        return s[0], variations(s)
+
+    top = 1 << (bound - 1).bit_length()
+    roots: list[RootEnclosure] = []
+    stack = [(-top, top, 0, *signs(-top, 0), *signs(top, 0))]
+    while stack:
+        a, b, e, sa, va, sb, vb = stack.pop()
+        inside = va - vb - (sb == 0)  # the roots in (a, b)
+        if inside == 1 and sa and sb:
+            roots.append(RootEnclosure(poly, a, b, e))
+        elif inside:
+            m, a, b, e = a + b, 2 * a, 2 * b, e + 1
+            sm, vm = signs(m, e)
+            if sm == 0:
+                roots.append(RootEnclosure(poly, m, m, e))
+            stack += [(a, m, e, sa, va, sm, vm), (m, b, e, sm, vm, sb, vb)]
+    exp = max((r.exp for r in roots), default=0)
+    roots.sort(key=lambda r: r.ends_at(exp))
+    return roots
 
 
 def grid_of(width: Fraction) -> int:
@@ -203,7 +277,7 @@ def remainder_chain(p) -> list[list[int]]:
 
 def variations_at(chain, num: int, exp: int) -> int:
     """Sign variations of the chain at num / 2^exp."""
-    return _variations([sign_at(q, num, 1 << exp) for q in chain])
+    return variations([sign_at(q, num, 1 << exp) for q in chain])
 
 
 def variation_mismatches(chain, points) -> list[Fraction]:

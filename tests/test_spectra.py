@@ -32,7 +32,7 @@ from kohmoto.spectra import (
     floquet_edges,
     floquet_zeros,
     membership,
-    reflection_chains,
+    reflection_factors,
     spectrum_from_trace,
     spectrum_periodic,
     trace_poly_cf,
@@ -54,7 +54,14 @@ from defect_oracle import (
     halving_defect_points,
 )
 from polyring_helpers import coeffs
-from rootfind_oracle import isolate, resorting_separate, variation_mismatches
+import rootfind_oracle
+from rootfind_oracle import (
+    chain_bisection,
+    isolate,
+    resorting_separate,
+    variation_mismatches,
+    variations_at,
+)
 from set_helpers import certainly_disjoint_triple, covers_at_resolution, union
 from trace_oracle import power_extension_traces, power_trace_triples, trace_poly
 
@@ -65,15 +72,12 @@ TOL6 = F(1, 10**6)
 GRID9, GRID12 = -30, -40
 
 
-def closure_chains(word: str, V):
-    """`reflection_chains` of the periodic and the antiperiodic closure,
-    each from its own `_sector_paths`."""
-    return tuple(reflection_chains(word, V, _sector_paths(word, anti)) for anti in (False, True))
-
-
 def closure_factors(word: str, V):
-    """The reflection factors of each closure: the heads of its chains."""
-    return tuple(tuple(chain[0] for chain in side) for side in closure_chains(word, V))
+    """The reflection factors of the periodic and the antiperiodic closure,
+    each from its own `_sector_paths`, without their sectors."""
+    return tuple(
+        tuple(f for f, _ in reflection_factors(word, V, _sector_paths(word, anti))) for anti in (False, True)
+    )
 
 
 def sector_matrices(word: str, V, anti: bool):
@@ -380,16 +384,21 @@ def zero_counts(chain, points) -> tuple[int, int]:
 
 
 def check_minors_chain(diag, beta, b, points) -> tuple[int, int]:
-    """Check `sturm_chain` against the list recurrence and its sign
-    variations against the remainder chain of its head at the points and
-    at -+ the head's Cauchy bound; return how many points are roots of the
-    head and how many zeros of an element below it."""
+    """Check `sturm_chain` against the list recurrence, its sign variations
+    against the remainder chain of its head, and `_inertia` against the
+    head's sign and the chain's variations, at the points and at -+ the
+    head's Cauchy bound; return how many points are roots of the head and
+    how many zeros of an element below it."""
     chain = sturm_chain(diag, beta, b)
     assert chain[0] == list_path_determinant(diag, beta, b)
     assert [(len(q), q[-1]) for q in chain] == [(j + 1, b**j) for j in range(len(diag), -1, -1)]
     bound = cauchy_bound(chain[0])
     points = {*points, -bound, bound}
     assert not variation_mismatches(chain, points), (diag, beta, b)
+    for x in points:
+        num, exp = x.numerator, x.denominator.bit_length() - 1
+        want = (rootfind.sign_at(chain[0], num, 1 << exp), variations_at(chain, num, exp))
+        assert rootfind._inertia((diag, beta, b), num, exp) == want, (diag, beta, b, x)
     return zero_counts(chain, points)
 
 
@@ -479,7 +488,7 @@ def test_factored_band_edges_nest_with_the_unsplit_isolation():
     # each factor lays its own grid, so an edge's enclosure may differ from
     # the one of the grid of t -+ 2 whole; both hold the same root on dyadic
     # grids, so one contains the other wherever the unsplit grid certifies
-    fallback = mock.patch.object(rootfind, "_sturm_bisection", wraps=rootfind._sturm_bisection)
+    fallback = mock.patch.object(rootfind_oracle, "chain_bisection", wraps=chain_bisection)
     compared = 0
     for V in (F(1, 2), F(2), V5, F(-3), F(13, 2)):
         for tol in (TOL6, TOL9):
@@ -501,17 +510,17 @@ def test_factored_band_edges_nest_with_the_unsplit_isolation():
 
 
 def reflection_chain_points(word: str, V):
-    """Each reflection chain of the word's two closures at coupling V,
-    with the points at and beside the diagonal entries of its sector
-    (`diagonal_points`) and its float guides, which lie beside its roots."""
+    """The chain of leading minors of each reflection sector of the word's
+    two closures at coupling V, with the points at and beside the diagonal
+    entries of its sector (`diagonal_points`) and its float guides, which
+    lie beside its roots."""
     V = F(V)
     for anti in (False, True):
         paths = _sector_paths(word, anti)
-        for chain, guide, (site, turn, _, _) in zip(
-            reflection_chains(word, V, paths), floquet_edges(word, V, paths), paths
-        ):
-            diag = [V.numerator * (word[i] == "1") + V.denominator * x for i, x in zip(site, turn)]
-            yield chain, diagonal_points(diag, V.denominator) | set(map(F, guide))
+        for (f, (diag, beta, b)), guide in zip(reflection_factors(word, V, paths), floquet_edges(word, V, paths)):
+            chain = sturm_chain(diag, beta, b)
+            assert chain[0] == f
+            yield chain, diagonal_points(diag, b) | set(map(F, guide))
 
 
 def test_sturm_chains_of_trace_polynomials_match_the_primitive_chain():
@@ -537,18 +546,44 @@ def test_sturm_fallback_cases_match_the_primitive_chain():
 def test_sturm_bisection_keeps_a_root_hit_by_a_midpoint():
     # the odd antiperiodic factor of 1/6 at V = 5 is E^3 - 3E, and the
     # window's first midpoint is its root 0: kept as [0, 0], while the
-    # half-open count V(a) - V(b) goes on in both halves, past the root
-    # end of [0, 4], to cells of dyadic grids that `refined` takes down to
-    # the tol-grid cells of -+sqrt3
+    # half-open inertia count V(a) - V(b) goes on in both halves, past the
+    # root end of [0, 4], to cells of dyadic grids that `refined` takes down
+    # to the tol-grid cells of -+sqrt3
     word = period_word(F(1, 6))
-    chain = reflection_chains(word, V5, _sector_paths(word, True))[1]
-    f = chain[0]
+    f, jacobi = reflection_factors(word, V5, _sector_paths(word, True))[1]
     assert f == [0, -3, 0, 1]
-    roots = rootfind._sturm_bisection(tuple(f), chain, rootfind.cauchy_bound(f))
+    roots = rootfind._sturm_bisection(tuple(f), jacobi, rootfind.cauchy_bound(f))
     assert [(e.lo, e.hi) for e in roots] == [(-2, -1), (0, 0), (1, 2)]
     k = math.isqrt(3 << 60)  # floor(sqrt3 * 2^30)
     cells = [(e.refined(GRID9).lo_num, e.refined(GRID9).hi_num) for e in (roots[0], roots[2])]
     assert cells == [(-k - 1, -k), (k, k + 1)]
+
+
+def test_inertia_bisection_matches_the_chain_bisection():
+    # every factor that takes the fallback, at 3/25 (V = 100) and at a few
+    # rotations with q <= 30 at V = 1000: bisection on the sector's inertia
+    # gives the cells that bisection on its chain of leading minors gives,
+    # enclosure for enclosure
+    calls, real = [], rootfind._sturm_bisection
+
+    def recorded(poly, jacobi, bound):
+        calls.append((poly, jacobi, bound))
+        return real(poly, jacobi, bound)
+
+    cases = [(F(3, 25), F(100))] + [(r, F(1000)) for r in (F(3, 19), F(4, 23), F(5, 27), F(16, 29))]
+    spectra.clear_memos()
+    try:
+        with mock.patch.object(rootfind, "_sturm_bisection", recorded):
+            for r, V in cases:
+                spectrum_periodic(r, V, TOL9)
+    finally:
+        spectra.clear_memos()
+    assert len(calls) >= len(cases)
+    for poly, jacobi, bound in calls:
+        got = rootfind._sturm_bisection(poly, jacobi, bound)
+        want = chain_bisection(poly, sturm_chain(*jacobi), bound)
+        assert [(e.lo_num, e.hi_num, e.exp) for e in got] == [(e.lo_num, e.hi_num, e.exp) for e in want]
+        assert len(got) == len(poly) - 1
 
 
 def test_defect_points_build_no_sturm_chain():
@@ -815,8 +850,8 @@ def test_doubled_antiperiodic_sectors_hold_the_trace_zeros():
             t = trace_poly_cf(digits, V)
             assert trace_poly(word + word, V) + 2 == t * t
             # exactly: each sector's b^n det(E - J) is b^n t
-            chains = reflection_chains(word + word, V, _sector_paths(word + word, True))
-            assert all(RP(chain[0], V.denominator ** len(word)) == t for chain in chains)
+            sectors = reflection_factors(word + word, V, _sector_paths(word + word, True))
+            assert all(RP(f, V.denominator ** len(word)) == t for f, _ in sectors)
             even, odd = sector_matrices(word + word, V, True)
             assert len(even) == len(odd) == len(word)
             zeros = floquet_zeros(word, V)
