@@ -462,7 +462,7 @@ FAST_K = 6
 
 def _fast_band_edges(word: str, V) -> list[float]:
     """The union of the four reflection sectors' eigenvalues, sorted."""
-    (a, b), (c, d) = (floquet_edges(word, V, _sector_paths(word, anti)) for anti in (False, True))
+    (a, b), (c, d) = (floquet_edges(V, _sector_paths(word, anti)) for anti in (False, True))
     return sorted(a + b + c + d)
 
 

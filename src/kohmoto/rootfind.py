@@ -4,11 +4,12 @@ Every polynomial isolated here is b^k det(E - J) for a Jacobi matrix J
 with positive squared links, the head of the recurrence of its leading
 minors (`sturm_chain`): its roots are real and simple, so its degree
 counts them.  Floating-point root estimates place each root in one cell of
-a dyadic grid, and exact sign changes across as many disjoint cells as the
-degree certify one root per cell; when the estimates do not yield such
-cells, bisection on the inertia of J (`_inertia`, the same recurrence at
-one point) isolates the roots instead.  Floating point only proposes
-cells: every certificate is an exact integer sign or count.
+a dyadic grid no finer than GUIDE_GRID, and exact sign changes across as
+many disjoint cells as the degree certify one root per cell; when the
+estimates do not yield such cells, bisection on the inertia of J
+(`_inertia`, the same recurrence at one point) isolates the roots instead.
+Floating point only proposes cells: every certificate is an exact integer
+sign or count.
 
 One loop narrows every enclosure: `RootEnclosure.refined(grid)` splits at
 the grid point with the fewest bits, down to the root's cell of the grid
@@ -316,11 +317,15 @@ def _dyadic_exponent(n: int, d: int) -> int:
     return e
 
 
+def guide_exponent(tol: Fraction) -> int:
+    """The exponent of the grid that float guides place roots on at width
+    tol: of the largest power of two at most max(tol, GUIDE_GRID)."""
+    width = max(tol, GUIDE_GRID)
+    return _dyadic_exponent(width.numerator, width.denominator)
+
+
 def isolate_roots(
-    factor: Sequence[int],
-    jacobi: Jacobi,
-    guide: Optional[Sequence[float]] = None,
-    width: Optional[Fraction] = None,
+    factor: Sequence[int], jacobi: Jacobi, guide: Sequence[float], width: Fraction
 ) -> list[RootEnclosure]:
     """All roots of b^k det(E - J), the head of `sturm_chain(*jacobi)`, as
     isolating intervals, sorted, that meet at most in a shared endpoint
@@ -329,25 +334,21 @@ def isolate_roots(
     Precondition: every root is real and simple, as for any J with every
     beta > 0 (`sturm_chain` refuses any other), so the degree counts them.
     Floating guesses (one per root) then place each root in a cell of a
-    dyadic grid whose spacing 2^e is at most width and at most a third of
-    the smallest gap between guesses: the cell floor(g / 2^e) of a guess g,
-    or the cell next to it on the side of its midpoint that g lies on
-    (`_grid_cells`).  A sign change across each of as many disjoint cells
-    as the degree certifies them all; cells of a width finer than
-    GUIDE_GRID that miss are laid on GUIDE_GRID instead.  When the guesses
-    do not yield such cells, or a guess has no exact cell index, bisection
-    on the inertia of J (`_sturm_bisection`) isolates the roots.  A cell
-    may be wider than width: `refined` finishes it.  The enclosures carry
-    the factor's primitive part."""
+    dyadic grid whose spacing 2^e is at most max(width, GUIDE_GRID) and at
+    most a third of the smallest gap between guesses: the cell of a guess
+    or the one next to it (`grid_cell`, `_grid_cells`).  A sign change
+    across each of as many disjoint cells as the degree certifies them
+    all.  When the guesses do not yield such cells, or a guess has no
+    exact cell index, bisection on the inertia of J (`_sturm_bisection`)
+    isolates the roots.  A cell may be wider than width: `refined`
+    finishes it.  The enclosures carry the factor's primitive part."""
     p = primitive(factor)
     poly, bound, total = tuple(p), cauchy_bound(p), degree(p)
     if total == 0:
         return []
     roots = None
-    if guide is not None and len(guide) == total:
-        roots = _grid_cells(poly, guide, bound, width)
-        if roots is None and width is not None and width < GUIDE_GRID:
-            roots = _grid_cells(poly, guide, bound, GUIDE_GRID)
+    if len(guide) == total:
+        roots = _grid_cells(poly, guide, bound, max(width, GUIDE_GRID))
     if roots is None:
         roots = _sturm_bisection(poly, jacobi, bound)
     if len(roots) != total:
@@ -355,11 +356,12 @@ def isolate_roots(
     return roots
 
 
-def grid_cell(g: float, e: int) -> Optional[tuple[int, bool]]:
+def grid_cell(g: float, e: int) -> Optional[tuple[int, int]]:
     """The cell k = floor(g / 2^e) that holds the float g on the grid of
-    spacing 2^e, and whether g lies on or above the cell's midpoint; None
-    when g / 2^e is no float (g not finite, an overflow, or an underflow
-    that loses a bit), so that no cell is certain.
+    spacing 2^e, and the cell next to it on g's side of its midpoint: k + 1
+    when g lies on or above the midpoint, else k - 1.  None when g / 2^e is
+    no float (g not finite, an overflow, or an underflow that loses a bit),
+    so that no cell is certain.
 
     Scaling by a power of two is exact whenever the result is a float, and
     the round trip back to g checks that it is.  Then y - k is the exact
@@ -372,10 +374,10 @@ def grid_cell(g: float, e: int) -> Optional[tuple[int, bool]]:
     except OverflowError:
         return None
     k = math.floor(y)
-    return k, y - k >= 0.5
+    return k, k + 1 if y - k >= 0.5 else k - 1
 
 
-def _grid_exponent(guesses: Sequence[float], window: int, width: Optional[Fraction]) -> Optional[int]:
+def _grid_exponent(guesses: Sequence[float], window: int, width: Fraction) -> Optional[int]:
     """The exponent of the grid spacing: the largest power of two at most
     the window, at most width and at most a third of the smallest gap
     between the sorted finite guesses; None when two guesses coincide.
@@ -385,9 +387,7 @@ def _grid_exponent(guesses: Sequence[float], window: int, width: Optional[Fracti
     3 * 2^g itself (the exact gap may lie just below it) or overflows;
     then the exact gaps decide."""
     # 2^e <= x is monotone in x, so the smallest cap has the smallest exponent
-    e = _dyadic_exponent(window, 1)
-    if width is not None:
-        e = min(e, _dyadic_exponent(width.numerator, width.denominator))
+    e = min(_dyadic_exponent(window, 1), _dyadic_exponent(width.numerator, width.denominator))
     if len(guesses) < 2:
         return e
     pairs = list(zip(guesses, guesses[1:]))
@@ -418,7 +418,7 @@ def _grid_signs(poly: tuple[int, ...], ks: Sequence[int], e: int) -> list[int]:
 
 
 def _grid_cells(
-    poly: tuple[int, ...], guide: Sequence[float], bound: int, width: Optional[Fraction]
+    poly: tuple[int, ...], guide: Sequence[float], bound: int, width: Fraction
 ) -> Optional[list[RootEnclosure]]:
     """One sign-change cell of a dyadic grid inside [-bound, bound] per
     guess, sorted, or None when the cells do not certify one root each.  A
@@ -426,8 +426,8 @@ def _grid_cells(
     enclosure [x, x].
 
     Grid point k is k * 2^e, and `grid_cell` places each guess in its cell
-    k and on one side of the cell's midpoint; the cell next to k on that
-    side (the one above on a tie) is the second choice.  Guesses lie at
+    k, with the cell next to k on the guess's side of the midpoint (the one
+    above on a tie) as the second choice.  Guesses lie at
     least three cells apart, so the ends of the first-choice cells are
     distinct points, and one `_grid_signs` sweep reads them all; a second
     choice reads its one new end by `sign_at`.  Cells on a grid that close
@@ -462,8 +462,8 @@ def _grid_cells(
         return (k, k + 1) if lo != hi else None
 
     cells = []
-    for k, upper in places:
-        c = cell(k) or cell(k + 1 if upper else k - 1)
+    for k, near in places:
+        c = cell(k) or cell(near)
         if c is None or c[0] < -kmax or c[1] > kmax:
             return None
         cells.append(c)

@@ -13,10 +13,10 @@ three-term recurrence of the leading minors (`reflection_factors`; the
 products of the factors are checked against the trace), and the float
 sector matrix whose eigenvalues guide the isolation of that factor's roots
 (`floquet_edges`).  The roots are real and simple, so they are certified
-in cells of a dyadic grid laid from the factor's own guides: exact sign
-changes across as many cells as the factor's degree.  When the estimates
-do not certify, bisection on the inertia of the sector's Jacobi matrix
-isolates the edges instead.  The float zeros of
+in cells of a dyadic grid laid once from the factor's own guides and
+max(tol, 2^-40): exact sign changes across as many cells as the factor's
+degree.  When the estimates do not certify, bisection on the inertia of
+the sector's Jacobi matrix isolates the edges instead.  The float zeros of
 t, which mark the bands for the fast backend, are one sector of the
 doubled word's antiperiodic operator, of determinant t^2 (`floquet_zeros`).
 One-sided limit spectra add exactly q isolated eigenvalues: this side's q
@@ -59,7 +59,6 @@ from .farey import (
 )
 from .polyring import RP
 from .rootfind import (
-    GUIDE_GRID,
     IntPoly,
     Jacobi,
     RootEnclosure,
@@ -71,6 +70,7 @@ from .rootfind import (
     compare_roots,
     degree,
     grid_cell,
+    guide_exponent,
     isolate_roots,
     poly_gcd,
     poly_mul,
@@ -185,10 +185,11 @@ class Spectrum:
 # approximant trace degree grows with k.
 MAX_K = 64
 
-# Floor on the enclosure width tol.  Below GUIDE_GRID every digit is exact
-# bisection, at a cost about quadratic in the digits: on a 2-core machine,
-# `spectrum defects --r 34/89 --side plus --V 5` took 0.4-0.5 s at tol 1e-9,
-# 0.8-0.9 s at 1e-20 and 2.5-2.8 s at 1e-40 (18 s at 1e-100 in process).
+# Floor on the enclosure width tol.  Below the guide grid (2^-40) every
+# digit is exact bisection, at a cost about quadratic in the digits: on a
+# 2-core machine, `spectrum defects --r 34/89 --side plus --V 5` took
+# 0.4-0.5 s at tol 1e-9, 0.8-0.9 s at 1e-20 and 2.5-2.8 s at 1e-40 (18 s
+# at 1e-100 in process).
 MIN_TOL = Fraction(1, 10**40)
 
 
@@ -266,9 +267,9 @@ def _reflection(word: str) -> int:
     return shift
 
 
-# One reflection sector as a path (`_sector_paths`): the lists (site, turn)
-# over its nodes, then (sign, beta) over the links between them.
-SectorPath = tuple[list[int], list[int], list[int], list[int]]
+# One reflection sector as a path (`_sector_paths`): its nodes' letters
+# ("0" or "1") and turns, then beta over the links between them.
+SectorPath = tuple[str, list[int], list[int]]
 
 
 def _sector_paths(word: str, anti: bool) -> tuple[SectorPath, SectorPath]:
@@ -293,65 +294,63 @@ def _sector_paths(word: str, anti: bool) -> tuple[SectorPath, SectorPath]:
     (e_i + sign G(i) e_Ri) / sqrt2 of the pairs and e_c of the centres, a
     sector is the folded ring, in path order: the centre of w[:s], pairs
     h1 - 1 .. 0, pairs h1 .. p - 1, the centre of w[s:].  Node k carries
-    V w_site + x_k on the diagonal, where x_k = sign G x for a turning link
-    of weight x from its pair to its own mirror (and the one site of n = 1
-    closes on itself, x = 2 mult).  Link k joins nodes k and k + 1 with
-    entry sign_k sqrt(beta_k): 1 along a half, sign * mult where the halves
-    meet, +-sqrt2 from a centre to its pair and 2 between the two centres
-    of n = 2."""
+    the letter w_k of its sites and the turn x_k, where x_k = sign G x for
+    a turning link of weight x from its pair to its own mirror (and the one
+    site of n = 1 closes on itself, x = 2 mult); its diagonal entry is
+    V w_k + x_k.  Link k joins nodes k and k + 1 with squared entry
+    beta_k: 1 along a half and where the halves meet, 2 from a centre to
+    its pair and 4 between the two centres of n = 2; no eigenvalue reads a
+    link's sign (Barth, Martin and Wilkinson, Numer. Math. 9, 1967)."""
     n, shift = len(word), _reflection(word)
     h1, h2 = shift // 2, (n - shift) // 2
     p, mult = h1 + h2, -1 if anti else 1
+    pairs = word[:h1][::-1] + word[shift : shift + h2]
     out = []
     for sign in (1, -1):
-        site = [*range(h1 - 1, -1, -1), *range(shift, shift + h2)]
-        turn, link, beta = [0] * p, [1] * (p - 1), [1] * (p - 1)
-        if 0 < h1 < p:  # pair 0 meets pair h1 across the closing link
-            link[h1 - 1] = sign * mult
+        letters, turn, beta = pairs, [0] * p, [1] * (p - 1)
         if shift % 2 == 0 and p:  # the middle link of w[:s], or closing at s = 0
             turn[0] += sign * mult
         if (n - shift) % 2 == 0:  # the middle link of w[s:]
             turn[-1] += sign
         if (n - shift) % 2 and sign == 1:  # the centre of w[s:], G = 1
             if p:
-                link.append(1 if h2 else mult)
                 beta.append(2)
-            site.append(shift + h2)
+            letters += word[shift + h2]
             turn.append(2 * mult if n == 1 else 0)
         if shift % 2 and sign == mult:  # the centre of w[:s], G = mult
-            if site:  # both centres share a sector only when mult = 1
-                link.insert(0, 1)
+            if letters:  # both centres share a sector only when mult = 1
                 beta.insert(0, 2 if p else 4)
-            site.insert(0, h1)
+            letters = word[h1] + letters
             turn.insert(0, 0)
-        out.append((site, turn, link, beta))
+        out.append((letters, turn, beta))
     return out[0], out[1]
 
 
-def _path_matrix(word: str, v: float, path: SectorPath) -> np.ndarray:
+def _path_matrix(v: float, path: SectorPath) -> np.ndarray:
     """A sector path as its tridiagonal float matrix at coupling v, in path
-    order: v w_site + x on the diagonal, with +0.0 for a 0 site (v * 0 is
-    -0.0 for v < 0), and sign sqrt(beta) beside it.  These are bit for bit
-    the entries of B^T H B for the unnormalized basis B, scaled by the
-    norms: the integer weights sum exactly, and B^T H B gives a turning
-    pair (v w + x) + (x + v w), which halves to v w + x rounded once."""
-    site, turn, link, beta = path
-    n = len(site)
+    order: v w + x on the diagonal for the letter w and the turn x, with
+    +0.0 for a 0 letter (v * 0 is -0.0 for v < 0), and sqrt(beta) beside
+    it: bit for bit the entries of B^T H B for the unnormalized basis B,
+    scaled by the norms, up to the links' signs (the integer weights sum
+    exactly, and a turning pair (v w + x) + (x + v w) halves to v w + x
+    rounded once).  numpy's `eigvalsh` (LAPACK dsyevd, then dsterf) reads
+    the links only through their squares, so the eigenvalues match too."""
+    letters, turn, beta = path
+    n = len(letters)
     h = np.zeros((n, n))
-    h.flat[:: n + 1] = [(v if word[j] == "1" else 0.0) + x for j, x in zip(site, turn)]
-    h.flat[1 :: n + 1] = h.flat[n :: n + 1] = [s * math.sqrt(b) for s, b in zip(link, beta)]
+    h.flat[:: n + 1] = [(v if w == "1" else 0.0) + x for w, x in zip(letters, turn)]
+    h.flat[1 :: n + 1] = h.flat[n :: n + 1] = [math.sqrt(b) for b in beta]
     return h
 
 
-def floquet_edges(word: str, V, paths: tuple[SectorPath, SectorPath]) -> tuple[list[float], list[float]]:
+def floquet_edges(V, paths: tuple[SectorPath, SectorPath]) -> tuple[list[float], list[float]]:
     """Floating band-edge estimates: the eigenvalues of the two reflection
     sectors (even, odd) of `_sector_paths` for one closure of the
     one-period operator, periodic (trace = +2) or antiperiodic
     (trace = -2), as `_path_matrix` floats.  Used only to seed certified
     isolation and the rendering backend."""
     v = float(as_fraction(V))
-    even, odd = (np.linalg.eigvalsh(_path_matrix(word, v, path)).tolist() for path in paths)
-    return even, odd
+    return tuple(np.linalg.eigvalsh(_path_matrix(v, path)).tolist() for path in paths)
 
 
 def floquet_zeros(word: str, V) -> list[float]:
@@ -361,14 +360,11 @@ def floquet_zeros(word: str, V) -> list[float]:
     det(E - H') = tr(M^2) + 2 = t^2, and a Jacobi matrix with nonzero links
     has simple eigenvalues, so each sector of H' holds every zero of t
     once."""
-    doubled = word + word
-    path = _sector_paths(doubled, True)[0]
-    return np.linalg.eigvalsh(_path_matrix(doubled, float(as_fraction(V)), path)).tolist()
+    path = _sector_paths(word + word, True)[0]
+    return np.linalg.eigvalsh(_path_matrix(float(as_fraction(V)), path)).tolist()
 
 
-def reflection_factors(
-    word: str, V, paths: tuple[SectorPath, SectorPath]
-) -> tuple[tuple[IntPoly, Jacobi], tuple[IntPoly, Jacobi]]:
+def reflection_factors(V, paths: tuple[SectorPath, SectorPath]) -> tuple[tuple[IntPoly, Jacobi], ...]:
     """The reflection factors of t - 2 or t + 2 for the trace t of a word
     that is a rotation of its reversal, each with its sector's Jacobi
     matrix: for each sector of `_sector_paths` for the periodic or the
@@ -382,8 +378,8 @@ def reflection_factors(
     V = as_fraction(V)
     a, b = V.numerator, V.denominator
     out = []
-    for site, turn, _, beta in paths:
-        diag = [a * (word[i] == "1") + b * x for i, x in zip(site, turn)]
+    for letters, turn, beta in paths:
+        diag = [a * (w == "1") + b * x for w, x in zip(letters, turn)]
         out.append((sturm_chain(diag, beta, b)[0], (diag, beta, b)))
     return out[0], out[1]
 
@@ -407,7 +403,7 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     from its sector's Jacobi matrix (`reflection_factors`), with the exact
     product identities checked first.  The eigenvalues of the reflection
     sectors of `floquet_edges` guide the factors they belong to, each on a
-    grid laid from its own guides and tol.  Exact signs across the cells,
+    grid laid once from its own guides and tol.  Exact signs across the cells,
     counted against the factor's degree, certify them; where they do not,
     `isolate_roots` bisects on the sector's inertia.
     Each edge is refined to its tol-grid cell before `separate`.  A root
@@ -430,7 +426,7 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
         for anti in (False, True):
             # one fold of the ring per closure, for the factors and the guides
             paths = _sector_paths(word, anti)
-            sectors = reflection_factors(word, V, paths)
+            sectors = reflection_factors(V, paths)
             factors = [f for f, _ in sectors]
             # den * (t -+ 2)
             name, target = ("t + 2", 2) if anti else ("t - 2", -2)
@@ -439,8 +435,8 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
                 raise PrecisionError(f"reflection factors do not multiply to {name}")
             roots = [
                 enc.refined(grid)
-                for (f, jacobi), guide in zip(sectors, floquet_edges(word, V, paths))
-                for enc in isolate_roots(f, jacobi, guide=guide, width=tol)
+                for (f, jacobi), guide in zip(sectors, floquet_edges(V, paths))
+                for enc in isolate_roots(f, jacobi, guide, tol)
             ]
             if _share_a_root(roots, *factors):
                 raise DegeneracyError(f"{name} has a multiple root")
@@ -449,13 +445,8 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
         raise DegeneracyError(
             f"degenerate band structure (touching bands, e.g. coupling 0): {exc}"
         ) from exc
-    roots_upper, roots_lower = found
-    if len(roots_upper) != q or len(roots_lower) != q:
-        raise DegeneracyError(
-            f"expected {q} simple edges per side, found "
-            f"{len(roots_upper)}/{len(roots_lower)}"
-        )
-    edges = separate(roots_upper + roots_lower)
+    # each side's factors multiply to degree q and give their degrees in roots
+    edges = separate(found[0] + found[1])
     bands = []
     for i in range(0, 2 * q, 2):
         lo, hi = edges[i], edges[i + 1]
@@ -484,20 +475,15 @@ def spectrum_periodic(r, V, tol) -> Spectrum:
     exactly q disjoint closed bands."""
     r = check_denominator(check_rotation(as_fraction(r)))
     V = check_coupling(V)
-    tol = check_tol(tol)
     t = trace_poly_cf(cf_forms(r)[0], V)
-    spec = spectrum_from_trace(t, tol, word=period_word(r), V=V)
-    if len(spec.bands) != r.denominator:
-        raise DegeneracyError(
-            f"expected {r.denominator} bands at {format_rational(r)}, got {len(spec.bands)}"
-        )
-    return spec
+    return spectrum_from_trace(t, tol, word=period_word(r), V=V)
 
 
 def membership(E, r, V) -> bool:
-    """Exact test |t(E)| <= 2 for rational energy E."""
-    t = trace_poly_cf(cf_forms(as_fraction(r))[0], as_fraction(V))
-    return abs(t.eval(as_fraction(E))) <= 2
+    """Exact test |t(E)| <= 2 for rational energy E, with the trace
+    recurrence run on Fractions, under the caps of `spectrum_periodic`."""
+    r = check_denominator(check_rotation(as_fraction(r)))
+    return abs(_trace_triples(cf_forms(r)[0], as_fraction(E), check_coupling(V))[-1][1]) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -648,14 +634,13 @@ def defect_spectrum(r, side: str, V, tol) -> Spectrum:
         raise PrecisionError("G+ and G- do not split t^2 = V^2 + 4")
     marks = [_band_point(lo, hi) for lo, hi in base.bands]
     # the tol grid, cells 2^grid <= tol wide, and the guides' grid over it
-    coarse = max(tol, GUIDE_GRID)
-    grid, guide_grid = (_dyadic_exponent(x.numerator, x.denominator) for x in (tol, coarse))
+    grid, guide_grid = _dyadic_exponent(tol.numerator, tol.denominator), guide_exponent(tol)
     exp = max(-guide_grid, *(e for _, e in marks))
     bound, width = cauchy_bound(d) << exp, 1 << (exp + guide_grid)
     xs = [-bound, *(num << (exp - e) for num, e in marks), bound]
     guides = filter(None, (grid_cell(x, guide_grid) for x in floquet_defect_estimates(period_word(r), V)))
     # each guide's cell, and the cell next to it on the guide's side
-    cells = sorted((k * width, (k + 1 if upper else k - 1) * width) for k, upper in guides)
+    cells = sorted((k * width, near * width) for k, near in guides)
     # t_u > 0 on gap i, between xs[i] and xs[i + 1], when q - i is even
     chosen = {i: f for f, odd in ((a, 0), (c, 1)) for i in _sign_change_gaps(f, xs, exp) if (q - i) % 2 == odd}
     points = tuple(_gap_root(f, xs[i], xs[i + 1], exp, cells, width, grid) for i, f in sorted(chosen.items()))

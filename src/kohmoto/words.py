@@ -130,21 +130,35 @@ def period_word(r) -> str:
     return word
 
 
+# Cap on the period q of the configurations the word commands build whole.
+# On a 2-core machine `word complexity --n 256` took 1.1-3.7 s at q = 10^4
+# and 24 s at 1/10^5+; at 1/10^7 `word defect` printed 30 MB.
+MAX_WORD_PERIOD = 10_000
+
+
+def check_period(r: Fraction) -> Fraction:
+    if r.denominator > MAX_WORD_PERIOD:
+        raise PreconditionError(f"rotation denominator must be at most {MAX_WORD_PERIOD} for a word")
+    return r
+
+
 def defect_config(r, side: str) -> Configuration:
     """One-sided limit configuration at a rational rotation: the period is
     kept and a single impurity determined by the Farey neighbors appears
     left of the origin.  side is "plus" or "minus".  The period and the
-    impurity are the last two words of the ladder of `approach_digits`."""
-    ladder = sk_words(approach_digits(r, side))
+    impurity are the last two words of the ladder of `approach_digits`.
+    The period q is capped at MAX_WORD_PERIOD."""
+    ladder = sk_words(approach_digits(check_period(as_fraction(r)), side))
     return Configuration.defect(ladder[-1], ladder[-2])
 
 
 def limit_configuration(x) -> Union[Configuration, QuadraticIrrational]:
     """Dictionary-bearing object of a completion point: periodic word,
-    defect word, or the rotation number itself for the Sturmian case."""
+    defect word, or the rotation number itself for the Sturmian case.  The
+    period q of a rational point is capped at MAX_WORD_PERIOD."""
     x = as_point(x)
     if x.kind == "exact":
-        return Configuration.periodic(period_word(x.r))
+        return Configuration.periodic(period_word(check_period(x.r)))
     if x.kind == "plus":
         return defect_config(x.r, "plus")
     if x.kind == "minus":

@@ -68,7 +68,8 @@ def dense_sector_matrices(word: str, V, anti: bool) -> tuple[np.ndarray, np.ndar
     even sector first, each in path order (the centre of w[:s], the pairs of
     w[:s] from the middle out, those of w[s:] from the outside in, the
     centre of w[s:]), and two n x n products.  The fold writes the same
-    entries, so the matrices must agree bit for bit."""
+    entries up to the signs of the links, so the matrices must agree bit for
+    bit on the diagonal and in absolute value."""
     n = len(word)
     shift = _reflection(word)
     m = _bloch_matrix(word, float(as_fraction(V)), -1.0 if anti else 1.0)
@@ -88,11 +89,6 @@ def dense_sector_matrices(word: str, V, anti: bool) -> tuple[np.ndarray, np.ndar
     h = (basis.T @ m @ basis) * np.sqrt(np.outer(inv_norm2, inv_norm2))
     k = len(even)
     return h[:k, :k], h[k:, k:]
-
-
-def dense_floquet_edges(word: str, V, anti: bool) -> tuple[list[float], list[float]]:
-    """`spectra.floquet_edges` on the dense sector matrices."""
-    return tuple(np.linalg.eigvalsh(h).tolist() for h in dense_sector_matrices(word, V, anti))
 
 
 def list_path_determinant(diag: list[int], beta: list[int], b: int) -> list[int]:

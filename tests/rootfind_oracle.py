@@ -3,8 +3,9 @@ two-pass normal pseudo-remainder, the pass-and-resort `separate`, Sturm
 root counts, the bisection on a chain's counts, and the halving loop and
 the grid search that `RootEnclosure.refined` replaced, kept as oracles for
 `kohmoto.rootfind`; `enclosure`, a RootEnclosure from dyadic Fraction
-ends; and `isolate`, the isolation of any square-free polynomial by its
-remainder chain.
+ends; `isolate`, the isolation of any square-free polynomial by its
+remainder chain; and `two_attempt_isolate`, the guides of a reflection
+factor laid on the tol grid before the guide grid.
 
 `rootfind.sturm_chain` builds the leading minors of a Jacobi matrix; its
 sign variations must equal those of `remainder_chain` of its head at
@@ -61,7 +62,8 @@ def isolate(p, guide=None, width=None) -> list[RootEnclosure]:
     intervals, sorted: the real roots counted at infinity on
     `remainder_chain(p)`, the guided cells of `rootfind._grid_cells` when
     there is one guess per real root and they certify, else
-    `chain_bisection` on the remainder chain.  The enclosures carry p's
+    `chain_bisection` on the remainder chain.  Without a width the grid is
+    capped by the window [-bound, bound] alone.  The enclosures carry p's
     primitive part."""
     chain = remainder_chain(p)
     poly = tuple(chain[0])
@@ -71,12 +73,31 @@ def isolate(p, guide=None, width=None) -> list[RootEnclosure]:
     bound = cauchy_bound(poly)
     roots = None
     if guide is not None and len(guide) == total:
-        roots = rootfind._grid_cells(poly, guide, bound, width)
+        roots = rootfind._grid_cells(poly, guide, bound, Fraction(2 * bound) if width is None else width)
     if roots is None:
         roots = chain_bisection(poly, chain, bound)
     if len(roots) != total:
         raise PrecisionError(f"isolated {len(roots)} roots, Sturm count is {total}")
     return roots
+
+
+def two_attempt_isolate(factor, jacobi, guide, width: Fraction) -> list[RootEnclosure]:
+    """The roots of a reflection factor, the head of
+    `rootfind.sturm_chain(*jacobi)`, in two guided attempts: the guides'
+    cells on the grid of width, then, for a width finer than
+    `rootfind.GUIDE_GRID` whose cells miss, on GUIDE_GRID, and only then
+    bisection on the sector's inertia.  `rootfind.isolate_roots` lays the
+    guides once, on the grid of max(width, GUIDE_GRID)."""
+    p = primitive(factor)
+    poly, bound = tuple(p), cauchy_bound(p)
+    if degree(poly) == 0:
+        return []
+    roots = None
+    if len(guide) == degree(poly):
+        roots = rootfind._grid_cells(poly, guide, bound, width)
+        if roots is None and width < rootfind.GUIDE_GRID:
+            roots = rootfind._grid_cells(poly, guide, bound, rootfind.GUIDE_GRID)
+    return rootfind._sturm_bisection(poly, jacobi, bound) if roots is None else roots
 
 
 def variations(signs) -> int:

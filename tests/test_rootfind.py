@@ -799,18 +799,18 @@ def test_grid_cell_matches_the_fraction_floor_and_tie_rule(g, e):
         assert got is None
         return
     k = math.floor(y)
-    assert got == (k, 2 * (F(g) - k * h) >= h)
+    assert got == (k, k + 1 if 2 * (F(g) - k * h) >= h else k - 1)
 
 
 def test_grid_cell_at_the_float_limits():
     assert rootfind.grid_cell(1e300, -140) is None  # overflow
     assert rootfind.grid_cell(3 * SMALLEST, 1) is None  # 1.5 times the smallest subnormal
     assert rootfind.grid_cell(SMALLEST, 1) is None  # underflow to zero
-    assert rootfind.grid_cell(2 * SMALLEST, 1) == (0, False)
-    assert rootfind.grid_cell(-2 * SMALLEST, 1) == (-1, True)
-    assert rootfind.grid_cell(-0.0, -140) == (0, False)
-    assert rootfind.grid_cell(2.0**53 + 2, 1) == (2**52 + 1, False)
-    assert rootfind.grid_cell(-2.5, 0) == (-3, True)  # a tie goes to the cell above
+    assert rootfind.grid_cell(2 * SMALLEST, 1) == (0, -1)
+    assert rootfind.grid_cell(-2 * SMALLEST, 1) == (-1, 0)
+    assert rootfind.grid_cell(-0.0, -140) == (0, -1)
+    assert rootfind.grid_cell(2.0**53 + 2, 1) == (2**52 + 1, 2**52)
+    assert rootfind.grid_cell(-2.5, 0) == (-3, -2)  # a tie goes to the cell above
     for g in (math.inf, -math.inf, math.nan):
         assert rootfind.grid_cell(g, 0) is None
 
@@ -831,14 +831,15 @@ def near_tie_guides(draw):
     near_tie_guides()
     | st.lists(st.floats(-1e300, 1e300) | special_floats, min_size=1, max_size=6).map(sorted),
     st.integers(1, 2**2000),
-    st.none() | all_widths,
+    # 2^2001 lies above every window, so the window alone caps the grid
+    all_widths | st.just(F(2) ** 2001),
 )
 def test_grid_exponent_matches_the_exact_gaps(guesses, window, width):
     xs = [F(g) for g in guesses]
     gaps = [b - a for a, b in zip(xs, xs[1:])]
     want = None
     if 0 not in gaps:
-        caps = [F(window), *(min(gaps) / 3 for _ in gaps[:1]), *([width] if width else [])]
+        caps = [F(window), *(min(gaps) / 3 for _ in gaps[:1]), width]
         want = dyadic_floor(min(caps))
     got = rootfind._grid_exponent(guesses, window, width)
     assert (got if got is None else F(2) ** got) == want
@@ -854,7 +855,7 @@ def test_grid_sweep_matches_single_point_signs(roots, ks, e):
 def test_grid_exponent_rounds_no_gap_up_to_its_cap():
     # 0.75 - 2^-60 rounds to the float 0.75 = 3 * 2^-2, but a third of the
     # exact gap lies below 2^-2
-    assert rootfind._grid_exponent([2.0**-60, 0.75], 2, None) == -3
-    assert rootfind._grid_exponent([0.0, 0.75], 2, None) == -2
+    assert rootfind._grid_exponent([2.0**-60, 0.75], 2, F(2)) == -3
+    assert rootfind._grid_exponent([0.0, 0.75], 2, F(2)) == -2
     # the one float gap overflows
-    assert rootfind._grid_exponent([-1e308, 1e308], 2**2000, None) == 1022  # 2^1022 < 2e308 / 3
+    assert rootfind._grid_exponent([-1e308, 1e308], 2**2000, F(2**2000)) == 1022  # 2^1022 < 2e308 / 3

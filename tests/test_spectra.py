@@ -42,7 +42,6 @@ from kohmoto.words import Configuration, defect_config, period_word, sk_words
 
 import symbolic_ring
 from band_oracle import (
-    dense_floquet_edges,
     dense_sector_matrices,
     list_path_determinant,
     unsplit_spectrum,
@@ -59,6 +58,7 @@ from rootfind_oracle import (
     chain_bisection,
     isolate,
     resorting_separate,
+    two_attempt_isolate,
     variation_mismatches,
     variations_at,
 )
@@ -76,13 +76,13 @@ def closure_factors(word: str, V):
     """The reflection factors of the periodic and the antiperiodic closure,
     each from its own `_sector_paths`, without their sectors."""
     return tuple(
-        tuple(f for f, _ in reflection_factors(word, V, _sector_paths(word, anti))) for anti in (False, True)
+        tuple(f for f, _ in reflection_factors(V, _sector_paths(word, anti))) for anti in (False, True)
     )
 
 
 def sector_matrices(word: str, V, anti: bool):
     """The two sectors of one closure as `_path_matrix` floats."""
-    return [_path_matrix(word, float(V), path) for path in _sector_paths(word, anti)]
+    return [_path_matrix(float(V), path) for path in _sector_paths(word, anti)]
 
 
 def sqrt_enclosure(n: int, digits: int = 20) -> tuple[F, F]:
@@ -449,7 +449,7 @@ def test_reflection_sectors_hold_the_roots_of_their_factors():
         for r in _reduced(21):
             word = period_word(r)
             for anti, factors in zip((False, True), closure_factors(word, V)):
-                for f, guesses in zip(factors, floquet_edges(word, V, _sector_paths(word, anti))):
+                for f, guesses in zip(factors, floquet_edges(V, _sector_paths(word, anti))):
                     roots = [float(e.refined(GRID12).lo) for e in isolate(f)]
                     assert len(roots) == len(f) - 1 == len(guesses)
                     assert np.allclose(sorted(guesses), roots, rtol=0, atol=1e-9)
@@ -458,7 +458,10 @@ def test_reflection_sectors_hold_the_roots_of_their_factors():
 
 
 def test_floquet_edges_match_the_dense_basis_construction_bit_for_bit():
-    # every period word and every approximant word with k <= 6 for q <= 25
+    # every period word and every approximant word with k <= 6 for q <= 25:
+    # the path matrices are the dense B^T H B bit for bit on the diagonal
+    # and in absolute value off it (the paths keep no link signs), and their
+    # eigenvalues are those of the dense matrices, signs and all
     words = set()
     for r in _reduced(25):
         words.add(period_word(r))
@@ -467,21 +470,18 @@ def test_floquet_edges_match_the_dense_basis_construction_bit_for_bit():
                 digits = approach_digits(r, side)
                 words.update(sk_words(digits + (k,))[-1] for k in range(1, 7))
     assert len(words) == 2456
-    # the eigenvalues follow from the matrices, so a few words check them
-    few = set(sorted(words, key=lambda w: (len(w), w))[::200])
     for V in (V5, F(1, 2), F(-3)):
         for word in words:
             for anti in (False, True):
                 got = sector_matrices(word, V, anti)
-                want = dense_sector_matrices(word, V, anti)
-                assert [(h.shape, h.tobytes()) for h in got] == [
-                    (h.shape, np.ascontiguousarray(h).tobytes()) for h in want
+                want = [np.ascontiguousarray(h) for h in dense_sector_matrices(word, V, anti)]
+                assert [(h.shape, np.diag(h).tobytes(), np.abs(h).tobytes()) for h in got] == [
+                    (h.shape, np.diag(h).tobytes(), np.abs(h).tobytes()) for h in want
                 ], (word, V, anti)
-                if word in few:
-                    edges = floquet_edges(word, V, _sector_paths(word, anti))
-                    assert [np.array(x).tobytes() for x in edges] == [
-                        np.array(x).tobytes() for x in dense_floquet_edges(word, V, anti)
-                    ], (word, V, anti)
+                edges = floquet_edges(V, _sector_paths(word, anti))
+                assert [np.array(x).tobytes() for x in edges] == [
+                    np.linalg.eigvalsh(h).tobytes() for h in want
+                ], (word, V, anti)
 
 
 def test_factored_band_edges_nest_with_the_unsplit_isolation():
@@ -517,7 +517,7 @@ def reflection_chain_points(word: str, V):
     V = F(V)
     for anti in (False, True):
         paths = _sector_paths(word, anti)
-        for (f, (diag, beta, b)), guide in zip(reflection_factors(word, V, paths), floquet_edges(word, V, paths)):
+        for (f, (diag, beta, b)), guide in zip(reflection_factors(V, paths), floquet_edges(V, paths)):
             chain = sturm_chain(diag, beta, b)
             assert chain[0] == f
             yield chain, diagonal_points(diag, b) | set(map(F, guide))
@@ -550,7 +550,7 @@ def test_sturm_bisection_keeps_a_root_hit_by_a_midpoint():
     # root end of [0, 4], to cells of dyadic grids that `refined` takes down
     # to the tol-grid cells of -+sqrt3
     word = period_word(F(1, 6))
-    f, jacobi = reflection_factors(word, V5, _sector_paths(word, True))[1]
+    f, jacobi = reflection_factors(V5, _sector_paths(word, True))[1]
     assert f == [0, -3, 0, 1]
     roots = rootfind._sturm_bisection(tuple(f), jacobi, rootfind.cauchy_bound(f))
     assert [(e.lo, e.hi) for e in roots] == [(-2, -1), (0, 0), (1, 2)]
@@ -638,7 +638,7 @@ def test_guide_cells_across_a_bracket_end_need_no_bisection(monkeypatch):
 def withheld_guides(monkeypatch):
     """No float guides: every band factor takes Sturm bisection and every
     defect point the grid search of its gap bracket."""
-    monkeypatch.setattr(spectra, "floquet_edges", lambda word, V, paths: ([], []))
+    monkeypatch.setattr(spectra, "floquet_edges", lambda V, paths: ([], []))
     monkeypatch.setattr(spectra, "floquet_defect_estimates", lambda word, V: [])
 
 
@@ -688,6 +688,35 @@ def test_guides_finer_than_their_accuracy_move_to_the_guide_grid(monkeypatch):
         assert spy.call_count == 4  # the four reflection factors, all withheld
 
 
+def test_guides_are_laid_once_on_the_guide_grid():
+    # at tol 1e-20 `isolate_roots` lays each factor's guides on the grid of
+    # GUIDE_GRID = 2^-40 alone, with no sweep on the tol grid, and finds
+    # the enclosures of two attempts, on the tol grid and then on
+    # GUIDE_GRID
+    calls, sweeps = [], []
+    real_isolate, real_sweep = rootfind.isolate_roots, rootfind._grid_signs
+
+    def isolate(factor, jacobi, guide, width):
+        calls.append((factor, jacobi, guide, width))
+        return real_isolate(factor, jacobi, guide, width)
+
+    def sweep(poly, ks, e):
+        sweeps.append(e)
+        return real_sweep(poly, ks, e)
+
+    tol = F(1, 10**20)
+    spectra.clear_memos()
+    try:
+        with mock.patch.object(spectra, "isolate_roots", isolate), mock.patch.object(rootfind, "_grid_signs", sweep):
+            for r in (F(34, 89), F(13, 21), F(5, 12)):
+                spectrum_periodic(r, V5, tol)
+    finally:
+        spectra.clear_memos()
+    assert len(calls) == 12 and set(sweeps) == {GRID12}
+    for factor, jacobi, guide, width in calls:
+        assert rootfind.isolate_roots(factor, jacobi, guide, width) == two_attempt_isolate(factor, jacobi, guide, width)
+
+
 def test_a_guide_in_the_cell_next_to_its_root_narrows_the_bracket():
     # at 15/28+ (V = 7/3, tol 1e-9) a guide lies 2.3e-10 from its root but
     # in the next tol-grid cell; that neighbour holds the root, so
@@ -701,9 +730,9 @@ def test_a_guide_in_the_cell_next_to_its_root_narrows_the_bracket():
     estimates, step = spectra.floquet_defect_estimates(period_word(r), V), F(2) ** GRID9
     missed = []
     for p in points:
-        k, upper = rootfind.grid_cell(min(estimates, key=lambda g: abs(g - float(p.lo))), GRID9)
+        k, near = rootfind.grid_cell(min(estimates, key=lambda g: abs(g - float(p.lo))), GRID9)
         if not k * step <= p.lo <= p.hi <= (k + 1) * step:
-            missed.append((p, k + 1 if upper else k - 1))
+            missed.append((p, near))
     ((p, k),) = missed
     assert (p.lo, p.hi) == (k * step, (k + 1) * step)
 
@@ -850,7 +879,7 @@ def test_doubled_antiperiodic_sectors_hold_the_trace_zeros():
             t = trace_poly_cf(digits, V)
             assert trace_poly(word + word, V) + 2 == t * t
             # exactly: each sector's b^n det(E - J) is b^n t
-            sectors = reflection_factors(word + word, V, _sector_paths(word + word, True))
+            sectors = reflection_factors(V, _sector_paths(word + word, True))
             assert all(RP(f, V.denominator ** len(word)) == t for f, _ in sectors)
             even, odd = sector_matrices(word + word, V, True)
             assert len(even) == len(odd) == len(word)
