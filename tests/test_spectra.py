@@ -943,6 +943,12 @@ def test_membership_examples():
     assert not membership(F(3), F(0), V5)
     assert membership(F(0), F(1, 2), V5)  # band edge: t(0) = -2
     assert not membership(F(1), F(1, 2), V5)
+    # the trace recurrence run on Fractions at E gives the trace
+    # polynomial's value there
+    for r in (F(1, 3), F(5, 8), F(21, 34)):
+        t = trace_poly_cf(cf_forms(r)[0], V5)
+        for E in (F(-7, 3), F(0), F(1, 7), F(5, 2), F(9, 2), F(-3)):
+            assert membership(E, r, V5) == (abs(t.eval(E)) <= 2), (r, E)
 
 
 # --- classification and defects --------------------------------------------------
