@@ -4,6 +4,7 @@ certificate, Lebesgue-measure experiments, and the butterfly dataset.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -182,9 +183,8 @@ def optimality_certificate(r, side: str, V, Kmax: int, tol) -> OptimalityReport:
     mu = base.measure()
 
     ks, d_over, d_haus, d_far, r_ks = {}, {}, {}, {}, {}
-    for k, t in extension_traces(digits, V):
-        if k > Kmax:
-            break
+    # islice stops at Kmax without resuming the generator for trace Kmax + 1
+    for k, t in itertools.islice(extension_traces(digits, V), Kmax):
         approx_spec = spectrum_from_trace(t, tol, word=sk_words(digits + (k,))[-1], V=V)
         approx = EnclosedSet.from_spectrum(approx_spec)
         overlap = approx.intersection(base)
@@ -304,9 +304,7 @@ def measure_experiments(r, V, Kmax: int, tol=Fraction(1, 10**9)) -> MeasureRepor
     mu = base.measure()
     rows = []
     overlaps = {}
-    for k, t in extension_traces(digits, V):
-        if k > Kmax:
-            break
+    for k, t in itertools.islice(extension_traces(digits, V), Kmax):
         approx = EnclosedSet.from_spectrum(
             spectrum_from_trace(t, tol, word=sk_words(digits + (k,))[-1], V=V)
         )

@@ -112,11 +112,13 @@ class RP:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def eval(self, x) -> Fraction:
-        if not isinstance(x, Fraction):
-            x = Fraction(x)
-        acc = _eval_homogeneous(self.num, x.numerator, x.denominator)
-        return Fraction(acc, self.den * x.denominator ** self.degree())
+    def eval(self, num: int, den: int) -> int:
+        """The integer den^deg * self.den * self(num / den) for den > 0:
+        `_eval_homogeneous` of the coefficient list, with no Fraction and
+        no gcd.  Its sign is the sign of self(num / den), and |self| <= c
+        there exactly when its absolute value is at most
+        c * self.den * den^deg."""
+        return _eval_homogeneous(self.num, num, den)
 
     def int_poly(self) -> list[int]:
         """Integer polynomial with the same roots (positive rescale)."""

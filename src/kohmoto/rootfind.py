@@ -20,8 +20,11 @@ brackets narrow by it too; only the inertia bisection splits by counts.
 
 One grid decides the bytes: guided and bisection cells are cells of dyadic
 grids, so a root with no other root in or next to its cell of the grid of
-spacing 2^grid <= width comes out of `isolate_roots` and `refined(grid)`
-as that cell, or as [x, x] at a grid point x, whichever route found it.
+spacing 2^grid <= width comes out of `isolate_roots` as that cell, or as
+[x, x] at a grid point x, whichever route found it.  `isolate_roots`
+returns cells of that width grid: a guided cell at width >= GUIDE_GRID
+lies on it or on a finer dyadic grid already, and only the bisection
+cells, and the guided cells below GUIDE_GRID, go through `refined(grid)`.
 
 Every enclosure end is dyadic: grid points and bisection inside a
 power-of-two window have power-of-two denominators.
@@ -329,7 +332,9 @@ def isolate_roots(
 ) -> list[RootEnclosure]:
     """All roots of b^k det(E - J), the head of `sturm_chain(*jacobi)`, as
     isolating intervals, sorted, that meet at most in a shared endpoint
-    which is not a root.
+    which is not a root: each root's cell of the grid of spacing
+    2^grid <= width (the largest such power of two), clipped to the cell
+    that isolated it, or [x, x] at a grid point x.
 
     Precondition: every root is real and simple, as for any J with every
     beta > 0 (`sturm_chain` refuses any other), so the degree counts them.
@@ -340,8 +345,11 @@ def isolate_roots(
     across each of as many disjoint cells as the degree certifies them
     all.  When the guesses do not yield such cells, or a guess has no
     exact cell index, bisection on the inertia of J (`_sturm_bisection`)
-    isolates the roots.  A cell may be wider than width: `refined`
-    finishes it.  The enclosures carry the factor's primitive part."""
+    isolates the roots.  A guided cell for width >= GUIDE_GRID is a cell of
+    the width grid or of a finer dyadic grid, so it lies in one cell of
+    the width grid and is returned as it is; `refined(grid)` takes the
+    bisection cells, and the guided cells below GUIDE_GRID, to the width
+    grid.  The enclosures carry the factor's primitive part."""
     p = primitive(factor)
     poly, bound, total = tuple(p), cauchy_bound(p), degree(p)
     if total == 0:
@@ -349,11 +357,15 @@ def isolate_roots(
     roots = None
     if len(guide) == total:
         roots = _grid_cells(poly, guide, bound, max(width, GUIDE_GRID))
+    on_grid = roots is not None and width >= GUIDE_GRID
     if roots is None:
         roots = _sturm_bisection(poly, jacobi, bound)
     if len(roots) != total:
         raise PrecisionError(f"isolated {len(roots)} roots of a factor of degree {total}")
-    return roots
+    if on_grid:
+        return roots
+    grid = _dyadic_exponent(width.numerator, width.denominator)
+    return [r.refined(grid) for r in roots]
 
 
 def grid_cell(g: float, e: int) -> Optional[tuple[int, int]]:
@@ -377,19 +389,17 @@ def grid_cell(g: float, e: int) -> Optional[tuple[int, int]]:
     return k, k + 1 if y - k >= 0.5 else k - 1
 
 
-def _grid_exponent(guesses: Sequence[float], window: int, width: Fraction) -> Optional[int]:
+def _grid_exponent(guesses: Sequence[float], cap: int) -> Optional[int]:
     """The exponent of the grid spacing: the largest power of two at most
-    the window, at most width and at most a third of the smallest gap
-    between the sorted finite guesses; None when two guesses coincide.
+    2^cap and at most a third of the smallest gap between the sorted finite
+    guesses; None when two guesses coincide.
 
     A float difference is correctly rounded, and rounding is monotone, so
     the smallest float gap m settles the gap's exponent g unless m is
     3 * 2^g itself (the exact gap may lie just below it) or overflows;
     then the exact gaps decide."""
-    # 2^e <= x is monotone in x, so the smallest cap has the smallest exponent
-    e = min(_dyadic_exponent(window, 1), _dyadic_exponent(width.numerator, width.denominator))
     if len(guesses) < 2:
-        return e
+        return cap
     pairs = list(zip(guesses, guesses[1:]))
     m = min([b - a for a, b in pairs])
     if m == 0:
@@ -400,7 +410,7 @@ def _grid_exponent(guesses: Sequence[float], window: int, width: Fraction) -> Op
     if not math.isfinite(m) or m == math.ldexp(3.0, g):
         exact = min(Fraction(b) - Fraction(a) for a, b in pairs)
         g = _dyadic_exponent(exact.numerator, 3 * exact.denominator)
-    return min(e, g)
+    return min(cap, g)
 
 
 def _grid_signs(poly: tuple[int, ...], ks: Sequence[int], e: int) -> list[int]:
@@ -425,17 +435,22 @@ def _grid_cells(
     grid point where the polynomial vanishes is returned as the exact
     enclosure [x, x].
 
-    Grid point k is k * 2^e, and `grid_cell` places each guess in its cell
-    k, with the cell next to k on the guess's side of the midpoint (the one
-    above on a tie) as the second choice.  Guesses lie at
-    least three cells apart, so the ends of the first-choice cells are
-    distinct points, and one `_grid_signs` sweep reads them all; a second
-    choice reads its one new end by `sign_at`.  Cells on a grid that close
-    guesses made finer go back to the coarser grid by `_widened`."""
+    The grid's spacing is capped by the window 2 * bound and by width (the
+    cap exponent) and by the guesses' gaps (`_grid_exponent`).  Grid point k
+    is k * 2^e, and `grid_cell` places each guess in its cell k, with the
+    cell next to k on the guess's side of the midpoint (the one above on a
+    tie) as the second choice.  Guesses lie at least three cells apart, so
+    the ends of the first-choice cells are distinct points, and one
+    `_grid_signs` sweep reads them all, two per guess in guess order; a
+    second choice shares one end with the first and reads its other end by
+    `sign_at`.  Cells on a grid that close guesses made
+    finer than the cap go back to the cap's grid by `_widened`."""
     guesses = sorted(guide)
     if not all(map(math.isfinite, guesses)):
         return None
-    e = _grid_exponent(guesses, 2 * bound, width)
+    # 2^e <= x is monotone in x, so the smallest cap has the smallest exponent
+    cap = min(_dyadic_exponent(2 * bound, 1), _dyadic_exponent(width.numerator, width.denominator))
+    e = _grid_exponent(guesses, cap)
     if e is None:
         return None
     places = [grid_cell(g, e) for g in guesses]
@@ -445,34 +460,35 @@ def _grid_cells(
     # the grid points inside the window are -kmax..kmax
     kmax = bound * hd // hn
     ends = [x for k, _ in places for x in (k, k + 1)]
-    signs = dict(zip(ends, _grid_signs(poly, ends, e)))
-
-    def sign(k: int) -> int:
-        if k not in signs:
-            signs[k] = sign_at(poly, k * hn, hd)
-        return signs[k]
-
-    def cell(k: int) -> Optional[tuple[int, int]]:
-        lo = sign(k)
-        if lo == 0:
-            return k, k
-        hi = sign(k + 1)
-        if hi == 0:
-            return k + 1, k + 1
-        return (k, k + 1) if lo != hi else None
-
+    signs = _grid_signs(poly, ends, e)
     cells = []
-    for k, near in places:
-        c = cell(k) or cell(near)
-        if c is None or c[0] < -kmax or c[1] > kmax:
+    for j, (k, near) in enumerate(places):
+        lo, hi = signs[2 * j], signs[2 * j + 1]
+        if lo == 0:
+            c = k, k
+        elif hi == 0:
+            c = k + 1, k + 1
+        elif lo != hi:
+            c = k, k + 1
+        else:
+            # lo == hi at both ends of cell k; the cell next to it has one
+            # new end x
+            x = near if near < k else near + 1
+            s = sign_at(poly, x * hn, hd)
+            if s == 0:
+                c = x, x
+            elif s != lo:
+                c = near, near + 1
+            else:
+                return None
+        if c[0] < -kmax or c[1] > kmax:
             return None
         cells.append(c)
     cells.sort()
     if any(a[1] >= b[0] for a, b in zip(cells, cells[1:])):
         return None
-    shift = _grid_exponent((), 2 * bound, width) - e
-    if shift:
-        cells = _widened(cells, shift)
+    if cap > e:
+        cells = _widened(cells, cap - e)
     # k and k + 1 share no trailing zero bit, so a cell's ends are reduced
     exp = max(-e, 0)
     return [
@@ -526,12 +542,16 @@ def separate(enclosures: list[RootEnclosure]) -> list[RootEnclosure]:
     """Refine a family of enclosures of pairwise distinct roots until the
     intervals are pairwise disjoint, and return them sorted.
 
-    The family is kept sorted by (midpoint, lo), and each pass compares
-    neighbouring pairs over the larger of their two exponents; both members
-    of an overlapping pair are refined to their cells of the dyadic grid of
-    spacing at most a quarter of the pair's summed widths.  A pass
-    without overlaps leaves them sorted; two equal exact enclosures are
-    DegeneracyError.
+    The family is kept sorted by (midpoint, lo), with every enclosure's
+    ends read once, over 2^e for the family's largest exponent e: a
+    power-of-two rescale keeps the order, the overlap of a pair and the
+    grid it is refined on as they were over the larger of the pair's own
+    exponents.  Each pass compares neighbouring pairs, and both members of
+    an overlapping pair are refined to their cells of the dyadic grid of
+    spacing at most a quarter of the pair's summed widths; only their ends
+    are read again, and all ends are rescaled when a refined member's
+    exponent exceeds e.  A pass without overlaps leaves them sorted; two
+    equal exact enclosures are DegeneracyError.
 
     A pass changes only the runs of enclosures chained by overlapping
     pairs, so only those runs are sorted again, and the next pass visits
@@ -541,35 +561,39 @@ def separate(enclosures: list[RootEnclosure]) -> list[RootEnclosure]:
     family is sorted again and the next pass visits every pair.  So the
     passes see the order, and make the signs, of sorting everything on
     each pass."""
-    out = list(enclosures)
+    e = max((r.exp for r in enclosures), default=0)
+    out = [(*r.ends_at(e), r) for r in enclosures]  # (lo, hi, enclosure) over 2^e
     _sort_by_midpoint(out)
-    pairs = range(len(out) - 1)
+    n = len(out) - 1
+    pairs = range(n)
     for _ in range(4096):
         runs: list[list[int]] = []  # [first, last] index of each run
         for i in pairs:
-            a, b = out[i], out[i + 1]
-            e = max(a.exp, b.exp)
-            (alo, ahi), (blo, bhi) = a.ends_at(e), b.ends_at(e)
+            alo, ahi, a = out[i]
+            blo, bhi, b = out[i + 1]
             if ahi < blo:
                 continue
             total = ahi - alo + bhi - blo
             if not total:
                 raise DegeneracyError("two equal roots with exact enclosures")
             grid = _dyadic_exponent(total, 4) - e
-            out[i], out[i + 1] = a.refined(grid), b.refined(grid)
+            a, b = a.refined(grid), b.refined(grid)
+            rise = max(a.exp, b.exp) - e
+            if rise > 0:
+                out, e = [(lo << rise, hi << rise, r) for lo, hi, r in out], e + rise
+            out[i], out[i + 1] = (*a.ends_at(e), a), (*b.ends_at(e), b)
             if runs and runs[-1][1] == i:
                 runs[-1][1] = i + 1
             else:
                 runs.append([i, i + 1])
         if not runs:
-            return out
+            return [r for _, _, r in out]
         for first, last in runs:
             run = out[first : last + 1]
             _sort_by_midpoint(run)
             out[first : last + 1] = run
-        n = len(out) - 1
         ends = [j for first, last in runs for j in (first - 1, last) if 0 <= j < n]
-        if all(_in_order(out[j], out[j + 1]) for j in ends):
+        if all(_midpoint_key(out[j]) <= _midpoint_key(out[j + 1]) for j in ends):
             pairs = sorted(
                 {j for first, last in runs for j in range(max(first - 1, 0), min(last + 1, n))}
             )
@@ -579,20 +603,15 @@ def separate(enclosures: list[RootEnclosure]) -> list[RootEnclosure]:
     raise DegeneracyError("two roots could not be separated (equal roots?)")
 
 
-def _midpoint_key(r: RootEnclosure, exp: int) -> tuple[int, int]:
-    lo, hi = r.ends_at(exp)
+def _midpoint_key(end: tuple[int, int, RootEnclosure]) -> tuple[int, int]:
+    lo, hi, _ = end
     return lo + hi, lo
 
 
-def _sort_by_midpoint(encs: list[RootEnclosure]) -> None:
-    """Sort in place by (midpoint, lo), stably."""
-    exp = max((r.exp for r in encs), default=0)
-    encs.sort(key=lambda r: _midpoint_key(r, exp))
-
-
-def _in_order(a: RootEnclosure, b: RootEnclosure) -> bool:
-    e = max(a.exp, b.exp)
-    return _midpoint_key(a, e) <= _midpoint_key(b, e)
+def _sort_by_midpoint(ends: list[tuple[int, int, RootEnclosure]]) -> None:
+    """Sort (lo, hi, enclosure) entries over one 2^e in place by
+    (midpoint, lo), stably."""
+    ends.sort(key=_midpoint_key)
 
 
 def poly_gcd(a: Sequence[int], b: Sequence[int]) -> IntPoly:

@@ -405,12 +405,13 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     sectors of `floquet_edges` guide the factors they belong to, each on a
     grid laid once from its own guides and tol.  Exact signs across the cells,
     counted against the factor's degree, certify them; where they do not,
-    `isolate_roots` bisects on the sector's inertia.
-    Each edge is refined to its tol-grid cell before `separate`.  A root
-    shared by the two factors of a side (touching bands, e.g. coupling 0)
-    raises DegeneracyError.
+    `isolate_roots` bisects on the sector's inertia.  Either way it returns
+    each edge in its tol-grid cell, and `separate` refines only edges whose
+    cells touch or overlap.  A root shared by the two factors of a side
+    (touching bands, e.g. coupling 0) raises DegeneracyError.
 
-    Each band is checked by |t| <= 2 at its `_band_point`."""
+    Each band is checked by |t| <= 2 at its `_band_point` num / 2^exp, on
+    the integer `t.eval(num, 2^exp)` = 2^(exp q) t.den t(num / 2^exp)."""
     tol = check_tol(tol)
     q = t.degree()
     if q < 1:
@@ -420,7 +421,6 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     if len(word) != q:
         raise PreconditionError("word length must match the trace degree")
     scale = check_coupling(V).denominator ** q
-    grid = _dyadic_exponent(tol.numerator, tol.denominator)
     found = []
     try:
         for anti in (False, True):
@@ -433,11 +433,9 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
             target = [t.num[0] + target * t.den] + t.num[1:]
             if [c * t.den for c in poly_mul(*factors)] != [c * scale for c in target]:
                 raise PrecisionError(f"reflection factors do not multiply to {name}")
-            roots = [
-                enc.refined(grid)
-                for (f, jacobi), guide in zip(sectors, floquet_edges(V, paths))
-                for enc in isolate_roots(f, jacobi, guide, tol)
-            ]
+            roots = []
+            for (f, jacobi), guide in zip(sectors, floquet_edges(V, paths)):
+                roots += isolate_roots(f, jacobi, guide, tol)
             if _share_a_root(roots, *factors):
                 raise DegeneracyError(f"{name} has a multiple root")
             found.append(roots)
@@ -451,8 +449,8 @@ def spectrum_from_trace(t: RP, tol, word: str, V) -> Spectrum:
     for i in range(0, 2 * q, 2):
         lo, hi = edges[i], edges[i + 1]
         num, exp = _band_point(lo, hi)
-        value = t.eval(Fraction(num, 1 << exp))  # |t| <= 2 on its integers, without a new Fraction
-        if abs(value.numerator) > 2 * value.denominator:
+        # |t| <= 2 at num / 2^exp, on the integer 2^(exp q) t.den t(num / 2^exp)
+        if abs(t.eval(num, 1 << exp)) > (2 * t.den) << (exp * q):
             raise PrecisionError("band check point escaped the trace window")
         bands.append((lo, hi))
     return Spectrum(tuple(bands), (), tol)
@@ -463,7 +461,7 @@ def _band_point(lo: RootEnclosure, hi: RootEnclosure) -> tuple[int, int]:
     between their inner ends lo.hi and hi.lo: the dyadic with the fewest
     bits strictly between them (`_short_point`), or their midpoint when
     they are neighbours over 2^exp.  A short point keeps the Horner
-    integers, and the gcd of the Fraction, short."""
+    integers of the band check short."""
     exp = max(lo.exp, hi.exp)
     a, b = lo.ends_at(exp)[1], hi.ends_at(exp)[0]
     return (_short_point(a, b), exp) if b - a > 1 else (a + b, exp + 1)

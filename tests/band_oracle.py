@@ -56,7 +56,9 @@ def unsplit_spectrum(t, tol, word: str, V) -> Spectrum:
     bands = []
     for i in range(0, 2 * q, 2):
         lo, hi = edges[i], edges[i + 1]
-        if abs(t.eval((lo.hi + hi.lo) / 2)) > 2:
+        mid = (lo.hi + hi.lo) / 2
+        # |t(mid)| <= 2 by the integer contract of `RP.eval`
+        if abs(t.eval(mid.numerator, mid.denominator)) > 2 * t.den * mid.denominator**q:
             raise PrecisionError("band midpoint escaped the trace window")
         bands.append((lo, hi))
     return Spectrum(tuple(bands), (), tol)

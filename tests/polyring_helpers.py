@@ -21,3 +21,12 @@ def is_zero(p: RP) -> bool:
 def coeffs(p: RP) -> list[Fraction]:
     """The coefficients of p as Fractions, lowest degree first."""
     return [Fraction(x, p.den) for x in p.num]
+
+
+def value_at(p: RP, x) -> Fraction:
+    """p(x) as a Fraction for a rational x, by Horner's rule in Fraction
+    arithmetic: the oracle of the integer `RP.eval`."""
+    x, acc = Fraction(x), Fraction(0)
+    for c in reversed(coeffs(p)):
+        acc = acc * x + c
+    return acc

@@ -4,8 +4,11 @@ root counts, the bisection on a chain's counts, and the halving loop and
 the grid search that `RootEnclosure.refined` replaced, kept as oracles for
 `kohmoto.rootfind`; `enclosure`, a RootEnclosure from dyadic Fraction
 ends; `isolate`, the isolation of any square-free polynomial by its
-remainder chain; and `two_attempt_isolate`, the guides of a reflection
-factor laid on the tol grid before the guide grid.
+remainder chain; `two_attempt_isolate`, the guides of a reflection
+factor laid on the tol grid before the guide grid; and
+`width_grid_isolate`, a factor's isolation with `refined` run on every
+enclosure, which `rootfind.isolate_roots` must equal while it refines only
+the cells that are not yet in one cell of the width grid.
 
 `rootfind.sturm_chain` builds the leading minors of a Jacobi matrix; its
 sign variations must equal those of `remainder_chain` of its head at
@@ -98,6 +101,24 @@ def two_attempt_isolate(factor, jacobi, guide, width: Fraction) -> list[RootEncl
         if roots is None and width < rootfind.GUIDE_GRID:
             roots = rootfind._grid_cells(poly, guide, bound, rootfind.GUIDE_GRID)
     return rootfind._sturm_bisection(poly, jacobi, bound) if roots is None else roots
+
+
+def width_grid_isolate(factor, jacobi, guide, width: Fraction) -> list[RootEnclosure]:
+    """The roots of a reflection factor as the isolation before
+    `rootfind.isolate_roots` returned cells of the width grid: the guides'
+    cells on the grid of max(width, GUIDE_GRID), else bisection on the
+    sector's inertia, and then `refined` to the grid of width on every
+    enclosure."""
+    p = primitive(factor)
+    poly, bound = tuple(p), cauchy_bound(p)
+    if degree(poly) == 0:
+        return []
+    roots = None
+    if len(guide) == degree(poly):
+        roots = rootfind._grid_cells(poly, guide, bound, max(width, rootfind.GUIDE_GRID))
+    if roots is None:
+        roots = rootfind._sturm_bisection(poly, jacobi, bound)
+    return [r.refined(grid_of(width)) for r in roots]
 
 
 def variations(signs) -> int:

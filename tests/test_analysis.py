@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kohmoto import analysis
 from kohmoto.analysis import (
     FAST_SLOP,
     ButterflyDataset,
@@ -126,6 +127,29 @@ def test_measure_experiments_interior_rational():
     assert all(row.overlap[1] <= rep.mu[1] for row in rep.rows)
     assert any(row.sub_half for row in rep.rows)
     assert [row.r_k.denominator for row in rep.rows] == [3 * k + 1 for k in range(1, 6)]
+
+
+def test_approximant_loops_build_no_trace_past_kmax(monkeypatch):
+    # the optimality and measure loops take traces k = 1..Kmax and never
+    # resume the generator for trace Kmax + 1 (a product of degree about
+    # (Kmax + 1) q); with Kmax = 0 it is not started at all
+    real = analysis.extension_traces
+    steps = []
+
+    def counted(digits, V):
+        for k, t in real(digits, V):
+            steps.append(k)
+            yield k, t
+
+    monkeypatch.setattr(analysis, "extension_traces", counted)
+    optimality_certificate(F(1, 2), "plus", V5, 5, TOL)
+    assert steps == [1, 2, 3, 4, 5]
+    steps.clear()
+    assert len(measure_experiments(F(2, 3), V5, 3).rows) == 3
+    assert steps == [1, 2, 3]
+    steps.clear()
+    assert measure_experiments(F(2, 3), V5, 0).rows == ()
+    assert steps == []
 
 
 def test_butterfly_certified_small():

@@ -26,7 +26,7 @@ from kohmoto.rootfind import (
 
 import rootfind_oracle
 import symbolic_ring
-from polyring_helpers import coeffs, from_fractions, is_zero
+from polyring_helpers import coeffs, from_fractions, is_zero, value_at
 from rootfind_oracle import (
     chain_matches_oracle,
     count_roots,
@@ -293,9 +293,11 @@ def test_rp_arithmetic():
     E, V = RP([0, 1]), RP.const(5)
     t = E * E - V * E - 2
     assert coeffs(t) == [F(-2), F(-5), F(1)]
-    assert t.eval(F(0)) == -2
-    assert t.eval(F(-7, 3)) == F(49, 9) + F(35, 3) - 2
-    assert (t * F(1, 6)).eval(F(1, 2)) == (F(1, 4) - F(5, 2) - 2) / 6
+    # eval(num, den) is den^deg * t.den * t(num / den), an integer
+    assert t.eval(0, 1) == -2
+    assert t.eval(-7, 3) == 3**2 * (F(49, 9) + F(35, 3) - 2)
+    assert (t * F(1, 6)).eval(1, 2) == 2**2 * 6 * (F(1, 4) - F(5, 2) - 2) / 6
+    assert value_at(t, F(-7, 3)) == F(49, 9) + F(35, 3) - 2
     assert is_zero(t - t)
     half = RP.const(F(1, 2))
     assert coeffs(half + half) == [F(1)]
@@ -303,6 +305,32 @@ def test_rp_arithmetic():
 
 
 int_coefficients = st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=6)
+
+
+def test_rp_eval_is_the_scaled_fraction_value():
+    # at dyadic and non-dyadic points, negative ones and zero, for a
+    # denominator-1 polynomial and for one with a rational coefficient
+    # (coupling 7/3), against the Fraction value
+    E = RP([0, 1])
+    for V in (RP.const(5), RP.const(F(7, 3))):
+        t = E * E * E - V * E * E - 2 * E + V
+        for x in (F(0), F(3), F(-5), F(3, 8), F(-13, 1024), F(1, 3), F(-22, 7), F(7, 2**70)):
+            num, den = x.numerator, x.denominator
+            got = t.eval(num, den)
+            assert isinstance(got, int)
+            assert got == value_at(t, x) * t.den * den ** t.degree(), (V, x)
+            # an unreduced point names the same value, scaled
+            assert t.eval(3 * num, 3 * den) == 3 ** t.degree() * got
+    assert RP.const(F(-5, 3)).eval(7, 9) == -5
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(int_coefficients, st.integers(1, 10**6), st.integers(-(10**12), 10**12), st.integers(0, 80) | st.integers(1, 10**9))
+def test_rp_eval_matches_the_fraction_oracle(coefficients, den_p, num, den):
+    # den drawn as a power-of-two exponent (the shift path) or any positive integer
+    den = 1 << den if den <= 80 else den
+    p = RP(coefficients, den_p)
+    assert p.eval(num, den) == value_at(p, F(num, den)) * p.den * den ** p.degree()
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -720,6 +748,41 @@ def test_separate_matches_resorting_every_pass(encs):
     assert seen == want
 
 
+@st.composite
+def touching_cells(draw):
+    """Runs of neighbouring cells of one dyadic grid, each cell around its
+    own dyadic root strictly inside it, so that each shares an end with the
+    next (band-edge cells of two reflection factors do), and a few exact
+    enclosures at the shared ends of cells whose roots lie elsewhere."""
+    step = F(2) ** -draw(st.integers(-3, 12))
+    encs = []
+    for start in draw(st.lists(st.integers(-60, 60), min_size=1, max_size=3, unique=True)):
+        for k in range(start, start + draw(st.integers(1, 5))):
+            depth = draw(st.integers(1, 8))
+            r = (k + F(draw(st.integers(1, 2**depth - 1)), 2**depth)) * step
+            encs.append(enclosure((-r.numerator, r.denominator), k * step, (k + 1) * step))
+        if draw(st.booleans()):
+            x = start * step
+            encs.append(enclosure((-x.numerator, x.denominator), x, x))
+    # a cell drawn twice from overlapping runs holds two roots: keep the first
+    cells = {}
+    for e in encs:
+        cells.setdefault((e.lo, e.hi), e)
+    return draw(st.permutations(list(cells.values())))
+
+
+@PROPERTY
+@given(touching_cells())
+def test_separate_matches_resorting_every_pass_on_touching_cells(encs):
+    seen, want = [], []
+    with recording_sign_at(seen):
+        got = separate(encs)
+    with recording_sign_at(want):
+        assert got == resorting_separate(encs)
+    assert seen == want
+    assert all(a.hi < b.lo for a, b in zip(got, got[1:]))
+
+
 def test_separate_sorts_everything_when_a_refined_run_crosses_its_neighbour():
     # [0, 10] around 17/2 and [4, 6] around 5 overlap, and [7, 8] around
     # 15/2 lies beyond [4, 6]; refining [0, 10] to its cell [8, 10] of the
@@ -841,7 +904,7 @@ def test_grid_exponent_matches_the_exact_gaps(guesses, window, width):
     if 0 not in gaps:
         caps = [F(window), *(min(gaps) / 3 for _ in gaps[:1]), width]
         want = dyadic_floor(min(caps))
-    got = rootfind._grid_exponent(guesses, window, width)
+    got = rootfind._grid_exponent(guesses, min(grid_of(F(window)), grid_of(width)))
     assert (got if got is None else F(2) ** got) == want
 
 
@@ -855,7 +918,7 @@ def test_grid_sweep_matches_single_point_signs(roots, ks, e):
 def test_grid_exponent_rounds_no_gap_up_to_its_cap():
     # 0.75 - 2^-60 rounds to the float 0.75 = 3 * 2^-2, but a third of the
     # exact gap lies below 2^-2
-    assert rootfind._grid_exponent([2.0**-60, 0.75], 2, F(2)) == -3
-    assert rootfind._grid_exponent([0.0, 0.75], 2, F(2)) == -2
+    assert rootfind._grid_exponent([2.0**-60, 0.75], 1) == -3
+    assert rootfind._grid_exponent([0.0, 0.75], 1) == -2
     # the one float gap overflows
-    assert rootfind._grid_exponent([-1e308, 1e308], 2**2000, F(2**2000)) == 1022  # 2^1022 < 2e308 / 3
+    assert rootfind._grid_exponent([-1e308, 1e308], 2000) == 1022  # 2^1022 < 2e308 / 3

@@ -52,7 +52,7 @@ from defect_oracle import (
     finite_section_modes,
     halving_defect_points,
 )
-from polyring_helpers import coeffs
+from polyring_helpers import coeffs, value_at
 import rootfind_oracle
 from rootfind_oracle import (
     chain_bisection,
@@ -60,6 +60,7 @@ from rootfind_oracle import (
     resorting_separate,
     two_attempt_isolate,
     variation_mismatches,
+    width_grid_isolate,
     variations_at,
 )
 from set_helpers import certainly_disjoint_triple, covers_at_resolution, union
@@ -70,6 +71,8 @@ TOL9 = F(1, 10**9)
 TOL6 = F(1, 10**6)
 # the exponents of the grids of spacing 2^-30 <= 1e-9 and 2^-40 <= 1e-12
 GRID9, GRID12 = -30, -40
+# the exponent of the grid of spacing 2^-67 <= 1e-20
+GRID20 = -67
 
 
 def closure_factors(word: str, V):
@@ -586,6 +589,74 @@ def test_inertia_bisection_matches_the_chain_bisection():
         assert len(got) == len(poly) - 1
 
 
+def recorded_isolations(cases, tol) -> list[tuple]:
+    """The arguments of every `isolate_roots` call of the band spectra of
+    the (r, V) cases at tol, computed afresh."""
+    calls, real = [], rootfind.isolate_roots
+
+    def isolate(factor, jacobi, guide, width):
+        calls.append((factor, jacobi, guide, width))
+        return real(factor, jacobi, guide, width)
+
+    spectra.clear_memos()
+    try:
+        with mock.patch.object(spectra, "isolate_roots", isolate):
+            for r, V in cases:
+                spectrum_periodic(r, V, tol)
+    finally:
+        spectra.clear_memos()
+    return calls
+
+
+def test_isolated_edges_are_the_refined_cells_of_the_width_grid():
+    # on the guided route at tol 1e-9 and on the inertia fallback (3/25 at
+    # V = 100 and the V = 1000 factors of the chain-bisection test),
+    # `isolate_roots` returns what `refined` on the tol grid makes of every
+    # enclosure of the isolation before it refined them itself
+    guided = [(r, V) for V in (V5, F(7, 3), F(-3)) for r in _reduced(20)]
+    fallback = [(F(3, 25), F(100))] + [(r, F(1000)) for r in (F(3, 19), F(4, 23), F(5, 27), F(16, 29))]
+    bisection = mock.patch.object(rootfind, "_sturm_bisection", wraps=rootfind._sturm_bisection)
+    for cases in (guided, fallback):
+        bisections = 0
+        for factor, jacobi, guide, width in recorded_isolations(cases, TOL9):
+            with bisection as spy:
+                got = rootfind.isolate_roots(factor, jacobi, guide, width)
+            bisections += spy.call_count
+            assert got == width_grid_isolate(factor, jacobi, guide, width)
+        assert bisections >= len(cases) if cases is fallback else bisections == 0
+
+
+def test_band_edges_are_refined_only_to_separate_them():
+    # at tol >= GUIDE_GRID a guided cell already lies in one cell of the tol
+    # grid, so `spectrum_from_trace` refines an edge only inside `separate`,
+    # where two edge cells touch or overlap
+    inside, outside, depth = [], [], [0]
+    real_refined, real_separate = rootfind.RootEnclosure.refined, rootfind.separate
+
+    def refined(enc, grid):
+        (inside if depth[0] else outside).append(grid)
+        return real_refined(enc, grid)
+
+    def separate(encs):
+        depth[0] += 1
+        try:
+            return real_separate(encs)
+        finally:
+            depth[0] -= 1
+
+    spectra.clear_memos()
+    try:
+        with mock.patch.object(rootfind.RootEnclosure, "refined", refined), mock.patch.object(
+            spectra, "separate", separate
+        ):
+            for tol in (TOL9, F(1, 2**40), F(1, 1000)):
+                for r in (*_reduced(16), F(28, 55), F(29, 57), F(30, 59)):
+                    spectrum_periodic(r, V5, tol)
+    finally:
+        spectra.clear_memos()
+    assert not outside and inside
+
+
 def test_defect_points_build_no_sturm_chain():
     # the gap brackets of the cached bands certify the roots of
     # t_u^2 = V^2 + 4, also where two float guides coincide (2/17) or lie
@@ -692,7 +763,7 @@ def test_guides_are_laid_once_on_the_guide_grid():
     # at tol 1e-20 `isolate_roots` lays each factor's guides on the grid of
     # GUIDE_GRID = 2^-40 alone, with no sweep on the tol grid, and finds
     # the enclosures of two attempts, on the tol grid and then on
-    # GUIDE_GRID
+    # GUIDE_GRID, each refined to its tol-grid cell
     calls, sweeps = [], []
     real_isolate, real_sweep = rootfind.isolate_roots, rootfind._grid_signs
 
@@ -714,7 +785,10 @@ def test_guides_are_laid_once_on_the_guide_grid():
         spectra.clear_memos()
     assert len(calls) == 12 and set(sweeps) == {GRID12}
     for factor, jacobi, guide, width in calls:
-        assert rootfind.isolate_roots(factor, jacobi, guide, width) == two_attempt_isolate(factor, jacobi, guide, width)
+        got = rootfind.isolate_roots(factor, jacobi, guide, width)
+        assert got == width_grid_isolate(factor, jacobi, guide, width)
+        two_attempts = two_attempt_isolate(factor, jacobi, guide, width)
+        assert got == [e.refined(GRID20) for e in two_attempts]
 
 
 def test_a_guide_in_the_cell_next_to_its_root_narrows_the_bracket():
@@ -948,7 +1022,10 @@ def test_membership_examples():
     for r in (F(1, 3), F(5, 8), F(21, 34)):
         t = trace_poly_cf(cf_forms(r)[0], V5)
         for E in (F(-7, 3), F(0), F(1, 7), F(5, 2), F(9, 2), F(-3)):
-            assert membership(E, r, V5) == (abs(t.eval(E)) <= 2), (r, E)
+            assert membership(E, r, V5) == (abs(value_at(t, E)) <= 2), (r, E)
+            # the integer band check of `spectrum_from_trace` agrees
+            scaled = abs(t.eval(E.numerator, E.denominator))
+            assert (scaled <= 2 * t.den * E.denominator ** t.degree()) == membership(E, r, V5), (r, E)
 
 
 # --- classification and defects --------------------------------------------------
@@ -1371,6 +1448,61 @@ def test_point_placement_check_survives_python_O():
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert (proc.returncode, proc.stdout) == (0, "defect point is not above its band\n")
+
+
+def gap_point_mutation(r, V, band: int):
+    """The band spectrum of the rotation r at coupling V with the check
+    point of one band moved into a gap: for the top band a grid step above
+    its upper edge's enclosure, for any other the check point of the gap
+    above it, between its upper edge and the next band's lower edge."""
+    t, word = trace_poly_cf(cf_forms(r)[0], V), period_word(r)
+    bands = spectrum_from_trace(t, TOL9, word, V).bands
+    real = spectra._band_point
+    if band + 1 < len(bands):
+        gap = real(bands[band][1], bands[band + 1][0])
+    else:
+        top = bands[band][1]
+        gap = top.hi_num + 1, top.exp
+    seen = []
+
+    def moved(lo, hi):
+        seen.append(lo)
+        return gap if len(seen) == band + 1 else real(lo, hi)
+
+    with mock.patch.object(spectra, "_band_point", moved):
+        return spectrum_from_trace(t, TOL9, word, V)
+
+
+def test_a_band_check_point_moved_into_a_gap_is_refused():
+    # the integer check |t| <= 2 refuses a check point in a bounded gap and
+    # in the unbounded gap above the bands, at an integer coupling and at a
+    # non-dyadic one (t.den > 1)
+    for V in (V5, F(7, 3)):
+        for band in (0, 3, 7):
+            with pytest.raises(PrecisionError, match="band check point escaped the trace window"):
+                gap_point_mutation(F(5, 8), V, band)
+
+
+def test_band_check_survives_python_O():
+    code = (
+        "from fractions import Fraction as F\n"
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from kohmoto.errors import PrecisionError\n"
+        "from test_spectra import gap_point_mutation\n"
+        "try:\n"
+        "    gap_point_mutation(F(5, 8), F(7, 3), 2)\n"
+        "except PrecisionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, str(Path(__file__).resolve().parent)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "band check point escaped the trace window\n")
 
 
 def test_json_serialization_schema():
