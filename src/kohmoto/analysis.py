@@ -9,7 +9,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import PreconditionError, PrecisionError, UnsupportedRegimeError
 from .farey import (
@@ -343,8 +343,11 @@ class ButterflyDataset:
     certified backend, and for the fast one a float64 array of the values
     its `~` strings print (the float ends widened by FAST_SLOP).  `layout`
     gives each row's q, p, its numbers of bands, plus and minus points, and
-    its error text or None.  Each artifact formats or draws straight from
-    `ends`; `rows` formats them anew on each access."""
+    its error text or None.  Each artifact formats one row part at a time
+    (a row's bands, its plus points or its minus points): one repeated
+    %-template over that part's slice of `ends`, so no artifact holds a
+    Python object per end of the whole dataset.  `rows` formats them anew
+    on each access."""
 
     Q: int
     V: Fraction
@@ -364,20 +367,25 @@ class ButterflyDataset:
                 i += 2 * n
             yield q, p, error, parts
 
-    def _format_args(self) -> tuple[str, list]:
-        """The %-format of one interval end, and the values of `ends` it
-        formats."""
+    def _format_args(self) -> tuple[str, Callable[[slice], list]]:
+        """The %-format of one interval end, and a function from a row
+        part's slice of `ends` to the values it formats: each artifact
+        formats one row part at a time."""
         if self.backend == "fast":
-            return "~%.12e", self.ends.tolist()
-        return "%s", [format_rational(x) for x in self.ends]
+            return "~%.12e", lambda s: self.ends[s].tolist()
+        return "%s", lambda s: [format_rational(x) for x in self.ends[s]]
 
     @property
     def rows(self) -> tuple[ButterflyRow, ...]:
         """The rows with each interval end as the artifacts print it."""
         fmt, values = self._format_args()
-        strs = [fmt % x for x in values]
+
+        def pairs(s: slice) -> tuple:
+            strs = ((fmt + "\n") * (s.stop - s.start) % tuple(values(s))).split("\n")
+            return tuple(zip(strs[0::2], strs[1::2]))
+
         return tuple(
-            ButterflyRow(q, p, *(tuple(zip(strs[s][0::2], strs[s][1::2])) for s in parts), error=error)
+            ButterflyRow(q, p, *map(pairs, parts), error=error)
             for q, p, error, parts in self._row_parts()
         )
 
@@ -387,7 +395,7 @@ class ButterflyDataset:
         for q, p, _, parts in self._row_parts():
             for kind, s in zip(("band", "defect_plus", "defect_minus"), parts):
                 line = f"{q},{p},{kind},{fmt},{fmt}\n"
-                out.append(line * ((s.stop - s.start) // 2) % tuple(values[s]))
+                out.append(line * ((s.stop - s.start) // 2) % tuple(values(s)))
         return "".join(out)
 
     def to_json_obj(self) -> dict:
@@ -425,24 +433,22 @@ class ButterflyDataset:
         x_end, x_mid = sx(ends), sx((ends[0::2] + ends[1::2]) / 2)
         out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">',
-            f'<rect width="{width}" height="{height}" fill="white"/>',
+            f'viewBox="0 0 {width} {height}">\n',
+            f'<rect width="{width}" height="{height}" fill="white"/>\n',
         ]
         for q, p, error, (bands, plus, minus) in self._row_parts():
             if error:
-                out.append(xml_comment(f"{p}/{q} failed: {error}"))
+                out.append(xml_comment(f"{p}/{q} failed: {error}") + "\n")
             y = f"{height - 30 - (height - 60) * (p / q):.2f}"
+            line = f'<line x1="%.2f" y1="{y}" x2="%.2f" y2="{y}" stroke="black" stroke-width="1.2"/>\n'
             xs = x_end[bands].tolist()
-            for x1, x2 in zip(xs[0::2], xs[1::2]):
-                out.append(
-                    f'<line x1="{x1:.2f}" y1="{y}" x2="{x2:.2f}" y2="{y}" '
-                    f'stroke="black" stroke-width="1.2"/>'
-                )
+            out.append(line * (len(xs) // 2) % tuple(xs))
             for s, color in ((plus, "#cc0000"), (minus, "#0044cc")):
-                for x in x_mid[s.start // 2 : s.stop // 2].tolist():
-                    out.append(f'<circle cx="{x:.2f}" cy="{y}" r="1.2" fill="{color}"/>')
-        out.append("</svg>")
-        return "\n".join(out) + "\n"
+                circle = f'<circle cx="%.2f" cy="{y}" r="1.2" fill="{color}"/>\n'
+                xs = x_mid[s.start // 2 : s.stop // 2].tolist()
+                out.append(circle * len(xs) % tuple(xs))
+        out.append("</svg>\n")
+        return "".join(out)
 
 
 def xml_comment(text: str) -> str:
@@ -612,7 +618,7 @@ def butterfly(
                 lower[r] = values
         parts = (values.bands, values.plus, values.minus)
         layout.append((r.denominator, r.numerator, tuple(map(len, parts)), values.error_text()))
-        ends.extend(x for part in parts for pair in part for x in pair)
+        ends.extend(itertools.chain.from_iterable(itertools.chain.from_iterable(parts)))
     if backend == "certified":
         ends = tuple(ends)
     else:

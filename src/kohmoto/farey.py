@@ -41,7 +41,8 @@ def format_dyadic(num: int, exp: int) -> str:
 
 
 def check_rotation(r: Fraction) -> Fraction:
-    if not (ZERO <= r <= ONE):
+    # a Fraction's denominator is positive, so 0 <= r <= 1 compares integers
+    if not 0 <= r.numerator <= r.denominator:
         raise PreconditionError(f"rotation number {format_rational(r)} outside [0,1]")
     return r
 
@@ -105,7 +106,11 @@ def cf_forms(r) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Short and long continued-fraction strings of a rational in [0,1].
 
     The short form ends in a digit >= 2, the long form in 1; the values 0
-    and 1 get their sentinel strings in both slots.
+    and 1 get their sentinel strings in both slots.  The digits are checked
+    against their last convergent p_n/q_n, built by the integer recurrence
+    p_k = a_k p_(k-1) + p_(k-2) (and q_k alike): convergents are in lowest
+    terms, so the digits expand r iff p_n and q_n are its numerator and
+    denominator.
     """
     r = check_rotation(as_fraction(r))
     if r == 0:
@@ -119,7 +124,10 @@ def cf_forms(r) -> tuple[tuple[int, ...], tuple[int, ...]]:
         digits.append(a)
         num, den = den, num
     short = tuple(digits)
-    if short[-1] < 2 or cf_eval(short) != r:
+    p, p_prev, q, q_prev = 0, 1, 1, 0  # the convergent of a0 = 0, and 1/0
+    for a in short[2:]:
+        p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
+    if short[-1] < 2 or (p, q) != (r.numerator, r.denominator):
         raise PrecisionError(f"continued fraction {short} does not expand {r}")
     long = short[:-1] + (short[-1] - 1, 1)
     return short, long

@@ -238,6 +238,32 @@ def test_butterfly_svg_golden(tmp_path):
     assert target.read_bytes() == (DATA / "butterfly_q25_v5.svg").read_bytes()
 
 
+# SHA-256 of the stdout of the fast Q = 25 butterfly as CSV and as JSON, both
+# formatted one row part at a time like the SVG golden above
+FAST_BUTTERFLY_SHA256 = {
+    "csv": "c5ea8168b960e0c2eeac83c42bbdf91042dc08da3cc2ccf791c1956b48fb1258",
+    "json": "3af03a5a66852571e9a194e2729175a18c1da2d584c5e6838b90d7a3628debe6",
+}
+
+
+@pytest.mark.parametrize("fmt", list(FAST_BUTTERFLY_SHA256))
+def test_butterfly_fast_csv_and_json_are_pinned(fmt, capsys):
+    assert cli.main(["butterfly", "--Q", "25", "--V", "5", "--fast", "--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == FAST_BUTTERFLY_SHA256[fmt]
+
+
+def test_rotation_outside_the_unit_interval_exits_2_with_asserts_stripped():
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "kohmoto.cli", "farey", "cf", "4/3"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, (flags, proc.stderr)
+        assert "outside [0,1]" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_butterfly_svgs_are_well_formed_xml(tmp_path):
     # the invocation header and the failed-row comments (the Q = 25 golden
     # has 22) are escaped, so an XML parser reads the whole figure

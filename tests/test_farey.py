@@ -179,6 +179,8 @@ def test_cf_eval_examples():
 
 
 def test_cf_round_trip_all_denominators_up_to_200():
+    # cf_eval's Fraction value is the oracle of cf_forms' own check, which
+    # compares the last integer convergent with r's numerator and denominator
     for q in range(1, 201):
         for p in range(0, q + 1):
             if math.gcd(p, q) != 1:
@@ -190,6 +192,23 @@ def test_cf_round_trip_all_denominators_up_to_200():
             if 0 < r < 1:
                 assert short[-1] >= 2
                 assert long[-1] == 1
+
+
+def test_rotation_bounds_are_checked_on_the_integers():
+    # check_rotation compares the numerator with the denominator, and
+    # cf_forms checks its digits against integer convergents: both at the
+    # ends of [0, 1], just inside 1 with 30-digit terms, and just outside
+    big = 10**30
+    for r in (F(0), F(1), F(big - 2, big - 1)):
+        assert farey.check_rotation(r) == r
+        short, long = cf_forms(r)
+        assert cf_eval(short) == cf_eval(long) == r
+    assert cf_forms(F(big - 2, big - 1))[0] == (0, 0, 1, big - 2)
+    for r in (F(-1, 3), F(4, 3), F(big, big - 1)):
+        with pytest.raises(PreconditionError, match="outside"):
+            farey.check_rotation(r)
+        with pytest.raises(PreconditionError, match="outside"):
+            cf_forms(r)
 
 
 # --- simplest rational and the metric ----------------------------------------

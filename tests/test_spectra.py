@@ -936,9 +936,11 @@ def test_floquet_zeros_match_dense_complex_bloch_matrix():
 
 
 def test_doubled_antiperiodic_sectors_hold_the_trace_zeros():
-    # det(E - H') = tr(M^2) + 2 = t^2 for the antiperiodic ring H' of ww,
-    # and each of its two sectors holds every zero of t once, for every
-    # defect word of the fast Q = 25 butterfly
+    # the trace t of the single word w from its transfer product (the
+    # oracle's Casoratian check makes det M = 1, so tr(M^2) = t^2 - 2 and
+    # det(E - H') = tr(M^2) + 2 = t^2 for the antiperiodic ring H' of ww),
+    # and each of the two sectors of H' holds every zero of t once, for
+    # every defect word of the fast Q = 25 butterfly
     cases = {
         sk_words(digits)[-1]: digits
         for q in range(1, 26)
@@ -951,7 +953,7 @@ def test_doubled_antiperiodic_sectors_hold_the_trace_zeros():
     for V in (V5, F(7, 3)):
         for word, digits in cases.items():
             t = trace_poly_cf(digits, V)
-            assert trace_poly(word + word, V) + 2 == t * t
+            assert trace_poly(word, V) == t
             # exactly: each sector's b^n det(E - J) is b^n t
             sectors = reflection_factors(V, _sector_paths(word + word, True))
             assert all(RP(f, V.denominator ** len(word)) == t for f, _ in sectors)
